@@ -19,9 +19,11 @@ from hypersel.ordinal import (
     ZERO,
     Ordinal,
     finite_part,
+    fund_index_at_least,
     left_difference,
     limit_part,
     ord_classify,
+    ord_fundamental,
     successor,
 )
 from hypersel.space import (
@@ -34,6 +36,7 @@ from hypersel.space import (
 )
 from hypersel import hyperspace
 from hypersel.decomp import (
+    ABSORPTION_CAP,
     DecompositionError,
     DecompositionSpec,
     ExplicitDecomposition,
@@ -229,11 +232,54 @@ def cut_base_absorbs(
 # -- transfinite bases ---------------------------------------------------------
 
 
+Coord = tuple[int, Ordinal]  # (branch, position) of one coordinate of p
+
+
+@dataclass(frozen=True)
+class _AffineTail:
+    """Certified tails from stage ``anchor`` on: at k stages past it, each
+    coordinate's tail starts at start + step * k, below a fixed limit."""
+
+    anchor: int
+    start: dict[Coord, Ordinal]
+    step: dict[Coord, int]
+
+    def position(self, coord: Coord, k: int) -> Ordinal:
+        c = self.start[coord]
+        return limit_part(c) + Ordinal.from_int(finite_part(c) + self.step[coord] * k)
+
+    def limit_position(self, coord: Coord) -> Ordinal:
+        c = self.start[coord]
+        return c if self.step[coord] == 0 else limit_part(c) + OMEGA
+
+
+@dataclass(frozen=True)
+class _LadderTail:
+    """Certified tails from stage ``anchor`` on: at k stages past it, each
+    coordinate (b, beta) has its tail start at fundamental(beta, index +
+    step * k) + offset, climbing the ladder of beta."""
+
+    anchor: int
+    index: dict[Coord, int]
+    step: dict[Coord, int]
+    offset: dict[Coord, int]
+
+    def position(self, coord: Coord, k: int) -> Ordinal:
+        m = self.index[coord] + self.step[coord] * k
+        return ord_fundamental(coord[1], m) + Ordinal.from_int(self.offset[coord])
+
+    def limit_position(self, coord: Coord) -> Ordinal:
+        return coord[1]
+
+
+TailPattern = _AffineTail | _LadderTail
+
+
 @dataclass
 class _Block:
     start: Ordinal  # first stage index of this block
     explicit: list[Region]  # stage sets at start, start+1, ...
-    pattern: Optional[dict] = None  # {'anchor': int, 'c': {coord: c}, 'd': {coord: int}}
+    pattern: Optional[TailPattern] = None
     limit_index: Optional[Ordinal] = None
     limit_set: Optional[Region] = None  # the graded-base member at the limit index
     limit_boundary: Optional[Point] = None
@@ -256,7 +302,7 @@ class GammaBase:
         pat = block.pattern
         if pat is None:
             raise PatternError(f"stage {block.start}+{j} beyond explicit stages")
-        return _pattern_region(self.space, self.p, pat, j - pat["anchor"])
+        return _pattern_region(self.space, self.p, pat, j - pat.anchor)
 
     def member(self, alpha: Ordinal) -> Region:
         """H_alpha for alpha <= gamma (gamma itself gives the point)."""
@@ -313,8 +359,6 @@ def _guide_tail(space: Space, p: Point, level: int) -> Region:
     spans = []
     for b, beta in space.point_coords(p):
         if beta.is_limit:
-            from hypersel.ordinal import ord_fundamental
-
             spans.append((b, successor(ord_fundamental(beta, level)), beta, True))
         else:
             spans.append((b, beta, beta, True))
@@ -342,8 +386,6 @@ def _succ_stage(
 
 def _ladder_index(beta: Ordinal, c: Ordinal) -> Optional[tuple[int, int]]:
     """Write c as fundamental(beta, m) + r with finite r, if possible."""
-    from hypersel.ordinal import fund_index_at_least, ord_fundamental
-
     lp = limit_part(c)
     if lp >= beta:
         return None
@@ -358,31 +400,17 @@ def _ladder_index(beta: Ordinal, c: Ordinal) -> Optional[tuple[int, int]]:
     return m, finite_part(c)
 
 
-def _pattern_position(space_coord_beta: Ordinal, pattern: dict, coord, k: int) -> Ordinal:
-    from hypersel.ordinal import ord_fundamental
-
-    if pattern["form"] == "A":
-        c = pattern["c"][coord]
-        step = pattern["d"][coord]
-        return limit_part(c) + Ordinal.from_int(finite_part(c) + step * k)
-    m = pattern["m"][coord] + pattern["s"][coord] * k
-    return ord_fundamental(space_coord_beta, m) + Ordinal.from_int(pattern["r"][coord])
-
-
-def _pattern_region(space: Space, p: Point, pattern: dict, k: int) -> Region:
-    spans = []
-    for b, beta in space.point_coords(p):
-        coord = (b, beta)
-        if coord not in pattern["coords"]:
-            spans.append((b, beta, beta, True))
-            continue
-        spans.append((b, _pattern_position(beta, pattern, coord, k), beta, True))
-    return Region.make(space, spans)
+def _pattern_region(space: Space, p: Point, pattern: TailPattern, k: int) -> Region:
+    """The pattern's stage k stages past its anchor."""
+    return Region.make(
+        space,
+        [(b, pattern.position((b, beta), k), beta, True) for b, beta in space.point_coords(p)],
+    )
 
 
 def _certify_pattern(
     space: Space, p: Point, stage_fn, stages: list[Region], probes: int = 2
-) -> dict:
+) -> TailPattern:
     """Tail recurrence over the last stages, re-verified at shifted spots.
 
     Two certified forms: positions advancing by a constant finite step below a
@@ -397,7 +425,6 @@ def _certify_pattern(
     if i2 - i1 != 1 or i1 - i0 != 1:
         raise PatternError("tail-shaped stages are not consecutive")
     c_last, c_mid, c_old = forms[i2], forms[i1], forms[i0]
-    pattern: dict = {"anchor": i2, "coords": tuple(c_last)}
     finite_steps = {}
     for coord, c in c_last.items():
         lp = limit_part(c)
@@ -411,7 +438,7 @@ def _certify_pattern(
             finite_steps = None
             break
     if finite_steps is not None and any(finite_steps.values()):
-        pattern.update({"form": "A", "c": c_last, "d": finite_steps})
+        pattern = _AffineTail(i2, c_last, finite_steps)
     elif finite_steps is not None:
         raise PatternError("stages stopped shrinking")
     else:
@@ -427,7 +454,7 @@ def _certify_pattern(
             if m2 - m1 != m1 - m0 or m2 - m1 < 1:
                 raise PatternError(f"ladder step at {coord} is not affine")
             ms[coord], ss[coord], rs[coord] = m2, m2 - m1, r2
-        pattern.update({"form": "B", "m": ms, "s": ss, "r": rs})
+        pattern = _LadderTail(i2, ms, ss, rs)
     # re-run the stage map at shifted positions to certify the recurrence
     for shift in range(3, 3 + probes * 4, 4):
         shifted = _pattern_region(space, p, pattern, shift)
@@ -440,19 +467,11 @@ def _certify_pattern(
     return pattern
 
 
-def _pattern_limit(space: Space, p: Point, pattern: dict) -> Region:
+def _pattern_limit(space: Space, p: Point, pattern: TailPattern) -> Region:
     """Intersection of the pattern tails over all stages."""
     spans = []
     for b, beta in space.point_coords(p):
-        coord = (b, beta)
-        if coord not in pattern["coords"]:
-            spans.append((b, beta, beta, True))
-            continue
-        if pattern["form"] == "A":
-            c = pattern["c"][coord]
-            mu = c if pattern["d"][coord] == 0 else limit_part(c) + OMEGA
-        else:
-            mu = beta
+        mu = pattern.limit_position((b, beta))
         if mu > beta:
             raise PatternError(f"pattern overshoots coordinate {b}:{beta}")
         spans.append((b, mu, beta, True))
@@ -708,16 +727,16 @@ class GammaBaseDecomposition(DecompositionSpec):
                 pass
         return out
 
-    def absorption_candidates(self, lam: Ordinal, cap: int = 48) -> list[Ordinal]:
+    def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
         for block in self.gb.blocks:
             if block.limit_index == lam or (
                 block.limit_index is None and lam == self.gamma
             ):
-                return [block.start + Ordinal.from_int(j) for j in range(cap)]
+                return [block.start + Ordinal.from_int(j) for j in range(ABSORPTION_CAP)]
         return [i for i in self.sample_indices() if i < lam]
 
 
-def gamma_base_to_decomp(gb: GammaBase, validate: bool = True) -> DecompositionSpec:
+def gamma_base_to_decomp(gb: GammaBase) -> DecompositionSpec:
     space = gb.space
     p_reg = space.point_region(gb.p)
     if gb.member(ZERO) == p_reg:
@@ -727,14 +746,13 @@ def gamma_base_to_decomp(gb: GammaBase, validate: bool = True) -> DecompositionS
         d: DecompositionSpec = ExplicitDecomposition(space, fibers)
     else:
         d = GammaBaseDecomposition(gb)
-    if validate:
-        report = decomp_validate(d)
-        if not report.passed:
-            raise TheoremViolationError(
-                "graded-base decomposition failed validation: "
-                + "; ".join(e.name + " " + e.detail for e in report.failures()),
-                report,
-            )
+    report = decomp_validate(d)
+    if not report.passed:
+        raise TheoremViolationError(
+            "graded-base decomposition failed validation: "
+            + "; ".join(e.name + " " + e.detail for e in report.failures()),
+            report,
+        )
     return d
 
 
@@ -743,7 +761,6 @@ def decomp_to_extreme_selection(
     p: Point,
     mode: str,
     family: Optional[FamilyParams] = None,
-    verify: bool = True,
 ) -> Selection:
     """Join (maximal) or meet (minimal) over the decomposition, limit fibers
     equipped by the canonical countable-chain construction, extremality checked
@@ -770,11 +787,10 @@ def decomp_to_extreme_selection(
         sel: Selection = join_combinator(d, fibers, check_hypotheses=False)
     else:
         sel = meet_combinator(d, fibers, check_hypotheses=False)
-    if verify:
-        out = extremality_check(sel, p, mode, family or FamilyParams())
-        if not out.passed:
-            raise TheoremViolationError(
-                f"constructed selection fails {mode} extremality: {out.detail}",
-                out.witness,
-            )
+    out = extremality_check(sel, p, mode, family or FamilyParams())
+    if not out.passed:
+        raise TheoremViolationError(
+            f"constructed selection fails {mode} extremality: {out.detail}",
+            out.witness,
+        )
     return sel

@@ -42,9 +42,13 @@ __all__ = [
     "point_chain_rule",
     "point_decomposition",
     "decomp_validate",
-    "eta_extremes",
     "ValidationReport",
 ]
+
+# Levels a chain scan steps through before giving up, and indices below a
+# limit that the closedness check probes.
+SCAN_CAP = 512
+ABSORPTION_CAP = 48
 
 
 class DecompositionError(ValueError):
@@ -90,7 +94,7 @@ class DecompositionSpec:
         """Region known to be covered by the fibers outside the sampled indices."""
         return self.space.empty()
 
-    def absorption_candidates(self, lam: Ordinal, cap: int = 48) -> list[Ordinal]:
+    def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
         """Indices below lam to probe when checking closedness of the level map."""
         return [i for i in self.sample_indices() if i < lam]
 
@@ -174,7 +178,6 @@ class ChainDecomposition(DecompositionSpec):
         p: Point,
         carrier: Optional[Region] = None,
         kind: str = "ordinal",
-        scan_cap: int = 512,
     ) -> None:
         self.space = space
         self.carrier = carrier if carrier is not None else space.whole()
@@ -182,7 +185,6 @@ class ChainDecomposition(DecompositionSpec):
         self.p = p
         self.gamma = OMEGA
         self.kind = kind
-        self.scan_cap = scan_cap
         self._memo: dict[int, Region] = {}
         self._p_region = space.point_region(p)
 
@@ -205,7 +207,7 @@ class ChainDecomposition(DecompositionSpec):
         n = 0
         while self.chain(n + 1).contains_point(pt):
             n += 1
-            if n > self.scan_cap:
+            if n > SCAN_CAP:
                 raise ChainResolutionError(f"level of {pt} beyond scan cap")
         if not self.chain(n).contains_point(pt):
             raise DecompositionError(f"{pt} outside the decomposition carrier")
@@ -220,7 +222,7 @@ class ChainDecomposition(DecompositionSpec):
         lo = 0
         while s.subset_of(self.chain(lo + 1)):
             lo += 1
-            if lo > self.scan_cap:
+            if lo > SCAN_CAP:
                 raise ChainResolutionError("minimum level beyond scan cap")
         lo_idx = Ordinal.from_int(lo)
         # max level: omega when the point is in s, else largest n meeting s
@@ -229,7 +231,7 @@ class ChainDecomposition(DecompositionSpec):
         hi = 0
         while not s.intersect(self.chain(hi + 1)).is_empty:
             hi += 1
-            if hi > self.scan_cap:
+            if hi > SCAN_CAP:
                 raise ChainResolutionError("maximum level beyond scan cap")
         return lo_idx, Ordinal.from_int(hi)
 
@@ -253,8 +255,8 @@ class ChainDecomposition(DecompositionSpec):
         top = max((i.as_int() for i in idxs if i != OMEGA), default=0)
         return self.chain(top + 1)
 
-    def absorption_candidates(self, lam: Ordinal, cap: int = 48) -> list[Ordinal]:
-        return [Ordinal.from_int(n) for n in range(cap)]
+    def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
+        return [Ordinal.from_int(n) for n in range(ABSORPTION_CAP)]
 
 
 class ConcatDecomposition(DecompositionSpec):
@@ -356,11 +358,9 @@ class ConcatDecomposition(DecompositionSpec):
             out = out.union(part.cover_residual(local))
         return out
 
-    def absorption_candidates(self, lam: Ordinal, cap: int = 48) -> list[Ordinal]:
+    def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
         j, local = self._locate(lam)
-        return [
-            self.offsets[j] + c for c in self.parts[j].absorption_candidates(local, cap)
-        ]
+        return [self.offsets[j] + c for c in self.parts[j].absorption_candidates(local)]
 
 
 def point_chain_rule(space: Space, p: Point, carrier: Optional[Region] = None):
@@ -578,7 +578,3 @@ def _absorbs_below(
         if seg.subset_of(around):
             return True
     return False
-
-
-def eta_extremes(d: DecompositionSpec, s: Region) -> tuple[Ordinal, Ordinal]:
-    return d.eta_extremes(s)

@@ -66,11 +66,10 @@ def _span_cover(space: Space, branch: int, lo: Ordinal, hi: Ordinal, level: int)
     return (branch, start, hi, True)
 
 
-def open_cover_of(s: Region, level: int) -> Region:
-    """Smallest canonical open at the given refinement level containing s."""
-    space = s.space
-    raw = [_span_cover(space, b, sp.lo, sp.hi, level) for b, sp in s.span_items()]
-    reg = Region.make(space, raw)
+def _glue_repaired(reg: Region, level: int, what: str) -> Region:
+    """reg with the canonical open tail of every gluing class it contains
+    added, until it is open across the gluings."""
+    space = reg.space
     for _ in range(len(space.gluings) + 1):
         if reg.is_open():
             break
@@ -79,26 +78,25 @@ def open_cover_of(s: Region, level: int) -> Region:
             if reg.contains_point(pt):
                 reg = reg.union(space.open_tail(pt, level))
     if not reg.is_open():
-        raise ValueError("could not build an open cover (exotic gluing)")
+        raise ValueError(f"could not build an open {what} (exotic gluing)")
     return reg
+
+
+def open_cover_of(s: Region, level: int) -> Region:
+    """Smallest canonical open at the given refinement level containing s."""
+    space = s.space
+    raw = [_span_cover(space, b, sp.lo, sp.hi, level) for b, sp in s.span_items()]
+    return _glue_repaired(Region.make(space, raw), level, "cover")
 
 
 def _tight_parts(s: Region, level: int) -> tuple[Region, ...]:
     """One open part per span of s, repaired to be open across gluings."""
     space = s.space
-    parts = []
-    for b, sp in s.span_items():
-        reg = Region.make(space, [_span_cover(space, b, sp.lo, sp.hi, level)])
-        for _ in range(len(space.gluings) + 1):
-            if reg.is_open():
-                break
-            for coords in space.gluings:
-                pt = space.point(*coords[0])
-                if reg.contains_point(pt):
-                    reg = reg.union(space.open_tail(pt, level))
-        if not reg.is_open():
-            raise ValueError("could not build an open part (exotic gluing)")
-        parts.append(reg)
+    parts = [
+        _glue_repaired(Region.make(space, [_span_cover(space, b, sp.lo, sp.hi, level)]),
+                       level, "part")
+        for b, sp in s.span_items()
+    ]
     # drop duplicates (glue repair can make two spans yield one part)
     out: list[Region] = []
     for part in parts:

@@ -97,6 +97,16 @@ class ScenarioError(ValueError):
     pass
 
 
+OBJECT_GROUPS = (
+    "points", "closed_sets", "open_sets", "decompositions", "selections", "pcuts", "nets",
+    "bases",
+)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 # -- notation -------------------------------------------------------------------
 
 
@@ -207,12 +217,21 @@ class Scenario:
         }
         params.update(doc.get("params", {}))
         params.update(overrides or {})
+        if not _is_count(params["window"]):
+            raise ScenarioError(
+                f"params.window must be a non-negative integer, not {params['window']!r}"
+            )
         try:
             space = Space(branches, gluings, grid_k=int(params["grid_k"]))
         except ValueError as exc:
             raise ScenarioError(f"bad space: {exc}") from exc
         sc = Scenario(doc.get("name", "scenario"), space, params)
         objects = doc.get("objects", {})
+        if not isinstance(objects, dict):
+            raise ScenarioError("objects must be an object")
+        for group in OBJECT_GROUPS:
+            if not isinstance(objects.get(group, {}), dict):
+                raise ScenarioError(f"objects.{group} must be an object")
         try:
             sc._build_objects(objects)
         except (ScenarioError, ValueError) as exc:
@@ -225,6 +244,7 @@ class Scenario:
                 raise ScenarioError(f"bad suite entry {entry!r}")
             if entry["check"] not in CHECKS:
                 raise ScenarioError(f"unknown check {entry['check']!r}")
+            sc._check_refs(entry)
         sc.suites = suites
         sc.bases = objects.get("bases", {})
         return sc
@@ -262,6 +282,23 @@ class Scenario:
         for name, spec in objects.get("nets", {}).items():
             self.nets[name] = self._build_net(name, spec)
 
+    def _check_refs(self, entry: dict) -> None:
+        """Every object a suite entry names must be loaded."""
+        check = entry["check"]
+        groups = {
+            "selection": self.selections, "decomp": self.decompositions,
+            "pcut": self.pcuts, "net": self.nets,
+        }
+        refs = [(key, entry.get(key)) for key in CHECK_REFS.get(check, ())]
+        nets = entry.get("nets", "canonical")
+        if check == "continuity" and nets != "canonical":
+            if not isinstance(nets, list):
+                raise ScenarioError(f"{check} nets must be 'canonical' or a list of net names")
+            refs.extend(("net", ref) for ref in nets)
+        for key, ref in refs:
+            if not (isinstance(ref, str) and ref in groups[key]):
+                raise ScenarioError(f"{check} check: no {key} named {ref!r}")
+
     def _point(self, ref) -> Point:
         if isinstance(ref, str) and ref in self.points:
             return self.points[ref]
@@ -275,16 +312,6 @@ class Scenario:
         if isinstance(ref, list):
             return region_from_json(self.space, ref)
         raise ScenarioError(f"unresolved closed-set reference {ref!r}")
-
-    def _open(self, ref) -> Region:
-        if isinstance(ref, str) and ref in self.open_sets:
-            return self.open_sets[ref]
-        if isinstance(ref, list):
-            reg = region_from_json(self.space, ref)
-            if not reg.is_open():
-                raise ScenarioError(f"literal {ref!r} is not open")
-            return reg
-        raise ScenarioError(f"unresolved open-set reference {ref!r}")
 
     def _build_decomposition(self, name: str, spec: dict):
         kind = spec.get("kind")
@@ -317,7 +344,6 @@ class Scenario:
                     p,
                     spec.get("mode", "maximal"),
                     family=self.family_params(spec.get("family")),
-                    verify=bool(spec.get("verify", True)),
                 )
             except TheoremViolationError as exc:
                 raise ScenarioError(f"selection {name!r}: {exc}") from exc
@@ -337,7 +363,9 @@ class Scenario:
 
     def _build_net(self, name: str, spec: dict) -> ConvergentNet:
         kind = spec.get("kind")
-        window = int(spec.get("window", self.params["window"]))
+        window = spec.get("window", self.params["window"])
+        if not _is_count(window):
+            raise ScenarioError(f"net {name!r}: window must be a non-negative integer")
         if kind == "constant":
             return constant_net(self._closed(spec["set"]), window, name)
         if kind == "increasing":
@@ -697,6 +725,19 @@ def _check_pointwise_minimal(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
         done += 1
     return "pass", f"{done} points", None
 
+
+# The objects each check looks up by name in its suite entry, by group; a
+# continuity entry may also name a list of nets.
+CHECK_REFS = {
+    "selection_law": ("selection",),
+    "extremality": ("selection",),
+    "continuity": ("selection",),
+    "net_convergence": ("net",),
+    "derived_props": ("selection",),
+    "decomp_validate": ("decomp",),
+    "base_at_cut": ("selection", "pcut"),
+    "transfinite_roundtrip": ("selection",),
+}
 
 CHECKS: dict[str, Callable] = {
     "ordinal_laws": _check_ordinal_laws,

@@ -3,8 +3,12 @@
 Primitives pick order extrema under a branch-concatenation order with a
 declared per-branch orientation; combinators evaluate a fiber selection at
 the extreme level met by the argument.  Every evaluation enforces the
-selection law (the value belongs to the argument).  Extremality and
-continuity checkers are exhaustive over their declared finite families.
+selection law (the value belongs to the argument).  Each selection type also
+gives its bracket {x : f(C | {x}) = x}: exactly for order primitives (key
+rays), combinators (the extreme-level preimage plus one fiber's bracket),
+restrictions and patches, pointwise over grid candidates otherwise.
+Extremality and continuity checkers are exhaustive over their declared
+finite families.
 """
 from __future__ import annotations
 
@@ -19,14 +23,13 @@ from hypersel import hyperspace
 
 __all__ = [
     "Selection",
+    "OrderExtremumSelection",
     "OrderMaxSelection",
     "OrderMinSelection",
-    "JoinSelection",
-    "MeetSelection",
+    "LevelSelection",
     "RestrictSelection",
     "PatchedSelection",
     "FiberSelections",
-    "sel_eval",
     "join_combinator",
     "meet_combinator",
     "order_extremum",
@@ -124,6 +127,38 @@ def order_extremum(
     raise ExtremumNotAttained("set has no member with an attained key")
 
 
+def _key_ray(space: Space, orientations, m: Point, upper: bool) -> Region:
+    """Classes whose concatenation-order key is >= (upper) or <= that of m."""
+    b_star, pos_star = m.branch, m.pos
+    spans = []
+    for b, top in enumerate(space.branches):
+        if (b > b_star) == upper and b != b_star:
+            spans.append((b, Ordinal(), top, True))
+        elif b == b_star:
+            asc = orientations[b]
+            if upper == asc:
+                spans.append((b, pos_star, top, True))
+            else:
+                spans.append((b, Ordinal(), pos_star, True))
+    reg = Region.make(space, spans)
+    # correct gluing classes by their canonical key
+    for coords in space.gluings:
+        pt = space.point(*coords[0])
+        if pt.branch != b_star:
+            member = (pt.branch > b_star) == upper
+        else:
+            asc = orientations[b_star]
+            if upper == asc:
+                member = pt.pos >= pos_star
+            else:
+                member = pt.pos <= pos_star
+        if member:
+            reg = reg.add_point(pt)
+        else:
+            reg = reg.remove_point(pt)
+    return reg
+
+
 class Selection:
     """Base: a total evaluable map from closed subsets of the carrier to points."""
 
@@ -148,6 +183,20 @@ class Selection:
     def _pick(self, s: Region) -> Point:
         raise NotImplementedError
 
+    def bracket(self, c: Region) -> Region:
+        """{x in carrier : f(C | {x}) = x} for a nonempty closed C inside the
+        carrier; here by evaluation over grid members and carrier endpoints."""
+        out = self.space.empty()
+        cands = set(self.carrier.grid_members())
+        for b, sp in self.carrier.span_items():
+            cands.add(self.space.point(b, sp.lo))
+            if sp.hi_in:
+                cands.add(self.space.point(b, sp.hi))
+        for pt in sorted(cands):
+            if self.evaluate(c.add_point(pt)) == pt:
+                out = out.add_point(pt)
+        return out
+
     def maximal_point(self) -> Optional[Point]:
         """Point p with f(S) = p whenever p is in S, if structurally known."""
         return None
@@ -157,85 +206,65 @@ class Selection:
         return None
 
 
-class OrderMaxSelection(Selection):
+class OrderExtremumSelection(Selection):
+    """The order maximum (want_max) or minimum of the argument under the
+    oriented branch-concatenation order."""
+
+    want_max: bool
+
+    def __init__(
+        self,
+        space: Space,
+        carrier: Optional[Region] = None,
+        orientations: Optional[Sequence[bool]] = None,
+    ) -> None:
+        self.space = space
+        self.carrier = carrier if carrier is not None else space.whole()
+        self.orientations = (
+            tuple(orientations) if orientations is not None else default_orientations(space)
+        )
+
+    def _pick(self, s: Region) -> Point:
+        return order_extremum(self.space, self.orientations, s, self.want_max)
+
+    def bracket(self, c: Region) -> Region:
+        m = self._pick(c)
+        return _key_ray(self.space, self.orientations, m, self.want_max).intersect(self.carrier)
+
+    def _carrier_extremum(self, want_max: bool) -> Optional[Point]:
+        try:
+            return order_extremum(self.space, self.orientations, self.carrier, want_max)
+        except ExtremumNotAttained:
+            return None
+
+    def maximal_point(self) -> Optional[Point]:
+        return self._carrier_extremum(self.want_max)
+
+    def minimal_point(self) -> Optional[Point]:
+        return self._carrier_extremum(not self.want_max)
+
+
+class OrderMaxSelection(OrderExtremumSelection):
     kind = "order-max"
-
-    def __init__(
-        self,
-        space: Space,
-        carrier: Optional[Region] = None,
-        orientations: Optional[Sequence[bool]] = None,
-    ) -> None:
-        self.space = space
-        self.carrier = carrier if carrier is not None else space.whole()
-        self.orientations = (
-            tuple(orientations) if orientations is not None else default_orientations(space)
-        )
-
-    def _pick(self, s: Region) -> Point:
-        return order_extremum(self.space, self.orientations, s, want_max=True)
-
-    def maximal_point(self) -> Optional[Point]:
-        try:
-            return order_extremum(self.space, self.orientations, self.carrier, True)
-        except ExtremumNotAttained:
-            return None
-
-    def minimal_point(self) -> Optional[Point]:
-        try:
-            return order_extremum(self.space, self.orientations, self.carrier, False)
-        except ExtremumNotAttained:
-            return None
+    want_max = True
 
 
-class OrderMinSelection(Selection):
+class OrderMinSelection(OrderExtremumSelection):
     kind = "order-min"
-
-    def __init__(
-        self,
-        space: Space,
-        carrier: Optional[Region] = None,
-        orientations: Optional[Sequence[bool]] = None,
-    ) -> None:
-        self.space = space
-        self.carrier = carrier if carrier is not None else space.whole()
-        self.orientations = (
-            tuple(orientations) if orientations is not None else default_orientations(space)
-        )
-
-    def _pick(self, s: Region) -> Point:
-        return order_extremum(self.space, self.orientations, s, want_max=False)
-
-    def maximal_point(self) -> Optional[Point]:
-        try:
-            return order_extremum(self.space, self.orientations, self.carrier, False)
-        except ExtremumNotAttained:
-            return None
-
-    def minimal_point(self) -> Optional[Point]:
-        try:
-            return order_extremum(self.space, self.orientations, self.carrier, True)
-        except ExtremumNotAttained:
-            return None
+    want_max = False
 
 
 class FiberSelections:
     """One selection per decomposition level, built on demand and memoized."""
 
     def __init__(
-        self,
-        decomp: DecompositionSpec,
-        factory: Callable[[Ordinal, Region], Selection],
-        overrides: Optional[dict[Ordinal, Selection]] = None,
+        self, decomp: DecompositionSpec, factory: Callable[[Ordinal, Region], Selection]
     ) -> None:
         self.decomp = decomp
         self.factory = factory
-        self.overrides = dict(overrides or {})
         self._memo: dict[Ordinal, Selection] = {}
 
     def get(self, idx: Ordinal) -> Selection:
-        if idx in self.overrides:
-            return self.overrides[idx]
         sel = self._memo.get(idx)
         if sel is None:
             sel = self.factory(idx, self.decomp.fiber(idx))
@@ -243,72 +272,56 @@ class FiberSelections:
         return sel
 
 
-def _default_fiber_factory(space: Space) -> Callable[[Ordinal, Region], Selection]:
-    return lambda idx, fib: OrderMaxSelection(space, carrier=fib)
-
-
-class JoinSelection(Selection):
-    """Evaluate the fiber selection at the highest level met by the argument."""
-
-    kind = "join"
+class LevelSelection(Selection):
+    """Level combinator: evaluate the fiber selection at the highest (join)
+    or lowest (meet) level met by the argument."""
 
     def __init__(
         self,
         decomp: DecompositionSpec,
         fibers: FiberSelections,
+        top: bool,
         continuity_theorem_applicable: Optional[bool] = None,
     ) -> None:
         self.decomp = decomp
         self.space = decomp.space
         self.carrier = decomp.carrier
         self.fibers = fibers
+        self.top = top
+        self.kind = "join" if top else "meet"
         self.continuity_theorem_applicable = continuity_theorem_applicable
 
+    def _level(self, s: Region) -> Ordinal:
+        lo, hi = self.decomp.eta_extremes(s)
+        return hi if self.top else lo
+
     def _pick(self, s: Region) -> Point:
-        _, hi = self.decomp.eta_extremes(s)
-        g = self.fibers.get(hi)
-        return g.evaluate(s.intersect(self.decomp.fiber(hi)))
+        idx = self._level(s)
+        return self.fibers.get(idx).evaluate(s.intersect(self.decomp.fiber(idx)))
+
+    def bracket(self, c: Region) -> Region:
+        # points beyond the extreme level select themselves; at that level
+        # the fiber selection decides
+        idx = self._level(c)
+        d = self.decomp
+        beyond = d.upper_strict(idx) if self.top else d.lower_strict(idx)
+        return beyond.union(self.fibers.get(idx).bracket(c.intersect(d.fiber(idx))))
+
+    def _top_point(self) -> Optional[Point]:
+        """The point of the top fiber when that fiber is a singleton."""
+        top = self.decomp.fiber(self.decomp.gamma)
+        pts = {self.space.point(b, sp.lo) for b, sp in top.span_items()}
+        if len(pts) == 1:
+            p = pts.pop()
+            if top == self.space.point_region(p):
+                return p
+        return None
 
     def maximal_point(self) -> Optional[Point]:
-        top = self.decomp.fiber(self.decomp.gamma)
-        pts = {self.space.point(b, sp.lo) for b, sp in top.span_items()}
-        if len(pts) == 1:
-            p = pts.pop()
-            if top == self.space.point_region(p):
-                return p
-        return None
-
-
-class MeetSelection(Selection):
-    """Evaluate the fiber selection at the lowest level met by the argument."""
-
-    kind = "meet"
-
-    def __init__(
-        self,
-        decomp: DecompositionSpec,
-        fibers: FiberSelections,
-        continuity_theorem_applicable: Optional[bool] = None,
-    ) -> None:
-        self.decomp = decomp
-        self.space = decomp.space
-        self.carrier = decomp.carrier
-        self.fibers = fibers
-        self.continuity_theorem_applicable = continuity_theorem_applicable
-
-    def _pick(self, s: Region) -> Point:
-        lo, _ = self.decomp.eta_extremes(s)
-        g = self.fibers.get(lo)
-        return g.evaluate(s.intersect(self.decomp.fiber(lo)))
+        return self._top_point() if self.top else None
 
     def minimal_point(self) -> Optional[Point]:
-        top = self.decomp.fiber(self.decomp.gamma)
-        pts = {self.space.point(b, sp.lo) for b, sp in top.span_items()}
-        if len(pts) == 1:
-            p = pts.pop()
-            if top == self.space.point_region(p):
-                return p
-        return None
+        return None if self.top else self._top_point()
 
 
 class RestrictSelection(Selection):
@@ -323,6 +336,9 @@ class RestrictSelection(Selection):
 
     def _pick(self, s: Region) -> Point:
         return self.parent.evaluate(s)
+
+    def bracket(self, c: Region) -> Region:
+        return self.parent.bracket(c).intersect(self.carrier)
 
     def maximal_point(self) -> Optional[Point]:
         p = self.parent.maximal_point()
@@ -352,9 +368,24 @@ class PatchedSelection(Selection):
             return self.value
         return self.parent._pick(s)
 
-
-def sel_eval(f: Selection, s: Region) -> Point:
-    return f.evaluate(s)
+    def bracket(self, c: Region) -> Region:
+        base = self.parent.bracket(c)
+        space = self.space
+        if c == self.at:
+            # for x in C the argument stays C = the patched set
+            inside = space.point_region(self.value).intersect(c)
+            outside = base.difference(c)
+            return outside.union(inside)
+        extra = self.at.difference(c)
+        if c.subset_of(self.at) and not extra.is_empty:
+            pts = {space.point(b, sp.lo) for b, sp in extra.span_items()}
+            if len(pts) == 1:
+                x0 = pts.pop()
+                if extra == space.point_region(x0):
+                    if self.value == x0:
+                        return base.add_point(x0)
+                    return base.remove_point(x0)
+        return base
 
 
 def _limit_fiber_hypothesis(
@@ -378,21 +409,33 @@ def _limit_fiber_hypothesis(
     return True
 
 
+def _level_combinator(
+    decomp: DecompositionSpec,
+    fibers: Optional[FiberSelections],
+    check_hypotheses: bool,
+    family: Optional["FamilyParams"],
+    top: bool,
+) -> LevelSelection:
+    if fibers is None:
+        space = decomp.space
+        fibers = FiberSelections(decomp, lambda idx, fib: OrderMaxSelection(space, carrier=fib))
+    flag = (
+        _limit_fiber_hypothesis(decomp, fibers, "minimal" if top else "maximal", family)
+        if check_hypotheses
+        else None
+    )
+    return LevelSelection(decomp, fibers, top, continuity_theorem_applicable=flag)
+
+
 def join_combinator(
     decomp: DecompositionSpec,
     fibers: Optional[FiberSelections] = None,
     check_hypotheses: bool = True,
     family: Optional["FamilyParams"] = None,
-) -> JoinSelection:
+) -> LevelSelection:
     if decomp.kind != "ordinal":
         raise ValueError("join needs an ordinal decomposition")
-    fibers = fibers or FiberSelections(decomp, _default_fiber_factory(decomp.space))
-    flag = (
-        _limit_fiber_hypothesis(decomp, fibers, "minimal", family)
-        if check_hypotheses
-        else None
-    )
-    return JoinSelection(decomp, fibers, continuity_theorem_applicable=flag)
+    return _level_combinator(decomp, fibers, check_hypotheses, family, top=True)
 
 
 def meet_combinator(
@@ -400,16 +443,10 @@ def meet_combinator(
     fibers: Optional[FiberSelections] = None,
     check_hypotheses: bool = True,
     family: Optional["FamilyParams"] = None,
-) -> MeetSelection:
+) -> LevelSelection:
     if decomp.kind not in ("ordinal", "quasi"):
         raise ValueError("meet needs a quasi-ordinal decomposition")
-    fibers = fibers or FiberSelections(decomp, _default_fiber_factory(decomp.space))
-    flag = (
-        _limit_fiber_hypothesis(decomp, fibers, "maximal", family)
-        if check_hypotheses
-        else None
-    )
-    return MeetSelection(decomp, fibers, continuity_theorem_applicable=flag)
+    return _level_combinator(decomp, fibers, check_hypotheses, family, top=False)
 
 
 # -- exhaustive checking -----------------------------------------------------

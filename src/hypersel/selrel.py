@@ -2,11 +2,10 @@
 
 For a selection f, a point is related to a closed set when adjoining it does
 not change f's choice away from it.  The induced bracket of an open set V is
-materialized exactly by structural recursion over the selection tree: order
-primitives yield key rays, combinators split off the extreme-level preimage
-and recurse into one fiber.  Every derived-set result is verified against its
-defining invariants before being returned; a violation signals a defective
-(non-continuous) selection or a model bug.
+materialized exactly by the selection types themselves (``Selection.bracket``).
+Every derived-set result is verified against its defining invariants before
+being returned; a violation signals a defective (non-continuous) selection or
+a model bug.
 """
 from __future__ import annotations
 
@@ -14,19 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from hypersel.ordinal import Ordinal
-from hypersel.space import Point, Region, Space, clopen_modulo
-from hypersel.selection import (
-    JoinSelection,
-    MeetSelection,
-    OrderMaxSelection,
-    OrderMinSelection,
-    PatchedSelection,
-    RestrictSelection,
-    Selection,
-    order_extremum,
-)
-from hypersel.space import next_point
+from hypersel.space import Point, Region, clopen_modulo, next_point
+from hypersel.selection import Selection
 
 __all__ = [
     "SelRel",
@@ -57,99 +45,11 @@ def sel_rel(f: Selection, p: Point, a: Region) -> SelRel:
     return SelRel.RELATED if a.contains_point(p) else SelRel.STRICTLY_RELATED
 
 
-def _key_ray(space: Space, orientations, m: Point, upper: bool) -> Region:
-    """Classes whose concatenation-order key is >= (upper) or <= that of m."""
-    b_star, pos_star = m.branch, m.pos
-    spans = []
-    for b, top in enumerate(space.branches):
-        if (b > b_star) == upper and b != b_star:
-            spans.append((b, Ordinal(), top, True))
-        elif b == b_star:
-            asc = orientations[b]
-            if upper == asc:
-                spans.append((b, pos_star, top, True))
-            else:
-                spans.append((b, Ordinal(), pos_star, True))
-    reg = Region.make(space, spans)
-    # correct gluing classes by their canonical key
-    for coords in space.gluings:
-        pt = space.point(*coords[0])
-        if pt.branch != b_star:
-            member = (pt.branch > b_star) == upper
-        else:
-            asc = orientations[b_star]
-            if upper == asc:
-                member = pt.pos >= pos_star
-            else:
-                member = pt.pos <= pos_star
-        if member:
-            reg = reg.add_point(pt)
-        else:
-            reg = reg.remove_point(pt)
-    return reg
-
-
 def bracket_of(f: Selection, c: Region) -> Region:
     """{x in carrier : f(C | {x}) = x} for a nonempty closed C inside the carrier."""
     if c.is_empty:
         raise ValueError("bracket recursion needs a nonempty closed set")
-    if isinstance(f, OrderMaxSelection):
-        m = order_extremum(f.space, f.orientations, c, want_max=True)
-        return _key_ray(f.space, f.orientations, m, upper=True).intersect(f.carrier)
-    if isinstance(f, OrderMinSelection):
-        m = order_extremum(f.space, f.orientations, c, want_max=False)
-        return _key_ray(f.space, f.orientations, m, upper=False).intersect(f.carrier)
-    if isinstance(f, JoinSelection):
-        _, hi = f.decomp.eta_extremes(c)
-        above = f.decomp.upper_strict(hi)
-        fiber = f.decomp.fiber(hi)
-        inner = bracket_of(f.fibers.get(hi), c.intersect(fiber))
-        return above.union(inner)
-    if isinstance(f, MeetSelection):
-        lo, _ = f.decomp.eta_extremes(c)
-        below = f.decomp.lower_strict(lo)
-        fiber = f.decomp.fiber(lo)
-        inner = bracket_of(f.fibers.get(lo), c.intersect(fiber))
-        return below.union(inner)
-    if isinstance(f, RestrictSelection):
-        return bracket_of(f.parent, c).intersect(f.carrier)
-    if isinstance(f, PatchedSelection):
-        base = bracket_of(f.parent, c)
-        return _patch_bracket(f, c, base)
-    # fallback: pointwise evaluation over grid members and carrier endpoints
-    return _pointwise_bracket(f, c)
-
-
-def _patch_bracket(f: PatchedSelection, c: Region, base: Region) -> Region:
-    space = f.space
-    if c == f.at:
-        # for x in C the argument stays C = the patched set
-        inside = space.point_region(f.value).intersect(c)
-        outside = base.difference(c)
-        return outside.union(inside)
-    extra = f.at.difference(c)
-    if c.subset_of(f.at) and not extra.is_empty:
-        pts = {space.point(b, sp.lo) for b, sp in extra.span_items()}
-        if len(pts) == 1:
-            x0 = pts.pop()
-            if extra == space.point_region(x0):
-                if f.value == x0:
-                    return base.add_point(x0)
-                return base.remove_point(x0)
-    return base
-
-
-def _pointwise_bracket(f: Selection, c: Region) -> Region:
-    out = f.space.empty()
-    cands = set(f.carrier.grid_members())
-    for b, sp in f.carrier.span_items():
-        cands.add(f.space.point(b, sp.lo))
-        if sp.hi_in:
-            cands.add(f.space.point(b, sp.hi))
-    for pt in sorted(cands):
-        if f.evaluate(c.add_point(pt)) == pt:
-            out = out.add_point(pt)
-    return out
+    return f.bracket(c)
 
 
 @dataclass(frozen=True)
@@ -206,11 +106,9 @@ def _verify(f, v, comp, q, bracket, interior) -> None:
         )
 
 
-def refine_modulo(
-    f: Selection, v: Region, p: Point, q: Point, assume_maximal: bool = False
-) -> Region:
+def refine_modulo(f: Selection, v: Region, p: Point, q: Point) -> Region:
     """Bracket of V minus one interior point q: clopen modulo q, p kept inside."""
-    if not assume_maximal and f.maximal_point() != p:
+    if f.maximal_point() != p:
         raise ValueError(f"selection is not known to be maximal at {p}")
     if not v.contains_point(p):
         raise ValueError(f"{p} outside the open set")

@@ -31,13 +31,10 @@ __all__ = [
     "Point",
     "Space",
     "Region",
-    "ClosedSet",
-    "OpenSet",
     "closed_set",
     "open_set",
     "cs_algebra",
     "complement_closure",
-    "is_open",
     "clopen_modulo",
     "ClopenStatus",
     "character",
@@ -442,13 +439,6 @@ class Region:
     def grid_members(self, k: Optional[int] = None) -> list[Point]:
         return [p for p in self.space.grid_points(k) if self.contains_point(p)]
 
-    def min_point(self) -> Point:
-        """Least member in the (branch, position) order."""
-        for b, tr in enumerate(self.traces):
-            if tr:
-                return self.space.point(b, tr[0].lo)
-        raise ValueError("empty region has no least member")
-
     def __repr__(self) -> str:
         parts = []
         for b, s in self.span_items():
@@ -457,10 +447,6 @@ class Region:
             else:
                 parts.append(f"{b}:[{s.lo},{s.hi}{']' if s.hi_in else ')'}")
         return "Region(" + " ".join(parts) + ")" if parts else "Region(empty)"
-
-
-ClosedSet = Region
-OpenSet = Region
 
 
 def closed_set(space: Space, items: Iterable[tuple[int, Ordinal, Ordinal]]) -> Region:
@@ -503,10 +489,6 @@ def complement_closure(h: Region) -> Region:
     if comp.is_empty:
         raise ValueError("complement of the whole space is empty")
     return comp.closure()
-
-
-def is_open(a: Region) -> bool:
-    return a.is_open()
 
 
 @dataclass(frozen=True)
@@ -588,13 +570,7 @@ def rel_open(a: Region, carrier: Region) -> bool:
     return carrier.difference(a).closure().intersect(a).is_empty
 
 
-def rel_clopen(a: Region, carrier: Region) -> bool:
-    return a.is_closed() and rel_open(a, carrier)
-
-
-def next_point(
-    region: Region, exclude: tuple[Point, ...] = (), prefer_successor: bool = True
-) -> Optional[Point]:
+def next_point(region: Region, exclude: tuple[Point, ...] = ()) -> Optional[Point]:
     """Deterministic point choice: smallest successor-position member first."""
     space = region.space
     succ_cands: list[Point] = []
@@ -610,5 +586,5 @@ def next_point(
                 if pos.is_successor:
                     succ_cands.append(pt)
             pos = successor(pos)
-    pool = succ_cands if (prefer_successor and succ_cands) else any_cands
+    pool = succ_cands or any_cands
     return min(pool) if pool else None

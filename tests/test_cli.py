@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -23,12 +24,24 @@ def strip_timing(report: dict) -> dict:
     return report
 
 
+def report_digest(report: dict) -> str:
+    """SHA-256 of the report without its timings, keys sorted."""
+    return hashlib.sha256(json.dumps(strip_timing(report), sort_keys=True).encode()).hexdigest()
+
+
+# Reports of the fixtures, pinned so a refactor that changes any verdict,
+# detail, witness or counter shows up here.
+WEDGE_DIGEST = "bdd38a23312af8f6f42c590cf8c91816ca56fbe06455c72b739d8ccb87a5076e"
+BROKEN_SELECTION_DIGEST = "dbe97960fa4eae2d3611c52319f2ee21a463c9faf658c555fcd2a6d84059f7c0"
+
+
 class TestExitCodes:
     def test_canonical_scenario_exits_zero(self):
         out = run_cli("check", str(SCENARIOS / "wedge.json"))
         assert out.returncode == 0, out.stderr
         report = json.loads(out.stdout)
         assert report["summary"]["failed"] == 0
+        assert report_digest(report) == WEDGE_DIGEST
 
     def test_defect_fixture_exits_one_with_witness(self):
         out = run_cli("check", str(SCENARIOS / "broken_selection.json"))
@@ -36,6 +49,7 @@ class TestExitCodes:
         report = json.loads(out.stdout)
         failing = [r for r in report["results"] if r["status"] == "fail"]
         assert failing and failing[0]["witness"] is not None
+        assert report_digest(report) == BROKEN_SELECTION_DIGEST
 
     def test_malformed_scenario_exits_two(self):
         out = run_cli("check", str(SCENARIOS / "malformed.json"))

@@ -9,7 +9,6 @@ from hypersel.decomp import (
     ExplicitDecomposition,
     decomp_from_chain,
     decomp_validate,
-    eta_extremes,
     point_chain_rule,
     point_decomposition,
 )
@@ -121,16 +120,16 @@ class TestEtaExtremes:
     def test_two_singletons(self, omega_space):
         d = point_decomposition(omega_space, omega_space.point(0, W))
         s = creg(omega_space, (0, O(2), O(2)), (0, O(7), O(7)))
-        assert eta_extremes(d, s) == (O(2), O(7))
+        assert d.eta_extremes(s) == (O(2), O(7))
 
     def test_top_singleton(self, omega_space):
         d = point_decomposition(omega_space, omega_space.point(0, W))
         s = creg(omega_space, (0, W, W))
-        assert eta_extremes(d, s) == (W, W)
+        assert d.eta_extremes(s) == (W, W)
 
     def test_whole_space(self, omega_space):
         d = point_decomposition(omega_space, omega_space.point(0, W))
-        assert eta_extremes(d, omega_space.whole()) == (ZERO, W)
+        assert d.eta_extremes(omega_space.whole()) == (ZERO, W)
 
     def test_extreme_levels_meet_the_set(self, omega2_space):
         d = point_decomposition(omega2_space, omega2_space.point(0, W2))
@@ -138,7 +137,7 @@ class TestEtaExtremes:
             creg(omega2_space, (0, O(4), P("w+3"))),
             creg(omega2_space, (0, ZERO, ZERO), (0, W2, W2)),
         ]:
-            lo, hi = eta_extremes(d, s)
+            lo, hi = d.eta_extremes(s)
             assert not s.intersect(d.fiber(lo)).is_empty
             assert not s.intersect(d.fiber(hi)).is_empty
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hypersel import cli
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.space import Region, Space
 from hypersel.scenario import (
@@ -160,3 +161,83 @@ class TestReports:
                     make_fan_scenario(3)]:
             sc = Scenario.load(doc)
             assert sc.suites
+
+
+def _wedge_doc():
+    """A valid wedge document that names one object of every kind."""
+    return minimal_doc(
+        space={"branches": ["w", "w"], "gluings": [[[0, "w"], [1, "w"]]]},
+        params={"family": {"grid_k": 1}},
+        objects={
+            "points": {"p": [0, "w"]},
+            "closed_sets": {"c": [[0, "0", "w"]]},
+            "selections": {"f": {"kind": "order_max"}},
+            "decompositions": {"d": {"kind": "at_point", "point": "p"}},
+            "pcuts": {"cut": {"point": "p", "sides": [[[0, "0", "w", "open"]],
+                                                     [[1, "0", "w", "open"]]]}},
+            "nets": {"n": {"kind": "tail", "point": "p"}},
+        },
+        suites=[{"check": "selection_law", "selection": "f"},
+                {"check": "net_convergence", "net": "n"}],
+    )
+
+
+def _broken(kind):
+    doc = _wedge_doc()
+    objects, suites = doc["objects"], doc["suites"]
+    if kind == "missing-selection":
+        suites.append({"check": "selection_law", "selection": "nope"})
+    elif kind == "points-list":
+        objects["points"] = [[0, "w"]]
+    elif kind == "negative-window":
+        doc["params"]["window"] = -3
+    elif kind == "net-window":
+        objects["nets"]["n"]["window"] = -1
+    elif kind == "window-not-int":
+        doc["params"]["window"] = True
+    elif kind == "objects-list":
+        doc["objects"] = []
+    elif kind == "selection-unnamed":
+        suites.append({"check": "extremality", "point": "p"})
+    elif kind == "missing-decomp":
+        suites.append({"check": "decomp_validate", "decomp": "e"})
+    elif kind == "missing-pcut":
+        suites.append({"check": "base_at_cut", "selection": "f", "pcut": "nope"})
+    elif kind == "missing-net":
+        suites.append({"check": "net_convergence", "net": ["n"]})
+    elif kind == "nets-list-member":
+        suites.append({"check": "continuity", "selection": "f", "nets": ["n", "m"]})
+    elif kind == "nets-not-list":
+        suites.append({"check": "continuity", "selection": "f", "nets": "n"})
+    return doc
+
+
+HOSTILE = [
+    "missing-selection", "points-list", "negative-window", "net-window", "window-not-int",
+    "objects-list", "selection-unnamed", "missing-decomp", "missing-pcut", "missing-net",
+    "nets-list-member", "nets-not-list",
+]
+
+
+class TestExitContract:
+    """Invalid documents are rejected by load, so the CLI exits 2."""
+
+    def test_valid_base_document_passes(self, tmp_path, capsys):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(_wedge_doc()))
+        assert cli.main(["check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["passed"] == 2
+
+    @pytest.mark.parametrize("kind", HOSTILE)
+    def test_load_rejects(self, kind):
+        with pytest.raises(ScenarioError):
+            Scenario.load(_broken(kind))
+
+    @pytest.mark.parametrize("kind", HOSTILE)
+    def test_cli_exits_two(self, kind, tmp_path, capsys):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(_broken(kind)))
+        assert cli.main(["check", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "invalid scenario" in out.err and "Traceback" not in out.err

@@ -15,7 +15,6 @@ from hypersel.selection import (
     extremality_check,
     join_combinator,
     meet_combinator,
-    sel_eval,
 )
 from hypersel.hyperspace import increasing_union_net
 from hypersel.scenario import canonical_net_corpus
@@ -34,12 +33,12 @@ class TestOrderPrimitives:
     def test_max_picks_top(self, omega_space):
         f = OrderMaxSelection(omega_space)
         s = Region.make(omega_space, [(0, ZERO, O(3), True), (0, W, W, True)])
-        assert sel_eval(f, s) == omega_space.point(0, W)
+        assert f.evaluate(s) == omega_space.point(0, W)
 
     def test_min_picks_bottom(self, omega_space):
         f = OrderMinSelection(omega_space)
         s = creg(omega_space, (0, O(5), O(5)), (0, O(7), W))
-        assert sel_eval(f, s) == omega_space.point(0, O(5))
+        assert f.evaluate(s) == omega_space.point(0, O(5))
 
     def test_law_enforced_on_every_family_member(self, omega_space):
         f = OrderMaxSelection(omega_space)

@@ -2,13 +2,18 @@ import pytest
 
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.space import Region, Space, clopen_modulo
-from hypersel.decomp import point_decomposition
+from hypersel.decomp import ExplicitDecomposition, point_decomposition
 from hypersel.selection import (
     FamilyParams,
+    FiberSelections,
     OrderMaxSelection,
+    OrderMinSelection,
     PatchedSelection,
+    RestrictSelection,
+    enumerate_closed_family,
+    join_combinator,
 )
-from hypersel.basebuilder import decomp_to_extreme_selection, maximal_at
+from hypersel.basebuilder import decomp_to_extreme_selection, maximal_at, minimal_at
 from hypersel.selrel import (
     CutPointHint,
     DerivedSetsInvariantError,
@@ -223,11 +228,11 @@ class TestClopenSeparation:
         )
         calls = {"n": 0}
 
-        def biased(region, exclude=(), prefer_successor=True):
+        def biased(region, exclude=()):
             calls["n"] += 1
             if calls["n"] == 1 and region.contains_point(limit_pt):
                 return limit_pt
-            return real_next_point(region, exclude, prefer_successor)
+            return real_next_point(region, exclude)
 
         monkeypatch.setattr(selrel_mod, "next_point", biased)
         u = clopen_separation(
@@ -247,13 +252,72 @@ class TestClopenSeparation:
         )
         calls = {"n": 0}
 
-        def biased(region, exclude=(), prefer_successor=True):
+        def biased(region, exclude=()):
             calls["n"] += 1
             if calls["n"] == 1 and region.contains_point(limit_pt):
                 return limit_pt
-            return real_next_point(region, exclude, prefer_successor)
+            return real_next_point(region, exclude)
 
         monkeypatch.setattr(selrel_mod, "next_point", biased)
         missing = Region.from_intervals(omega2_space, [(0, O(9), O(9))])
         with pytest.raises(SeparationStuckError):
             clopen_separation(f, top, omega2_space.whole(), WitnessHint(missing))
+
+
+def _bracket_cases():
+    """(name, selection) for every selection type on the line, [0,w^2] and
+    the 2-wedge; each combinator recurses into at least one fiber type."""
+    wsq = P("w^2")
+    spaces = {
+        "line": Space([W]),
+        "w^2": Space([wsq]),
+        "wedge": Space([W, W], [[(0, W), (1, W)]]),
+    }
+    tops = {"line": (0, W), "w^2": (0, wsq), "wedge": (0, W)}
+    cases = []
+    for label, space in spaces.items():
+        top = space.point(*tops[label])
+        fmax = OrderMaxSelection(space)
+        join = maximal_at(space, top)
+        meet = minimal_at(space, top)
+        low = creg(space, (0, ZERO, O(2)))
+        cases += [
+            (f"{label}/order-max", fmax),
+            (f"{label}/order-min", OrderMinSelection(space)),
+            (f"{label}/join", join),
+            (f"{label}/join-extreme", decomp_to_extreme_selection(
+                point_decomposition(space, top), top, "maximal", FamilyParams(grid_k=2))),
+            (f"{label}/meet", meet),
+            (f"{label}/restrict-order", RestrictSelection(fmax, low.add_point(top))),
+            (f"{label}/restrict-meet", RestrictSelection(meet, low)),
+            (f"{label}/patched", PatchedSelection(join, low, space.point(0, O(1)))),
+        ]
+    # a join whose lower fiber is itself a meet: the recursion nests
+    space = spaces["w^2"]
+    lower = creg(space, (0, ZERO, W))
+    blocks = ExplicitDecomposition(space, [lower, creg(space, (0, P("w+1"), wsq))])
+    fibers = FiberSelections(
+        blocks,
+        lambda idx, fib: minimal_at(space, space.point(0, W), carrier=fib)
+        if idx.is_zero else OrderMaxSelection(space, carrier=fib),
+    )
+    cases.append(("w^2/join-of-meet", join_combinator(blocks, fibers)))
+    return cases
+
+
+BRACKET_CASES = _bracket_cases()
+
+
+@pytest.mark.parametrize("name,f", BRACKET_CASES, ids=[name for name, _ in BRACKET_CASES])
+def test_bracket_matches_evaluation(name, f):
+    """x is in bracket_of(f, C) exactly when f(C | {x}) = x, for every grid
+    point x of the carrier and every C of a small closed family."""
+    space = f.space
+    params = FamilyParams(grid_k=2, max_intervals=1 if name.startswith("w^2") else 2)
+    family = enumerate_closed_family(space, params, carrier=f.carrier)
+    points = f.carrier.grid_members(3)
+    assert family and points
+    for c in family:
+        br = bracket_of(f, c)
+        for x in points:
+            assert br.contains_point(x) == (f.evaluate(c.add_point(x)) == x), (name, c, x)

@@ -11,7 +11,6 @@ from hypersel.space import (
     closed_set,
     complement_closure,
     cs_algebra,
-    is_open,
     next_point,
     open_set,
     rel_open,
@@ -102,14 +101,14 @@ class TestComplementClosure:
 class TestOpenness:
     def test_initial_segment_clopen(self):
         sp = Space([W])
-        assert is_open(reg(sp, (0, ZERO, O(5))))
+        assert reg(sp, (0, ZERO, O(5))).is_open()
 
     def test_limit_left_end_not_open(self, line):
-        assert not is_open(reg(line, (0, W, W2)))
+        assert not reg(line, (0, W, W2)).is_open()
 
     def test_limit_singleton_not_open(self):
         sp = Space([W])
-        assert not is_open(reg(sp, (0, W, W)))
+        assert not reg(sp, (0, W, W)).is_open()
 
     def test_matches_oracle_small(self, line):
         from hypersel.selection import FamilyParams, enumerate_closed_family
