@@ -96,20 +96,30 @@ def cmd_build_base(args) -> int:
         return EXIT_INVALID
     try:
         payload = _build_base_payload(sc, args.target, spec)
-    except (ScenarioError, ValueError, AssertionError, RuntimeError) as exc:
+    except ScenarioError as exc:
+        sys.stderr.write(f"invalid scenario: {exc}\n")
+        return EXIT_INVALID
+    except (ValueError, AssertionError, RuntimeError) as exc:
         sys.stderr.write(f"base construction failed: {exc}\n")
         return EXIT_FAIL
     _emit(payload, args.out)
     return EXIT_PASS
 
 
+def _named(group: dict, spec: dict, key: str, target: str):
+    ref = spec.get(key)
+    if not (isinstance(ref, str) and ref in group):
+        raise ScenarioError(f"base {target!r}: no {key} named {ref!r}")
+    return group[ref]
+
+
 def _build_base_payload(sc: Scenario, target: str, spec: dict) -> dict:
     kind = spec.get("kind")
-    f = sc.selections[spec["selection"]]
+    f = _named(sc.selections, spec, "selection", target)
     if kind == "transfinite":
         gamma = parse_ordinal(spec.get("gamma", "w"))
         gb = transfinite_base(
-            f, sc._point(spec["point"]), gamma, guided=bool(spec.get("guided", False))
+            f, sc._point(spec.get("point")), gamma, guided=bool(spec.get("guided", False))
         )
         sample = gb.sample_indices()
         return {
@@ -131,7 +141,7 @@ def _build_base_payload(sc: Scenario, target: str, spec: dict) -> dict:
             ],
         }
     if kind == "cut":
-        cut = sc.pcuts[spec["pcut"]]
+        cut = _named(sc.pcuts, spec, "pcut", target)
         base = base_at_cut(f, cut, int(spec.get("steps", 8)))
         return {
             "target": target,

@@ -106,6 +106,21 @@ class Ordinal:
         return f"Ordinal({format_ordinal(self)!r})"
 
 
+_new = object.__new__
+_set_terms = Ordinal.terms.__set__  # the slot, past the frozen __setattr__
+
+
+def _cnf(terms: tuple[tuple[int, int], ...]) -> Ordinal:
+    """Ordinal from terms that are in Cantor normal form by construction.
+
+    Skips the validation of ``Ordinal(...)``; only the arithmetic below calls
+    it, on terms built from canonical operands.
+    """
+    o = _new(Ordinal)
+    _set_terms(o, terms)
+    return o
+
+
 ZERO = Ordinal()
 ONE = Ordinal.from_int(1)
 OMEGA = Ordinal(((1, 1),))
@@ -126,16 +141,16 @@ def ord_compare(a: Ordinal, b: Ordinal) -> int:
 
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum in CNF; terms of a below the leading exponent of b are absorbed."""
-    if not b.terms:
+    ta, tb = a.terms, b.terms
+    if not tb:
         return a
-    lead = b.terms[0][0]
-    kept = [t for t in a.terms if t[0] > lead]
-    merged = list(b.terms)
-    for e, c in a.terms:
-        if e == lead:
-            merged[0] = (lead, c + merged[0][1])
-            break
-    return Ordinal(tuple(kept) + tuple(merged))
+    lead = tb[0][0]
+    i, n = 0, len(ta)
+    while i < n and ta[i][0] > lead:
+        i += 1
+    if i < n and ta[i][0] == lead:
+        return _cnf(ta[:i] + ((lead, ta[i][1] + tb[0][1]),) + tb[1:])
+    return _cnf(ta[:i] + tb)
 
 
 def ord_classify(a: Ordinal) -> str:
@@ -146,7 +161,10 @@ def ord_classify(a: Ordinal) -> str:
 
 
 def successor(a: Ordinal) -> Ordinal:
-    return ord_add(a, ONE)
+    t = a.terms
+    if t and t[-1][0] == 0:
+        return _cnf(t[:-1] + ((0, t[-1][1] + 1),))
+    return _cnf(t + ((0, 1),))
 
 
 def predecessor(a: Ordinal) -> Ordinal:
@@ -154,14 +172,14 @@ def predecessor(a: Ordinal) -> Ordinal:
         raise ValueError(f"{a} has no predecessor")
     e, c = a.terms[-1]
     if c > 1:
-        return Ordinal(a.terms[:-1] + ((e, c - 1),))
-    return Ordinal(a.terms[:-1])
+        return _cnf(a.terms[:-1] + ((e, c - 1),))
+    return _cnf(a.terms[:-1])
 
 
 def limit_part(a: Ordinal) -> Ordinal:
     """a with its finite tail removed: the largest limit-or-zero ordinal <= a."""
     if a.terms and a.terms[-1][0] == 0:
-        return Ordinal(a.terms[:-1])
+        return _cnf(a.terms[:-1])
     return a
 
 
@@ -186,7 +204,7 @@ def ord_fundamental(lam: Ordinal, n: int) -> Ordinal:
         head.append((e, c - 1))
     if n > 0:
         head.append((e - 1, n))
-    return Ordinal(tuple(head))
+    return _cnf(tuple(head))
 
 
 def left_difference(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -198,14 +216,14 @@ def left_difference(a: Ordinal, b: Ordinal) -> Ordinal:
     while i < len(ta) and i < len(tb) and ta[i] == tb[i]:
         i += 1
     if i == len(ta):
-        return Ordinal(tb[i:])
+        return _cnf(tb[i:])
     ea, ca = ta[i]
     eb, cb = tb[i]
     if ea == eb:
         # coefficients differ; a smaller means ca < cb
-        return Ordinal(((ea, cb - ca),) + tb[i + 1 :])
+        return _cnf(((ea, cb - ca),) + tb[i + 1 :])
     # ea < eb: everything of a from index i on is absorbed by b's tail
-    return Ordinal(tb[i:])
+    return _cnf(tb[i:])
 
 
 def fund_index_at_least(lam: Ordinal, x: Ordinal) -> int:

@@ -107,6 +107,20 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _required(spec: dict, key: str, what: str):
+    if key not in spec:
+        raise ScenarioError(f"{what}: missing field {key!r}")
+    return spec[key]
+
+
+def _specs(objects: dict, group: str):
+    """(name, spec) pairs of an object group whose entries are JSON objects."""
+    for name, spec in objects.get(group, {}).items():
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"{group} entry {name!r} must be an object")
+        yield name, spec
+
+
 # -- notation -------------------------------------------------------------------
 
 
@@ -215,6 +229,8 @@ class Scenario:
             "seed": 0,
             "family": {"grid_k": 4, "max_intervals": 2},
         }
+        if not isinstance(doc.get("params", {}), dict):
+            raise ScenarioError("params must be an object")
         params.update(doc.get("params", {}))
         params.update(overrides or {})
         if not _is_count(params["window"]):
@@ -246,7 +262,6 @@ class Scenario:
                 raise ScenarioError(f"unknown check {entry['check']!r}")
             sc._check_refs(entry)
         sc.suites = suites
-        sc.bases = objects.get("bases", {})
         return sc
 
     # object construction ------------------------------------------------------
@@ -264,11 +279,11 @@ class Scenario:
             if not reg.is_open():
                 raise ScenarioError(f"open set {name!r} does not denote an open set")
             self.open_sets[name] = reg
-        for name, spec in objects.get("decompositions", {}).items():
+        for name, spec in _specs(objects, "decompositions"):
             self.decompositions[name] = self._build_decomposition(name, spec)
-        for name, spec in objects.get("selections", {}).items():
+        for name, spec in _specs(objects, "selections"):
             self.selections[name] = self._build_selection(name, spec)
-        for name, spec in objects.get("pcuts", {}).items():
+        for name, spec in _specs(objects, "pcuts"):
             p = self._point(spec.get("point"))
             sides = spec.get("sides", [])
             if len(sides) != 2:
@@ -279,8 +294,9 @@ class Scenario:
                 self.pcuts[name] = pcut_validate(self.space, p, s0, s1)
             except ValueError as exc:
                 raise ScenarioError(f"pcut {name!r}: {exc}") from exc
-        for name, spec in objects.get("nets", {}).items():
+        for name, spec in _specs(objects, "nets"):
             self.nets[name] = self._build_net(name, spec)
+        self.bases = dict(_specs(objects, "bases"))
 
     def _check_refs(self, entry: dict) -> None:
         """Every object a suite entry names must be loaded."""
@@ -298,6 +314,8 @@ class Scenario:
         for key, ref in refs:
             if not (isinstance(ref, str) and ref in groups[key]):
                 raise ScenarioError(f"{check} check: no {key} named {ref!r}")
+        if check in CHECK_POINTS:
+            self._point(_required(entry, "point", f"{check} check"))
 
     def _point(self, ref) -> Point:
         if isinstance(ref, str) and ref in self.points:
@@ -315,27 +333,35 @@ class Scenario:
 
     def _build_decomposition(self, name: str, spec: dict):
         kind = spec.get("kind")
+        what = f"decomposition {name!r}"
         if kind == "at_point":
-            return point_decomposition(self.space, self._point(spec["point"]))
+            return point_decomposition(self.space, self._point(_required(spec, "point", what)))
         if kind == "chain_tails":
-            p = self._point(spec["point"])
+            p = self._point(_required(spec, "point", what))
             rule = point_chain_rule(self.space, p)
             return decomp_from_chain(self.space, rule, p)
         if kind == "explicit":
-            fibers = [region_from_json(self.space, lit) for lit in spec["fibers"]]
+            fibers = _required(spec, "fibers", what)
+            if not isinstance(fibers, list):
+                raise ScenarioError(f"{what}: fibers must be a list")
+            fibers = [region_from_json(self.space, lit) for lit in fibers]
             return ExplicitDecomposition(self.space, fibers)
         raise ScenarioError(f"decomposition {name!r}: unknown kind {kind!r}")
 
     def _build_selection(self, name: str, spec: dict) -> Selection:
         kind = spec.get("kind")
+        what = f"selection {name!r}"
         if kind == "order_max":
             return OrderMaxSelection(self.space)
         if kind == "order_min":
             return OrderMinSelection(self.space)
         if kind == "extreme":
-            p = self._point(spec["point"])
+            p = self._point(_required(spec, "point", what))
             if "decomp" in spec:
-                d = self.decompositions[spec["decomp"]]
+                ref = spec["decomp"]
+                if not (isinstance(ref, str) and ref in self.decompositions):
+                    raise ScenarioError(f"{what}: no decomposition named {ref!r}")
+                d = self.decompositions[ref]
             else:
                 d = point_decomposition(self.space, p)
             try:
@@ -351,30 +377,33 @@ class Scenario:
             parent = self.selections.get(spec.get("parent"))
             if parent is None:
                 raise ScenarioError(f"selection {name!r}: unresolved parent")
-            at = self._closed(spec["at"])
-            value = self._point(spec["value"])
+            at = self._closed(_required(spec, "at", what))
+            value = self._point(_required(spec, "value", what))
             return PatchedSelection(parent, at, value)
         if kind == "restrict":
             parent = self.selections.get(spec.get("parent"))
             if parent is None:
                 raise ScenarioError(f"selection {name!r}: unresolved parent")
-            return RestrictSelection(parent, self._closed(spec["carrier"]))
+            return RestrictSelection(parent, self._closed(_required(spec, "carrier", what)))
         raise ScenarioError(f"selection {name!r}: unknown kind {kind!r}")
 
     def _build_net(self, name: str, spec: dict) -> ConvergentNet:
+        what = f"net {name!r}"
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"{what} must be an object")
         kind = spec.get("kind")
         window = spec.get("window", self.params["window"])
         if not _is_count(window):
             raise ScenarioError(f"net {name!r}: window must be a non-negative integer")
         if kind == "constant":
-            return constant_net(self._closed(spec["set"]), window, name)
+            return constant_net(self._closed(_required(spec, "set", what)), window, name)
         if kind == "increasing":
             base = self._closed(spec["base"]) if spec.get("base") else None
             return increasing_union_net(
                 self.space,
                 int(spec.get("branch", 0)),
                 parse_ordinal(spec.get("lo", "0")),
-                parse_ordinal(spec["limit"]),
+                parse_ordinal(_required(spec, "limit", what)),
                 base=base,
                 window=window,
                 name=name,
@@ -383,20 +412,20 @@ class Scenario:
             base = self._closed(spec["base"]) if spec.get("base") else None
             return shrinking_tail_net(
                 self.space,
-                self._point(spec["point"]),
+                self._point(_required(spec, "point", what)),
                 base=base,
                 window=window,
                 offset=int(spec.get("offset", 0)),
                 name=name,
             )
         if kind == "appended":
-            inner = self._build_net(name + ".inner", spec["inner"])
-            return appended_point_net(inner, self._point(spec["point"]), name)
+            inner = self._build_net(name + ".inner", _required(spec, "inner", what))
+            return appended_point_net(inner, self._point(_required(spec, "point", what)), name)
         if kind == "moving":
             return moving_point_net(
                 self.space,
-                self._point(spec["point"]),
-                self._closed(spec["base"]),
+                self._point(_required(spec, "point", what)),
+                self._closed(_required(spec, "base", what)),
                 window=window,
                 offset=int(spec.get("offset", 0)),
                 name=name,
@@ -738,6 +767,9 @@ CHECK_REFS = {
     "base_at_cut": ("selection", "pcut"),
     "transfinite_roundtrip": ("selection",),
 }
+
+# checks whose suite entries name a point
+CHECK_POINTS = ("extremality", "transfinite_roundtrip")
 
 CHECKS: dict[str, Callable] = {
     "ordinal_laws": _check_ordinal_laws,

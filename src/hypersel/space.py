@@ -55,9 +55,10 @@ class Span(NamedTuple):
     hi_in: bool
 
     def covers(self, x: Ordinal) -> bool:
-        if x < self.lo:
+        t, hi = x.terms, self.hi.terms
+        if t < self.lo.terms:
             return False
-        return x < self.hi or (x == self.hi and self.hi_in)
+        return t < hi or (t == hi and self.hi_in)
 
     @property
     def cover_end(self) -> tuple[Ordinal, bool]:
@@ -248,21 +249,11 @@ class Space:
         return f"Space(branches={[str(b) for b in self.branches]}, gluings={len(self.gluings)})"
 
 
-_END_KEY = lambda e: (e[0].terms, e[1])  # cover-end order: position, then closed beats open
-
-
-def _span_minus(p: Span, t: Span) -> list[Span]:
-    """Pieces of span p not covered by span t (possibly degenerate; normalize prunes)."""
-    out = []
-    if p.lo < t.lo:
-        end = min(p.cover_end, (t.lo, False), key=_END_KEY)
-        out.append(Span(p.lo, end[0], end[1]))
-    start = successor(t.hi) if t.hi_in else t.hi
-    if start < p.lo:
-        start = p.lo
-    if start <= p.hi:
-        out.append(Span(start, p.hi, p.hi_in))
-    return out
+def _succ_terms(t: tuple) -> tuple:
+    """Terms of the successor, without building an Ordinal."""
+    if t and t[-1][0] == 0:
+        return t[:-1] + ((0, t[-1][1] + 1),)
+    return t + ((0, 1),)
 
 
 def _normalize(spans: list[Span]) -> tuple[Span, ...]:
@@ -282,13 +273,143 @@ def _normalize(spans: list[Span]) -> tuple[Span, ...]:
     for s in cleaned:
         if out:
             prev = out[-1]
-            touch = successor(prev.hi) if prev.hi_in else prev.hi
-            if s.lo <= touch:
+            lo_t, top_t = s.lo.terms, prev.hi.terms
+            if lo_t <= top_t or (prev.hi_in and lo_t == _succ_terms(top_t)):
                 end = max(prev.cover_end, s.cover_end, key=lambda e: (e[0].terms, e[1]))
                 out[-1] = Span(prev.lo, end[0], end[1])
                 continue
         out.append(s)
     return tuple(out)
+
+
+# -- merges over normalized traces ----------------------------------------------
+#
+# A normalized trace lists the maximal convex pieces (components) of its
+# position set in increasing order: no two spans overlap or touch, since
+# _normalize joins a span that starts at or below the previous span's end
+# (its hi, or hi + 1 when hi is attained).  Each span is canonical: lo is a
+# position, and hi_in is False only with a limit hi.  The merges below
+# output exactly the components of the result, each canonical, so their
+# traces equal what _normalize would return and need no second pass:
+#
+# * intersection: every piece is a & b for components a of A and b of B.
+#   Two such pieces that touched would form a convex subset of A, hence lie
+#   in one component of A, and likewise of B, so they would be one piece.
+#   lo = max(lo) is a position and the end is the smaller of two canonical
+#   ends, so the piece is canonical.
+# * union: a sweep in lo order joins every span that overlaps or touches the
+#   piece built so far, so consecutive outputs neither overlap nor touch;
+#   every end is an operand's canonical end.
+# * difference: the pieces cut from one component a of A are separated by
+#   the points of B that cut them, and pieces from two components of A by a
+#   point outside A.  A piece ending just below a start of B ends at
+#   predecessor(lo) when lo is a successor and is half-open at lo when lo is
+#   a limit; a piece after a span of B starts at successor(hi) when hi is
+#   attained and at hi otherwise.
+#
+# Saturation needs no pass either: when the operands are saturated (a
+# gluing class lies inside or outside each of them), every class lies
+# inside or outside A & B, A | B and A - B.  closure() and Region.make
+# still normalize and saturate: closing [lo, lim) adds lim, which may be a
+# glued coordinate or touch the next span.
+#
+# Cover ends compare as (hi.terms, hi_in): by position, then an attained end
+# above an open one.  A span lies wholly below position p when its end key
+# is at most (p.terms, False).
+
+
+def _meet_trace(xs: tuple[Span, ...], ys: tuple[Span, ...]) -> tuple[Span, ...]:
+    out = []
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        x, y = xs[i], ys[j]
+        xe, ye = (x.hi.terms, x.hi_in), (y.hi.terms, y.hi_in)
+        if xe <= ye:
+            end = x
+            i += 1
+            if xe == ye:
+                j += 1
+        else:
+            end = y
+            j += 1
+        lo = x.lo if x.lo.terms >= y.lo.terms else y.lo
+        lo_t, hi_t = lo.terms, end.hi.terms
+        if lo_t < hi_t or (end.hi_in and lo_t == hi_t):
+            out.append(end if lo is end.lo else Span(lo, end.hi, end.hi_in))
+    return tuple(out)
+
+
+def _join_trace(xs: tuple[Span, ...], ys: tuple[Span, ...]) -> tuple[Span, ...]:
+    if not xs or not ys:
+        return xs or ys
+    out: list[Span] = []
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx or j < ny:
+        if j == ny or (i < nx and xs[i].lo.terms <= ys[j].lo.terms):
+            s = xs[i]
+            i += 1
+        else:
+            s = ys[j]
+            j += 1
+        if out:
+            prev = out[-1]
+            lo_t, top_t = s.lo.terms, prev.hi.terms
+            if lo_t <= top_t or (prev.hi_in and lo_t == _succ_terms(top_t)):
+                if (s.hi.terms, s.hi_in) > (top_t, prev.hi_in):
+                    out[-1] = Span(prev.lo, s.hi, s.hi_in)
+                continue
+        out.append(s)
+    return tuple(out)
+
+
+def _minus_trace(xs: tuple[Span, ...], ys: tuple[Span, ...]) -> tuple[Span, ...]:
+    if not xs or not ys:
+        return xs
+    out: list[Span] = []
+    j, ny = 0, len(ys)
+    for x in xs:
+        cur, hi, hi_in = x
+        start = (cur.terms, False)
+        while j < ny and (ys[j].hi.terms, ys[j].hi_in) <= start:
+            j += 1
+        xe = (hi.terms, hi_in)
+        cut = False
+        while j < ny and (ys[j].lo.terms, False) < xe:
+            ylo, yhi, yin = ys[j]
+            cut = True
+            if cur.terms < ylo.terms:
+                if ylo.is_successor:
+                    out.append(Span(cur, predecessor(ylo), True))
+                else:
+                    out.append(Span(cur, ylo, False))
+            if (yhi.terms, yin) >= xe:
+                cur = None  # y covers the rest of x and may reach the next x
+                break
+            cur = successor(yhi) if yin else yhi
+            j += 1
+        if not cut:
+            out.append(x)
+        elif cur is not None:
+            out.append(Span(cur, hi, hi_in))
+    return tuple(out)
+
+
+def _inside_trace(xs: tuple[Span, ...], ys: tuple[Span, ...]) -> bool:
+    """Each span of xs lies in one span of ys (components are maximal)."""
+    j, ny = 0, len(ys)
+    for lo, hi, hi_in in xs:
+        lo_t = lo.terms
+        start = (lo_t, False)
+        while j < ny and (ys[j].hi.terms, ys[j].hi_in) <= start:
+            j += 1
+        if j == ny:
+            return False
+        ylo, yhi, yin = ys[j]
+        if ylo.terms > lo_t or (hi.terms, hi_in) > (yhi.terms, yin):
+            return False
+    return True
 
 
 class Region:
@@ -299,7 +420,7 @@ class Region:
     def __init__(self, space: Space, traces: tuple[tuple[Span, ...], ...]):
         self.space = space
         self.traces = traces
-        self._hash = hash(traces)
+        self._hash: Optional[int] = None
 
     @staticmethod
     def make(space: Space, spans: Iterable[tuple[int, Ordinal, Ordinal, bool]]) -> "Region":
@@ -340,6 +461,8 @@ class Region:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.traces)
         return self._hash
 
     @property
@@ -367,43 +490,25 @@ class Region:
 
     def union(self, other: "Region") -> "Region":
         self._check_space(other)
-        return Region.make(
-            self.space,
-            [(b, s.lo, s.hi, s.hi_in) for b, s in self.span_items()]
-            + [(b, s.lo, s.hi, s.hi_in) for b, s in other.span_items()],
+        return Region(
+            self.space, tuple(map(_join_trace, self.traces, other.traces))
         )
 
     def intersect(self, other: "Region") -> "Region":
         self._check_space(other)
-        spans = []
-        for b in range(len(self.traces)):
-            for s in self.traces[b]:
-                for t in other.traces[b]:
-                    lo = max(s.lo, t.lo)
-                    end = min(s.cover_end, t.cover_end, key=lambda e: (e[0].terms, e[1]))
-                    if lo < end[0] or (lo == end[0] and end[1]):
-                        spans.append((b, lo, end[0], end[1]))
-        return Region.make(self.space, spans)
+        return Region(
+            self.space, tuple(map(_meet_trace, self.traces, other.traces))
+        )
 
     def difference(self, other: "Region") -> "Region":
         self._check_space(other)
-        spans = []
-        for b in range(len(self.traces)):
-            for s in self.traces[b]:
-                pieces = [s]
-                for t in other.traces[b]:
-                    nxt: list[Span] = []
-                    for p in pieces:
-                        for q in _span_minus(p, t):
-                            nxt.append(q)
-                    pieces = nxt
-                    if not pieces:
-                        break
-                for q in pieces:
-                    spans.append((b, q.lo, q.hi, q.hi_in))
-        return Region.make(self.space, spans)
+        return Region(
+            self.space, tuple(map(_minus_trace, self.traces, other.traces))
+        )
 
     def closure(self) -> "Region":
+        if self.is_closed():
+            return self
         return Region.make(
             self.space, [(b, s.lo, s.hi, True) for b, s in self.span_items()]
         )
@@ -413,7 +518,8 @@ class Region:
         return base.difference(self)
 
     def subset_of(self, other: "Region") -> bool:
-        return self.difference(other).is_empty
+        self._check_space(other)
+        return all(map(_inside_trace, self.traces, other.traces))
 
     def add_point(self, pt: Point) -> "Region":
         return self.union(self.space.point_region(pt))

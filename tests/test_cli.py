@@ -33,6 +33,8 @@ def report_digest(report: dict) -> str:
 # detail, witness or counter shows up here.
 WEDGE_DIGEST = "bdd38a23312af8f6f42c590cf8c91816ca56fbe06455c72b739d8ccb87a5076e"
 BROKEN_SELECTION_DIGEST = "dbe97960fa4eae2d3611c52319f2ee21a463c9faf658c555fcd2a6d84059f7c0"
+ORDINAL_OMEGA2_DIGEST = "987ddfb2755e0f0c813a2b5e648472f4922f7cb56202f7605ff3c187969d4130"
+FAN3_DEMO_DIGEST = "a77a0b3511420b38a9afb695b902bff5c7eeb938dcddc4fc50b523bd3c916af6"
 
 
 class TestExitCodes:
@@ -50,6 +52,11 @@ class TestExitCodes:
         failing = [r for r in report["results"] if r["status"] == "fail"]
         assert failing and failing[0]["witness"] is not None
         assert report_digest(report) == BROKEN_SELECTION_DIGEST
+
+    def test_ordinal_omega2_report_pinned(self):
+        out = run_cli("check", str(SCENARIOS / "ordinal_omega2.json"))
+        assert out.returncode == 0, out.stderr
+        assert report_digest(json.loads(out.stdout)) == ORDINAL_OMEGA2_DIGEST
 
     def test_malformed_scenario_exits_two(self):
         out = run_cli("check", str(SCENARIOS / "malformed.json"))
@@ -126,6 +133,15 @@ class TestBuildBase:
         out = run_cli("build-base", str(SCENARIOS / "wedge.json"), "--target", "nope")
         assert out.returncode == 2
 
+    def test_target_naming_missing_selection(self, tmp_path):
+        doc = json.loads((SCENARIOS / "wedge.json").read_text())
+        doc["objects"]["bases"]["b"] = {"kind": "cut", "selection": "nope", "pcut": "cut"}
+        path = tmp_path / "bad-base.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli("build-base", str(path), "--target", "b")
+        assert out.returncode == 2
+        assert "invalid scenario" in out.stderr and "Traceback" not in out.stderr
+
 
 class TestDemo:
     def test_fan_demo_json(self):
@@ -134,6 +150,7 @@ class TestDemo:
         report = json.loads(out.stdout)
         assert report["scenario"] == "fan-3"
         assert report["summary"]["failed"] == 0
+        assert report_digest(report) == FAN3_DEMO_DIGEST
 
     def test_ordinal_demo_text(self):
         out = run_cli("demo", "ordinal", "--gamma", "w", "--report", "text")

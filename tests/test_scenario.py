@@ -209,13 +209,24 @@ def _broken(kind):
         suites.append({"check": "continuity", "selection": "f", "nets": ["n", "m"]})
     elif kind == "nets-not-list":
         suites.append({"check": "continuity", "selection": "f", "nets": "n"})
+    elif kind == "extremality-no-point":
+        suites.append({"check": "extremality", "selection": "f", "mode": "maximal"})
+    elif kind == "roundtrip-no-point":
+        suites.append({"check": "transfinite_roundtrip", "selection": "f"})
+    elif kind == "spec-not-object":
+        objects["selections"]["g"] = []
+    elif kind == "decomp-missing-field":
+        objects["decompositions"]["e"] = {"kind": "at_point"}
+    elif kind == "params-list":
+        doc["params"] = [1]
     return doc
 
 
 HOSTILE = [
     "missing-selection", "points-list", "negative-window", "net-window", "window-not-int",
     "objects-list", "selection-unnamed", "missing-decomp", "missing-pcut", "missing-net",
-    "nets-list-member", "nets-not-list",
+    "nets-list-member", "nets-not-list", "extremality-no-point", "roundtrip-no-point",
+    "spec-not-object", "decomp-missing-field", "params-list",
 ]
 
 
