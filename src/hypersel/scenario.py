@@ -107,6 +107,21 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _family_bounds(value, what: str) -> dict:
+    """A family override: an object whose bounds are non-negative integers."""
+    if not (isinstance(value, dict) and all(_is_count(v) for v in value.values())):
+        raise ScenarioError(f"{what} must be an object of non-negative integers, not {value!r}")
+    return value
+
+
+def _int_field(spec: dict, key: str, what: str) -> int:
+    """An optional integer field of an object spec, 0 when absent."""
+    try:
+        return int(spec.get(key, 0))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{what}: bad {key} {spec.get(key)!r}") from exc
+
+
 def _required(spec: dict, key: str, what: str):
     if key not in spec:
         raise ScenarioError(f"{what}: missing field {key!r}")
@@ -124,11 +139,18 @@ def _specs(objects: dict, group: str):
 # -- notation -------------------------------------------------------------------
 
 
+def _branch(space: Space, ref) -> int:
+    b = int(ref)
+    if not 0 <= b < len(space.branches):
+        raise ValueError(f"no branch {b}")
+    return b
+
+
 def region_from_json(space: Space, literal) -> Region:
     spans = []
     try:
         for item in literal:
-            b = int(item[0])
+            b = _branch(space, item[0])
             lo = parse_ordinal(item[1])
             hi = parse_ordinal(item[2])
             hi_in = not (len(item) > 3 and item[3] == "open")
@@ -150,7 +172,7 @@ def region_to_json(reg: Region) -> list:
 
 def point_from_json(space: Space, literal) -> Point:
     try:
-        return space.point(int(literal[0]), parse_ordinal(literal[1]))
+        return space.point(_branch(space, literal[0]), parse_ordinal(literal[1]))
     except (TypeError, IndexError, ValueError) as exc:
         raise ScenarioError(f"bad point literal {literal!r}: {exc}") from exc
 
@@ -194,11 +216,11 @@ class Scenario:
     suites: list[dict] = field(default_factory=list)
 
     def family_params(self, spec: Optional[dict] = None) -> FamilyParams:
-        fam = dict(self.params.get("family", {}))
-        fam.update(spec or {})
+        fam = dict(_family_bounds(self.params.get("family", {}), "params.family"))
+        fam.update(_family_bounds({} if spec is None else spec, "family"))
         return FamilyParams(
-            grid_k=int(fam.get("grid_k", 4)),
-            max_intervals=int(fam.get("max_intervals", 2)),
+            grid_k=fam.get("grid_k", 4),
+            max_intervals=fam.get("max_intervals", 2),
         )
 
     @staticmethod
@@ -233,15 +255,19 @@ class Scenario:
             raise ScenarioError("params must be an object")
         params.update(doc.get("params", {}))
         params.update(overrides or {})
-        if not _is_count(params["window"]):
-            raise ScenarioError(
-                f"params.window must be a non-negative integer, not {params['window']!r}"
-            )
+        for key in ("window", "grid_k", "depth"):
+            if not _is_count(params[key]):
+                raise ScenarioError(
+                    f"params.{key} must be a non-negative integer, not {params[key]!r}"
+                )
+        if not isinstance(params["seed"], int):
+            raise ScenarioError(f"params.seed must be an integer, not {params['seed']!r}")
         try:
-            space = Space(branches, gluings, grid_k=int(params["grid_k"]))
+            space = Space(branches, gluings, grid_k=params["grid_k"])
         except ValueError as exc:
             raise ScenarioError(f"bad space: {exc}") from exc
         sc = Scenario(doc.get("name", "scenario"), space, params)
+        sc.family_params()  # rejects a malformed params.family
         objects = doc.get("objects", {})
         if not isinstance(objects, dict):
             raise ScenarioError("objects must be an object")
@@ -286,7 +312,7 @@ class Scenario:
         for name, spec in _specs(objects, "pcuts"):
             p = self._point(spec.get("point"))
             sides = spec.get("sides", [])
-            if len(sides) != 2:
+            if not isinstance(sides, list) or len(sides) != 2:
                 raise ScenarioError(f"pcut {name!r} needs two sides")
             s0 = region_from_json(self.space, sides[0])
             s1 = region_from_json(self.space, sides[1])
@@ -299,7 +325,8 @@ class Scenario:
         self.bases = dict(_specs(objects, "bases"))
 
     def _check_refs(self, entry: dict) -> None:
-        """Every object a suite entry names must be loaded."""
+        """Every object a suite entry names must be loaded, and its family
+        bounds must be well formed."""
         check = entry["check"]
         groups = {
             "selection": self.selections, "decomp": self.decompositions,
@@ -316,6 +343,13 @@ class Scenario:
                 raise ScenarioError(f"{check} check: no {key} named {ref!r}")
         if check in CHECK_POINTS:
             self._point(_required(entry, "point", f"{check} check"))
+        self.family_params(entry.get("family"))
+
+    def _parent(self, name: str, spec: dict) -> Selection:
+        ref = spec.get("parent")
+        if not (isinstance(ref, str) and ref in self.selections):
+            raise ScenarioError(f"selection {name!r}: unresolved parent")
+        return self.selections[ref]
 
     def _point(self, ref) -> Point:
         if isinstance(ref, str) and ref in self.points:
@@ -374,17 +408,12 @@ class Scenario:
             except TheoremViolationError as exc:
                 raise ScenarioError(f"selection {name!r}: {exc}") from exc
         if kind == "patched":
-            parent = self.selections.get(spec.get("parent"))
-            if parent is None:
-                raise ScenarioError(f"selection {name!r}: unresolved parent")
+            parent = self._parent(name, spec)
             at = self._closed(_required(spec, "at", what))
             value = self._point(_required(spec, "value", what))
             return PatchedSelection(parent, at, value)
         if kind == "restrict":
-            parent = self.selections.get(spec.get("parent"))
-            if parent is None:
-                raise ScenarioError(f"selection {name!r}: unresolved parent")
-            return RestrictSelection(parent, self._closed(_required(spec, "carrier", what)))
+            return RestrictSelection(self._parent(name, spec), self._closed(_required(spec, "carrier", what)))
         raise ScenarioError(f"selection {name!r}: unknown kind {kind!r}")
 
     def _build_net(self, name: str, spec: dict) -> ConvergentNet:
@@ -401,7 +430,7 @@ class Scenario:
             base = self._closed(spec["base"]) if spec.get("base") else None
             return increasing_union_net(
                 self.space,
-                int(spec.get("branch", 0)),
+                _branch(self.space, _int_field(spec, "branch", what)),
                 parse_ordinal(spec.get("lo", "0")),
                 parse_ordinal(_required(spec, "limit", what)),
                 base=base,
@@ -415,7 +444,7 @@ class Scenario:
                 self._point(_required(spec, "point", what)),
                 base=base,
                 window=window,
-                offset=int(spec.get("offset", 0)),
+                offset=_int_field(spec, "offset", what),
                 name=name,
             )
         if kind == "appended":
@@ -427,7 +456,7 @@ class Scenario:
                 self._point(_required(spec, "point", what)),
                 self._closed(_required(spec, "base", what)),
                 window=window,
-                offset=int(spec.get("offset", 0)),
+                offset=_int_field(spec, "offset", what),
                 name=name,
             )
         raise ScenarioError(f"net {name!r}: unknown kind {kind!r}")

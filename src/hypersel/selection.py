@@ -167,6 +167,15 @@ class Selection:
     kind: str = "abstract"
 
     def evaluate(self, s: Region) -> Point:
+        # A selection is a fixed map, so its value on a set is kept, but only
+        # after the set passed every guard below and the value the selection
+        # law: a failing call stores nothing and fails again when repeated.
+        # Region equality includes the space instance, so a stored set is one
+        # over self.space.
+        values = self.__dict__.setdefault("_values", {})
+        value = values.get(s)
+        if value is not None:
+            return value
         if s.space is not self.space:
             raise ValueError("argument over a different space")
         if s.is_empty:
@@ -178,6 +187,7 @@ class Selection:
         value = self._pick(s)
         if not s.contains_point(value):
             raise SelectionLawError(f"{self.kind} chose {value} outside {s!r}")
+        values[s] = value
         return value
 
     def _pick(self, s: Region) -> Point:
@@ -467,9 +477,26 @@ def enumerate_closed_family(
     carrier: Optional[Region] = None,
 ) -> list[Region]:
     """All nonempty closed sets with grid endpoints and bounded interval count,
-    deterministic order, duplicates (via gluing saturation) removed."""
+    deterministic order, duplicates (via gluing saturation) removed.
+
+    A family depends only on the space, the bounds and the carrier, so each
+    Space keeps the families built over it; every call returns a new list.
+    """
     base = carrier if carrier is not None else space.whole()
-    per_branch: list[list[tuple]] = []
+    key = (params, base)
+    cached = space._family_cache.get(key)
+    if cached is None:
+        cached = space._family_cache[key] = _build_closed_family(space, params, base)
+    return list(cached)
+
+
+def _build_closed_family(space: Space, params: FamilyParams, base: Region) -> list[Region]:
+    # Each branch option (no interval, one, or two) is one saturated region;
+    # a member is the union of one option per branch.  Region.make of all the
+    # spans together gives the same set: saturation adds the gluing classes
+    # any span touches, and the classes are disjoint.  The merge keeps the
+    # union normalized and saturated (see the comment above _meet_trace).
+    per_branch: list[list[Optional[Region]]] = []
     for b in range(len(space.branches)):
         cands = set(space.grid_positions(b, params.grid_k))
         for sp in base.traces[b]:
@@ -483,35 +510,30 @@ def enumerate_closed_family(
             for hi in pts[i:]:
                 seg = Region.from_intervals(space, [(b, lo, hi)])
                 if seg.subset_of(base):
-                    intervals.append((lo, hi))
-        options: list[tuple] = [()]
-        options.extend((iv,) for iv in intervals)
+                    intervals.append((lo, hi, seg))
+        options: list[Optional[Region]] = [None]
+        options.extend(seg for _, _, seg in intervals)
         if params.max_intervals >= 2:
-            for (a1, b1), (a2, b2) in combinations(intervals, 2):
+            for (_, b1, seg1), (a2, _, seg2) in combinations(intervals, 2):
                 if a2 > successor(b1):
-                    options.append(((a1, b1), (a2, b2)))
+                    options.append(seg1.union(seg2))
         per_branch.append(options)
     out: list[Region] = []
     seen: set = set()
 
-    def rec(b: int, acc: list):
+    def rec(b: int, acc: Optional[Region]):
         if b == len(per_branch):
-            spans = [
-                (bb, lo, hi, True) for bb, ivs in enumerate(acc) for (lo, hi) in ivs
-            ]
-            if not spans:
-                return
-            reg = Region.make(space, spans)
-            if reg not in seen:
-                seen.add(reg)
-                out.append(reg)
+            if acc is not None and acc not in seen:
+                seen.add(acc)
+                out.append(acc)
             return
         for choice in per_branch[b]:
-            acc.append(choice)
-            rec(b + 1, acc)
-            acc.pop()
+            if choice is None:
+                rec(b + 1, acc)
+            else:
+                rec(b + 1, choice if acc is None else acc.union(choice))
 
-    rec(0, [])
+    rec(0, None)
     return out
 
 

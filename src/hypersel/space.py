@@ -117,6 +117,9 @@ class Space:
             for c in coords:
                 self._coord_class[c] = coords
         self._grid_cache: dict[tuple[int, int], tuple[Ordinal, ...]] = {}
+        # closed families built over this space, by (FamilyParams, carrier);
+        # filled and read by selection.enumerate_closed_family
+        self._family_cache: dict[tuple, list] = {}
 
     # -- points ------------------------------------------------------------
 

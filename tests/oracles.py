@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from sympy.sets.ordinals import Ordinal as SymOrdinal, ord0, omega
 
-from hypersel.ordinal import OMEGA, Ordinal, successor
+from itertools import combinations
+
+from hypersel.ordinal import OMEGA, Ordinal, parse_ordinal, successor
 from hypersel.space import Point, Region, Space, Span, character
 
 
@@ -236,3 +238,70 @@ def is_saturated(r: Region) -> bool:
         len({r.covers_position(b, p) for b, p in coords}) == 1
         for coords in r.space.gluings
     )
+
+
+def oracle_spaces() -> dict[str, Space]:
+    """New instances of the five spaces the differential tests range over."""
+    w, w2, wsq = (parse_ordinal(t) for t in ("w", "w*2", "w^2"))
+    return {
+        "line-w^2": Space([wsq]),
+        "line-w*2": Space([w2]),
+        "wedge": Space([w, w], [[(0, w), (1, w)]]),
+        "fan-3": Space([w, w, w], [[(0, w), (1, w), (2, w)]]),
+        # the glued coordinate (0, w) is interior to its branch
+        "interior-glue": Space([w2, w], [[(0, w), (1, w)]]),
+    }
+
+
+# -- reference family builder ------------------------------------------------------
+#
+# The closed-family builder as it was before members were built by merging
+# branch options: one Region.make per member, no cache.
+
+
+def ref_enumerate_closed_family(space: Space, params, carrier=None) -> list[Region]:
+    base = carrier if carrier is not None else space.whole()
+    per_branch: list[list[tuple]] = []
+    for b in range(len(space.branches)):
+        cands = set(space.grid_positions(b, params.grid_k))
+        for sp in base.traces[b]:
+            cands.add(sp.lo)
+            cands.add(sp.hi)
+        pts = sorted(
+            (g for g in cands if base.covers_position(b, g)), key=lambda o: o.terms
+        )
+        intervals = []
+        for i, lo in enumerate(pts):
+            for hi in pts[i:]:
+                seg = Region.from_intervals(space, [(b, lo, hi)])
+                if seg.subset_of(base):
+                    intervals.append((lo, hi))
+        options: list[tuple] = [()]
+        options.extend((iv,) for iv in intervals)
+        if params.max_intervals >= 2:
+            for (a1, b1), (a2, b2) in combinations(intervals, 2):
+                if a2 > successor(b1):
+                    options.append(((a1, b1), (a2, b2)))
+        per_branch.append(options)
+    out: list[Region] = []
+    seen: set = set()
+
+    def rec(b: int, acc: list):
+        if b == len(per_branch):
+            spans = [
+                (bb, lo, hi, True) for bb, ivs in enumerate(acc) for (lo, hi) in ivs
+            ]
+            if not spans:
+                return
+            reg = Region.make(space, spans)
+            if reg not in seen:
+                seen.add(reg)
+                out.append(reg)
+            return
+        for choice in per_branch[b]:
+            acc.append(choice)
+            rec(b + 1, acc)
+            acc.pop()
+
+    rec(0, [])
+    return out

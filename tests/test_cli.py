@@ -35,6 +35,9 @@ WEDGE_DIGEST = "bdd38a23312af8f6f42c590cf8c91816ca56fbe06455c72b739d8ccb87a5076e
 BROKEN_SELECTION_DIGEST = "dbe97960fa4eae2d3611c52319f2ee21a463c9faf658c555fcd2a6d84059f7c0"
 ORDINAL_OMEGA2_DIGEST = "987ddfb2755e0f0c813a2b5e648472f4922f7cb56202f7605ff3c187969d4130"
 FAN3_DEMO_DIGEST = "a77a0b3511420b38a9afb695b902bff5c7eeb938dcddc4fc50b523bd3c916af6"
+# The w*2 ordinal demo generates the document of scenarios/ordinal_omega2.json,
+# so the two reports agree.
+ORDINAL_W2_DEMO_DIGEST = "987ddfb2755e0f0c813a2b5e648472f4922f7cb56202f7605ff3c187969d4130"
 
 
 class TestExitCodes:
@@ -151,6 +154,13 @@ class TestDemo:
         assert report["scenario"] == "fan-3"
         assert report["summary"]["failed"] == 0
         assert report_digest(report) == FAN3_DEMO_DIGEST
+
+    def test_ordinal_demo_json(self):
+        out = run_cli("demo", "ordinal", "--gamma", "w*2", "--report", "json")
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert any(r["check"] == "pointwise_minimal" for r in report["results"])
+        assert report_digest(report) == ORDINAL_W2_DEMO_DIGEST
 
     def test_ordinal_demo_text(self):
         out = run_cli("demo", "ordinal", "--gamma", "w", "--report", "text")

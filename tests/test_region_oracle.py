@@ -9,13 +9,13 @@ from hypersel.ordinal import (
     limit_part,
     ord_add,
     ord_fundamental,
-    parse_ordinal,
     predecessor,
     successor,
 )
 from hypersel.space import Region, Space, clopen_modulo
 from oracles import (
     is_saturated,
+    oracle_spaces,
     ref_clopen_modulo,
     ref_closure,
     ref_difference,
@@ -28,17 +28,7 @@ from oracles import (
     to_sympy,
 )
 
-P = parse_ordinal
-W, W2, WSQ = P("w"), P("w*2"), P("w^2")
-
-SPACES = {
-    "line-w^2": Space([WSQ]),
-    "line-w*2": Space([W2]),
-    "wedge": Space([W, W], [[(0, W), (1, W)]]),
-    "fan-3": Space([W, W, W], [[(0, W), (1, W), (2, W)]]),
-    # the glued coordinate (0, w) is interior to its branch
-    "interior-glue": Space([W2, W], [[(0, W), (1, W)]]),
-}
+SPACES = oracle_spaces()
 
 
 @st.composite

@@ -219,6 +219,33 @@ def _broken(kind):
         objects["decompositions"]["e"] = {"kind": "at_point"}
     elif kind == "params-list":
         doc["params"] = [1]
+    elif kind == "family-not-object":
+        doc["params"]["family"] = 5
+    elif kind == "family-bound-not-int":
+        doc["params"]["family"] = {"grid_k": "1"}
+    elif kind == "suite-family-list":
+        suites[0]["family"] = [1]
+    elif kind == "patched-parent-list":
+        objects["selections"]["g"] = {"kind": "patched", "parent": ["f"], "at": "c",
+                                      "value": "p"}
+    elif kind == "restrict-parent-list":
+        objects["selections"]["g"] = {"kind": "restrict", "parent": ["f"], "carrier": "c"}
+    elif kind == "net-branch-list":
+        objects["nets"]["m"] = {"kind": "increasing", "branch": [0], "limit": "w"}
+    elif kind == "net-branch-out-of-range":
+        objects["nets"]["m"] = {"kind": "increasing", "branch": 2, "limit": "w"}
+    elif kind == "net-offset-list":
+        objects["nets"]["m"] = {"kind": "tail", "point": "p", "offset": [1]}
+    elif kind == "pcut-sides-not-list":
+        objects["pcuts"]["cut"]["sides"] = 5
+    elif kind == "set-branch-out-of-range":
+        objects["closed_sets"]["c"] = [[2, "0", "w"]]
+    elif kind == "point-branch-negative":
+        objects["points"]["p"] = [-1, "w"]
+    elif kind == "grid-not-int":
+        doc["params"]["grid_k"] = [1]
+    elif kind == "depth-not-int":
+        doc["params"]["depth"] = "2"
     return doc
 
 
@@ -226,7 +253,10 @@ HOSTILE = [
     "missing-selection", "points-list", "negative-window", "net-window", "window-not-int",
     "objects-list", "selection-unnamed", "missing-decomp", "missing-pcut", "missing-net",
     "nets-list-member", "nets-not-list", "extremality-no-point", "roundtrip-no-point",
-    "spec-not-object", "decomp-missing-field", "params-list",
+    "spec-not-object", "decomp-missing-field", "params-list", "family-not-object",
+    "family-bound-not-int", "suite-family-list", "patched-parent-list", "restrict-parent-list",
+    "net-branch-list", "net-branch-out-of-range", "net-offset-list", "pcut-sides-not-list",
+    "set-branch-out-of-range", "point-branch-negative", "grid-not-int", "depth-not-int",
 ]
 
 
