@@ -22,7 +22,6 @@ from hypersel.ordinal import (
     fund_index_at_least,
     left_difference,
     limit_part,
-    ord_classify,
     ord_fundamental,
     successor,
 )
@@ -78,6 +77,13 @@ __all__ = [
     "PatternError",
 ]
 
+# Successor stages a transfinite run materializes before certifying their
+# tail pattern; stage tails scanned for one inside a given open set; levels a
+# point's stage scan may climb within one block.
+PROBE_STAGES = 6
+MEMBER_SCAN_CAP = 64
+LEVEL_SCAN_CAP = 4096
+
 
 class TheoremViolationError(AssertionError):
     """A step the theory guarantees failed; carries the counterexample."""
@@ -124,7 +130,7 @@ def maximal_at(space: Space, q: Point, carrier: Optional[Region] = None) -> Sele
     fibers = FiberSelections(
         d, lambda idx, fib: OrderMinSelection(space, carrier=fib)
     )
-    return join_combinator(d, fibers, check_hypotheses=False)
+    return join_combinator(d, fibers)
 
 
 def minimal_at(space: Space, q: Point, carrier: Optional[Region] = None) -> Selection:
@@ -133,7 +139,7 @@ def minimal_at(space: Space, q: Point, carrier: Optional[Region] = None) -> Sele
     fibers = FiberSelections(
         d, lambda idx, fib: OrderMaxSelection(space, carrier=fib)
     )
-    return meet_combinator(d, fibers, check_hypotheses=False)
+    return meet_combinator(d, fibers)
 
 
 def _aux_library(space: Space) -> Callable[[Point], Selection]:
@@ -198,9 +204,7 @@ def base_at_cut(f: Selection, pcut: PCut, steps: int) -> CutBase:
     return CutBase(p, stages, qs)
 
 
-def cut_base_absorbs(
-    base: CutBase, space: Space, depth: int = 1
-) -> tuple[bool, Optional[Region]]:
+def cut_base_absorbs(base: CutBase, space: Space) -> tuple[bool, Optional[Region]]:
     """Does every canonical grid open around p contain some stage?"""
     p = base.p
     coords = space.point_coords(p)
@@ -408,9 +412,7 @@ def _pattern_region(space: Space, p: Point, pattern: TailPattern, k: int) -> Reg
     )
 
 
-def _certify_pattern(
-    space: Space, p: Point, stage_fn, stages: list[Region], probes: int = 2
-) -> TailPattern:
+def _certify_pattern(space: Space, p: Point, stage_fn, stages: list[Region]) -> TailPattern:
     """Tail recurrence over the last stages, re-verified at shifted spots.
 
     Two certified forms: positions advancing by a constant finite step below a
@@ -455,8 +457,8 @@ def _certify_pattern(
                 raise PatternError(f"ladder step at {coord} is not affine")
             ms[coord], ss[coord], rs[coord] = m2, m2 - m1, r2
         pattern = _LadderTail(i2, ms, ss, rs)
-    # re-run the stage map at shifted positions to certify the recurrence
-    for shift in range(3, 3 + probes * 4, 4):
+    # re-run the stage map at two shifted positions to certify the recurrence
+    for shift in (3, 7):
         shifted = _pattern_region(space, p, pattern, shift)
         expected = _pattern_region(space, p, pattern, shift + 1)
         got = stage_fn(shifted, i2 + shift)
@@ -478,9 +480,7 @@ def _pattern_limit(space: Space, p: Point, pattern: TailPattern) -> Region:
     return Region.make(space, spans)
 
 
-def transfinite_base(
-    f: Selection, p: Point, gamma: Ordinal, probe: int = 6, guided: bool = False
-) -> GammaBase:
+def transfinite_base(f: Selection, p: Point, gamma: Ordinal, guided: bool = False) -> GammaBase:
     """Graded neighbourhood base at p of length gamma (at most omega*2 + finite).
 
     Successor stages by two-step clopen separation; limit stages as certified
@@ -512,15 +512,14 @@ def transfinite_base(
     remaining = gamma
     while True:
         block = _Block(start=start, explicit=[u])
-        kind = ord_classify(remaining)
-        if remaining <= Ordinal.from_int(probe + 1) and kind != "limit" and remaining.degree == 0:
+        if remaining <= Ordinal.from_int(PROBE_STAGES + 1):
             # final finite run: materialize exactly the requested stages
             for j in range(remaining.as_int() - 1):
                 u = stage_fn(u, j)
                 block.explicit.append(u)
             blocks.append(block)
             break
-        for j in range(probe):
+        for j in range(PROBE_STAGES):
             u = stage_fn(u, j)
             block.explicit.append(u)
         block.pattern = _certify_pattern(space, p, stage_fn, block.explicit)
@@ -562,12 +561,13 @@ def transfinite_base(
     return GammaBase(space, p, gamma, blocks, identity_checked)
 
 
-def gamma_base_validate(gb: GammaBase, count: int = 6, depth: int = 2) -> list[str]:
-    """Successor clopen-and-strict, limit neighbourhood-base condition, membership
-    of every member in the countable-character family; returns failure strings."""
+def gamma_base_validate(gb: GammaBase) -> list[str]:
+    """Successor clopen-and-strict, limit neighbourhood-base condition at the
+    first two refinement levels, membership of every member in the
+    countable-character family; returns failure strings."""
     problems = []
     space = gb.space
-    idxs = gb.sample_indices(count)
+    idxs = gb.sample_indices()
     for alpha in idxs:
         h = gb.member(alpha)
         if not h.contains_point(gb.p):
@@ -578,34 +578,25 @@ def gamma_base_validate(gb: GammaBase, count: int = 6, depth: int = 2) -> list[s
         nxt = gb.member(_next_index(gb, alpha))
         if not nxt.subset_of(h) or nxt == h:
             problems.append(f"{alpha}: successor member not strictly inside")
-        if ord_classify(_next_index(gb, alpha)) == "successor" and not nxt.is_clopen():
+        if _next_index(gb, alpha).is_successor and not nxt.is_clopen():
             if _next_index(gb, alpha) != gb.gamma:
                 problems.append(f"{alpha}: successor member not clopen")
     for lam, h_lim, _q in gb.limit_entries():
-        for level in range(depth):
-            around = hyperspace.open_cover_of(h_lim, level)
-            if not _some_member_inside(gb, lam, around):
+        block = next(b for b in gb.blocks if b.limit_index == lam)
+        for level in (0, 1):
+            if not _stage_inside(gb, block, hyperspace.open_cover_of(h_lim, level)):
                 problems.append(f"{lam}: earlier members never enter a cover")
                 break
-    for level in range(depth):
+    for level in (0, 1):
         around = space.open_tail(gb.p, level)
-        if not _absorbs_point_open(gb, around):
+        if not any(
+            (block.limit_set is not None and block.limit_set.subset_of(around))
+            or _stage_inside(gb, block, around)
+            for block in gb.blocks
+        ):
             problems.append(f"no member inside a canonical open around {gb.p}")
             break
     return problems
-
-
-def _absorbs_point_open(gb: GammaBase, around: Region, cap: int = 64) -> bool:
-    for block in gb.blocks:
-        if block.limit_set is not None and block.limit_set.subset_of(around):
-            return True
-        for j in range(cap):
-            try:
-                if gb.stage_tail_region(block, j).subset_of(around):
-                    return True
-            except PatternError:
-                break
-    return False
 
 
 def _next_index(gb: GammaBase, alpha: Ordinal) -> Ordinal:
@@ -613,9 +604,10 @@ def _next_index(gb: GammaBase, alpha: Ordinal) -> Ordinal:
     return nxt if nxt <= gb.gamma else gb.gamma
 
 
-def _some_member_inside(gb: GammaBase, lam: Ordinal, around: Region, cap: int = 64) -> bool:
-    block = next(b for b in gb.blocks if b.limit_index == lam)
-    for j in range(cap):
+def _stage_inside(gb: GammaBase, block: _Block, around: Region) -> bool:
+    """Some stage of the block, among its first MEMBER_SCAN_CAP, lies inside
+    the open set."""
+    for j in range(MEMBER_SCAN_CAP):
         try:
             if gb.stage_tail_region(block, j).subset_of(around):
                 return True
@@ -661,7 +653,7 @@ class GammaBaseDecomposition(DecompositionSpec):
                 return block.start + Ordinal.from_int(j)
         raise DecompositionError(f"{pt} outside the carrier")
 
-    def _block_level(self, block: _Block, pt: Point, cap: int = 4096) -> Optional[int]:
+    def _block_level(self, block: _Block, pt: Point) -> Optional[int]:
         if not block.explicit[0].contains_point(pt):
             return None
         j = 0
@@ -673,7 +665,7 @@ class GammaBaseDecomposition(DecompositionSpec):
             if not nxt.contains_point(pt):
                 return j
             j += 1
-            if j > cap:
+            if j > LEVEL_SCAN_CAP:
                 raise DecompositionError("level scan beyond cap")
 
     def eta_extremes(self, s: Region) -> tuple[Ordinal, Ordinal]:
@@ -784,9 +776,9 @@ def decomp_to_extreme_selection(
 
     fibers = FiberSelections(d, factory)
     if mode == "maximal":
-        sel: Selection = join_combinator(d, fibers, check_hypotheses=False)
+        sel: Selection = join_combinator(d, fibers)
     else:
-        sel = meet_combinator(d, fibers, check_hypotheses=False)
+        sel = meet_combinator(d, fibers)
     out = extremality_check(sel, p, mode, family or FamilyParams())
     if not out.passed:
         raise TheoremViolationError(

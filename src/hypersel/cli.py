@@ -142,7 +142,7 @@ def _build_base_payload(sc: Scenario, target: str, spec: dict) -> dict:
         }
     if kind == "cut":
         cut = _named(sc.pcuts, spec, "pcut", target)
-        base = base_at_cut(f, cut, int(spec.get("steps", 8)))
+        base = base_at_cut(f, cut, spec.get("steps", 8))
         return {
             "target": target,
             "kind": "cut",

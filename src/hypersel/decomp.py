@@ -45,10 +45,11 @@ __all__ = [
     "ValidationReport",
 ]
 
-# Levels a chain scan steps through before giving up, and indices below a
-# limit that the closedness check probes.
+# Levels a chain scan steps through before giving up, indices below a limit
+# that the closedness check probes, and chain members a chain is validated on.
 SCAN_CAP = 512
 ABSORPTION_CAP = 48
+CHAIN_WINDOW = 16
 
 
 class DecompositionError(ValueError):
@@ -119,7 +120,6 @@ class ExplicitDecomposition(DecompositionSpec):
         space: Space,
         fibers: Sequence[Region],
         carrier: Optional[Region] = None,
-        kind: str = "ordinal",
     ) -> None:
         if not fibers:
             raise DecompositionError("at least one fiber is required")
@@ -127,7 +127,7 @@ class ExplicitDecomposition(DecompositionSpec):
         self.carrier = carrier if carrier is not None else space.whole()
         self.fibers = tuple(fibers)
         self.gamma = Ordinal.from_int(len(self.fibers) - 1)
-        self.kind = kind
+        self.kind = "ordinal"
 
     def fiber(self, idx: Ordinal) -> Region:
         return self.fibers[idx.as_int()]
@@ -415,8 +415,6 @@ def decomp_from_chain(
     rule: Callable[[int], Region],
     p: Point,
     carrier: Optional[Region] = None,
-    window: int = 16,
-    grid_k: Optional[int] = None,
 ) -> ChainDecomposition:
     """Validate a clopen chain and wrap it as a level map with gamma = omega.
 
@@ -427,7 +425,7 @@ def decomp_from_chain(
     base = carrier if carrier is not None else space.whole()
     prev = base
     sets = [base]
-    for n in range(1, window + 1):
+    for n in range(1, CHAIN_WINDOW + 1):
         cur = rule(n)
         if not cur.subset_of(prev) or cur == prev:
             raise DecompositionError(f"chain is not strictly decreasing at {n}")
@@ -438,24 +436,24 @@ def decomp_from_chain(
         sets.append(cur)
         prev = cur
     tail = sets[-1]
-    for pt in tail.grid_members(grid_k):
+    for pt in tail.grid_members():
         if pt != p:
             raise DecompositionError(
                 f"chain intersection meets the grid at {pt}, not only at {p}"
             )
     d = ChainDecomposition(space, rule, p, carrier=base, kind="quasi")
-    if _chain_is_base(space, d, p, window):
+    if _chain_is_base(space, d, p):
         d.kind = "ordinal"
     return d
 
 
-def _chain_is_base(space: Space, d: ChainDecomposition, p: Point, window: int) -> bool:
+def _chain_is_base(space: Space, d: ChainDecomposition, p: Point) -> bool:
     for level in (0, 1):
         try:
             around = space.open_tail(p, level)
         except ValueError:
             return False
-        if not any(d.chain(n).subset_of(around) for n in range(1, window + 1)):
+        if not any(d.chain(n).subset_of(around) for n in range(1, CHAIN_WINDOW + 1)):
             return False
     return True
 
@@ -482,13 +480,12 @@ class ValidationReport:
         self.entries.append(ValidationEntry(name, passed, detail))
 
 
-def decomp_validate(
-    d: DecompositionSpec, sample: int = 8, depth: int = 2
-) -> ValidationReport:
+def decomp_validate(d: DecompositionSpec) -> ValidationReport:
     """Disjoint cover, fibers clopen modulo a point, continuity, and (for the
-    ordinal kind) closedness of the level map; failures carry witnesses."""
+    ordinal kind) closedness of the level map at the first two refinement
+    levels; failures carry witnesses."""
     report = ValidationReport([])
-    idxs = d.sample_indices(sample)
+    idxs = d.sample_indices()
 
     fibs = {}
     ok = True
@@ -543,7 +540,7 @@ def decomp_validate(
         ok, detail = True, ""
         for lam in d.limit_indices():
             fib = d.fiber(lam)
-            for level in range(depth):
+            for level in (0, 1):
                 around = hyperspace.open_cover_of(fib, level)
                 if not _absorbs_below(d, lam, around, idxs):
                     ok = False

@@ -6,7 +6,7 @@ neighbourhood of the declared limit up to the window, nothing beyond it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from hypersel.ordinal import Ordinal, ord_fundamental, fund_index_at_least, successor
@@ -23,10 +23,24 @@ __all__ = [
     "appended_point_net",
     "moving_point_net",
     "net_convergence_check",
-    "NetCheckResult",
+    "CheckOutcome",
     "increasing_union_limit",
     "open_cover_of",
 ]
+
+# Members an increasing-union net is checked to grow through.
+UNION_PROBE = 16
+
+
+@dataclass(frozen=True)
+class CheckOutcome:
+    """Verdict of an exhaustive check, with its first witness and how many
+    cases it looked at."""
+
+    passed: bool
+    witness: Optional[object] = None
+    detail: str = ""
+    checked: int = 0
 
 
 @dataclass(frozen=True)
@@ -44,9 +58,6 @@ class VietorisBasic:
                 raise ValueError("parts must be nonempty")
             if not part.is_open():
                 raise ValueError("parts must be open")
-
-    def member(self, s: Region) -> bool:
-        return vietoris_member(s, self)
 
 
 def vietoris_member(s: Region, basic: VietorisBasic) -> bool:
@@ -143,7 +154,6 @@ class ConvergentNet:
     members: Callable[[int], Region]
     declared_limit: Region
     window: int = 64
-    params: dict = field(default_factory=dict)
 
     def member(self, n: int) -> Region:
         if n < 0 or n > self.window:
@@ -155,7 +165,7 @@ class ConvergentNet:
 
 
 def constant_net(s: Region, window: int = 64, name: str = "constant") -> ConvergentNet:
-    return ConvergentNet(name, "constant", lambda n: s, s, window, {"set": s})
+    return ConvergentNet(name, "constant", lambda n: s, s, window)
 
 
 def increasing_union_net(
@@ -182,8 +192,7 @@ def increasing_union_net(
     limit = Region.from_intervals(space, [(branch, lo, lam)])
     if base is not None:
         limit = limit.union(base)
-    params = {"base": base, "branch": branch, "lo": lo, "lam": lam, "space": space}
-    return ConvergentNet(name or f"incr@{lam}", "increasing", members, limit, window, params)
+    return ConvergentNet(name or f"incr@{lam}", "increasing", members, limit, window)
 
 
 def shrinking_tail_net(
@@ -222,14 +231,7 @@ def appended_point_net(inner: ConvergentNet, x: Point, name: str = "") -> Conver
         return inner.members(n).union(pt_reg)
 
     limit = inner.declared_limit.union(pt_reg)
-    return ConvergentNet(
-        name or f"{inner.name}+{x}",
-        "appended",
-        members,
-        limit,
-        inner.window,
-        {"inner": inner, "point": x, "space": space},
-    )
+    return ConvergentNet(name or f"{inner.name}+{x}", "appended", members, limit, inner.window)
 
 
 def moving_point_net(
@@ -253,49 +255,29 @@ def moving_point_net(
     return ConvergentNet(name or f"move@{p}", "moving", members, limit, window)
 
 
-@dataclass(frozen=True)
-class NetCheckResult:
-    passed: bool
-    witness_basic: Optional[VietorisBasic] = None
-    witness_index: Optional[int] = None
-    basics_checked: int = 0
-
-
-def net_convergence_check(net: ConvergentNet, depth: int = 2) -> NetCheckResult:
-    """Eventual membership of the net in every generated basic around the limit."""
+def net_convergence_check(net: ConvergentNet, depth: int = 2) -> CheckOutcome:
+    """Eventual membership of the net in every generated basic around the limit;
+    a failure's witness is the basic the last member escapes."""
     family = basic_nbhd_family(net.declared_limit, depth)
     members = [net.member(n) for n in range(net.window + 1)]
     for basic in family:
         if not vietoris_member(members[net.window], basic):
-            return NetCheckResult(False, basic, net.window, len(family))
-    return NetCheckResult(True, None, None, len(family))
+            return CheckOutcome(False, basic, f"escapes a basic at {net.window}", len(family))
+    return CheckOutcome(True, None, "", len(family))
 
 
-def increasing_union_limit(net: ConvergentNet, probe: int = 16) -> Region:
-    """Closure of the union of an increasing net, from its closed-form shape."""
+def increasing_union_limit(net: ConvergentNet) -> Region:
+    """Closure of the union of an increasing net: its declared limit, once the
+    first members are seen to grow and to stay inside it."""
     if net.shape not in ("constant", "increasing", "appended"):
         raise ValueError(f"net {net.name} is not of increasing-union shape")
-    upto = min(probe, net.window)
+    upto = min(UNION_PROBE, net.window)
     prev = net.member(0)
     for n in range(1, upto + 1):
         cur = net.member(n)
         if not prev.subset_of(cur):
             raise ValueError(f"net {net.name} is not increasing at index {n}")
         prev = cur
-    limit = _symbolic_union_limit(net)
-    if not prev.subset_of(limit):
-        raise ValueError(f"net {net.name} escapes its computed limit")
-    return limit
-
-
-def _symbolic_union_limit(net: ConvergentNet) -> Region:
-    if net.shape == "constant":
-        return net.params["set"]
-    if net.shape == "increasing":
-        p = net.params
-        seg = Region.from_intervals(p["space"], [(p["branch"], p["lo"], p["lam"])])
-        return seg if p["base"] is None else seg.union(p["base"])
-    # appended: inner limit with the fixed point
-    p = net.params
-    inner_limit = _symbolic_union_limit(p["inner"])
-    return inner_limit.union(p["space"].point_region(p["point"]))
+    if not prev.subset_of(net.declared_limit):
+        raise ValueError(f"net {net.name} escapes its declared limit")
+    return net.declared_limit

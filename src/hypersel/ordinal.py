@@ -15,9 +15,7 @@ __all__ = [
     "ZERO",
     "ONE",
     "OMEGA",
-    "ord_compare",
     "ord_add",
-    "ord_classify",
     "ord_fundamental",
     "successor",
     "predecessor",
@@ -132,13 +130,6 @@ def omega_power(e: int, c: int = 1) -> Ordinal:
     return Ordinal(((e, c),))
 
 
-def ord_compare(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0 or 1 as a is below, equal to or above b."""
-    if a.terms == b.terms:
-        return 0
-    return -1 if a.terms < b.terms else 1
-
-
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum in CNF; terms of a below the leading exponent of b are absorbed."""
     ta, tb = a.terms, b.terms
@@ -151,13 +142,6 @@ def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     if i < n and ta[i][0] == lead:
         return _cnf(ta[:i] + ((lead, ta[i][1] + tb[0][1]),) + tb[1:])
     return _cnf(ta[:i] + tb)
-
-
-def ord_classify(a: Ordinal) -> str:
-    """'zero', 'successor' or 'limit'."""
-    if a.is_zero:
-        return "zero"
-    return "successor" if a.is_successor else "limit"
 
 
 def successor(a: Ordinal) -> Ordinal:
@@ -252,6 +236,8 @@ _TERM_RE = re.compile(
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse literals like ``w^2*3 + w + 4`` or ``0``."""
+    if not isinstance(text, str):
+        raise ValueError(f"an ordinal literal is a string, not {text!r}")
     chunks = [c.strip() for c in text.replace("+", " + ").split("+")]
     total = ZERO
     for chunk in chunks:

@@ -43,7 +43,6 @@ from hypersel.hyperspace import (
     shrinking_tail_net,
 )
 from hypersel.decomp import (
-    DecompositionError,
     ExplicitDecomposition,
     decomp_from_chain,
     decomp_validate,
@@ -64,7 +63,6 @@ from hypersel.selection import (
 )
 from hypersel.selrel import DerivedSetsInvariantError, derived_sets
 from hypersel.basebuilder import (
-    PatternError,
     TheoremViolationError,
     base_at_cut,
     cut_base_absorbs,
@@ -114,6 +112,25 @@ def _family_bounds(value, what: str) -> dict:
     return value
 
 
+# Fields that mean one thing in every suite entry and base that sets them.
+COUNT_FIELDS = ("triples", "count", "steps", "absorb_steps", "depth")
+
+
+def _check_fields(spec: dict, what: str) -> None:
+    """Counts are non-negative integers, a seed is an integer and a gamma an
+    ordinal literal, whichever check or base reads them."""
+    for key in COUNT_FIELDS:
+        if key in spec and not _is_count(spec[key]):
+            raise ScenarioError(f"{what}: {key} must be a non-negative integer, not {spec[key]!r}")
+    if "seed" in spec and not isinstance(spec["seed"], int):
+        raise ScenarioError(f"{what}: seed must be an integer, not {spec['seed']!r}")
+    if "gamma" in spec:
+        try:
+            parse_ordinal(spec["gamma"])
+        except ValueError as exc:
+            raise ScenarioError(f"{what}: bad gamma: {exc}") from exc
+
+
 def _int_field(spec: dict, key: str, what: str) -> int:
     """An optional integer field of an object spec, 0 when absent."""
     try:
@@ -150,6 +167,8 @@ def region_from_json(space: Space, literal) -> Region:
     spans = []
     try:
         for item in literal:
+            if not isinstance(item, list):
+                raise ValueError(f"interval {item!r} is not a list")
             b = _branch(space, item[0])
             lo = parse_ordinal(item[1])
             hi = parse_ordinal(item[2])
@@ -171,6 +190,8 @@ def region_to_json(reg: Region) -> list:
 
 
 def point_from_json(space: Space, literal) -> Point:
+    if not isinstance(literal, list):
+        raise ScenarioError(f"bad point literal {literal!r}: not a list")
     try:
         return space.point(_branch(space, literal[0]), parse_ordinal(literal[1]))
     except (TypeError, IndexError, ValueError) as exc:
@@ -284,7 +305,7 @@ class Scenario:
         for entry in suites:
             if not isinstance(entry, dict) or "check" not in entry:
                 raise ScenarioError(f"bad suite entry {entry!r}")
-            if entry["check"] not in CHECKS:
+            if not isinstance(entry["check"], str) or entry["check"] not in CHECKS:
                 raise ScenarioError(f"unknown check {entry['check']!r}")
             sc._check_refs(entry)
         sc.suites = suites
@@ -322,12 +343,15 @@ class Scenario:
                 raise ScenarioError(f"pcut {name!r}: {exc}") from exc
         for name, spec in _specs(objects, "nets"):
             self.nets[name] = self._build_net(name, spec)
-        self.bases = dict(_specs(objects, "bases"))
+        for name, spec in _specs(objects, "bases"):
+            _check_fields(spec, f"base {name!r}")
+            self.bases[name] = spec
 
     def _check_refs(self, entry: dict) -> None:
         """Every object a suite entry names must be loaded, and its family
-        bounds must be well formed."""
+        bounds and other fields must be well formed."""
         check = entry["check"]
+        _check_fields(entry, f"{check} check")
         groups = {
             "selection": self.selections, "decomp": self.decompositions,
             "pcut": self.pcuts, "net": self.nets,
@@ -532,8 +556,8 @@ class CheckRecord:
 
 
 def _check_ordinal_laws(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
-    count = int(spec.get("triples", 10000))
-    rng = random.Random(int(spec.get("seed", sc.params["seed"])))
+    count = spec.get("triples", 10000)
+    rng = random.Random(spec.get("seed", sc.params["seed"]))
 
     def rand_ord() -> Ordinal:
         total = ZERO
@@ -653,7 +677,7 @@ def _check_continuity(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
         nets = canonical_net_corpus(sc.space, int(sc.params["window"]))
     else:
         nets = [sc.nets[n] for n in nets_ref]
-    out = continuity_check(f, nets, int(spec.get("depth", sc.params["depth"])))
+    out = continuity_check(f, nets, spec.get("depth", sc.params["depth"]))
     if out.passed:
         return "pass", f"{len(nets)} nets", None
     name, around = out.witness
@@ -662,10 +686,10 @@ def _check_continuity(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
 
 def _check_net_convergence(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     net = sc.nets[spec["net"]]
-    out = net_convergence_check(net, int(spec.get("depth", sc.params["depth"])))
+    out = net_convergence_check(net, spec.get("depth", sc.params["depth"]))
     if out.passed:
-        return "pass", f"{out.basics_checked} basics", None
-    return "fail", f"escapes a basic at {out.witness_index}", out.witness_basic
+        return "pass", f"{out.checked} basics", None
+    return "fail", out.detail, out.witness
 
 
 def _deterministic_opens(sc: Scenario, count: int, seed: int) -> list[Region]:
@@ -703,8 +727,8 @@ def _deterministic_opens(sc: Scenario, count: int, seed: int) -> list[Region]:
 
 def _check_derived_props(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     f = sc.selections[spec["selection"]]
-    count = int(spec.get("count", 200))
-    opens = _deterministic_opens(sc, count, int(spec.get("seed", sc.params["seed"])))
+    count = spec.get("count", 200)
+    opens = _deterministic_opens(sc, count, spec.get("seed", sc.params["seed"]))
     if len(opens) < count:
         return "error", f"only generated {len(opens)} distinct opens", None
     oracle_pts = 12
@@ -742,8 +766,8 @@ def _check_decomp_validate(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
 def _check_base_at_cut(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     f = sc.selections[spec["selection"]]
     cut = sc.pcuts[spec["pcut"]]
-    steps = int(spec.get("steps", 8))
-    absorb_steps = int(spec.get("absorb_steps", 30))
+    steps = spec.get("steps", 8)
+    absorb_steps = spec.get("absorb_steps", 30)
     base = base_at_cut(f, cut, steps)
     extended = base_at_cut(f, cut, max(steps, absorb_steps))
     if extended.stages[:steps] != base.stages:
@@ -860,7 +884,8 @@ def run_scenario(sc: Scenario) -> Report:
             status = "fail"
             detail = str(exc)
             witness = getattr(exc, "witness", None)
-        except (ValueError, PatternError, DecompositionError, RuntimeError) as exc:
+        except Exception as exc:
+            # any other failure of a check is reported, never raised
             status, detail, witness = "error", f"{type(exc).__name__}: {exc}", None
         elapsed = (time.perf_counter() - start) * 1000.0
         records.append(

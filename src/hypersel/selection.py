@@ -1,12 +1,12 @@
 """Selections on the closed sets of an amalgam space.
 
 Primitives pick order extrema under a branch-concatenation order with a
-declared per-branch orientation; combinators evaluate a fiber selection at
+fixed per-branch orientation; combinators evaluate a fiber selection at
 the extreme level met by the argument.  Every evaluation enforces the
 selection law (the value belongs to the argument).  Each selection type also
-gives its bracket {x : f(C | {x}) = x}: exactly for order primitives (key
-rays), combinators (the extreme-level preimage plus one fiber's bracket),
-restrictions and patches, pointwise over grid candidates otherwise.
+gives its bracket {x : f(C | {x}) = x} exactly: key rays for order
+primitives, the extreme-level preimage plus one fiber's bracket for
+combinators, the parent's bracket for restrictions and patches.
 Extremality and continuity checkers are exhaustive over their declared
 finite families.
 """
@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from hypersel.ordinal import Ordinal, predecessor, successor
 from hypersel.space import Point, Region, Space
 from hypersel.decomp import DecompositionSpec
 from hypersel import hyperspace
+from hypersel.hyperspace import CheckOutcome
 
 __all__ = [
     "Selection",
@@ -38,7 +39,6 @@ __all__ = [
     "SelectionLawError",
     "extremality_check",
     "continuity_check",
-    "CheckOutcome",
     "FamilyParams",
     "enumerate_closed_family",
 ]
@@ -195,17 +195,8 @@ class Selection:
 
     def bracket(self, c: Region) -> Region:
         """{x in carrier : f(C | {x}) = x} for a nonempty closed C inside the
-        carrier; here by evaluation over grid members and carrier endpoints."""
-        out = self.space.empty()
-        cands = set(self.carrier.grid_members())
-        for b, sp in self.carrier.span_items():
-            cands.add(self.space.point(b, sp.lo))
-            if sp.hi_in:
-                cands.add(self.space.point(b, sp.hi))
-        for pt in sorted(cands):
-            if self.evaluate(c.add_point(pt)) == pt:
-                out = out.add_point(pt)
-        return out
+        carrier; every selection type gives it exactly."""
+        raise NotImplementedError
 
     def maximal_point(self) -> Optional[Point]:
         """Point p with f(S) = p whenever p is in S, if structurally known."""
@@ -222,17 +213,10 @@ class OrderExtremumSelection(Selection):
 
     want_max: bool
 
-    def __init__(
-        self,
-        space: Space,
-        carrier: Optional[Region] = None,
-        orientations: Optional[Sequence[bool]] = None,
-    ) -> None:
+    def __init__(self, space: Space, carrier: Optional[Region] = None) -> None:
         self.space = space
         self.carrier = carrier if carrier is not None else space.whole()
-        self.orientations = (
-            tuple(orientations) if orientations is not None else default_orientations(space)
-        )
+        self.orientations = default_orientations(space)
 
     def _pick(self, s: Region) -> Point:
         return order_extremum(self.space, self.orientations, s, self.want_max)
@@ -286,20 +270,13 @@ class LevelSelection(Selection):
     """Level combinator: evaluate the fiber selection at the highest (join)
     or lowest (meet) level met by the argument."""
 
-    def __init__(
-        self,
-        decomp: DecompositionSpec,
-        fibers: FiberSelections,
-        top: bool,
-        continuity_theorem_applicable: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, decomp: DecompositionSpec, fibers: FiberSelections, top: bool) -> None:
         self.decomp = decomp
         self.space = decomp.space
         self.carrier = decomp.carrier
         self.fibers = fibers
         self.top = top
         self.kind = "join" if top else "meet"
-        self.continuity_theorem_applicable = continuity_theorem_applicable
 
     def _level(self, s: Region) -> Ordinal:
         lo, hi = self.decomp.eta_extremes(s)
@@ -398,65 +375,29 @@ class PatchedSelection(Selection):
         return base
 
 
-def _limit_fiber_hypothesis(
-    decomp: DecompositionSpec,
-    fibers: FiberSelections,
-    want: str,
-    family: Optional["FamilyParams"],
-) -> bool:
-    """Each limit-level fiber selection is extreme at the fiber's modulo point."""
-    space = decomp.space
-    for lam in decomp.limit_indices():
-        fib = decomp.fiber(lam)
-        q = decomp.limit_modulo_point(lam)
-        g = fibers.get(lam)
-        if fib == space.point_region(q):
-            continue  # singleton fiber: both hypotheses hold vacuously
-        params = family or FamilyParams(grid_k=2, max_intervals=1)
-        out = extremality_check(g, q, want, params)
-        if not out.passed:
-            return False
-    return True
-
-
 def _level_combinator(
-    decomp: DecompositionSpec,
-    fibers: Optional[FiberSelections],
-    check_hypotheses: bool,
-    family: Optional["FamilyParams"],
-    top: bool,
+    decomp: DecompositionSpec, fibers: Optional[FiberSelections], top: bool
 ) -> LevelSelection:
     if fibers is None:
         space = decomp.space
         fibers = FiberSelections(decomp, lambda idx, fib: OrderMaxSelection(space, carrier=fib))
-    flag = (
-        _limit_fiber_hypothesis(decomp, fibers, "minimal" if top else "maximal", family)
-        if check_hypotheses
-        else None
-    )
-    return LevelSelection(decomp, fibers, top, continuity_theorem_applicable=flag)
+    return LevelSelection(decomp, fibers, top)
 
 
 def join_combinator(
-    decomp: DecompositionSpec,
-    fibers: Optional[FiberSelections] = None,
-    check_hypotheses: bool = True,
-    family: Optional["FamilyParams"] = None,
+    decomp: DecompositionSpec, fibers: Optional[FiberSelections] = None
 ) -> LevelSelection:
     if decomp.kind != "ordinal":
         raise ValueError("join needs an ordinal decomposition")
-    return _level_combinator(decomp, fibers, check_hypotheses, family, top=True)
+    return _level_combinator(decomp, fibers, top=True)
 
 
 def meet_combinator(
-    decomp: DecompositionSpec,
-    fibers: Optional[FiberSelections] = None,
-    check_hypotheses: bool = True,
-    family: Optional["FamilyParams"] = None,
+    decomp: DecompositionSpec, fibers: Optional[FiberSelections] = None
 ) -> LevelSelection:
     if decomp.kind not in ("ordinal", "quasi"):
         raise ValueError("meet needs a quasi-ordinal decomposition")
-    return _level_combinator(decomp, fibers, check_hypotheses, family, top=False)
+    return _level_combinator(decomp, fibers, top=False)
 
 
 # -- exhaustive checking -----------------------------------------------------
@@ -537,19 +478,11 @@ def _build_closed_family(space: Space, params: FamilyParams, base: Region) -> li
     return out
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    passed: bool
-    witness: Optional[object] = None
-    detail: str = ""
-    checked: int = 0
-
-
 def extremality_check(
     f: Selection,
     p: Point,
     mode: str,
-    family: FamilyParams | Iterable[Region] = FamilyParams(),
+    family: FamilyParams = FamilyParams(),
 ) -> CheckOutcome:
     """Exhaustive extremality test over the enumerated family.
 
@@ -558,11 +491,7 @@ def extremality_check(
     if mode not in ("maximal", "minimal"):
         raise ValueError(f"unknown extremality mode {mode!r}")
     space = f.space
-    sets = (
-        enumerate_closed_family(space, family, carrier=f.carrier)
-        if isinstance(family, FamilyParams)
-        else list(family)
-    )
+    sets = enumerate_closed_family(space, family, carrier=f.carrier)
     p_region = space.point_region(p)
     checked = 0
     for s in sets:

@@ -33,7 +33,6 @@ __all__ = [
     "Region",
     "closed_set",
     "open_set",
-    "cs_algebra",
     "complement_closure",
     "clopen_modulo",
     "ClopenStatus",
@@ -516,9 +515,8 @@ class Region:
             self.space, [(b, s.lo, s.hi, True) for b, s in self.span_items()]
         )
 
-    def complement(self, within: Optional["Region"] = None) -> "Region":
-        base = within if within is not None else self.space.whole()
-        return base.difference(self)
+    def complement(self) -> "Region":
+        return self.space.whole().difference(self)
 
     def subset_of(self, other: "Region") -> bool:
         self._check_space(other)
@@ -573,23 +571,6 @@ def open_set(space: Space, items: Iterable[tuple[int, Ordinal, Ordinal]]) -> Reg
 
 
 # -- closed-set operations ----------------------------------------------------
-
-
-def cs_algebra(op: str, a: Region, b: Region) -> Optional[Region]:
-    """Union / Intersect / DiffClosure on closed sets.
-
-    Intersect and DiffClosure return None when the result is empty; closed
-    sets proper are always nonempty.
-    """
-    if op == "union":
-        return a.union(b)
-    if op == "intersect":
-        out = a.intersect(b)
-        return None if out.is_empty else out
-    if op == "diff_closure":
-        out = a.difference(b).closure()
-        return None if out.is_empty else out
-    raise ValueError(f"unknown closed-set operation {op!r}")
 
 
 def complement_closure(h: Region) -> Region:

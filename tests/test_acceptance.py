@@ -184,24 +184,29 @@ def test_criterion_3_derived_sets_on_omega_squared(omega_sq_space, omega_sq_maxi
 # -- 4/5: wedge extremality, exhaustively ------------------------------------------
 
 
+WEDGE_FAMILY = FamilyParams(grid_k=5, max_intervals=2)
+
+
 @pytest.fixture(scope="module")
 def wedge_family(wedge_space):
-    return enumerate_closed_family(wedge_space, FamilyParams(grid_k=5, max_intervals=2))
+    return enumerate_closed_family(wedge_space, WEDGE_FAMILY)
 
 
 def test_criterion_4_join_maximality(wedge_space, wedge_maximal, wedge_family):
     hub = wedge_space.point(0, W)
     assert 5_000 <= len(wedge_family) <= 30_000
-    out = extremality_check(wedge_maximal, hub, "maximal", wedge_family)
+    out = extremality_check(wedge_maximal, hub, "maximal", WEDGE_FAMILY)
     report(4, out.passed, f"{out.checked} sets, maximal at the glue point"
            + ("" if out.passed else f"; witness {out.witness!r}"))
+    assert out.checked == len(wedge_family)
 
 
 def test_criterion_5_meet_minimality(wedge_space, wedge_minimal, wedge_family):
     hub = wedge_space.point(0, W)
-    out = extremality_check(wedge_minimal, hub, "minimal", wedge_family)
+    out = extremality_check(wedge_minimal, hub, "minimal", WEDGE_FAMILY)
     report(5, out.passed, f"{out.checked} sets, minimal at the glue point"
            + ("" if out.passed else f"; witness {out.witness!r}"))
+    assert out.checked == len(wedge_family)
 
 
 # -- 6: continuity over the canonical net corpus -----------------------------------

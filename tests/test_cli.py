@@ -4,6 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from hypersel import cli
+
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 
@@ -39,6 +43,27 @@ FAN3_DEMO_DIGEST = "a77a0b3511420b38a9afb695b902bff5c7eeb938dcddc4fc50b523bd3c91
 # so the two reports agree.
 ORDINAL_W2_DEMO_DIGEST = "987ddfb2755e0f0c813a2b5e648472f4922f7cb56202f7605ff3c187969d4130"
 
+# One net that converges and one tail net cut off at window 0, which escapes a
+# basic around its limit: the pass and the fail-with-witness records of
+# net_convergence.
+NET_DOC = {
+    "schema": "hypersel-scenario/1",
+    "name": "nets",
+    "space": {"branches": ["w"], "gluings": []},
+    "objects": {
+        "points": {"top": [0, "w"]},
+        "nets": {
+            "grow": {"kind": "increasing", "branch": 0, "limit": "w"},
+            "early": {"kind": "tail", "point": "top", "window": 0},
+        },
+    },
+    "suites": [
+        {"check": "net_convergence", "net": "grow"},
+        {"check": "net_convergence", "net": "early"},
+    ],
+}
+NET_DIGEST = "d28ee8005ed406619a66715ca5a496f24c0bae0f3675460fdc5c84679965573a"
+
 
 class TestExitCodes:
     def test_canonical_scenario_exits_zero(self):
@@ -60,6 +85,15 @@ class TestExitCodes:
         out = run_cli("check", str(SCENARIOS / "ordinal_omega2.json"))
         assert out.returncode == 0, out.stderr
         assert report_digest(json.loads(out.stdout)) == ORDINAL_OMEGA2_DIGEST
+
+    def test_net_convergence_report_pinned(self, tmp_path, capsys):
+        path = tmp_path / "nets.json"
+        path.write_text(json.dumps(NET_DOC))
+        assert cli.main(["check", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        early = report["results"][1]
+        assert early["detail"] == "escapes a basic at 0" and "basic" in early["witness"]
+        assert report_digest(report) == NET_DIGEST
 
     def test_malformed_scenario_exits_two(self):
         out = run_cli("check", str(SCENARIOS / "malformed.json"))
@@ -144,6 +178,21 @@ class TestBuildBase:
         out = run_cli("build-base", str(path), "--target", "b")
         assert out.returncode == 2
         assert "invalid scenario" in out.stderr and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("field", [
+        {"kind": "cut", "pcut": "cut", "steps": [8]},
+        {"kind": "cut", "pcut": "cut", "steps": -1},
+        {"kind": "transfinite", "point": "hub", "gamma": 5},
+        {"kind": "transfinite", "point": "hub", "gamma": "w*oops"},
+    ])
+    def test_bad_base_field_exits_two(self, field, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "wedge.json").read_text())
+        doc["objects"]["bases"]["b"] = {"selection": "fmax", **field}
+        path = tmp_path / "bad-base.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["build-base", str(path), "--target", "b"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid scenario" in err and "Traceback" not in err
 
 
 class TestDemo:

@@ -161,7 +161,7 @@ class TestNets:
         )
         out = net_convergence_check(net)
         assert not out.passed
-        assert out.witness_basic is not None
+        assert out.witness is not None
 
     def test_tail_net_limit(self, line):
         net = shrinking_tail_net(line, line.point(0, W))

@@ -11,8 +11,6 @@ from hypersel.ordinal import (
     left_difference,
     omega_power,
     ord_add,
-    ord_classify,
-    ord_compare,
     ord_fundamental,
     parse_ordinal,
     predecessor,
@@ -40,22 +38,30 @@ def _fold(terms):
     return total
 
 
+def compare(a, b):
+    """-1, 0 or 1 from the ordering operators."""
+    return (a > b) - (a < b)
+
+
 class TestCompare:
     def test_identity(self):
-        assert ord_compare(ZERO, ZERO) == 0
+        assert ZERO == ZERO and compare(ZERO, ZERO) == 0
 
     def test_successor_larger(self):
-        assert ord_compare(OMEGA, P("w+1")) == -1
+        assert OMEGA < P("w+1")
 
     def test_mixed_degree(self):
         # frozen from the independent ordinal-arithmetic oracle
         assert sym_compare(P("w*2+3"), P("w^2")) == -1
-        assert ord_compare(P("w*2+3"), P("w^2")) == -1
+        assert P("w*2+3") < P("w^2")
 
     @given(ordinals(), ordinals())
     @settings(max_examples=300)
     def test_matches_oracle(self, a, b):
-        assert ord_compare(a, b) == sym_compare(a, b)
+        expected = sym_compare(a, b)
+        assert compare(a, b) == expected
+        assert (a == b) == (expected == 0)
+        assert (a <= b) == (expected <= 0) and (a >= b) == (expected >= 0)
 
 
 class TestAdd:
@@ -96,14 +102,16 @@ class TestAdd:
 
 class TestClassify:
     def test_zero(self):
-        assert ord_classify(ZERO) == "zero"
+        assert ZERO.is_zero and not ZERO.is_successor and not ZERO.is_limit
 
     def test_successor(self):
-        assert ord_classify(P("w+5")) == "successor"
+        w5 = P("w+5")
+        assert w5.is_successor and not w5.is_limit and not w5.is_zero
         assert predecessor(P("w+5")) == P("w+4")
 
     def test_limit(self):
-        assert ord_classify(P("w^2")) == "limit"
+        wsq = P("w^2")
+        assert wsq.is_limit and not wsq.is_successor and not wsq.is_zero
 
     def test_no_predecessor_of_limit(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,19 @@ class TestReports:
         assert report.records[0].status == "fail"
         assert report.records[0].witness is not None
 
+    def test_unexpected_exception_becomes_error_record(self, monkeypatch):
+        from hypersel import scenario
+
+        def broken(sc, spec):
+            raise KeyError("planted")
+
+        monkeypatch.setitem(scenario.CHECKS, "ordinal_laws", broken)
+        doc = minimal_doc(suites=[{"check": "ordinal_laws"}])
+        report = run_scenario(Scenario.load(doc))
+        assert report.exit_code() == 1
+        assert report.records[0].status == "error"
+        assert report.records[0].detail == "KeyError: 'planted'"
+
     def test_generator_documents_validate(self):
         for doc in [make_ordinal_scenario("w*2"), make_wedge_scenario(2),
                     make_fan_scenario(3)]:
@@ -246,6 +259,36 @@ def _broken(kind):
         doc["params"]["grid_k"] = [1]
     elif kind == "depth-not-int":
         doc["params"]["depth"] = "2"
+    elif kind == "branch-not-string":
+        doc["space"]["branches"] = [5, "w"]
+    elif kind == "point-position-not-string":
+        objects["points"]["p"] = [0, 5]
+    elif kind == "point-literal-object":
+        objects["points"]["p"] = {}
+    elif kind == "set-item-object":
+        objects["closed_sets"]["c"] = [{}]
+    elif kind == "net-limit-not-string":
+        objects["nets"]["m"] = {"kind": "increasing", "branch": 0, "limit": 5}
+    elif kind == "check-not-string":
+        suites.append({"check": ["selection_law"]})
+    elif kind == "suite-depth-negative":
+        suites.append({"check": "net_convergence", "net": "n", "depth": -1})
+    elif kind == "suite-count-list":
+        suites.append({"check": "derived_props", "selection": "f", "count": [1]})
+    elif kind == "suite-triples-string":
+        suites.append({"check": "ordinal_laws", "triples": "5"})
+    elif kind == "suite-steps-bool":
+        suites.append({"check": "base_at_cut", "selection": "f", "pcut": "cut", "steps": True})
+    elif kind == "suite-seed-string":
+        suites.append({"check": "derived_props", "selection": "f", "seed": "x"})
+    elif kind == "suite-gamma-not-string":
+        suites.append({"check": "transfinite_roundtrip", "selection": "f", "point": "p",
+                       "gamma": [1]})
+    elif kind == "base-steps-list":
+        objects["bases"] = {"b": {"kind": "cut", "selection": "f", "pcut": "cut", "steps": [8]}}
+    elif kind == "base-gamma-bad":
+        objects["bases"] = {"b": {"kind": "transfinite", "selection": "f", "point": "p",
+                                  "gamma": "w*oops"}}
     return doc
 
 
@@ -257,6 +300,10 @@ HOSTILE = [
     "family-bound-not-int", "suite-family-list", "patched-parent-list", "restrict-parent-list",
     "net-branch-list", "net-branch-out-of-range", "net-offset-list", "pcut-sides-not-list",
     "set-branch-out-of-range", "point-branch-negative", "grid-not-int", "depth-not-int",
+    "branch-not-string", "point-position-not-string", "point-literal-object",
+    "set-item-object", "net-limit-not-string", "check-not-string", "suite-depth-negative",
+    "suite-count-list", "suite-triples-string", "suite-steps-bool", "suite-seed-string",
+    "suite-gamma-not-string", "base-steps-list", "base-gamma-bad",
 ]
 
 

@@ -15,6 +15,7 @@ from hypersel.selection import (
     extremality_check,
     join_combinator,
     meet_combinator,
+    order_extremum,
 )
 from hypersel.hyperspace import increasing_union_net
 from hypersel.scenario import canonical_net_corpus
@@ -53,11 +54,10 @@ class TestOrderPrimitives:
             assert s.contains_point(f.evaluate(s))
 
     def test_ascending_everywhere_fails_on_wedge(self, wedge_space):
-        f = OrderMaxSelection(wedge_space, orientations=(True, True))
         # branch-1 members climb toward the hub whose key sits on branch 0
         s = creg(wedge_space, (1, ZERO, W))
         with pytest.raises(ExtremumNotAttained):
-            f.evaluate(s)
+            order_extremum(wedge_space, (True, True), s, True)
 
     def test_rejects_outside_domain(self, omega_space):
         f = OrderMaxSelection(omega_space, carrier=creg(omega_space, (0, ZERO, O(3))))
@@ -121,11 +121,6 @@ class TestCombinators:
                 join_combinator(d)
         finally:
             d.kind = "ordinal"
-
-    def test_continuity_flag_set(self, omega_space):
-        d = point_decomposition(omega_space, omega_space.point(0, W))
-        assert join_combinator(d).continuity_theorem_applicable is True
-        assert meet_combinator(d).continuity_theorem_applicable is True
 
     def test_restriction_coherence(self, omega_space):
         f = OrderMaxSelection(omega_space)

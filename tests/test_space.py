@@ -10,7 +10,6 @@ from hypersel.space import (
     clopen_modulo,
     closed_set,
     complement_closure,
-    cs_algebra,
     next_point,
     open_set,
     rel_open,
@@ -37,33 +36,33 @@ class TestAlgebra:
     def test_union_merges(self, line):
         a = reg(line, (0, ZERO, O(3)))
         b = reg(line, (0, O(2), O(5)))
-        assert cs_algebra("union", a, b) == reg(line, (0, ZERO, O(5)))
+        assert a.union(b) == reg(line, (0, ZERO, O(5)))
 
     def test_adjacent_union_merges(self, line):
         a = reg(line, (0, ZERO, O(3)))
         b = reg(line, (0, O(4), O(5)))
-        assert cs_algebra("union", a, b) == reg(line, (0, ZERO, O(5)))
+        assert a.union(b) == reg(line, (0, ZERO, O(5)))
 
     def test_intersect_singleton(self, line):
         a = reg(line, (0, ZERO, W))
         b = reg(line, (0, W, W2))
-        assert cs_algebra("intersect", a, b) == reg(line, (0, W, W))
+        assert a.intersect(b) == reg(line, (0, W, W))
 
-    def test_intersect_empty_is_none(self, line):
+    def test_intersect_empty(self, line):
         a = reg(line, (0, ZERO, O(3)))
         b = reg(line, (0, O(5), O(9)))
-        assert cs_algebra("intersect", a, b) is None
+        assert a.intersect(b).is_empty
 
     def test_diff_closure(self, line):
         a = reg(line, (0, ZERO, W))
         b = reg(line, (0, O(5), O(5)))
-        out = cs_algebra("diff_closure", a, b)
+        out = a.difference(b).closure()
         assert out == reg(line, (0, ZERO, O(4)), (0, O(6), W))
 
     def test_diff_closure_against_grid_oracle(self, line):
         a = reg(line, (0, ZERO, W))
         b = reg(line, (0, O(5), O(5)))
-        out = cs_algebra("diff_closure", a, b)
+        out = a.difference(b).closure()
         raw = a.difference(b)
         assert {p for p in line.grid_points() if out.contains_point(p)} == (
             grid_closure_members(line, raw)
@@ -72,7 +71,7 @@ class TestAlgebra:
     def test_mismatched_spaces(self, line):
         other = Space([W2])
         with pytest.raises(SpaceMismatchError):
-            cs_algebra("union", reg(line, (0, ZERO, O(1))), reg(other, (0, ZERO, O(1))))
+            reg(line, (0, ZERO, O(1))).union(reg(other, (0, ZERO, O(1))))
 
 
 class TestComplementClosure:
