@@ -139,7 +139,7 @@ class ExplicitDecomposition(DecompositionSpec):
         raise DecompositionError(f"{pt} outside the decomposition carrier")
 
     def eta_extremes(self, s: Region) -> tuple[Ordinal, Ordinal]:
-        hit = [i for i, fib in enumerate(self.fibers) if not s.intersect(fib).is_empty]
+        hit = [i for i, fib in enumerate(self.fibers) if s.meets(fib)]
         if not hit:
             raise DecompositionError("set misses every fiber")
         return Ordinal.from_int(hit[0]), Ordinal.from_int(hit[-1])
@@ -229,7 +229,7 @@ class ChainDecomposition(DecompositionSpec):
         if s.contains_point(self.p):
             return lo_idx, OMEGA
         hi = 0
-        while not s.intersect(self.chain(hi + 1)).is_empty:
+        while s.meets(self.chain(hi + 1)):
             hi += 1
             if hi > SCAN_CAP:
                 raise ChainResolutionError("maximum level beyond scan cap")
@@ -271,7 +271,7 @@ class ConcatDecomposition(DecompositionSpec):
         for part in parts[1:]:
             if part.space is not self.space:
                 raise DecompositionError("parts live over different spaces")
-            if not carrier.intersect(part.carrier).is_empty:
+            if carrier.meets(part.carrier):
                 raise DecompositionError("part carriers overlap")
             carrier = carrier.union(part.carrier)
         self.carrier = carrier
@@ -502,7 +502,7 @@ def decomp_validate(d: DecompositionSpec) -> ValidationReport:
     seq = list(fibs.items())
     for i in range(len(seq)):
         for j in range(i + 1, len(seq)):
-            if not seq[i][1].intersect(seq[j][1]).is_empty:
+            if seq[i][1].meets(seq[j][1]):
                 ok, detail = False, f"fibers {seq[i][0]} and {seq[j][0]} overlap"
     report.add("fibers-disjoint", ok, detail)
 

@@ -66,7 +66,7 @@ def vietoris_member(s: Region, basic: VietorisBasic) -> bool:
         union = union.union(part)
     if not s.subset_of(union):
         return False
-    return all(not s.intersect(part).is_empty for part in basic.parts)
+    return all(s.meets(part) for part in basic.parts)
 
 
 def _span_cover(space: Space, branch: int, lo: Ordinal, hi: Ordinal, level: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -23,7 +24,6 @@ from hypersel.ordinal import (
     ord_fundamental,
     omega_power,
     parse_ordinal,
-    predecessor,
     successor,
 )
 from hypersel.space import (
@@ -131,12 +131,12 @@ def _check_fields(spec: dict, what: str) -> None:
             raise ScenarioError(f"{what}: bad gamma: {exc}") from exc
 
 
-def _int_field(spec: dict, key: str, what: str) -> int:
-    """An optional integer field of an object spec, 0 when absent."""
-    try:
-        return int(spec.get(key, 0))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{what}: bad {key} {spec.get(key)!r}") from exc
+def _count_field(spec: dict, key: str, what: str) -> int:
+    """An optional non-negative integer field of an object spec, 0 when absent."""
+    value = spec.get(key, 0)
+    if not _is_count(value):
+        raise ScenarioError(f"{what}: {key} must be a non-negative integer, not {value!r}")
+    return value
 
 
 def _required(spec: dict, key: str, what: str):
@@ -157,10 +157,10 @@ def _specs(objects: dict, group: str):
 
 
 def _branch(space: Space, ref) -> int:
-    b = int(ref)
-    if not 0 <= b < len(space.branches):
-        raise ValueError(f"no branch {b}")
-    return b
+    """A branch index: an integer, not a bool, naming a branch of the space."""
+    if not isinstance(ref, int) or isinstance(ref, bool) or not 0 <= ref < len(space.branches):
+        raise ValueError(f"no branch {ref!r}")
+    return ref
 
 
 def region_from_json(space: Space, literal) -> Region:
@@ -454,7 +454,7 @@ class Scenario:
             base = self._closed(spec["base"]) if spec.get("base") else None
             return increasing_union_net(
                 self.space,
-                _branch(self.space, _int_field(spec, "branch", what)),
+                _branch(self.space, spec.get("branch", 0)),
                 parse_ordinal(spec.get("lo", "0")),
                 parse_ordinal(_required(spec, "limit", what)),
                 base=base,
@@ -468,7 +468,7 @@ class Scenario:
                 self._point(_required(spec, "point", what)),
                 base=base,
                 window=window,
-                offset=_int_field(spec, "offset", what),
+                offset=_count_field(spec, "offset", what),
                 name=name,
             )
         if kind == "appended":
@@ -480,7 +480,7 @@ class Scenario:
                 self._point(_required(spec, "point", what)),
                 self._closed(_required(spec, "base", what)),
                 window=window,
-                offset=_int_field(spec, "offset", what),
+                offset=_count_field(spec, "offset", what),
                 name=name,
             )
         raise ScenarioError(f"net {name!r}: unknown kind {kind!r}")
@@ -593,16 +593,17 @@ def _check_ordinal_laws(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
 
 
 def _oracle_has_base_interval(h: Region, b: int, x: Ordinal) -> bool:
-    space = h.space
+    """Some interval (c, x] = [c + 1, x] lies in one span of h, for c the
+    predecessor of x or a grid position below x."""
     if x == ZERO:
         return True
-    cands = []
-    if x.is_successor:
-        cands.append(predecessor(x))
-    cands.extend(g for g in reversed(space.grid_positions(b)) if g < x)
-    for c in cands:
-        lo = successor(c)
-        if any(s.lo <= lo and s.covers(x) and s.covers(lo) for s in h.traces[b]):
+    around = [s for s in h.traces[b] if s.covers(x)]
+    if x.is_successor and around:
+        return True  # c = x - 1: the interval is {x}
+    grid = h.space.grid_positions(b)
+    for i in range(bisect_left(grid, x) - 1, -1, -1):  # grid[i] < x, nearest first
+        lo = successor(grid[i])
+        if any(s.covers(lo) for s in around):
             return True
     return False
 

@@ -487,6 +487,9 @@ def extremality_check(
     """Exhaustive extremality test over the enumerated family.
 
     maximal: f(S) = p whenever p is in S; minimal: f(S) != p whenever S != {p}.
+    Both modes evaluate f only on the sets that contain p: f(S) = p needs p
+    in S by the selection law, which the selection_law check tests on the
+    other sets.  checked counts every set of the family.
     """
     if mode not in ("maximal", "minimal"):
         raise ValueError(f"unknown extremality mode {mode!r}")
@@ -500,7 +503,7 @@ def extremality_check(
             if s.contains_point(p) and f.evaluate(s) != p:
                 return CheckOutcome(False, s, f"f(S) != {p} though {p} in S", checked)
         else:
-            if s != p_region and f.evaluate(s) == p:
+            if s.contains_point(p) and s != p_region and f.evaluate(s) == p:
                 return CheckOutcome(False, s, f"f(S) = {p} though S != {{{p}}}", checked)
     return CheckOutcome(True, None, "", checked)
 

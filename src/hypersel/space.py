@@ -111,11 +111,16 @@ class Space:
             classes.append(coords)
         self.gluings = tuple(classes)
         self.grid_k = grid_k
-        self._coord_class: dict[tuple[int, Ordinal], tuple[tuple[int, Ordinal], ...]] = {}
+        # keyed by (branch, pos.terms): a tuple of ints hashes without a
+        # Python-level call
+        self._coord_class: dict[tuple[int, tuple], tuple[tuple[int, Ordinal], ...]] = {}
         for coords in self.gluings:
-            for c in coords:
-                self._coord_class[c] = coords
+            for b, p in coords:
+                self._coord_class[(b, p.terms)] = coords
         self._grid_cache: dict[tuple[int, int], tuple[Ordinal, ...]] = {}
+        self._grid_points_cache: dict[int, tuple[Point, ...]] = {}
+        # regions are immutable values, so one singleton per point is shared
+        self._point_regions: dict[Point, Region] = {}
         # closed families built over this space, by (FamilyParams, carrier);
         # filled and read by selection.enumerate_closed_family
         self._family_cache: dict[tuple, list] = {}
@@ -123,7 +128,7 @@ class Space:
     # -- points ------------------------------------------------------------
 
     def class_coords(self, branch: int, pos: Ordinal) -> tuple[tuple[int, Ordinal], ...]:
-        return self._coord_class.get((branch, pos), ((branch, pos),))
+        return self._coord_class.get((branch, pos.terms)) or ((branch, pos),)
 
     def point(self, branch: int, pos: Ordinal) -> Point:
         if pos > self.branches[branch]:
@@ -135,7 +140,11 @@ class Space:
         return self.class_coords(pt.branch, pt.pos)
 
     def point_region(self, pt: Point) -> "Region":
-        return Region.make(self, [(b, p, p, True) for b, p in self.point_coords(pt)])
+        reg = self._point_regions.get(pt)
+        if reg is None:
+            reg = Region.make(self, [(b, p, p, True) for b, p in self.point_coords(pt)])
+            self._point_regions[pt] = reg
+        return reg
 
     # -- grids ---------------------------------------------------------------
 
@@ -194,16 +203,14 @@ class Space:
         self._grid_cache[key] = out
         return out
 
-    def grid_points(self, k: Optional[int] = None) -> list[Point]:
-        seen = set()
-        out = []
-        for b in range(len(self.branches)):
-            for pos in self.grid_positions(b, k):
-                pt = self.point(b, pos)
-                if pt not in seen:
-                    seen.add(pt)
-                    out.append(pt)
-        out.sort()
+    def grid_points(self, k: Optional[int] = None) -> tuple[Point, ...]:
+        k = self.grid_k if k is None else k
+        cached = self._grid_points_cache.get(k)
+        if cached is not None:
+            return cached
+        pts = {self.point(b, pos) for b in range(len(self.branches))
+               for pos in self.grid_positions(b, k)}
+        out = self._grid_points_cache[k] = tuple(sorted(pts))
         return out
 
     # -- canonical approach ladders ---------------------------------------
@@ -398,6 +405,25 @@ def _minus_trace(xs: tuple[Span, ...], ys: tuple[Span, ...]) -> tuple[Span, ...]
     return tuple(out)
 
 
+def _meets_trace(xs: tuple[Span, ...], ys: tuple[Span, ...]) -> bool:
+    """Some span of xs overlaps some span of ys: the walk of _meet_trace,
+    stopping at the first nonempty piece."""
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        x, y = xs[i], ys[j]
+        xe, ye = (x.hi.terms, x.hi_in), (y.hi.terms, y.hi_in)
+        end = xe if xe <= ye else ye
+        lo_t = max(x.lo.terms, y.lo.terms)
+        if lo_t < end[0] or (end[1] and lo_t == end[0]):
+            return True
+        if xe <= ye:
+            i += 1
+        else:
+            j += 1
+    return False
+
+
 def _inside_trace(xs: tuple[Span, ...], ys: tuple[Span, ...]) -> bool:
     """Each span of xs lies in one span of ys (components are maximal)."""
     j, ny = 0, len(ys)
@@ -472,12 +498,21 @@ class Region:
         return not any(self.traces)
 
     def covers_position(self, branch: int, pos: Ordinal) -> bool:
-        return any(s.covers(pos) for s in self.traces[branch])
+        # spans are sorted and disjoint: none past the first that starts
+        # above pos can cover it
+        t = pos.terms
+        for lo, hi, hi_in in self.traces[branch]:
+            if t < lo.terms:
+                return False
+            if t < hi.terms or (hi_in and t == hi.terms):
+                return True
+        return False
 
     def contains_point(self, pt: Point) -> bool:
-        return any(
-            self.covers_position(b, p) for b, p in self.space.point_coords(pt)
-        )
+        for b, p in self.space.class_coords(pt.branch, pt.pos):
+            if self.covers_position(b, p):
+                return True
+        return False
 
     def span_items(self) -> Iterable[tuple[int, Span]]:
         for b, tr in enumerate(self.traces):
@@ -522,6 +557,11 @@ class Region:
         self._check_space(other)
         return all(map(_inside_trace, self.traces, other.traces))
 
+    def meets(self, other: "Region") -> bool:
+        """Whether the two sets share a point, without building the intersection."""
+        self._check_space(other)
+        return any(map(_meets_trace, self.traces, other.traces))
+
     def add_point(self, pt: Point) -> "Region":
         return self.union(self.space.point_region(pt))
 
@@ -531,13 +571,18 @@ class Region:
     # -- topology ----------------------------------------------------------
 
     def is_closed(self) -> bool:
-        return all(s.hi_in for _, s in self.span_items())
+        for tr in self.traces:
+            for s in tr:
+                if not s.hi_in:
+                    return False
+        return True
 
     def is_open(self) -> bool:
         """Exact openness in the quotient: every span left end is 0 or a successor."""
-        for _, s in self.span_items():
-            if s.lo.is_limit:
-                return False
+        for tr in self.traces:
+            for s in tr:
+                if s.lo.is_limit:
+                    return False
         return True
 
     def is_clopen(self) -> bool:
@@ -657,7 +702,7 @@ def rel_open(a: Region, carrier: Region) -> bool:
     """Relative openness of a inside the closed subspace carrier."""
     if not a.subset_of(carrier):
         raise ValueError("set is not contained in the subspace")
-    return carrier.difference(a).closure().intersect(a).is_empty
+    return not carrier.difference(a).closure().meets(a)
 
 
 def next_point(region: Region, exclude: tuple[Point, ...] = ()) -> Optional[Point]:

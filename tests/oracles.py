@@ -218,6 +218,35 @@ def ref_point_region(space: Space, pt: Point) -> Region:
     return ref_make(space, [(b, p, p, True) for b, p in space.point_coords(pt)])
 
 
+def ref_covers_position(r: Region, branch: int, pos: Ordinal) -> bool:
+    """Region.covers_position as a test of every span, sorted or not."""
+    return any(s.covers(pos) for s in r.traces[branch])
+
+
+def ref_contains_point(r: Region, pt: Point) -> bool:
+    return any(ref_covers_position(r, b, p) for b, p in r.space.point_coords(pt))
+
+
+def ref_is_closed(r: Region) -> bool:
+    return all(s.hi_in for _, s in r.span_items())
+
+
+def ref_has_base_interval(h: Region, b: int, x: Ordinal) -> bool:
+    """scenario._oracle_has_base_interval as it was before its bisect: every
+    grid position below x is listed before the first is tried."""
+    if x == Ordinal():
+        return True
+    cands = []
+    if x.is_successor:
+        cands.append(ref_predecessor(x))
+    cands.extend(g for g in reversed(h.space.grid_positions(b)) if g < x)
+    for c in cands:
+        lo = ref_successor(c)
+        if any(s.lo <= lo and s.covers(x) and s.covers(lo) for s in h.traces[b]):
+            return True
+    return False
+
+
 def ref_clopen_modulo(h: Region) -> tuple:
     """(kind, point, delta_omega) of space.clopen_modulo, removing the point
     with the reference difference."""

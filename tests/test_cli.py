@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,7 @@ FAN3_DEMO_DIGEST = "a77a0b3511420b38a9afb695b902bff5c7eeb938dcddc4fc50b523bd3c91
 # The w*2 ordinal demo generates the document of scenarios/ordinal_omega2.json,
 # so the two reports agree.
 ORDINAL_W2_DEMO_DIGEST = "987ddfb2755e0f0c813a2b5e648472f4922f7cb56202f7605ff3c187969d4130"
+ORDINAL_W_SQUARED_DEMO_DIGEST = "364507b3e8276f526bb8d958fd967e85845cbcb6bd8a3a0b54b76b646cbc68f1"
 
 # One net that converges and one tail net cut off at window 0, which escapes a
 # basic around its limit: the pass and the fail-with-witness records of
@@ -211,7 +213,53 @@ class TestDemo:
         assert any(r["check"] == "pointwise_minimal" for r in report["results"])
         assert report_digest(report) == ORDINAL_W2_DEMO_DIGEST
 
+    def test_ordinal_w_squared_demo_json(self):
+        out = run_cli("demo", "ordinal", "--gamma", "w^2", "--report", "json")
+        assert out.returncode == 0, out.stderr
+        assert report_digest(json.loads(out.stdout)) == ORDINAL_W_SQUARED_DEMO_DIGEST
+
     def test_ordinal_demo_text(self):
         out = run_cli("demo", "ordinal", "--gamma", "w", "--report", "text")
         assert out.returncode == 0, out.stderr
         assert "passed" in out.stdout
+
+
+def _outcome(run, argv, capsys):
+    """Exit code (or argparse's SystemExit code), stdout with timings zeroed, stderr."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, re.sub(r'"elapsed_ms": [-+.e0-9]+', '"elapsed_ms": 0', out.out), out.err
+
+
+class TestParserReuse:
+    def test_one_parser_for_many_calls(self, tmp_path, monkeypatch, capsys):
+        nets = tmp_path / "nets.json"
+        nets.write_text(json.dumps(NET_DOC))
+        argvs = [
+            ["validate", str(SCENARIOS / "wedge.json")],
+            ["check", str(nets)],
+            ["check", str(SCENARIOS / "malformed.json")],
+            ["build-base", str(SCENARIOS / "wedge.json"), "--target", "nope"],
+            ["demo", "ordinal", "--gamma", "w+1"],
+            ["check"],
+            ["check", str(nets)],
+        ]
+
+        def fresh_parser(argv):
+            args = cli.build_parser().parse_args(argv)
+            return args.fn(args)
+
+        want = [_outcome(fresh_parser, argv, capsys) for argv in argvs]
+        assert [w[0] for w in want] == [0, 1, 2, 2, 2, ("exit", 2), 1]
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert [_outcome(cli.main, argv, capsys) for argv in argvs] == want
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1

@@ -12,14 +12,20 @@ from hypersel.ordinal import (
     predecessor,
     successor,
 )
+from hypersel.scenario import _oracle_has_base_interval
+from hypersel.selection import FamilyParams, enumerate_closed_family
 from hypersel.space import Region, Space, clopen_modulo
 from oracles import (
     is_saturated,
     oracle_spaces,
     ref_clopen_modulo,
     ref_closure,
+    ref_contains_point,
+    ref_covers_position,
     ref_difference,
+    ref_has_base_interval,
     ref_intersect,
+    ref_is_closed,
     ref_make,
     ref_normalize,
     ref_point_region,
@@ -85,6 +91,29 @@ class TestRegionAlgebraMatchesReference:
         assert a.subset_of(b) == ref_subset_of(a, b)
         assert b.subset_of(a) == ref_subset_of(b, a)
         assert a.intersect(b).subset_of(a) and a.subset_of(a.union(b))
+        meets = not ref_intersect(a, b).is_empty
+        assert a.meets(b) == b.meets(a) == meets
+        assert a.meets(a) == (not a.is_empty)
+
+    @given(region_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_membership_and_closedness(self, case):
+        space, sa, sb = case
+        for spans in (sa, sb, sa + sb):
+            a, ref = Region.make(space, spans), ref_make(space, spans)
+            for got in (a, a.closure()):
+                assert got.is_closed() == ref_is_closed(got)
+            assert a.is_closed() == ref_is_closed(ref)
+            for b, top in enumerate(space.branches):
+                probes = set(space.grid_positions(b, 3))
+                for s in ref.traces[b]:
+                    probes.update((s.lo, s.hi, successor(s.lo)))
+                    if s.hi < top:
+                        probes.add(successor(s.hi))
+                for x in probes:
+                    assert a.covers_position(b, x) == ref_covers_position(ref, b, x)
+            for pt in space.grid_points(3):
+                assert a.contains_point(pt) == ref_contains_point(ref, pt)
 
     @given(region_pairs(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -113,6 +142,36 @@ class TestRegionAlgebraMatchesReference:
         for x, y in ((inner, a), (inner, b), (a, a), (a.difference(b), a), (a, a.closure())):
             assert x.subset_of(y) and ref_subset_of(x, y)
             assert y.subset_of(x) == ref_subset_of(y, x)
+
+
+class TestOracleAndSpaceCaches:
+    def test_bisect_base_interval_matches_materializing_scan(self):
+        for space in oracle_spaces().values():
+            for h in enumerate_closed_family(space, FamilyParams(grid_k=2)):
+                for b in range(len(space.branches)):
+                    xs = {g for g in space.grid_positions(b) if h.covers_position(b, g)}
+                    xs.update(x for s in h.traces[b] for x in (s.lo, s.hi))
+                    for x in xs:
+                        assert _oracle_has_base_interval(h, b, x) == ref_has_base_interval(h, b, x)
+
+    def test_grid_points_and_point_regions_are_cached(self):
+        warm = oracle_spaces()
+        for name, space in warm.items():
+            fresh = oracle_spaces()[name]
+            for k in (None, 2, 3):
+                pts = space.grid_points(k)
+                assert isinstance(pts, tuple) and space.grid_points(k) is pts
+                assert pts == fresh.grid_points(k)
+                assert list(pts) == sorted({
+                    space.point(b, g)
+                    for b in range(len(space.branches))
+                    for g in space.grid_positions(b, k)
+                })
+            for pt in space.grid_points(3):
+                reg = space.point_region(pt)
+                assert space.point_region(pt) is reg
+                assert reg == ref_point_region(space, pt)
+                assert reg.traces == fresh.point_region(pt).traces
 
 
 def cnf_ordinals(max_exp=4, max_coef=9):

@@ -289,8 +289,20 @@ def _broken(kind):
     elif kind == "base-gamma-bad":
         objects["bases"] = {"b": {"kind": "transfinite", "selection": "f", "point": "p",
                                   "gamma": "w*oops"}}
+    elif kind.startswith("net-branch-"):
+        objects["nets"]["m"] = {"kind": "increasing", "branch": NOT_COUNTS[kind[11:]],
+                                "limit": "w"}
+    elif kind.startswith("net-offset-"):
+        objects["nets"]["m"] = {"kind": "tail", "point": "p", "offset": NOT_COUNTS[kind[11:]]}
+    elif kind.startswith("set-branch-"):
+        objects["closed_sets"]["c"] = [[NOT_COUNTS[kind[11:]], "0", "w"]]
+    elif kind.startswith("point-branch-"):
+        objects["points"]["p"] = [NOT_COUNTS[kind[13:]], "w"]
     return doc
 
+
+# Values that int() would read as 1.
+NOT_COUNTS = {"float": 1.5, "bool": True, "string": "1"}
 
 HOSTILE = [
     "missing-selection", "points-list", "negative-window", "net-window", "window-not-int",
@@ -304,6 +316,8 @@ HOSTILE = [
     "set-item-object", "net-limit-not-string", "check-not-string", "suite-depth-negative",
     "suite-count-list", "suite-triples-string", "suite-steps-bool", "suite-seed-string",
     "suite-gamma-not-string", "base-steps-list", "base-gamma-bad",
+    *(f"{where}-branch-{label}" for where in ("net", "set", "point") for label in NOT_COUNTS),
+    *(f"net-offset-{label}" for label in NOT_COUNTS),
 ]
 
 

@@ -6,6 +6,7 @@ from hypersel.decomp import ExplicitDecomposition, point_decomposition
 from hypersel.selection import (
     ExtremumNotAttained,
     FamilyParams,
+    FiberSelections,
     OrderMaxSelection,
     OrderMinSelection,
     PatchedSelection,
@@ -18,7 +19,7 @@ from hypersel.selection import (
     order_extremum,
 )
 from hypersel.hyperspace import increasing_union_net
-from hypersel.scenario import canonical_net_corpus
+from hypersel.scenario import Scenario, canonical_net_corpus, region_to_json, run_scenario
 
 O = Ordinal.from_int
 P = parse_ordinal
@@ -166,6 +167,40 @@ class TestExtremality:
         hub = wedge_space.point(0, W)
         out = extremality_check(wedge_minimal, hub, "minimal", FamilyParams(grid_k=4))
         assert out.passed
+
+    def test_minimal_mode_leaves_sets_without_p_to_selection_law(self):
+        # A meet over [rest, {p}] whose rest-fiber selection answers p, outside
+        # its argument, on one family set without p.  Minimal extremality only
+        # evaluates sets containing p, so it passes; the selection_law entry
+        # over the same family reports the set.
+        sc = Scenario.load({
+            "schema": "hypersel-scenario/1", "name": "planted-law-break",
+            "space": {"branches": ["w"], "gluings": []},
+            "params": {"family": {"grid_k": 2, "max_intervals": 2}},
+            "objects": {"selections": {"f": {"kind": "order_max"}}},
+            "suites": [{"check": "selection_law", "selection": "f"}],
+        })
+        space, fam = sc.space, FamilyParams(grid_k=2, max_intervals=2)
+        p = space.point(0, ZERO)
+        p_reg = space.point_region(p)
+        family = enumerate_closed_family(space, fam)
+        # two intervals clear of 0 and 1: adding p would make a third, so no
+        # family set containing p meets the rest fiber in exactly this set
+        bad = next(s for s in family if len(s.traces[0]) == 2 and s.traces[0][0].lo > O(1))
+
+        class LawBreaker(OrderMaxSelection):
+            def _pick(self, s):
+                return p if s == bad else super()._pick(s)
+
+        d = ExplicitDecomposition(space, [space.whole().difference(p_reg), p_reg])
+        meet = meet_combinator(d, FiberSelections(d, lambda idx, fib: LawBreaker(space, fib)))
+        out = extremality_check(meet, p, "minimal", fam)
+        assert out.passed and out.checked == len(family)
+        assert meet._values and all(s.contains_point(p) for s in meet._values)
+        sc.selections["f"] = meet
+        record = run_scenario(sc).records[0]
+        assert record.status == "fail" and "outside" in record.detail
+        assert record.witness == {"set": region_to_json(bad)}
 
 
 class TestContinuity:
