@@ -1,12 +1,14 @@
 """Vietoris basic opens, canonical neighbourhood families and net convergence.
 
 Convergence checking is a falsifiable necessary-condition test over a finite
-window: a Pass certifies eventual membership in every generated basic
-neighbourhood of the declared limit up to the window, nothing beyond it.
+window: a Pass certifies that member ``window`` lies in every generated basic
+neighbourhood of the declared limit, nothing beyond it.  The check builds and
+reads that member only; members below the window are never built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from hypersel.ordinal import Ordinal, ord_fundamental, fund_index_at_least, successor
@@ -49,6 +51,7 @@ class VietorisBasic:
     that meet every part."""
 
     parts: tuple[Region, ...]
+    union: Region = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.parts:
@@ -58,13 +61,14 @@ class VietorisBasic:
                 raise ValueError("parts must be nonempty")
             if not part.is_open():
                 raise ValueError("parts must be open")
+        union = self.parts[0]
+        for part in self.parts[1:]:
+            union = union.union(part)
+        object.__setattr__(self, "union", union)
 
 
 def vietoris_member(s: Region, basic: VietorisBasic) -> bool:
-    union = basic.parts[0]
-    for part in basic.parts[1:]:
-        union = union.union(part)
-    if not s.subset_of(union):
+    if not s.subset_of(basic.union):
         return False
     return all(s.meets(part) for part in basic.parts)
 
@@ -116,15 +120,20 @@ def _tight_parts(s: Region, level: int) -> tuple[Region, ...]:
     return tuple(out)
 
 
-def basic_nbhd_family(s: Region, depth: int = 2) -> list[VietorisBasic]:
+def basic_nbhd_family(s: Region, depth: int = 2) -> tuple[VietorisBasic, ...]:
     """Deterministic finite family of basics containing s.
 
     Includes the whole-space basic, tight span covers at every refinement
-    level below depth, and one separating part per grid member of s.
+    level below depth, and one separating part per grid member of s.  Each
+    space builds the family of a (set, depth) once.
     """
     if s.is_empty:
         raise ValueError("neighbourhood family needs a nonempty closed set")
     space = s.space
+    key = (s, depth)
+    cached = space._nbhd_families.get(key)
+    if cached is not None:
+        return cached
     family: list[VietorisBasic] = [VietorisBasic((space.whole(),))]
     tight0: tuple[Region, ...] = ()
     for level in range(depth):
@@ -142,7 +151,8 @@ def basic_nbhd_family(s: Region, depth: int = 2) -> list[VietorisBasic]:
     for basic in family:
         if not vietoris_member(s, basic):
             raise AssertionError(f"generated basic does not contain the set: {basic}")
-    return family
+    out = space._nbhd_families[key] = tuple(family)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +172,11 @@ class ConvergentNet:
         if s.is_empty:
             raise ValueError(f"net {self.name} has an empty member at {n}")
         return s
+
+    @cached_property
+    def last_member(self) -> Region:
+        """Member window, the one member the net checks read; built once."""
+        return self.member(self.window)
 
 
 def constant_net(s: Region, window: int = 64, name: str = "constant") -> ConvergentNet:
@@ -259,9 +274,9 @@ def net_convergence_check(net: ConvergentNet, depth: int = 2) -> CheckOutcome:
     """Eventual membership of the net in every generated basic around the limit;
     a failure's witness is the basic the last member escapes."""
     family = basic_nbhd_family(net.declared_limit, depth)
-    members = [net.member(n) for n in range(net.window + 1)]
+    last = net.last_member
     for basic in family:
-        if not vietoris_member(members[net.window], basic):
+        if not vietoris_member(last, basic):
             return CheckOutcome(False, basic, f"escapes a basic at {net.window}", len(family))
     return CheckOutcome(True, None, "", len(family))
 

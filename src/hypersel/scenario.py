@@ -101,8 +101,12 @@ OBJECT_GROUPS = (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return _is_int(value) and value >= 0
 
 
 def _family_bounds(value, what: str) -> dict:
@@ -158,7 +162,7 @@ def _specs(objects: dict, group: str):
 
 def _branch(space: Space, ref) -> int:
     """A branch index: an integer, not a bool, naming a branch of the space."""
-    if not isinstance(ref, int) or isinstance(ref, bool) or not 0 <= ref < len(space.branches):
+    if not _is_int(ref) or not 0 <= ref < len(space.branches):
         raise ValueError(f"no branch {ref!r}")
     return ref
 
@@ -260,9 +264,13 @@ class Scenario:
             space_doc = doc["space"]
             branches = [parse_ordinal(t) for t in space_doc["branches"]]
             gluings = [
-                [(int(b), parse_ordinal(pos)) for b, pos in cls]
+                [(b, parse_ordinal(pos)) for b, pos in cls]
                 for cls in space_doc.get("gluings", [])
             ]
+            for cls in gluings:
+                for b, _ in cls:
+                    if not _is_int(b):
+                        raise ValueError(f"gluing branch {b!r} is not an integer")
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad space description: {exc}") from exc
         params = {

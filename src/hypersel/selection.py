@@ -522,7 +522,7 @@ def continuity_check(
         if not conv.passed:
             raise ValueError(f"net {net.name} fails its own convergence check")
         y = f.evaluate(net.declared_limit)
-        end_value = f.evaluate(net.member(net.window))
+        end_value = f.evaluate(net.last_member)
         for level in range(depth):
             around = space.open_tail(y, level)
             checked += 1

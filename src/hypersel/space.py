@@ -121,6 +121,10 @@ class Space:
         self._grid_points_cache: dict[int, tuple[Point, ...]] = {}
         # regions are immutable values, so one singleton per point is shared
         self._point_regions: dict[Point, Region] = {}
+        # canonical open tails by (point, level); neighbourhood families by
+        # (closed set, depth), filled and read by hyperspace.basic_nbhd_family
+        self._open_tails: dict[tuple[Point, int], Region] = {}
+        self._nbhd_families: dict[tuple, tuple] = {}
         # closed families built over this space, by (FamilyParams, carrier);
         # filled and read by selection.enumerate_closed_family
         self._family_cache: dict[tuple, list] = {}
@@ -235,6 +239,10 @@ class Space:
 
     def open_tail(self, pt: Point, level: int) -> "Region":
         """Canonical basic open neighbourhood of pt at the given refinement level."""
+        key = (pt, level)
+        cached = self._open_tails.get(key)
+        if cached is not None:
+            return cached
         spans = []
         for b, beta in self.point_coords(pt):
             if beta.is_limit:
@@ -244,6 +252,7 @@ class Space:
         reg = Region.make(self, spans)
         if not reg.is_open():
             raise ValueError(f"no open canonical tail at {pt} (gluing interferes)")
+        self._open_tails[key] = reg
         return reg
 
     def whole(self) -> "Region":

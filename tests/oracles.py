@@ -11,6 +11,7 @@ from sympy.sets.ordinals import Ordinal as SymOrdinal, ord0, omega
 
 from itertools import combinations
 
+from hypersel.hyperspace import CheckOutcome, ConvergentNet, VietorisBasic, basic_nbhd_family
 from hypersel.ordinal import OMEGA, Ordinal, parse_ordinal, successor
 from hypersel.space import Point, Region, Space, Span, character
 
@@ -334,3 +335,28 @@ def ref_enumerate_closed_family(space: Space, params, carrier=None) -> list[Regi
 
     rec(0, [])
     return out
+
+
+# -- reference net convergence check -------------------------------------------------
+#
+# net_convergence_check as it was before it built only the member it reads:
+# every member 0 .. window is built through the non-empty guard, and each
+# basic's union is formed afresh for every membership test.
+
+
+def ref_vietoris_member(s: Region, basic: VietorisBasic) -> bool:
+    union = basic.parts[0]
+    for part in basic.parts[1:]:
+        union = union.union(part)
+    if not s.subset_of(union):
+        return False
+    return all(s.meets(part) for part in basic.parts)
+
+
+def ref_net_convergence_check(net: ConvergentNet, depth: int = 2) -> CheckOutcome:
+    family = basic_nbhd_family(net.declared_limit, depth)
+    members = [net.member(n) for n in range(net.window + 1)]
+    for basic in family:
+        if not ref_vietoris_member(members[net.window], basic):
+            return CheckOutcome(False, basic, f"escapes a basic at {net.window}", len(family))
+    return CheckOutcome(True, None, "", len(family))

@@ -1,6 +1,9 @@
 import pytest
 
+from oracles import oracle_spaces, ref_net_convergence_check
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
+from hypersel.scenario import Scenario, canonical_net_corpus
+from hypersel.selection import OrderMaxSelection, continuity_check
 from hypersel.space import Region, Space, open_set
 from hypersel.hyperspace import (
     ConvergentNet,
@@ -141,6 +144,17 @@ class TestNeighbourhoodFamily:
                 assert part.is_open()
 
 
+def walking_singleton(line):
+    """{n} walking up the line, declared to converge to {0}: fails."""
+    return ConvergentNet(
+        "walk",
+        "moving",
+        lambda n: creg(line, (0, O(n), O(n))),
+        creg(line, (0, ZERO, ZERO)),
+        64,
+    )
+
+
 class TestNets:
     def test_increasing_passes(self, line):
         net = increasing_union_net(line, 0, ZERO, W)
@@ -152,14 +166,7 @@ class TestNets:
         assert net_convergence_check(net).passed
 
     def test_walking_singleton_fails_wrong_limit(self, line):
-        net = ConvergentNet(
-            "walk",
-            "moving",
-            lambda n: creg(line, (0, O(n), O(n))),
-            creg(line, (0, ZERO, ZERO)),
-            64,
-        )
-        out = net_convergence_check(net)
+        out = net_convergence_check(walking_singleton(line))
         assert not out.passed
         assert out.witness is not None
 
@@ -212,3 +219,142 @@ class TestIncreasingUnionLimit:
         net = shrinking_tail_net(line, line.point(0, W))
         with pytest.raises(ValueError):
             increasing_union_limit(net)
+
+
+def corpus_spaces() -> dict[str, Space]:
+    """New instances of every space the fixtures and oracles use."""
+    return {"line-w": Space([W]), **oracle_spaces()}
+
+
+def counted(net):
+    """A copy of net whose members callable records each index it is called at."""
+    calls = []
+
+    def members(n):
+        calls.append(n)
+        return net.members(n)
+
+    return ConvergentNet(net.name, net.shape, members, net.declared_limit, net.window), calls
+
+
+# Every net kind a document can declare, with and without base and offset, on
+# a space with an interior gluing.
+DECLARED_NETS = {
+    "schema": "hypersel-scenario/1",
+    "name": "nets",
+    "space": {"branches": ["w*2", "w"], "gluings": [[[0, "w"], [1, "w"]]]},
+    "params": {"window": 64},
+    "objects": {
+        "points": {"top": [0, "w*2"], "hub": [0, "w"], "one": [1, "1"]},
+        "closed_sets": {"c": [[1, "0", "3"]], "z": [[0, "0", "0"]]},
+        "nets": {
+            "const": {"kind": "constant", "set": "c", "window": 0},
+            "incr": {"kind": "increasing", "branch": 1, "limit": "w"},
+            "incr-lo-base": {"kind": "increasing", "branch": 0, "lo": "w", "limit": "w*2",
+                             "base": "c", "window": 5},
+            "tail": {"kind": "tail", "point": "hub"},
+            "tail-base-off": {"kind": "tail", "point": "top", "base": "z", "offset": 3},
+            "move": {"kind": "moving", "point": "top", "base": "c"},
+            "move-off": {"kind": "moving", "point": "hub", "base": "z", "offset": 7,
+                         "window": 9},
+            "app": {"kind": "appended", "point": "one",
+                    "inner": {"kind": "increasing", "branch": 0, "limit": "w"}},
+            "app-base": {"kind": "appended", "point": "top",
+                         "inner": {"kind": "increasing", "branch": 1, "lo": "1",
+                                   "limit": "w", "base": "z"}},
+        },
+    },
+    "suites": [],
+}
+
+
+class TestWindowMemberOnly:
+    """The net checks build and read member window only.  Skipping the
+    members below it loses no guard on the nets hypersel builds: none of them
+    has an empty member anywhere in its window."""
+
+    def test_canonical_corpus_members_are_nonempty(self):
+        for name, space in corpus_spaces().items():
+            for net in canonical_net_corpus(space, 64):
+                for n in range(net.window + 1):
+                    assert not net.members(n).is_empty, (name, net.name, n)
+
+    def test_declared_net_members_are_nonempty(self):
+        nets = Scenario.load(DECLARED_NETS).nets
+        assert {net.shape for net in nets.values()} == {
+            "constant", "increasing", "tail", "moving", "appended"}
+        for net in nets.values():
+            for n in range(net.window + 1):
+                assert not net.members(n).is_empty, (net.name, n)
+            assert net_convergence_check(net) == ref_net_convergence_check(net), net.name
+
+    def test_empty_member_at_window_still_raises(self, line):
+        point = creg(line, (0, ZERO, ZERO))
+        hole = ConvergentNet("hole", "moving",
+                             lambda n: line.empty() if n == 4 else point, point, 4)
+        with pytest.raises(ValueError, match="empty member at 4"):
+            net_convergence_check(hole)
+        # a member below the window is not built, so an empty one there goes unseen
+        early = ConvergentNet("early", "moving",
+                              lambda n: line.empty() if n == 0 else point, point, 4)
+        assert net_convergence_check(early).passed
+
+    def test_matches_reference_and_builds_one_member(self, line):
+        nets = [walking_singleton(line)]
+        for space in corpus_spaces().values():
+            nets.extend(canonical_net_corpus(space, 64))
+        for net in nets:
+            for depth in (1, 2):
+                probe, calls = counted(net)
+                assert net_convergence_check(probe, depth) == ref_net_convergence_check(
+                    net, depth), net.name
+                assert calls == [net.window], net.name
+        assert not net_convergence_check(nets[0]).passed
+
+    def test_continuity_builds_one_member_per_net(self):
+        for name, space in corpus_spaces().items():
+            probes = [counted(net) for net in canonical_net_corpus(space, 64)]
+            out = continuity_check(OrderMaxSelection(space), [net for net, _ in probes])
+            assert out.passed and out.checked == 2 * len(probes), name
+            for net, calls in probes:
+                assert calls == [net.window], (name, net.name)
+
+
+class TestNeighbourhoodCaches:
+    """Cached values against a new space per depth or level, so that a cache
+    key that drops the depth or level cannot agree with itself."""
+
+    def test_families_are_cached(self):
+        warm = corpus_spaces()
+        for name, space in warm.items():
+            nets = canonical_net_corpus(space, 64)
+            for net in nets:  # fill the caches the way the checks do
+                for depth in (1, 2):
+                    net_convergence_check(net, depth)
+            fresh_nets = {depth: canonical_net_corpus(corpus_spaces()[name], 64)
+                          for depth in (1, 2)}
+            for i, net in enumerate(nets):
+                for depth in (1, 2):
+                    fam = basic_nbhd_family(net.declared_limit, depth)
+                    assert isinstance(fam, tuple)
+                    assert basic_nbhd_family(net.declared_limit, depth) is fam
+                    again = basic_nbhd_family(fresh_nets[depth][i].declared_limit, depth)
+                    assert [[p.traces for p in b.parts] for b in fam] == [
+                        [p.traces for p in b.parts] for b in again], (name, net.name)
+                    for basic in fam:
+                        union = basic.parts[0]
+                        for part in basic.parts[1:]:
+                            union = union.union(part)
+                        assert basic.union == union
+
+    def test_open_tails_are_cached(self):
+        warm = corpus_spaces()
+        for name, space in warm.items():
+            fresh = [corpus_spaces()[name] for level in range(3)]
+            for pt in space.grid_points():
+                for level in range(3):
+                    tail = space.open_tail(pt, level)
+                    assert space.open_tail(pt, level) is tail
+                    again = fresh[level].open_tail(pt, level)
+                    assert tail.traces == again.traces, (name, pt, level)
+                    assert tail.is_open() and tail.contains_point(pt)

@@ -298,6 +298,8 @@ def _broken(kind):
         objects["closed_sets"]["c"] = [[NOT_COUNTS[kind[11:]], "0", "w"]]
     elif kind.startswith("point-branch-"):
         objects["points"]["p"] = [NOT_COUNTS[kind[13:]], "w"]
+    elif kind.startswith("gluing-branch-"):
+        doc["space"]["gluings"] = [[[0, "w"], [NOT_COUNTS[kind[14:]], "w"]]]
     return doc
 
 
@@ -316,7 +318,8 @@ HOSTILE = [
     "set-item-object", "net-limit-not-string", "check-not-string", "suite-depth-negative",
     "suite-count-list", "suite-triples-string", "suite-steps-bool", "suite-seed-string",
     "suite-gamma-not-string", "base-steps-list", "base-gamma-bad",
-    *(f"{where}-branch-{label}" for where in ("net", "set", "point") for label in NOT_COUNTS),
+    *(f"{where}-branch-{label}" for where in ("net", "set", "point", "gluing")
+      for label in NOT_COUNTS),
     *(f"net-offset-{label}" for label in NOT_COUNTS),
 ]
 
