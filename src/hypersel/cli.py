@@ -50,15 +50,19 @@ def _overrides(args) -> dict:
     return over
 
 
-def _load(path: str, args) -> Scenario:
-    return Scenario.load(path, overrides=_overrides(args))
+def _load(args) -> Optional[Scenario]:
+    """The scenario file named on the command line, or None once the reason it
+    is invalid is on stderr."""
+    try:
+        return Scenario.load(args.file, overrides=_overrides(args))
+    except ScenarioError as exc:
+        sys.stderr.write(f"invalid scenario: {exc}\n")
+        return None
 
 
 def cmd_validate(args) -> int:
-    try:
-        sc = _load(args.file, args)
-    except ScenarioError as exc:
-        sys.stderr.write(f"invalid scenario: {exc}\n")
+    sc = _load(args)
+    if sc is None:
         return EXIT_INVALID
     counts = {
         "points": len(sc.points),
@@ -75,10 +79,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        sc = _load(args.file, args)
-    except ScenarioError as exc:
-        sys.stderr.write(f"invalid scenario: {exc}\n")
+    sc = _load(args)
+    if sc is None:
         return EXIT_INVALID
     report = run_scenario(sc)
     _emit(report.to_json(), args.out)
@@ -86,10 +88,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_build_base(args) -> int:
-    try:
-        sc = _load(args.file, args)
-    except ScenarioError as exc:
-        sys.stderr.write(f"invalid scenario: {exc}\n")
+    sc = _load(args)
+    if sc is None:
         return EXIT_INVALID
     spec = sc.bases.get(args.target)
     if spec is None:
@@ -97,9 +97,6 @@ def cmd_build_base(args) -> int:
         return EXIT_INVALID
     try:
         payload = _build_base_payload(sc, args.target, spec)
-    except ScenarioError as exc:
-        sys.stderr.write(f"invalid scenario: {exc}\n")
-        return EXIT_INVALID
     except (ValueError, AssertionError, RuntimeError) as exc:
         sys.stderr.write(f"base construction failed: {exc}\n")
         return EXIT_FAIL
@@ -107,21 +104,11 @@ def cmd_build_base(args) -> int:
     return EXIT_PASS
 
 
-def _named(group: dict, spec: dict, key: str, target: str):
-    ref = spec.get(key)
-    if not (isinstance(ref, str) and ref in group):
-        raise ScenarioError(f"base {target!r}: no {key} named {ref!r}")
-    return group[ref]
-
-
 def _build_base_payload(sc: Scenario, target: str, spec: dict) -> dict:
-    kind = spec.get("kind")
-    f = _named(sc.selections, spec, "selection", target)
-    if kind == "transfinite":
+    f = sc.selections[spec["selection"]]
+    if spec["kind"] == "transfinite":
         gamma = parse_ordinal(spec.get("gamma", "w"))
-        gb = transfinite_base(
-            f, sc._point(spec.get("point")), gamma, guided=bool(spec.get("guided", False))
-        )
+        gb = transfinite_base(f, sc._point(spec["point"]), gamma, guided=spec.get("guided", False))
         sample = gb.sample_indices()
         return {
             "target": target,
@@ -141,17 +128,14 @@ def _build_base_payload(sc: Scenario, target: str, spec: dict) -> dict:
                 for lam, h, q in gb.limit_entries()
             ],
         }
-    if kind == "cut":
-        cut = _named(sc.pcuts, spec, "pcut", target)
-        base = base_at_cut(f, cut, spec.get("steps", 8))
-        return {
-            "target": target,
-            "kind": "cut",
-            "point": point_to_json(base.p),
-            "stages": [region_to_json(u) for u in base.stages],
-            "boundaries": [point_to_json(q) for q in base.boundary_points],
-        }
-    raise ScenarioError(f"unknown base kind {kind!r}")
+    base = base_at_cut(f, sc.pcuts[spec["pcut"]], spec.get("steps", 8))
+    return {
+        "target": target,
+        "kind": "cut",
+        "point": point_to_json(base.p),
+        "stages": [region_to_json(u) for u in base.stages],
+        "boundaries": [point_to_json(q) for q in base.boundary_points],
+    }
 
 
 GENERATORS = {

@@ -95,6 +95,7 @@ class ScenarioError(ValueError):
     pass
 
 
+# in the order they are checked and built: a spec names only earlier groups
 OBJECT_GROUPS = (
     "points", "closed_sets", "open_sets", "decompositions", "selections", "pcuts", "nets",
     "bases",
@@ -107,54 +108,6 @@ def _is_int(value) -> bool:
 
 def _is_count(value) -> bool:
     return _is_int(value) and value >= 0
-
-
-def _family_bounds(value, what: str) -> dict:
-    """A family override: an object whose bounds are non-negative integers."""
-    if not (isinstance(value, dict) and all(_is_count(v) for v in value.values())):
-        raise ScenarioError(f"{what} must be an object of non-negative integers, not {value!r}")
-    return value
-
-
-# Fields that mean one thing in every suite entry and base that sets them.
-COUNT_FIELDS = ("triples", "count", "steps", "absorb_steps", "depth")
-
-
-def _check_fields(spec: dict, what: str) -> None:
-    """Counts are non-negative integers, a seed is an integer and a gamma an
-    ordinal literal, whichever check or base reads them."""
-    for key in COUNT_FIELDS:
-        if key in spec and not _is_count(spec[key]):
-            raise ScenarioError(f"{what}: {key} must be a non-negative integer, not {spec[key]!r}")
-    if "seed" in spec and not isinstance(spec["seed"], int):
-        raise ScenarioError(f"{what}: seed must be an integer, not {spec['seed']!r}")
-    if "gamma" in spec:
-        try:
-            parse_ordinal(spec["gamma"])
-        except ValueError as exc:
-            raise ScenarioError(f"{what}: bad gamma: {exc}") from exc
-
-
-def _count_field(spec: dict, key: str, what: str) -> int:
-    """An optional non-negative integer field of an object spec, 0 when absent."""
-    value = spec.get(key, 0)
-    if not _is_count(value):
-        raise ScenarioError(f"{what}: {key} must be a non-negative integer, not {value!r}")
-    return value
-
-
-def _required(spec: dict, key: str, what: str):
-    if key not in spec:
-        raise ScenarioError(f"{what}: missing field {key!r}")
-    return spec[key]
-
-
-def _specs(objects: dict, group: str):
-    """(name, spec) pairs of an object group whose entries are JSON objects."""
-    for name, spec in objects.get(group, {}).items():
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"{group} entry {name!r} must be an object")
-        yield name, spec
 
 
 # -- notation -------------------------------------------------------------------
@@ -170,15 +123,14 @@ def _branch(space: Space, ref) -> int:
 def region_from_json(space: Space, literal) -> Region:
     spans = []
     try:
+        if not isinstance(literal, list):
+            raise ValueError("not a list")
         for item in literal:
-            if not isinstance(item, list):
-                raise ValueError(f"interval {item!r} is not a list")
-            b = _branch(space, item[0])
-            lo = parse_ordinal(item[1])
-            hi = parse_ordinal(item[2])
-            hi_in = not (len(item) > 3 and item[3] == "open")
-            spans.append((b, lo, hi, hi_in))
-    except (TypeError, IndexError, ValueError) as exc:
+            if not (isinstance(item, list) and item[3:] in ([], ["open"])):
+                raise ValueError(f"interval {item!r} is not [b, lo, hi] or [b, lo, hi, 'open']")
+            b, lo, hi = item[:3]
+            spans.append((_branch(space, b), parse_ordinal(lo), parse_ordinal(hi), len(item) == 3))
+    except ValueError as exc:
         raise ScenarioError(f"bad set literal {literal!r}: {exc}") from exc
     return Region.make(space, spans)
 
@@ -194,11 +146,11 @@ def region_to_json(reg: Region) -> list:
 
 
 def point_from_json(space: Space, literal) -> Point:
-    if not isinstance(literal, list):
-        raise ScenarioError(f"bad point literal {literal!r}: not a list")
+    if not (isinstance(literal, list) and len(literal) == 2):
+        raise ScenarioError(f"bad point literal {literal!r}: not a list [branch, position]")
     try:
         return space.point(_branch(space, literal[0]), parse_ordinal(literal[1]))
-    except (TypeError, IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"bad point literal {literal!r}: {exc}") from exc
 
 
@@ -222,6 +174,197 @@ def witness_to_json(w) -> Any:
     return str(w)
 
 
+# -- document schema --------------------------------------------------------------
+#
+# One walker, _check, reads every field of a document before any object is
+# built, so the builders and the checks read fields that are already valid.
+# RULES says what a field must hold; a field name means the same wherever it
+# appears, in params, an object spec or a suite entry.  SCHEMA lists the fields
+# of the document, of params, of each object kind and of each check; "?" marks
+# an optional one.  The entries of points, closed_sets and open_sets are
+# literals, each parsed by the rule named after its group.  A rule's test gets
+# ``ctx``, which holds the space and, by group, the names declared so far (so a
+# parent is declared before its child), and the value.  It returns False for an
+# invalid value or raises ValueError or TypeError saying why; any other result,
+# such as the parsed literal, means the value is valid.  A rule that names a
+# group instead holds a nested spec of that group.
+
+
+def _closed_literal(ctx: dict, literal) -> Any:
+    reg = region_from_json(ctx["space"], literal)
+    return reg if not reg.is_empty and reg.is_closed() else False
+
+
+def _open_literal(ctx: dict, literal) -> Any:
+    reg = region_from_json(ctx["space"], literal)
+    return reg if reg.is_open() else False
+
+
+def _closed_ref(ctx: dict, ref) -> Any:
+    return ref in ctx["closed_sets"] if isinstance(ref, str) else _closed_literal(ctx, ref)
+
+
+def _point_ref(ctx: dict, ref) -> Any:
+    return ref in ctx["points"] if isinstance(ref, str) else point_from_json(ctx["space"], ref)
+
+
+def _set_literals(ctx: dict, literals) -> Any:
+    return isinstance(literals, list) and [region_from_json(ctx["space"], lit) for lit in literals]
+
+
+def _gluing(cls) -> bool:
+    """A gluing class: a list of [branch, position] coordinates."""
+    return isinstance(cls, list) and all(
+        isinstance(c, list) and len(c) == 2 and _is_int(c[0]) and parse_ordinal(c[1]) is not None
+        for c in cls
+    )
+
+
+def _name_of(group: str, says: str) -> tuple[str, Callable]:
+    return says, lambda ctx, ref: isinstance(ref, str) and ref in ctx[group]
+
+
+RULES: dict[str, tuple[str, Any]] = {
+    "schema": (f"`{SCENARIO_SCHEMA}`", lambda ctx, v: v == SCENARIO_SCHEMA),
+    "space": ("a space", "space"),
+    "branches": (
+        "a list of ordinal literals",
+        lambda ctx, v: isinstance(v, list) and [parse_ordinal(top) for top in v],
+    ),
+    "gluings": (
+        "a list of lists of [branch, position] pairs",
+        lambda ctx, v: isinstance(v, list) and all(map(_gluing, v)),
+    ),
+    "params": ("an object", lambda ctx, v: isinstance(v, dict)),
+    "objects": (
+        "an object whose groups are objects",
+        lambda ctx, v: isinstance(v, dict) and all(
+            isinstance(v.get(group, {}), dict) for group in OBJECT_GROUPS
+        ),
+    ),
+    "suites": ("a list", lambda ctx, v: isinstance(v, list)),
+    "name": ("a string", lambda ctx, v: isinstance(v, str)),
+    **dict.fromkeys(
+        ("grid_k", "window", "depth", "triples", "count", "steps", "absorb_steps", "offset"),
+        ("a non-negative integer", lambda ctx, v: _is_count(v)),
+    ),
+    "seed": ("an integer", lambda ctx, v: _is_int(v)),
+    "guided": ("a boolean", lambda ctx, v: isinstance(v, bool)),
+    "mode": ("`maximal` or `minimal`", lambda ctx, v: v in ("maximal", "minimal")),
+    "branch": ("a branch index", lambda ctx, v: _branch(ctx["space"], v)),
+    **dict.fromkeys(
+        ("gamma", "lo", "limit"), ("an ordinal literal", lambda ctx, v: parse_ordinal(v))
+    ),
+    "points": ("a point literal", lambda ctx, v: point_from_json(ctx["space"], v)),
+    "closed_sets": ("a nonempty closed set literal", _closed_literal),
+    "open_sets": ("an open set literal", _open_literal),
+    **dict.fromkeys(("point", "value"), ("a point name or a point literal", _point_ref)),
+    **dict.fromkeys(
+        ("at", "carrier", "set", "base"),
+        ("a closed-set name or a nonempty closed set literal", _closed_ref),
+    ),
+    "fibers": ("a list of set literals", _set_literals),
+    "sides": ("a list of two set literals", lambda ctx, v: len(v) == 2 and _set_literals(ctx, v)),
+    "family": (
+        "an object of non-negative integers",
+        lambda ctx, v: isinstance(v, dict) and all(map(_is_count, v.values())),
+    ),
+    "inner": ("a net spec", "nets"),
+    "selection": _name_of("selections", "the name of a selection"),
+    "parent": _name_of("selections", "the name of a selection declared before it"),
+    "decomp": _name_of("decompositions", "the name of a decomposition"),
+    "pcut": _name_of("pcuts", "the name of a pcut"),
+    "net": _name_of("nets", "the name of a net"),
+    "nets": (
+        "`canonical` or a list of net names",
+        lambda ctx, v: v == "canonical"
+        or isinstance(v, list) and all(isinstance(n, str) and n in ctx["nets"] for n in v),
+    ),
+}
+
+# Fields that every suite entry and every base may set.
+SHARED = "?triples ?count ?steps ?absorb_steps ?depth ?seed ?gamma"
+SUITE = SHARED + " ?family ?name"
+
+# The kind of an object spec is its "kind" field, the kind of a suite entry its
+# "check"; the document, params and pcuts have one kind only.
+SCHEMA: dict[str, Any] = {
+    "document": "schema space ?name ?params ?objects ?suites",
+    "space": "branches ?gluings",
+    "params": "grid_k window depth seed family",
+    "decompositions": {"at_point": "point", "chain_tails": "point", "explicit": "fibers"},
+    "selections": {
+        "order_max": "",
+        "order_min": "",
+        "extreme": "point ?decomp ?mode ?family",
+        "patched": "parent at value",
+        "restrict": "parent carrier",
+    },
+    "pcuts": "point sides",
+    "nets": {
+        "constant": "set ?window",
+        "increasing": "limit ?branch ?lo ?base ?window",
+        "tail": "point ?base ?offset ?window",
+        "appended": "inner point ?window",
+        "moving": "point base ?offset ?window",
+    },
+    "bases": {
+        "transfinite": "selection point ?guided " + SHARED,
+        "cut": "selection pcut " + SHARED,
+    },
+    "suites": {
+        "ordinal_laws": SUITE,
+        "clopen_oracle": SUITE,
+        "selection_law": "selection " + SUITE,
+        "extremality": "selection point ?mode " + SUITE,
+        "continuity": "selection ?nets " + SUITE,
+        "net_convergence": "net " + SUITE,
+        "derived_props": "selection " + SUITE,
+        "decomp_validate": "decomp " + SUITE,
+        "base_at_cut": "selection pcut " + SUITE,
+        "transfinite_roundtrip": "selection point ?guided " + SUITE,
+        "pointwise_minimal": SUITE,
+    },
+}
+
+def _field(ctx: dict, key: str, value, what: str) -> Any:
+    """The result of the rule for ``key`` on ``value``, such as a parsed literal."""
+    says, test = RULES[key]
+    try:
+        out, why = test(ctx, value), ""
+    except (TypeError, ValueError) as exc:
+        out, why = False, f" ({exc})"
+    if out is False:
+        raise ScenarioError(f"{what} must be {says}, not {value!r}{why}")
+    return out
+
+
+def _check(ctx: dict, group: str, spec, what: str) -> None:
+    """Raise ScenarioError unless ``spec`` is an object that holds every field
+    its kind requires, and every field its kind reads passes its rule.  A
+    nested spec is walked from a work list, so nesting costs no stack."""
+    todo = [(group, spec, what)]
+    while todo:
+        group, spec, what = todo.pop()
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"{what} must be an object")
+        fields = SCHEMA[group]
+        if isinstance(fields, dict):
+            key = "check" if group == "suites" else "kind"
+            if not (isinstance(spec.get(key), str) and spec[key] in fields):
+                raise ScenarioError(f"{what}: unknown {key} {spec.get(key)!r}")
+            fields = fields[spec[key]]
+        for name in fields.split():
+            key = name.lstrip("?")
+            if key not in spec:
+                if key == name:
+                    raise ScenarioError(f"{what}: missing field {key!r}")
+            elif isinstance(RULES[key][1], str):  # a nested spec of that group
+                todo.append((RULES[key][1], spec[key], f"{what}: {key}"))
+            else:
+                _field(ctx, key, spec[key], f"{what}: {key}")
+
+
 # -- scenario -------------------------------------------------------------------
 
 
@@ -241,8 +384,7 @@ class Scenario:
     suites: list[dict] = field(default_factory=list)
 
     def family_params(self, spec: Optional[dict] = None) -> FamilyParams:
-        fam = dict(_family_bounds(self.params.get("family", {}), "params.family"))
-        fam.update(_family_bounds({} if spec is None else spec, "family"))
+        fam = {**self.params["family"], **(spec or {})}
         return FamilyParams(
             grid_k=fam.get("grid_k", 4),
             max_intervals=fam.get("max_intervals", 2),
@@ -254,244 +396,123 @@ class Scenario:
             try:
                 with open(doc, "r", encoding="utf-8") as fh:
                     doc = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:
                 raise ScenarioError(f"cannot read scenario: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario document must be an object")
-        if doc.get("schema") != SCENARIO_SCHEMA:
-            raise ScenarioError(f"unknown scenario schema {doc.get('schema')!r}")
-        try:
-            space_doc = doc["space"]
-            branches = [parse_ordinal(t) for t in space_doc["branches"]]
-            gluings = [
-                [(b, parse_ordinal(pos)) for b, pos in cls]
-                for cls in space_doc.get("gluings", [])
-            ]
-            for cls in gluings:
-                for b, _ in cls:
-                    if not _is_int(b):
-                        raise ValueError(f"gluing branch {b!r} is not an integer")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad space description: {exc}") from exc
+        _check({}, "document", doc, "scenario document")
+        branches = [parse_ordinal(top) for top in doc["space"]["branches"]]
+        gluings = [
+            [(b, parse_ordinal(pos)) for b, pos in cls] for cls in doc["space"].get("gluings", [])
+        ]
         params = {
             "grid_k": 10,
             "window": 64,
             "depth": 2,
             "seed": 0,
             "family": {"grid_k": 4, "max_intervals": 2},
+            **doc.get("params", {}),
+            **(overrides or {}),
         }
-        if not isinstance(doc.get("params", {}), dict):
-            raise ScenarioError("params must be an object")
-        params.update(doc.get("params", {}))
-        params.update(overrides or {})
-        for key in ("window", "grid_k", "depth"):
-            if not _is_count(params[key]):
-                raise ScenarioError(
-                    f"params.{key} must be a non-negative integer, not {params[key]!r}"
-                )
-        if not isinstance(params["seed"], int):
-            raise ScenarioError(f"params.seed must be an integer, not {params['seed']!r}")
+        _check({}, "params", params, "params")
         try:
             space = Space(branches, gluings, grid_k=params["grid_k"])
         except ValueError as exc:
             raise ScenarioError(f"bad space: {exc}") from exc
-        sc = Scenario(doc.get("name", "scenario"), space, params)
-        sc.family_params()  # rejects a malformed params.family
+        sc = Scenario(doc.get("name", "scenario"), space, params, suites=doc.get("suites", []))
         objects = doc.get("objects", {})
-        if not isinstance(objects, dict):
-            raise ScenarioError("objects must be an object")
+        ctx: dict = {"space": space}
         for group in OBJECT_GROUPS:
-            if not isinstance(objects.get(group, {}), dict):
-                raise ScenarioError(f"objects.{group} must be an object")
-        try:
-            sc._build_objects(objects)
-        except (ScenarioError, ValueError) as exc:
-            raise ScenarioError(str(exc)) from exc
-        suites = doc.get("suites", [])
-        if not isinstance(suites, list):
-            raise ScenarioError("suites must be a list")
-        for entry in suites:
-            if not isinstance(entry, dict) or "check" not in entry:
-                raise ScenarioError(f"bad suite entry {entry!r}")
-            if not isinstance(entry["check"], str) or entry["check"] not in CHECKS:
-                raise ScenarioError(f"unknown check {entry['check']!r}")
-            sc._check_refs(entry)
-        sc.suites = suites
+            ctx[group] = set()
+            for name, entry in objects.get(group, {}).items():
+                what = f"{group[:-1]} {name!r}"
+                if group in SCHEMA:
+                    _check(ctx, group, entry, what)
+                else:  # a literal: its parsed value is the object
+                    getattr(sc, group)[name] = _field(ctx, group, entry, what)
+                ctx[group].add(name)
+        for i, entry in enumerate(sc.suites):
+            _check(ctx, "suites", entry, f"suite entry {i}")
+        sc._build_objects(objects)
         return sc
 
     # object construction ------------------------------------------------------
 
     def _build_objects(self, objects: dict) -> None:
-        for name, lit in objects.get("points", {}).items():
-            self.points[name] = point_from_json(self.space, lit)
-        for name, lit in objects.get("closed_sets", {}).items():
-            reg = region_from_json(self.space, lit)
-            if reg.is_empty or not reg.is_closed():
-                raise ScenarioError(f"closed set {name!r} is not a nonempty closed set")
-            self.closed_sets[name] = reg
-        for name, lit in objects.get("open_sets", {}).items():
-            reg = region_from_json(self.space, lit)
-            if not reg.is_open():
-                raise ScenarioError(f"open set {name!r} does not denote an open set")
-            self.open_sets[name] = reg
-        for name, spec in _specs(objects, "decompositions"):
-            self.decompositions[name] = self._build_decomposition(name, spec)
-        for name, spec in _specs(objects, "selections"):
-            self.selections[name] = self._build_selection(name, spec)
-        for name, spec in _specs(objects, "pcuts"):
-            p = self._point(spec.get("point"))
-            sides = spec.get("sides", [])
-            if not isinstance(sides, list) or len(sides) != 2:
-                raise ScenarioError(f"pcut {name!r} needs two sides")
-            s0 = region_from_json(self.space, sides[0])
-            s1 = region_from_json(self.space, sides[1])
-            try:
-                self.pcuts[name] = pcut_validate(self.space, p, s0, s1)
-            except ValueError as exc:
-                raise ScenarioError(f"pcut {name!r}: {exc}") from exc
-        for name, spec in _specs(objects, "nets"):
-            self.nets[name] = self._build_net(name, spec)
-        for name, spec in _specs(objects, "bases"):
-            _check_fields(spec, f"base {name!r}")
-            self.bases[name] = spec
-
-    def _check_refs(self, entry: dict) -> None:
-        """Every object a suite entry names must be loaded, and its family
-        bounds and other fields must be well formed."""
-        check = entry["check"]
-        _check_fields(entry, f"{check} check")
-        groups = {
-            "selection": self.selections, "decomp": self.decompositions,
-            "pcut": self.pcuts, "net": self.nets,
+        """Build every object spec; each has passed its rules."""
+        builders = {
+            "decompositions": self._build_decomposition,
+            "selections": self._build_selection,
+            "pcuts": self._build_pcut,
+            "nets": self._build_net,
         }
-        refs = [(key, entry.get(key)) for key in CHECK_REFS.get(check, ())]
-        nets = entry.get("nets", "canonical")
-        if check == "continuity" and nets != "canonical":
-            if not isinstance(nets, list):
-                raise ScenarioError(f"{check} nets must be 'canonical' or a list of net names")
-            refs.extend(("net", ref) for ref in nets)
-        for key, ref in refs:
-            if not (isinstance(ref, str) and ref in groups[key]):
-                raise ScenarioError(f"{check} check: no {key} named {ref!r}")
-        if check in CHECK_POINTS:
-            self._point(_required(entry, "point", f"{check} check"))
-        self.family_params(entry.get("family"))
-
-    def _parent(self, name: str, spec: dict) -> Selection:
-        ref = spec.get("parent")
-        if not (isinstance(ref, str) and ref in self.selections):
-            raise ScenarioError(f"selection {name!r}: unresolved parent")
-        return self.selections[ref]
+        for group, build in builders.items():
+            for name, spec in objects.get(group, {}).items():
+                try:
+                    getattr(self, group)[name] = build(name, spec)
+                except (ValueError, TheoremViolationError) as exc:
+                    raise ScenarioError(f"{group[:-1]} {name!r}: {exc}") from exc
+        self.bases = dict(objects.get("bases", {}))
 
     def _point(self, ref) -> Point:
-        if isinstance(ref, str) and ref in self.points:
-            return self.points[ref]
-        if isinstance(ref, list):
-            return point_from_json(self.space, ref)
-        raise ScenarioError(f"unresolved point reference {ref!r}")
+        return self.points[ref] if isinstance(ref, str) else point_from_json(self.space, ref)
 
     def _closed(self, ref) -> Region:
-        if isinstance(ref, str) and ref in self.closed_sets:
-            return self.closed_sets[ref]
-        if isinstance(ref, list):
-            return region_from_json(self.space, ref)
-        raise ScenarioError(f"unresolved closed-set reference {ref!r}")
+        return self.closed_sets[ref] if isinstance(ref, str) else region_from_json(self.space, ref)
 
     def _build_decomposition(self, name: str, spec: dict):
-        kind = spec.get("kind")
-        what = f"decomposition {name!r}"
-        if kind == "at_point":
-            return point_decomposition(self.space, self._point(_required(spec, "point", what)))
-        if kind == "chain_tails":
-            p = self._point(_required(spec, "point", what))
-            rule = point_chain_rule(self.space, p)
-            return decomp_from_chain(self.space, rule, p)
-        if kind == "explicit":
-            fibers = _required(spec, "fibers", what)
-            if not isinstance(fibers, list):
-                raise ScenarioError(f"{what}: fibers must be a list")
-            fibers = [region_from_json(self.space, lit) for lit in fibers]
+        if spec["kind"] == "explicit":
+            fibers = [region_from_json(self.space, lit) for lit in spec["fibers"]]
             return ExplicitDecomposition(self.space, fibers)
-        raise ScenarioError(f"decomposition {name!r}: unknown kind {kind!r}")
+        p = self._point(spec["point"])
+        if spec["kind"] == "at_point":
+            return point_decomposition(self.space, p)
+        return decomp_from_chain(self.space, point_chain_rule(self.space, p), p)
 
     def _build_selection(self, name: str, spec: dict) -> Selection:
-        kind = spec.get("kind")
-        what = f"selection {name!r}"
+        kind = spec["kind"]
         if kind == "order_max":
             return OrderMaxSelection(self.space)
         if kind == "order_min":
             return OrderMinSelection(self.space)
-        if kind == "extreme":
-            p = self._point(_required(spec, "point", what))
-            if "decomp" in spec:
-                ref = spec["decomp"]
-                if not (isinstance(ref, str) and ref in self.decompositions):
-                    raise ScenarioError(f"{what}: no decomposition named {ref!r}")
-                d = self.decompositions[ref]
-            else:
-                d = point_decomposition(self.space, p)
-            try:
-                return decomp_to_extreme_selection(
-                    d,
-                    p,
-                    spec.get("mode", "maximal"),
-                    family=self.family_params(spec.get("family")),
-                )
-            except TheoremViolationError as exc:
-                raise ScenarioError(f"selection {name!r}: {exc}") from exc
         if kind == "patched":
-            parent = self._parent(name, spec)
-            at = self._closed(_required(spec, "at", what))
-            value = self._point(_required(spec, "value", what))
-            return PatchedSelection(parent, at, value)
+            parent = self.selections[spec["parent"]]
+            return PatchedSelection(parent, self._closed(spec["at"]), self._point(spec["value"]))
         if kind == "restrict":
-            return RestrictSelection(self._parent(name, spec), self._closed(_required(spec, "carrier", what)))
-        raise ScenarioError(f"selection {name!r}: unknown kind {kind!r}")
+            parent = self.selections[spec["parent"]]
+            return RestrictSelection(parent, self._closed(spec["carrier"]))
+        p = self._point(spec["point"])
+        if "decomp" in spec:
+            d = self.decompositions[spec["decomp"]]
+        else:
+            d = point_decomposition(self.space, p)
+        family = self.family_params(spec.get("family"))
+        return decomp_to_extreme_selection(d, p, spec.get("mode", "maximal"), family=family)
+
+    def _build_pcut(self, name: str, spec: dict):
+        s0, s1 = (region_from_json(self.space, side) for side in spec["sides"])
+        return pcut_validate(self.space, self._point(spec["point"]), s0, s1)
 
     def _build_net(self, name: str, spec: dict) -> ConvergentNet:
-        what = f"net {name!r}"
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"{what} must be an object")
-        kind = spec.get("kind")
+        kind = spec["kind"]
         window = spec.get("window", self.params["window"])
-        if not _is_count(window):
-            raise ScenarioError(f"net {name!r}: window must be a non-negative integer")
+        base = self._closed(spec["base"]) if "base" in spec else None
         if kind == "constant":
-            return constant_net(self._closed(_required(spec, "set", what)), window, name)
+            return constant_net(self._closed(spec["set"]), window, name)
         if kind == "increasing":
-            base = self._closed(spec["base"]) if spec.get("base") else None
             return increasing_union_net(
                 self.space,
-                _branch(self.space, spec.get("branch", 0)),
+                spec.get("branch", 0),
                 parse_ordinal(spec.get("lo", "0")),
-                parse_ordinal(_required(spec, "limit", what)),
+                parse_ordinal(spec["limit"]),
                 base=base,
                 window=window,
                 name=name,
             )
-        if kind == "tail":
-            base = self._closed(spec["base"]) if spec.get("base") else None
-            return shrinking_tail_net(
-                self.space,
-                self._point(_required(spec, "point", what)),
-                base=base,
-                window=window,
-                offset=_count_field(spec, "offset", what),
-                name=name,
-            )
+        p = self._point(spec["point"])
         if kind == "appended":
-            inner = self._build_net(name + ".inner", _required(spec, "inner", what))
-            return appended_point_net(inner, self._point(_required(spec, "point", what)), name)
-        if kind == "moving":
-            return moving_point_net(
-                self.space,
-                self._point(_required(spec, "point", what)),
-                self._closed(_required(spec, "base", what)),
-                window=window,
-                offset=_count_field(spec, "offset", what),
-                name=name,
-            )
-        raise ScenarioError(f"net {name!r}: unknown kind {kind!r}")
+            return appended_point_net(self._build_net(name + ".inner", spec["inner"]), p, name)
+        build = shrinking_tail_net if kind == "tail" else moving_point_net
+        return build(self.space, p, base=base, window=window, offset=spec.get("offset", 0),
+                     name=name)
 
 
 # -- canonical net corpus --------------------------------------------------------
@@ -683,7 +704,7 @@ def _check_continuity(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     f = sc.selections[spec["selection"]]
     nets_ref = spec.get("nets", "canonical")
     if nets_ref == "canonical":
-        nets = canonical_net_corpus(sc.space, int(sc.params["window"]))
+        nets = canonical_net_corpus(sc.space, sc.params["window"])
     else:
         nets = [sc.nets[n] for n in nets_ref]
     out = continuity_check(f, nets, spec.get("depth", sc.params["depth"]))
@@ -792,7 +813,7 @@ def _check_transfinite_roundtrip(sc: Scenario, spec: dict) -> tuple[str, str, An
     p = sc._point(spec["point"])
     gamma = parse_ordinal(spec.get("gamma", "w"))
     fam = sc.family_params(spec.get("family"))
-    gb = transfinite_base(f, p, gamma, guided=bool(spec.get("guided", False)))
+    gb = transfinite_base(f, p, gamma, guided=spec.get("guided", False))
     problems = gamma_base_validate(gb)
     if problems:
         return "fail", "; ".join(problems), None
@@ -816,22 +837,6 @@ def _check_pointwise_minimal(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
         done += 1
     return "pass", f"{done} points", None
 
-
-# The objects each check looks up by name in its suite entry, by group; a
-# continuity entry may also name a list of nets.
-CHECK_REFS = {
-    "selection_law": ("selection",),
-    "extremality": ("selection",),
-    "continuity": ("selection",),
-    "net_convergence": ("net",),
-    "derived_props": ("selection",),
-    "decomp_validate": ("decomp",),
-    "base_at_cut": ("selection", "pcut"),
-    "transfinite_roundtrip": ("selection",),
-}
-
-# checks whose suite entries name a point
-CHECK_POINTS = ("extremality", "transfinite_roundtrip")
 
 CHECKS: dict[str, Callable] = {
     "ordinal_laws": _check_ordinal_laws,

@@ -197,6 +197,35 @@ class TestBuildBase:
         assert "invalid scenario" in err and "Traceback" not in err
 
 
+    def test_guided_must_be_a_boolean(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "ordinal_omega2.json").read_text())
+        doc["objects"]["bases"]["graded"]["guided"] = "false"
+        path = tmp_path / "guided.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["build-base", str(path), "--target", "graded"]) == 2
+        assert "guided must be a boolean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "check", "build-base"])
+    def test_base_kind_checked_by_every_command(self, command, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "wedge.json").read_text())
+        doc["objects"]["bases"]["b"] = {"kind": "x", "selection": "fmax"}
+        path = tmp_path / "bad-kind.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--target", "b"] if command == "build-base" else []
+        assert cli.main([command, str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "unknown kind 'x'" in err and "Traceback" not in err
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100000], ids=["not-utf8", "deep"])
+    def test_exits_two(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert cli.main(["check", str(path)]) == 2
+        assert "cannot read scenario" in capsys.readouterr().err
+
+
 class TestDemo:
     def test_fan_demo_json(self):
         out = run_cli("demo", "fan", "--prongs", "3", "--report", "json")

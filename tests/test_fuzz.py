@@ -1,15 +1,21 @@
 """In-process fuzz of the exit contract.
 
-Every node of a small document that runs all eleven checks and names every
-object kind is replaced, one at a time, by each value of a fixed set, and the
-document goes through ``cli.main``: ``check``, or ``build-base`` for a node
-inside a base.  Each case must exit 0, 1 or 2 and print no traceback.
+A small document runs all eleven checks and names every object kind.  Two
+sets of mutations go through ``cli.main``:
+
+* every node of the document is replaced, one at a time, by each value of a
+  fixed set, and the document goes to ``check``, or ``build-base`` for a node
+  inside a base; each case must exit 0, 1 or 2 and print no traceback;
+* every field that ``scenario.SCHEMA`` declares, optional ones included, is
+  set to each wrong value for its rule in ``scenario.RULES``, and ``check``
+  must exit 2.  A field or kind added to the table is fuzzed from then on.
 """
 import contextlib
 import io
 import json
 
 from hypersel import cli
+from hypersel.scenario import OBJECT_GROUPS, RULES, SCHEMA
 
 DOC = {
     "schema": "hypersel-scenario/1",
@@ -137,3 +143,111 @@ def test_every_mutation_keeps_the_exit_contract(tmp_path):
             if code not in (0, 1, 2) or "Traceback" in err:
                 escapes.append(f"{keys} = {value!r}: exit {code}, stderr {err[-200:]!r}")
     assert not escapes, f"{len(escapes)} of {cases} cases escaped:\n" + "\n".join(escapes[:20])
+
+
+# Values each rule must reject in the document above, by what the rule says a
+# value must be.  Every rule of the table needs an entry here.
+WRONG = {
+    "`hypersel-scenario/1`": ("hypersel-scenario/0", None, 1),
+    "a space": ([1], "x", None, {}, {"branches": ["w"], "gluings": "x"}),
+    "a list of ordinal literals": ("ww", ["w*oops"], [1], {}, None),
+    "a list of lists of [branch, position] pairs": (
+        "x", {}, [[[0.0, "w"]]], [[[True, "w"]]], [[[0, "w", 1]]], [[[0, 5]]], None,
+    ),
+    "an object": ([1], "x", None),
+    "an object whose groups are objects": ([1], {"points": []}, {"nets": "x"}, None),
+    "a list": ({}, "x", None),
+    "a string": ([1], 1, {}, None),
+    "a non-negative integer": (-1, 1.5, True, "1", [1], None),
+    "an integer": (1.5, True, "1", [1], None),
+    "a boolean": ("false", 0, 1, [1], None),
+    "`maximal` or `minimal`": ("x", [1], True, None),
+    "a branch index": (-1, 2, True, 1.5, "0", None),
+    "an ordinal literal": ("w*oops", "", 5, [1], None),
+    "a point literal": ("p", [1], [0], [0, "w", "x"], [2, "w"], [0, "w+1"], {}, None),
+    "a nonempty closed set literal": (
+        [], [[0, "1", "w", "open"]], [[0, "0", "w", "x", 5]], [[0, "0"]], {}, "c", None,
+    ),
+    "an open set literal": ([[0, "w", "w"]], [[0, "0", "w", "x"]], {}, "v", None),
+    "a point name or a point literal": ("nope", [1], [0, "w", "x"], [2, "w"], {}, None),
+    "a closed-set name or a nonempty closed set literal": (
+        "nope", [], [[0, "1", "w", "open"]], [[0, "0", "w", 1]], {}, None,
+    ),
+    "a list of set literals": ([1], [{}], [[[0, "0"]]], {}, "x", None),
+    "a list of two set literals": ([[[0, "0", "w"]]], [[], [], []], [1, 2], {}, None),
+    "an object of non-negative integers": ([1], {"grid_k": -1}, {"grid_k": "1"}, 5, None),
+    "a net spec": ({}, [1], "x", {"kind": "x"}, {"kind": "tail"}, None),
+    "the name of a selection": ("nope", ["x"], None, 1),
+    "the name of a selection declared before it": ("nope", "r", ["f"], None),
+    "the name of a decomposition": ("nope", ["d"], None),
+    "the name of a pcut": ("nope", ["cut"], None),
+    "the name of a net": ("nope", ["n1"], None),
+    "`canonical` or a list of net names": ("n1", ["nope"], [["n1"]], {}, None),
+}
+
+# Values no kind field or check field may hold.
+WRONG_KINDS = ("x", "", [1], None)
+
+
+def _doc_specs():
+    """(key path, SCHEMA group, kind) of every spec in DOC that the table walks."""
+    yield (), "document", None
+    yield ("space",), "space", None
+    yield ("params",), "params", None
+    for group in OBJECT_GROUPS[3:]:
+        for name, spec in DOC["objects"][group].items():
+            yield ("objects", group, name), group, spec.get("kind")
+    yield ("objects", "nets", "n4", "inner"), "nets", "increasing"
+    for i, entry in enumerate(DOC["suites"]):
+        yield ("suites", i), "suites", entry["check"]
+
+
+def _mutations():
+    """(key path, field, wrong value) for every field the table declares and
+    every literal entry, plus every kind field."""
+    for path, group, kind in _doc_specs():
+        fields = SCHEMA[group] if kind is None else SCHEMA[group][kind]
+        for name in fields.split():
+            key = name.lstrip("?")
+            for value in WRONG[RULES[key][0]]:
+                yield path, key, value
+        if kind is not None:
+            for value in WRONG_KINDS:
+                yield path, "check" if group == "suites" else "kind", value
+    for group in OBJECT_GROUPS[:3]:
+        for name in DOC["objects"][group]:
+            for value in WRONG[RULES[group][0]]:
+                yield ("objects", group), name, value
+
+
+def test_every_rule_has_wrong_values():
+    assert {says for says, _ in RULES.values()} == set(WRONG)
+    assert all(WRONG.values())
+
+
+def test_doc_has_a_spec_of_every_kind():
+    covered = {(group, kind) for _, group, kind in _doc_specs()}
+    declared = {
+        (group, kind)
+        for group, fields in SCHEMA.items()
+        for kind in (fields if isinstance(fields, dict) else [None])
+    }
+    assert covered == declared
+
+
+def test_every_wrong_field_exits_two(tmp_path):
+    path = tmp_path / "case.json"
+    text = json.dumps(DOC)
+    misses, cases = [], 0
+    for keys, key, value in _mutations():
+        doc = json.loads(text)
+        spec = doc
+        for k in keys:
+            spec = spec[k]
+        spec[key] = value
+        path.write_text(json.dumps(doc))
+        cases += 1
+        code, err = _run(["check", str(path)])
+        if code != 2 or "Traceback" in err:
+            misses.append(f"{keys} {key} = {value!r}: exit {code}")
+    assert not misses, f"{len(misses)} of {cases} cases did not exit 2:\n" + "\n".join(misses[:20])

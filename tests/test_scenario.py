@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,11 @@ from hypersel import cli
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.space import Region, Space
 from hypersel.scenario import (
+    CHECKS,
+    RULES,
+    SCHEMA,
+    SHARED,
+    SUITE,
     Scenario,
     ScenarioError,
     canonical_net_corpus,
@@ -289,6 +296,43 @@ def _broken(kind):
     elif kind == "base-gamma-bad":
         objects["bases"] = {"b": {"kind": "transfinite", "selection": "f", "point": "p",
                                   "gamma": "w*oops"}}
+    elif kind == "extremality-mode":
+        suites.append({"check": "extremality", "selection": "f", "point": "p", "mode": "x"})
+    elif kind == "roundtrip-guided-string":
+        suites.append({"check": "transfinite_roundtrip", "selection": "f", "point": "p",
+                       "guided": "false"})
+    elif kind == "base-guided-string":
+        objects["bases"] = {"b": {"kind": "transfinite", "selection": "f", "point": "p",
+                                  "guided": "false"}}
+    elif kind == "restrict-carrier-open":
+        objects["selections"]["g"] = {"kind": "restrict", "parent": "f",
+                                      "carrier": [[0, "1", "w", "open"]]}
+    elif kind == "constant-set-open":
+        objects["nets"]["m"] = {"kind": "constant", "set": [[0, "1", "w", "open"]]}
+    elif kind == "increasing-base-object":
+        objects["nets"]["m"] = {"kind": "increasing", "branch": 0, "limit": "w", "base": {}}
+    elif kind == "tail-base-empty":
+        objects["nets"]["m"] = {"kind": "tail", "point": "p", "base": []}
+    elif kind == "moving-base-empty":
+        objects["nets"]["m"] = {"kind": "moving", "point": "p", "base": []}
+    elif kind == "interval-extra-items":
+        objects["closed_sets"]["c"] = [[0, "0", "w", "x", 5]]
+    elif kind == "suite-name-list":
+        suites[0]["name"] = [1]
+    elif kind == "base-kind":
+        objects["bases"] = {"b": {"kind": "x", "selection": "f"}}
+    elif kind == "suite-seed-bool":
+        suites.append({"check": "derived_props", "selection": "f", "seed": True})
+    elif kind == "point-literal-three-items":
+        objects["points"]["p"] = [0, "w", "x"]
+    elif kind == "open-set-object":
+        objects["open_sets"] = {"v": {}}
+    elif kind == "branches-string":
+        doc["space"]["branches"] = "ww"
+    elif kind == "gluings-object":
+        doc["space"]["gluings"] = {}
+    elif kind == "document-name-list":
+        doc["name"] = ["t"]
     elif kind.startswith("net-branch-"):
         objects["nets"]["m"] = {"kind": "increasing", "branch": NOT_COUNTS[kind[11:]],
                                 "limit": "w"}
@@ -318,6 +362,13 @@ HOSTILE = [
     "set-item-object", "net-limit-not-string", "check-not-string", "suite-depth-negative",
     "suite-count-list", "suite-triples-string", "suite-steps-bool", "suite-seed-string",
     "suite-gamma-not-string", "base-steps-list", "base-gamma-bad",
+    # values only the field table rejects: each used to load, misread or not, or to
+    # fail at run time as an error record
+    "extremality-mode", "roundtrip-guided-string", "base-guided-string",
+    "restrict-carrier-open", "constant-set-open", "increasing-base-object", "tail-base-empty",
+    "moving-base-empty", "interval-extra-items", "suite-name-list", "base-kind",
+    "suite-seed-bool", "point-literal-three-items", "open-set-object", "branches-string",
+    "gluings-object", "document-name-list",
     *(f"{where}-branch-{label}" for where in ("net", "set", "point", "gluing")
       for label in NOT_COUNTS),
     *(f"net-offset-{label}" for label in NOT_COUNTS),
@@ -346,3 +397,39 @@ class TestExitContract:
         out = capsys.readouterr()
         assert out.out == ""
         assert "invalid scenario" in out.err and "Traceback" not in out.err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _exit_two_list() -> str:
+    """README's list of invalid documents, with line breaks folded."""
+    text = README.read_text()
+    start = text.index("A scenario is invalid (exit `2`")
+    return " ".join(text[start:text.index("A check that raises anything")].split())
+
+
+class TestSchema:
+    def test_one_kind_per_check(self):
+        assert set(SCHEMA["suites"]) == set(CHECKS)
+
+    def test_readme_names_every_field_and_rule(self):
+        section = _exit_two_list()
+        missing = [f"`{key}`" for key in [*RULES, "kind", "check"] if f"`{key}`" not in section]
+        missing += [says for says, _ in RULES.values() if says not in section]
+        assert not missing, f"README's exit-2 list leaves out {missing}"
+
+    def test_readme_table_lists_the_fields_of_every_kind(self):
+        rows = {}
+        for line in README.read_text().splitlines():
+            if line.startswith("| `"):
+                group, kind, fields = (cell.strip(" `") for cell in line.split("|")[1:4])
+                rows[group, kind or None] = re.findall(r"`([?\w]+)`", f"`{fields}`")
+        common = {"suites": SUITE.split(), "bases": SHARED.split(), "nets": ["?window"]}
+        for group, kinds in SCHEMA.items():
+            if group in ("document", "space"):
+                continue
+            for kind, fields in (kinds.items() if isinstance(kinds, dict) else [(None, kinds)]):
+                want = [f for f in fields.split() if f not in common.get(group, ())]
+                assert rows.pop((group, kind)) == want, (group, kind)
+        assert not rows, f"README lists kinds the table does not: {sorted(rows)}"
