@@ -36,6 +36,7 @@ from hypersel.space import (
 from hypersel import hyperspace
 from hypersel.decomp import (
     ABSORPTION_CAP,
+    SAMPLE_COUNT,
     DecompositionError,
     DecompositionSpec,
     ExplicitDecomposition,
@@ -54,7 +55,6 @@ from hypersel.selection import (
 )
 from hypersel.selrel import (
     SeparationStuckError,
-    TwoStepHint,
     clopen_separation,
     derived_sets,
 )
@@ -385,7 +385,7 @@ def _succ_stage(
     if s is None:
         raise SeparationStuckError("shrink", "derived interior is just the point")
     v = inner.remove_point(s)
-    return clopen_separation(f, p, v, TwoStepHint(aux))
+    return clopen_separation(f, p, v, aux)
 
 
 def _ladder_index(beta: Ordinal, c: Ordinal) -> Optional[tuple[int, int]]:
@@ -697,8 +697,8 @@ class GammaBaseDecomposition(DecompositionSpec):
             out.append(self.gamma)
         return tuple(out)
 
-    def sample_indices(self, count: int = 8) -> list[Ordinal]:
-        out = self.gb.sample_indices(count)
+    def sample_indices(self) -> list[Ordinal]:
+        out = self.gb.sample_indices(SAMPLE_COUNT)
         out.append(self.gamma)
         return out
 

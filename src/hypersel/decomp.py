@@ -13,10 +13,8 @@ from typing import Callable, Optional, Sequence
 
 from hypersel.ordinal import (
     OMEGA,
-    ZERO,
     Ordinal,
     fund_index_at_least,
-    left_difference,
     ord_fundamental,
     successor,
 )
@@ -35,7 +33,6 @@ __all__ = [
     "DecompositionSpec",
     "ExplicitDecomposition",
     "ChainDecomposition",
-    "ConcatDecomposition",
     "DecompositionError",
     "ChainResolutionError",
     "decomp_from_chain",
@@ -46,10 +43,12 @@ __all__ = [
 ]
 
 # Levels a chain scan steps through before giving up, indices below a limit
-# that the closedness check probes, and chain members a chain is validated on.
+# that the closedness check probes, chain members a chain is validated on, and
+# finite levels a validation samples.
 SCAN_CAP = 512
 ABSORPTION_CAP = 48
 CHAIN_WINDOW = 16
+SAMPLE_COUNT = 8
 
 
 class DecompositionError(ValueError):
@@ -88,7 +87,7 @@ class DecompositionSpec:
     def limit_indices(self) -> tuple[Ordinal, ...]:
         raise NotImplementedError
 
-    def sample_indices(self, count: int = 8) -> list[Ordinal]:
+    def sample_indices(self) -> list[Ordinal]:
         raise NotImplementedError
 
     def cover_residual(self, idxs: list[Ordinal]) -> Region:
@@ -159,7 +158,7 @@ class ExplicitDecomposition(DecompositionSpec):
     def limit_indices(self) -> tuple[Ordinal, ...]:
         return ()
 
-    def sample_indices(self, count: int = 8) -> list[Ordinal]:
+    def sample_indices(self) -> list[Ordinal]:
         return [Ordinal.from_int(i) for i in range(len(self.fibers))]
 
 
@@ -248,8 +247,8 @@ class ChainDecomposition(DecompositionSpec):
     def limit_indices(self) -> tuple[Ordinal, ...]:
         return (OMEGA,)
 
-    def sample_indices(self, count: int = 8) -> list[Ordinal]:
-        return [Ordinal.from_int(i) for i in range(count)] + [OMEGA]
+    def sample_indices(self) -> list[Ordinal]:
+        return [Ordinal.from_int(i) for i in range(SAMPLE_COUNT)] + [OMEGA]
 
     def cover_residual(self, idxs: list[Ordinal]) -> Region:
         top = max((i.as_int() for i in idxs if i != OMEGA), default=0)
@@ -257,110 +256,6 @@ class ChainDecomposition(DecompositionSpec):
 
     def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
         return [Ordinal.from_int(n) for n in range(ABSORPTION_CAP)]
-
-
-class ConcatDecomposition(DecompositionSpec):
-    """Decompositions of a clopen partition laid end to end, indices summed."""
-
-    def __init__(self, parts: Sequence[DecompositionSpec], kind: Optional[str] = None):
-        if not parts:
-            raise DecompositionError("concatenation needs at least one part")
-        self.parts = tuple(parts)
-        self.space = parts[0].space
-        carrier = parts[0].carrier
-        for part in parts[1:]:
-            if part.space is not self.space:
-                raise DecompositionError("parts live over different spaces")
-            if carrier.meets(part.carrier):
-                raise DecompositionError("part carriers overlap")
-            carrier = carrier.union(part.carrier)
-        self.carrier = carrier
-        self.offsets: list[Ordinal] = []
-        off = ZERO
-        for part in self.parts:
-            self.offsets.append(off)
-            off = off + part.gamma + Ordinal.from_int(1)
-        self.gamma = self.offsets[-1] + self.parts[-1].gamma
-        self.kind = kind or (
-            "ordinal" if all(p.kind == "ordinal" for p in self.parts) else "quasi"
-        )
-
-    def _locate(self, idx: Ordinal) -> tuple[int, Ordinal]:
-        for j in range(len(self.parts) - 1, -1, -1):
-            if idx >= self.offsets[j]:
-                local = left_difference(self.offsets[j], idx)
-                if local > self.parts[j].gamma:
-                    raise DecompositionError(f"index {idx} beyond gamma")
-                return j, local
-        raise DecompositionError(f"bad index {idx}")
-
-    def fiber(self, idx: Ordinal) -> Region:
-        j, local = self._locate(idx)
-        return self.parts[j].fiber(local)
-
-    def eta_point(self, pt: Point) -> Ordinal:
-        for j, part in enumerate(self.parts):
-            if part.carrier.contains_point(pt):
-                return self.offsets[j] + part.eta_point(pt)
-        raise DecompositionError(f"{pt} outside the decomposition carrier")
-
-    def eta_extremes(self, s: Region) -> tuple[Ordinal, Ordinal]:
-        los, his = [], []
-        for j, part in enumerate(self.parts):
-            piece = s.intersect(part.carrier)
-            if piece.is_empty:
-                continue
-            lo, hi = part.eta_extremes(piece)
-            los.append(self.offsets[j] + lo)
-            his.append(self.offsets[j] + hi)
-        if not los:
-            raise DecompositionError("set misses every fiber")
-        return min(los), max(his)
-
-    def upper_strict(self, idx: Ordinal) -> Region:
-        j, local = self._locate(idx)
-        out = self.parts[j].upper_strict(local)
-        for k in range(j + 1, len(self.parts)):
-            out = out.union(self.parts[k].carrier)
-        return out
-
-    def lower_strict(self, idx: Ordinal) -> Region:
-        j, local = self._locate(idx)
-        out = self.parts[j].lower_strict(local)
-        for k in range(j):
-            out = out.union(self.parts[k].carrier)
-        return out
-
-    def limit_indices(self) -> tuple[Ordinal, ...]:
-        out = []
-        for j, part in enumerate(self.parts):
-            for lam in part.limit_indices():
-                out.append(self.offsets[j] + lam)
-            if self.offsets[j].is_limit:
-                out.append(self.offsets[j])
-        return tuple(sorted(set(out), key=lambda o: o.terms))
-
-    def sample_indices(self, count: int = 8) -> list[Ordinal]:
-        out = []
-        for j, part in enumerate(self.parts):
-            out.extend(self.offsets[j] + i for i in part.sample_indices(count))
-        return out
-
-    def cover_residual(self, idxs: list[Ordinal]) -> Region:
-        out = self.space.empty()
-        for j, part in enumerate(self.parts):
-            local = [
-                left_difference(self.offsets[j], i)
-                for i in idxs
-                if i >= self.offsets[j]
-                and left_difference(self.offsets[j], i) <= part.gamma
-            ]
-            out = out.union(part.cover_residual(local))
-        return out
-
-    def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
-        j, local = self._locate(lam)
-        return [self.offsets[j] + c for c in self.parts[j].absorption_candidates(local)]
 
 
 def point_chain_rule(space: Space, p: Point, carrier: Optional[Region] = None):

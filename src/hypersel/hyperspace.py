@@ -26,12 +26,8 @@ __all__ = [
     "moving_point_net",
     "net_convergence_check",
     "CheckOutcome",
-    "increasing_union_limit",
     "open_cover_of",
 ]
-
-# Members an increasing-union net is checked to grow through.
-UNION_PROBE = 16
 
 
 @dataclass(frozen=True)
@@ -237,7 +233,9 @@ def shrinking_tail_net(
     return ConvergentNet(name or f"tail@{p}", "tail", members, limit, window)
 
 
-def appended_point_net(inner: ConvergentNet, x: Point, name: str = "") -> ConvergentNet:
+def appended_point_net(
+    inner: ConvergentNet, x: Point, window: int, name: str = ""
+) -> ConvergentNet:
     """Members of the inner increasing net with a fixed appended point."""
     space = inner.declared_limit.space
     pt_reg = space.point_region(x)
@@ -246,7 +244,7 @@ def appended_point_net(inner: ConvergentNet, x: Point, name: str = "") -> Conver
         return inner.members(n).union(pt_reg)
 
     limit = inner.declared_limit.union(pt_reg)
-    return ConvergentNet(name or f"{inner.name}+{x}", "appended", members, limit, inner.window)
+    return ConvergentNet(name or f"{inner.name}+{x}", "appended", members, limit, window)
 
 
 def moving_point_net(
@@ -279,20 +277,3 @@ def net_convergence_check(net: ConvergentNet, depth: int = 2) -> CheckOutcome:
         if not vietoris_member(last, basic):
             return CheckOutcome(False, basic, f"escapes a basic at {net.window}", len(family))
     return CheckOutcome(True, None, "", len(family))
-
-
-def increasing_union_limit(net: ConvergentNet) -> Region:
-    """Closure of the union of an increasing net: its declared limit, once the
-    first members are seen to grow and to stay inside it."""
-    if net.shape not in ("constant", "increasing", "appended"):
-        raise ValueError(f"net {net.name} is not of increasing-union shape")
-    upto = min(UNION_PROBE, net.window)
-    prev = net.member(0)
-    for n in range(1, upto + 1):
-        cur = net.member(n)
-        if not prev.subset_of(cur):
-            raise ValueError(f"net {net.name} is not increasing at index {n}")
-        prev = cur
-    if not prev.subset_of(net.declared_limit):
-        raise ValueError(f"net {net.name} escapes its declared limit")
-    return net.declared_limit

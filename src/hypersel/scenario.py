@@ -126,10 +126,12 @@ def region_from_json(space: Space, literal) -> Region:
         if not isinstance(literal, list):
             raise ValueError("not a list")
         for item in literal:
-            if not (isinstance(item, list) and item[3:] in ([], ["open"])):
+            if not (isinstance(item, list) and len(item) > 2 and item[3:] in ([], ["open"])):
                 raise ValueError(f"interval {item!r} is not [b, lo, hi] or [b, lo, hi, 'open']")
-            b, lo, hi = item[:3]
-            spans.append((_branch(space, b), parse_ordinal(lo), parse_ordinal(hi), len(item) == 3))
+            b, lo, hi = _branch(space, item[0]), parse_ordinal(item[1]), parse_ordinal(item[2])
+            if hi < lo or (hi == lo and len(item) == 4):
+                raise ValueError(f"interval {item!r} is empty")
+            spans.append((b, lo, hi, len(item) == 3))
     except ValueError as exc:
         raise ScenarioError(f"bad set literal {literal!r}: {exc}") from exc
     return Region.make(space, spans)
@@ -509,7 +511,8 @@ class Scenario:
             )
         p = self._point(spec["point"])
         if kind == "appended":
-            return appended_point_net(self._build_net(name + ".inner", spec["inner"]), p, name)
+            inner = self._build_net(name + ".inner", spec["inner"])
+            return appended_point_net(inner, p, spec.get("window", inner.window), name)
         build = shrinking_tail_net if kind == "tail" else moving_point_net
         return build(self.space, p, base=base, window=window, offset=spec.get("offset", 0),
                      name=name)
@@ -554,7 +557,7 @@ def canonical_net_corpus(space: Space, window: int = 64) -> list[ConvergentNet]:
                 )
                 nets.append(inner)
                 nets.append(
-                    appended_point_net(inner, pt, name=f"incr+pt@{b}:{beta}/{lo}")
+                    appended_point_net(inner, pt, window, name=f"incr+pt@{b}:{beta}/{lo}")
                 )
     return nets
 

@@ -25,9 +25,6 @@ __all__ = [
     "bracket_of",
     "refine_modulo",
     "clopen_separation",
-    "TwoStepHint",
-    "WitnessHint",
-    "CutPointHint",
     "SeparationStuckError",
 ]
 
@@ -131,34 +128,17 @@ def refine_modulo(f: Selection, v: Region, p: Point, q: Point) -> Region:
     return dsw.bracket
 
 
-@dataclass(frozen=True)
-class TwoStepHint:
-    """Auxiliary point-maximal selections, supplied per point on demand."""
-
-    aux: Callable[[Point], Selection]
-
-
-@dataclass(frozen=True)
-class WitnessHint:
-    """A clopen witness W around the obstruction, avoiding the kept point."""
-
-    w: Region
-
-
-@dataclass(frozen=True)
-class CutPointHint:
-    side0: Region
-    side1: Region
-
-
 class SeparationStuckError(RuntimeError):
     def __init__(self, stage: str, detail: str = "") -> None:
         super().__init__(f"clopen separation stuck at {stage}: {detail}")
         self.stage = stage
 
 
-def clopen_separation(f: Selection, p: Point, v: Region, hint) -> Region:
-    """A clopen set U with p inside U inside V, by the hinted construction."""
+def clopen_separation(
+    f: Selection, p: Point, v: Region, aux: Callable[[Point], Selection]
+) -> Region:
+    """A clopen set U with p inside U inside V, by the two-step construction:
+    aux supplies a selection maximal at a given point, on demand."""
     space = f.space
     if not v.contains_point(p):
         raise ValueError(f"{p} outside the target open set")
@@ -167,16 +147,7 @@ def clopen_separation(f: Selection, p: Point, v: Region, hint) -> Region:
     p_reg = space.point_region(p)
     if p_reg.is_open():
         return p_reg
-
-    if isinstance(hint, CutPointHint):
-        u = _cut_point_separation(f, p, v, hint)
-    elif isinstance(hint, WitnessHint):
-        u = _witness_separation(f, p, v, hint)
-    elif isinstance(hint, TwoStepHint):
-        u = _two_step_separation(f, p, v, hint)
-    else:
-        raise ValueError(f"unknown separation hint {hint!r}")
-
+    u = _two_step_separation(f, p, v, aux)
     if not (u.is_clopen() and u.contains_point(p) and u.subset_of(v)):
         raise DerivedSetsInvariantError(f"separation output invalid: {u!r}")
     return u
@@ -189,18 +160,12 @@ def _pick_q(region: Region, exclude: tuple[Point, ...], stage: str) -> Point:
     return q
 
 
-def _first_bracket(f: Selection, p: Point, v: Region) -> tuple[Region, Point]:
-    ds = derived_sets(f, v)
-    q1 = _pick_q(ds.interior, (p,), "choose-q1")
+def _two_step_separation(f, p, v, aux) -> Region:
+    q1 = _pick_q(derived_sets(f, v).interior, (p,), "choose-q1")
     h1 = refine_modulo(f, v, p, q1)
-    return h1, q1
-
-
-def _two_step_separation(f, p, v, hint: TwoStepHint) -> Region:
-    h1, q1 = _first_bracket(f, p, v)
     if h1.is_open():
         return h1
-    f2 = hint.aux(q1)
+    f2 = aux(q1)
     if f2.maximal_point() != q1:
         raise ValueError(f"auxiliary selection is not maximal at {q1}")
     v2 = v.remove_point(p)
@@ -209,30 +174,3 @@ def _two_step_separation(f, p, v, hint: TwoStepHint) -> Region:
     q2 = _pick_q(pool, (q1, p), "choose-q2")
     h2 = refine_modulo(f2, v2, q1, q2)
     return h1.difference(h2)
-
-
-def _witness_separation(f, p, v, hint: WitnessHint) -> Region:
-    w = hint.w
-    if not w.is_clopen() or w.contains_point(p):
-        raise ValueError("witness must be clopen and avoid the kept point")
-    h1, q1 = _first_bracket(f, p, v)
-    if h1.is_open():
-        return h1
-    if not w.contains_point(q1):
-        raise SeparationStuckError("witness", f"witness misses the boundary {q1}")
-    return h1.difference(w)
-
-
-def _cut_point_separation(f, p, v, hint: CutPointHint) -> Region:
-    space = f.space
-    ds = derived_sets(f, v)
-    sides = (hint.side0, hint.side1)
-    pieces = []
-    for i in (0, 1):
-        pool = ds.interior.intersect(sides[i].closure())
-        q_i = _pick_q(pool, (p,), f"choose-q{i}")
-        w_i = v.remove_point(q_i)
-        h_i = derived_sets(f, w_i).bracket
-        u_i = h_i.union(sides[i].closure())
-        pieces.append(u_i)
-    return pieces[0].intersect(pieces[1])

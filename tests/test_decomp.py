@@ -4,7 +4,6 @@ from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.space import Region
 from hypersel.decomp import (
     ChainDecomposition,
-    ConcatDecomposition,
     DecompositionError,
     ExplicitDecomposition,
     decomp_from_chain,
@@ -187,37 +186,3 @@ class TestPointDecomposition:
             assert member.is_clopen()
             meet = meet.intersect(member)
         assert meet.grid_members() == [hub]
-
-
-class TestConcat:
-    def test_block_concat_validates(self, omega2_space):
-        lower = creg(omega2_space, (0, ZERO, W))
-        upper = creg(omega2_space, (0, P("w+1"), W2))
-        d1 = point_decomposition(omega2_space, omega2_space.point(0, W), carrier=lower)
-        d2 = point_decomposition(omega2_space, omega2_space.point(0, W2), carrier=upper)
-        cat = ConcatDecomposition([d1, d2])
-        # omega + 1 + omega = omega*2: the seam index is absorbed
-        assert cat.gamma == P("w*2")
-        assert cat.fiber(P("w*2")) == omega2_space.point_region(
-            omega2_space.point(0, W2)
-        )
-        assert decomp_validate(cat).passed
-
-    def test_concat_index_arithmetic(self, omega2_space):
-        lower = creg(omega2_space, (0, ZERO, W))
-        upper = creg(omega2_space, (0, P("w+1"), W2))
-        d1 = point_decomposition(omega2_space, omega2_space.point(0, W), carrier=lower)
-        d2 = point_decomposition(omega2_space, omega2_space.point(0, W2), carrier=upper)
-        cat = ConcatDecomposition([d1, d2])
-        assert cat.fiber(W) == omega2_space.point_region(omega2_space.point(0, W))
-        assert cat.fiber(P("w+1")) == d2.fiber(ZERO)
-        s = creg(omega2_space, (0, O(3), O(3)), (0, P("w+5"), P("w+5")))
-        lo, hi = cat.eta_extremes(s)
-        assert lo == O(3)
-        assert hi > W
-
-    def test_overlapping_parts_rejected(self, omega2_space):
-        lower = creg(omega2_space, (0, ZERO, W))
-        d1 = point_decomposition(omega2_space, omega2_space.point(0, W), carrier=lower)
-        with pytest.raises(DecompositionError):
-            ConcatDecomposition([d1, d1])

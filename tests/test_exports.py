@@ -1,5 +1,8 @@
-"""Every name a hypersel module exports in ``__all__`` exists in it."""
+"""Every name a hypersel module exports in ``__all__`` exists in it, and every
+name a module imports is used in it or exported."""
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ MODULES = [
     "hypersel.decomp", "hypersel.selection", "hypersel.selrel", "hypersel.basebuilder",
     "hypersel.scenario", "hypersel.cli",
 ]
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "hypersel").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,3 +21,32 @@ def test_all_names_defined(name):
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the module imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_is_found():
+    assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == ["os", "b"]
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = unused_imports(path.read_text(encoding="utf-8"))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -167,14 +167,22 @@ WRONG = {
     "a point literal": ("p", [1], [0], [0, "w", "x"], [2, "w"], [0, "w+1"], {}, None),
     "a nonempty closed set literal": (
         [], [[0, "1", "w", "open"]], [[0, "0", "w", "x", 5]], [[0, "0"]], {}, "c", None,
+        [[0, "0", "w"], [1, "5", "2"]], [[0, "0", "w"], [1, "3", "3", "open"]],
     ),
-    "an open set literal": ([[0, "w", "w"]], [[0, "0", "w", "x"]], {}, "v", None),
+    "an open set literal": (
+        [[0, "w", "w"]], [[0, "0", "w", "x"]], {}, "v", None, [[0, "5", "2", "open"]],
+        [[0, "3", "3", "open"]],
+    ),
     "a point name or a point literal": ("nope", [1], [0, "w", "x"], [2, "w"], {}, None),
     "a closed-set name or a nonempty closed set literal": (
         "nope", [], [[0, "1", "w", "open"]], [[0, "0", "w", 1]], {}, None,
+        [[0, "0", "w"], [1, "5", "2"]],
     ),
-    "a list of set literals": ([1], [{}], [[[0, "0"]]], {}, "x", None),
-    "a list of two set literals": ([[[0, "0", "w"]]], [[], [], []], [1, 2], {}, None),
+    "a list of set literals": ([1], [{}], [[[0, "0"]]], {}, "x", None, [[[0, "5", "2"]]]),
+    "a list of two set literals": (
+        [[[0, "0", "w"]]], [[], [], []], [1, 2], {}, None,
+        [[[0, "0", "w", "open"]], [[1, "0", "w", "open"], [1, "3", "3", "open"]]],
+    ),
     "an object of non-negative integers": ([1], {"grid_k": -1}, {"grid_k": "1"}, 5, None),
     "a net spec": ({}, [1], "x", {"kind": "x"}, {"kind": "tail"}, None),
     "the name of a selection": ("nope", ["x"], None, 1),

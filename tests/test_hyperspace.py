@@ -15,7 +15,6 @@ from hypersel.hyperspace import (
     moving_point_net,
     net_convergence_check,
     shrinking_tail_net,
-    increasing_union_limit,
     vietoris_member,
 )
 
@@ -182,43 +181,13 @@ class TestNets:
 
     def test_appended_point_net(self, line):
         inner = increasing_union_net(line, 0, ZERO, W)
-        net = appended_point_net(inner, line.point(0, W))
+        net = appended_point_net(inner, line.point(0, W), 64)
         assert net_convergence_check(net).passed
 
     def test_wedge_tail_net(self, wedge_space):
         hub = wedge_space.point(0, W)
         net = shrinking_tail_net(wedge_space, hub)
         assert net_convergence_check(net).passed
-
-
-class TestIncreasingUnionLimit:
-    def test_initial_segments(self, line):
-        net = increasing_union_net(line, 0, ZERO, W)
-        assert increasing_union_limit(net) == creg(line, (0, ZERO, W))
-
-    def test_constant(self, line):
-        s = creg(line, (0, ZERO, ZERO))
-        assert increasing_union_limit(constant_net(s)) == s
-
-    def test_block_segments(self, omega2_space):
-        net = increasing_union_net(omega2_space, 0, ZERO, parse_ordinal("w*2"))
-        assert increasing_union_limit(net) == Region.from_intervals(
-            omega2_space, [(0, ZERO, parse_ordinal("w*2"))]
-        )
-
-    def test_limit_passes_own_net(self, line):
-        for net in [
-            increasing_union_net(line, 0, ZERO, W),
-            appended_point_net(increasing_union_net(line, 0, O(1), W), line.point(0, W)),
-        ]:
-            limit = increasing_union_limit(net)
-            assert limit == net.declared_limit
-            assert net_convergence_check(net).passed
-
-    def test_rejects_shrinking(self, line):
-        net = shrinking_tail_net(line, line.point(0, W))
-        with pytest.raises(ValueError):
-            increasing_union_limit(net)
 
 
 def corpus_spaces() -> dict[str, Space]:
@@ -262,6 +231,12 @@ DECLARED_NETS = {
             "app-base": {"kind": "appended", "point": "top",
                          "inner": {"kind": "increasing", "branch": 1, "lo": "1",
                                    "limit": "w", "base": "z"}},
+            "app-own-window": {"kind": "appended", "point": "one", "window": 5,
+                               "inner": {"kind": "increasing", "branch": 0, "limit": "w",
+                                         "window": 9}},
+            "app-inner-window": {"kind": "appended", "point": "one",
+                                 "inner": {"kind": "increasing", "branch": 0, "limit": "w",
+                                           "window": 9}},
         },
     },
     "suites": [],
@@ -287,6 +262,14 @@ class TestWindowMemberOnly:
             for n in range(net.window + 1):
                 assert not net.members(n).is_empty, (net.name, n)
             assert net_convergence_check(net) == ref_net_convergence_check(net), net.name
+
+    def test_appended_net_window(self):
+        """An appended net's own window is read; without one it keeps the
+        inner net's."""
+        nets = Scenario.load(DECLARED_NETS).nets
+        assert nets["app-own-window"].window == 5
+        assert nets["app-inner-window"].window == 9
+        assert nets["app"].window == 64
 
     def test_empty_member_at_window_still_raises(self, line):
         point = creg(line, (0, ZERO, ZERO))

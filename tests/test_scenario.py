@@ -333,6 +333,13 @@ def _broken(kind):
         doc["space"]["gluings"] = {}
     elif kind == "document-name-list":
         doc["name"] = ["t"]
+    elif kind == "interval-reversed":
+        objects["open_sets"] = {"v": [[0, "5", "2"]]}
+    elif kind == "interval-open-empty":
+        objects["closed_sets"]["c"] = [[0, "0", "w"], [1, "3", "3", "open"]]
+    elif kind == "fiber-interval-reversed":
+        objects["decompositions"]["e"] = {"kind": "explicit",
+                                          "fibers": [[[0, "0", "w"], [1, "5", "2"]]]}
     elif kind.startswith("net-branch-"):
         objects["nets"]["m"] = {"kind": "increasing", "branch": NOT_COUNTS[kind[11:]],
                                 "limit": "w"}
@@ -369,6 +376,8 @@ HOSTILE = [
     "moving-base-empty", "interval-extra-items", "suite-name-list", "base-kind",
     "suite-seed-bool", "point-literal-three-items", "open-set-object", "branches-string",
     "gluings-object", "document-name-list",
+    # an interval that denotes the empty set used to be read as nothing
+    "interval-reversed", "interval-open-empty", "fiber-interval-reversed",
     *(f"{where}-branch-{label}" for where in ("net", "set", "point", "gluing")
       for label in NOT_COUNTS),
     *(f"net-offset-{label}" for label in NOT_COUNTS),

@@ -15,12 +15,9 @@ from hypersel.selection import (
 )
 from hypersel.basebuilder import decomp_to_extreme_selection, maximal_at, minimal_at
 from hypersel.selrel import (
-    CutPointHint,
     DerivedSetsInvariantError,
     SelRel,
     SeparationStuckError,
-    TwoStepHint,
-    WitnessHint,
     bracket_of,
     clopen_separation,
     derived_sets,
@@ -177,7 +174,7 @@ class TestClopenSeparation:
     def test_tail_two_step(self, line, jmax):
         top = line.point(0, W)
         v = Region.make(line, [(0, O(4), W, True)])
-        u = clopen_separation(jmax, top, v, TwoStepHint(lambda q: maximal_at(line, q)))
+        u = clopen_separation(jmax, top, v, lambda q: maximal_at(line, q))
         assert u.is_clopen() and u.contains_point(top) and u.subset_of(v)
 
     def test_isolated_point(self, omega2_space):
@@ -186,34 +183,9 @@ class TestClopenSeparation:
             point_decomposition(omega2_space, p), p, "maximal", FamilyParams(grid_k=3)
         )
         u = clopen_separation(
-            f, p, omega2_space.whole(), TwoStepHint(lambda q: maximal_at(omega2_space, q))
+            f, p, omega2_space.whole(), lambda q: maximal_at(omega2_space, q)
         )
         assert u == omega2_space.point_region(p)
-
-    def test_witness_hint(self, omega2_space):
-        top = omega2_space.point(0, W2)
-        f = decomp_to_extreme_selection(
-            point_decomposition(omega2_space, top), top, "maximal", FamilyParams(grid_k=3)
-        )
-        v = Region.make(omega2_space, [(0, O(1), W2, True)])
-        ds = derived_sets(f, v)
-        q1 = None
-        from hypersel.space import next_point
-
-        q1 = next_point(ds.interior, exclude=(top,))
-        w = Region.from_intervals(omega2_space, [(0, q1.pos, q1.pos)])
-        assert w.is_clopen()
-        u = clopen_separation(f, top, v, WitnessHint(w))
-        assert u.is_clopen() and u.contains_point(top) and u.subset_of(v)
-
-    def test_cut_point_recipe_on_wedge(self, wedge_space, wedge_maximal):
-        hub = wedge_space.point(0, W)
-        side0 = Region.make(wedge_space, [(0, ZERO, W, False)])
-        side1 = Region.make(wedge_space, [(1, ZERO, W, False)])
-        u = clopen_separation(
-            wedge_maximal, hub, wedge_space.whole(), CutPointHint(side0, side1)
-        )
-        assert u.is_clopen() and u.contains_point(hub)
 
     def test_two_step_engages_on_limit_boundary(self, omega2_space, monkeypatch):
         # bias the first pick toward the interior limit point so the first
@@ -236,12 +208,14 @@ class TestClopenSeparation:
 
         monkeypatch.setattr(selrel_mod, "next_point", biased)
         u = clopen_separation(
-            f, top, omega2_space.whole(), TwoStepHint(lambda q: maximal_at(omega2_space, q))
+            f, top, omega2_space.whole(), lambda q: maximal_at(omega2_space, q)
         )
         assert u.is_clopen() and u.contains_point(top)
         assert calls["n"] >= 2  # the second pick actually ran
 
-    def test_stuck_witness_reported(self, omega2_space, monkeypatch):
+    def test_stuck_second_pick_reported(self, omega2_space, monkeypatch):
+        # the first pick forces a non-clopen first bracket, as above; the
+        # second pick then finds nothing
         import hypersel.selrel as selrel_mod
         from hypersel.space import next_point as real_next_point
 
@@ -256,12 +230,14 @@ class TestClopenSeparation:
             calls["n"] += 1
             if calls["n"] == 1 and region.contains_point(limit_pt):
                 return limit_pt
+            if calls["n"] == 2:
+                return None
             return real_next_point(region, exclude)
 
         monkeypatch.setattr(selrel_mod, "next_point", biased)
-        missing = Region.from_intervals(omega2_space, [(0, O(9), O(9))])
-        with pytest.raises(SeparationStuckError):
-            clopen_separation(f, top, omega2_space.whole(), WitnessHint(missing))
+        with pytest.raises(SeparationStuckError) as err:
+            clopen_separation(f, top, omega2_space.whole(), lambda q: maximal_at(omega2_space, q))
+        assert err.value.stage == "choose-q2"
 
 
 def _bracket_cases():
