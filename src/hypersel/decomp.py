@@ -22,8 +22,8 @@ from hypersel.space import (
     Point,
     Region,
     Space,
-    character,
     clopen_modulo,
+    isolated_in,
     next_point,
     rel_open,
 )
@@ -68,9 +68,6 @@ class DecompositionSpec:
     kind: str  # 'ordinal' | 'quasi'
 
     def fiber(self, idx: Ordinal) -> Region:
-        raise NotImplementedError
-
-    def eta_point(self, pt: Point) -> Ordinal:
         raise NotImplementedError
 
     def eta_extremes(self, s: Region) -> tuple[Ordinal, Ordinal]:
@@ -130,12 +127,6 @@ class ExplicitDecomposition(DecompositionSpec):
 
     def fiber(self, idx: Ordinal) -> Region:
         return self.fibers[idx.as_int()]
-
-    def eta_point(self, pt: Point) -> Ordinal:
-        for i, fib in enumerate(self.fibers):
-            if fib.contains_point(pt):
-                return Ordinal.from_int(i)
-        raise DecompositionError(f"{pt} outside the decomposition carrier")
 
     def eta_extremes(self, s: Region) -> tuple[Ordinal, Ordinal]:
         hit = [i for i, fib in enumerate(self.fibers) if s.meets(fib)]
@@ -199,18 +190,6 @@ class ChainDecomposition(DecompositionSpec):
             return self._p_region
         n = idx.as_int()
         return self.chain(n).difference(self.chain(n + 1))
-
-    def eta_point(self, pt: Point) -> Ordinal:
-        if pt == self.p:
-            return OMEGA
-        n = 0
-        while self.chain(n + 1).contains_point(pt):
-            n += 1
-            if n > SCAN_CAP:
-                raise ChainResolutionError(f"level of {pt} beyond scan cap")
-        if not self.chain(n).contains_point(pt):
-            raise DecompositionError(f"{pt} outside the decomposition carrier")
-        return Ordinal.from_int(n)
 
     def eta_extremes(self, s: Region) -> tuple[Ordinal, Ordinal]:
         if s.is_empty:
@@ -295,9 +274,8 @@ def point_decomposition(
     base = carrier if carrier is not None else space.whole()
     if not base.contains_point(p):
         raise DecompositionError(f"{p} outside the carrier")
-    info = character(space, p, base)
     p_reg = space.point_region(p)
-    if info.isolated:
+    if isolated_in(base, p):
         rest = base.difference(p_reg)
         if rest.is_empty:
             return ExplicitDecomposition(space, [p_reg], carrier=base)
@@ -413,9 +391,6 @@ def decomp_validate(d: DecompositionSpec) -> ValidationReport:
         status = clopen_modulo(fib)
         if not status.in_delta:
             ok, detail = False, f"fiber at {idx} not clopen modulo a point"
-            break
-        if not status.delta_omega:
-            ok, detail = False, f"fiber at {idx} fails countable character"
             break
     report.add("fibers-in-delta", ok, detail)
 

@@ -268,8 +268,9 @@ RULES: dict[str, tuple[str, Any]] = {
     "fibers": ("a list of set literals", _set_literals),
     "sides": ("a list of two set literals", lambda ctx, v: len(v) == 2 and _set_literals(ctx, v)),
     "family": (
-        "an object of non-negative integers",
-        lambda ctx, v: isinstance(v, dict) and all(map(_is_count, v.values())),
+        "an object of non-negative integers whose `max_intervals` is 1 or 2",
+        lambda ctx, v: isinstance(v, dict) and all(map(_is_count, v.values()))
+        and v.get("max_intervals", 1) in (1, 2),
     ),
     "inner": ("a net spec", "nets"),
     "selection": _name_of("selections", "the name of a selection"),
@@ -341,13 +342,18 @@ def _field(ctx: dict, key: str, value, what: str) -> Any:
     return out
 
 
+# Specs a document may nest inside one another (net specs through ``inner``);
+# the builders recurse once per level.
+MAX_NESTING = 64
+
+
 def _check(ctx: dict, group: str, spec, what: str) -> None:
     """Raise ScenarioError unless ``spec`` is an object that holds every field
     its kind requires, and every field its kind reads passes its rule.  A
-    nested spec is walked from a work list, so nesting costs no stack."""
-    todo = [(group, spec, what)]
+    nested spec is walked from a work list, at most MAX_NESTING deep."""
+    todo = [(group, spec, what, 0)]
     while todo:
-        group, spec, what = todo.pop()
+        group, spec, what, depth = todo.pop()
         if not isinstance(spec, dict):
             raise ScenarioError(f"{what} must be an object")
         fields = SCHEMA[group]
@@ -362,7 +368,9 @@ def _check(ctx: dict, group: str, spec, what: str) -> None:
                 if key == name:
                     raise ScenarioError(f"{what}: missing field {key!r}")
             elif isinstance(RULES[key][1], str):  # a nested spec of that group
-                todo.append((RULES[key][1], spec[key], f"{what}: {key}"))
+                if depth == MAX_NESTING:
+                    raise ScenarioError(f"{what}: specs nest more than {MAX_NESTING} deep")
+                todo.append((RULES[key][1], spec[key], f"{what}: {key}", depth + 1))
             else:
                 _field(ctx, key, spec[key], f"{what}: {key}")
 

@@ -30,9 +30,6 @@ __all__ = [
     "LevelSelection",
     "RestrictSelection",
     "PatchedSelection",
-    "FiberSelections",
-    "join_combinator",
-    "meet_combinator",
     "order_extremum",
     "default_orientations",
     "ExtremumNotAttained",
@@ -202,10 +199,6 @@ class Selection:
         """Point p with f(S) = p whenever p is in S, if structurally known."""
         return None
 
-    def minimal_point(self) -> Optional[Point]:
-        """Point p with f(S) != p whenever S != {p}, if structurally known."""
-        return None
-
 
 class OrderExtremumSelection(Selection):
     """The order maximum (want_max) or minimum of the argument under the
@@ -225,17 +218,11 @@ class OrderExtremumSelection(Selection):
         m = self._pick(c)
         return _key_ray(self.space, self.orientations, m, self.want_max).intersect(self.carrier)
 
-    def _carrier_extremum(self, want_max: bool) -> Optional[Point]:
+    def maximal_point(self) -> Optional[Point]:
         try:
-            return order_extremum(self.space, self.orientations, self.carrier, want_max)
+            return order_extremum(self.space, self.orientations, self.carrier, self.want_max)
         except ExtremumNotAttained:
             return None
-
-    def maximal_point(self) -> Optional[Point]:
-        return self._carrier_extremum(self.want_max)
-
-    def minimal_point(self) -> Optional[Point]:
-        return self._carrier_extremum(not self.want_max)
 
 
 class OrderMaxSelection(OrderExtremumSelection):
@@ -248,35 +235,34 @@ class OrderMinSelection(OrderExtremumSelection):
     want_max = False
 
 
-class FiberSelections:
-    """One selection per decomposition level, built on demand and memoized."""
-
-    def __init__(
-        self, decomp: DecompositionSpec, factory: Callable[[Ordinal, Region], Selection]
-    ) -> None:
-        self.decomp = decomp
-        self.factory = factory
-        self._memo: dict[Ordinal, Selection] = {}
-
-    def get(self, idx: Ordinal) -> Selection:
-        sel = self._memo.get(idx)
-        if sel is None:
-            sel = self.factory(idx, self.decomp.fiber(idx))
-            self._memo[idx] = sel
-        return sel
-
-
 class LevelSelection(Selection):
     """Level combinator: evaluate the fiber selection at the highest (join)
-    or lowest (meet) level met by the argument."""
+    or lowest (meet) level met by the argument.  ``fiber_selection(idx,
+    fiber)`` gives the selection of one level; each is built once."""
 
-    def __init__(self, decomp: DecompositionSpec, fibers: FiberSelections, top: bool) -> None:
+    def __init__(
+        self,
+        decomp: DecompositionSpec,
+        top: bool,
+        fiber_selection: Callable[[Ordinal, Region], Selection],
+    ) -> None:
+        if top and decomp.kind != "ordinal":
+            raise ValueError("join needs an ordinal decomposition")
+        if not top and decomp.kind not in ("ordinal", "quasi"):
+            raise ValueError("meet needs a quasi-ordinal decomposition")
         self.decomp = decomp
         self.space = decomp.space
         self.carrier = decomp.carrier
-        self.fibers = fibers
         self.top = top
         self.kind = "join" if top else "meet"
+        self._fiber_selection = fiber_selection
+        self._fibers: dict[Ordinal, Selection] = {}
+
+    def _fiber(self, idx: Ordinal) -> Selection:
+        sel = self._fibers.get(idx)
+        if sel is None:
+            sel = self._fibers[idx] = self._fiber_selection(idx, self.decomp.fiber(idx))
+        return sel
 
     def _level(self, s: Region) -> Ordinal:
         lo, hi = self.decomp.eta_extremes(s)
@@ -284,7 +270,7 @@ class LevelSelection(Selection):
 
     def _pick(self, s: Region) -> Point:
         idx = self._level(s)
-        return self.fibers.get(idx).evaluate(s.intersect(self.decomp.fiber(idx)))
+        return self._fiber(idx).evaluate(s.intersect(self.decomp.fiber(idx)))
 
     def bracket(self, c: Region) -> Region:
         # points beyond the extreme level select themselves; at that level
@@ -292,10 +278,12 @@ class LevelSelection(Selection):
         idx = self._level(c)
         d = self.decomp
         beyond = d.upper_strict(idx) if self.top else d.lower_strict(idx)
-        return beyond.union(self.fibers.get(idx).bracket(c.intersect(d.fiber(idx))))
+        return beyond.union(self._fiber(idx).bracket(c.intersect(d.fiber(idx))))
 
-    def _top_point(self) -> Optional[Point]:
-        """The point of the top fiber when that fiber is a singleton."""
+    def maximal_point(self) -> Optional[Point]:
+        """The point of a join's top fiber when that fiber is a singleton."""
+        if not self.top:
+            return None
         top = self.decomp.fiber(self.decomp.gamma)
         pts = {self.space.point(b, sp.lo) for b, sp in top.span_items()}
         if len(pts) == 1:
@@ -303,12 +291,6 @@ class LevelSelection(Selection):
             if top == self.space.point_region(p):
                 return p
         return None
-
-    def maximal_point(self) -> Optional[Point]:
-        return self._top_point() if self.top else None
-
-    def minimal_point(self) -> Optional[Point]:
-        return None if self.top else self._top_point()
 
 
 class RestrictSelection(Selection):
@@ -375,38 +357,13 @@ class PatchedSelection(Selection):
         return base
 
 
-def _level_combinator(
-    decomp: DecompositionSpec, fibers: Optional[FiberSelections], top: bool
-) -> LevelSelection:
-    if fibers is None:
-        space = decomp.space
-        fibers = FiberSelections(decomp, lambda idx, fib: OrderMaxSelection(space, carrier=fib))
-    return LevelSelection(decomp, fibers, top)
-
-
-def join_combinator(
-    decomp: DecompositionSpec, fibers: Optional[FiberSelections] = None
-) -> LevelSelection:
-    if decomp.kind != "ordinal":
-        raise ValueError("join needs an ordinal decomposition")
-    return _level_combinator(decomp, fibers, top=True)
-
-
-def meet_combinator(
-    decomp: DecompositionSpec, fibers: Optional[FiberSelections] = None
-) -> LevelSelection:
-    if decomp.kind not in ("ordinal", "quasi"):
-        raise ValueError("meet needs a quasi-ordinal decomposition")
-    return _level_combinator(decomp, fibers, top=False)
-
-
 # -- exhaustive checking -----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Enumeration bounds: endpoints from the k-grid, at most this many
-    intervals per branch."""
+    """Enumeration bounds: endpoints from the k-grid, one interval per branch
+    or (max_intervals 2) up to two; no other value is supported."""
 
     grid_k: int = 4
     max_intervals: int = 2

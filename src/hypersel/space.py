@@ -11,11 +11,9 @@ is decidable from span left ends alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from hypersel.ordinal import (
-    OMEGA,
-    ONE,
     ZERO,
     Ordinal,
     fund_index_at_least,
@@ -36,8 +34,7 @@ __all__ = [
     "complement_closure",
     "clopen_modulo",
     "ClopenStatus",
-    "character",
-    "CharacterInfo",
+    "isolated_in",
     "SpaceMismatchError",
 ]
 
@@ -637,9 +634,9 @@ def complement_closure(h: Region) -> Region:
 
 @dataclass(frozen=True)
 class ClopenStatus:
+    # Needs no countable-character test: every limit below epsilon_0 has cofinality omega.
     kind: str  # 'clopen' | 'modulo' | 'not_in_delta'
     point: Optional[Point]
-    delta_omega: bool
 
     @property
     def in_delta(self) -> bool:
@@ -656,55 +653,24 @@ def clopen_modulo(h: Region) -> ClopenStatus:
         if s.lo.is_limit
     ]
     if not bad:
-        return ClopenStatus("clopen", None, True)
+        return ClopenStatus("clopen", None)
     candidates = {h.space.point(b, pos) for b, pos in bad}
     if len(candidates) == 1:
         p = candidates.pop()
         if h.remove_point(p).is_open():
-            info = character(h.space, p, h)
-            return ClopenStatus("modulo", p, info.chi <= OMEGA)
-    return ClopenStatus("not_in_delta", None, False)
+            return ClopenStatus("modulo", p)
+    return ClopenStatus("not_in_delta", None)
 
 
-@dataclass(frozen=True)
-class CharacterInfo:
-    chi: Ordinal
-    psi: Ordinal
-    base: Callable[[int], Region]
-    isolated: bool
-
-
-def character(space: Space, p: Point, within: Optional[Region] = None) -> CharacterInfo:
-    """Character and pseudocharacter of p (in a closed subspace if given).
-
-    Both are 1 at relatively isolated points and omega otherwise, with a
-    canonical decreasing relatively clopen base generator.
-    """
-    carrier = within if within is not None else space.whole()
-    if not carrier.contains_point(p):
-        raise ValueError(f"{p} lies outside the subspace")
-    accumulated = False
-    for b, beta in space.point_coords(p):
-        if not beta.is_limit:
-            continue
-        for s in carrier.traces[b]:
-            if s.lo < beta and (s.hi > beta or s.hi == beta):
-                accumulated = True
-                break
-        if accumulated:
-            break
-    if not accumulated:
-        pt_reg = space.point_region(p)
-
-        def base_iso(_n: int, reg: Region = pt_reg) -> Region:
-            return reg
-
-        return CharacterInfo(ONE, ONE, base_iso, True)
-
-    def base_gen(n: int) -> Region:
-        return space.open_tail(p, n).intersect(carrier)
-
-    return CharacterInfo(OMEGA, OMEGA, base_gen, False)
+def isolated_in(carrier: Region, p: Point) -> bool:
+    """Is p isolated in the closed subspace carrier?  It is unless some limit
+    coordinate of p is approached from below inside the carrier."""
+    return not any(
+        s.lo < beta <= s.hi
+        for b, beta in carrier.space.point_coords(p)
+        if beta.is_limit
+        for s in carrier.traces[b]
+    )
 
 
 def rel_open(a: Region, carrier: Region) -> bool:

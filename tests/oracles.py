@@ -12,8 +12,8 @@ from sympy.sets.ordinals import Ordinal as SymOrdinal, ord0, omega
 from itertools import combinations
 
 from hypersel.hyperspace import CheckOutcome, ConvergentNet, VietorisBasic, basic_nbhd_family
-from hypersel.ordinal import OMEGA, Ordinal, parse_ordinal, successor
-from hypersel.space import Point, Region, Space, Span, character
+from hypersel.ordinal import Ordinal, parse_ordinal, successor
+from hypersel.space import Point, Region, Space, Span
 
 
 def to_sympy(a: Ordinal) -> SymOrdinal:
@@ -249,17 +249,17 @@ def ref_has_base_interval(h: Region, b: int, x: Ordinal) -> bool:
 
 
 def ref_clopen_modulo(h: Region) -> tuple:
-    """(kind, point, delta_omega) of space.clopen_modulo, removing the point
-    with the reference difference."""
+    """(kind, point) of space.clopen_modulo, removing the point with the
+    reference difference."""
     bad = [(b, s.lo) for b, s in h.span_items() if s.lo.is_limit]
     if not bad:
-        return ("clopen", None, True)
+        return ("clopen", None)
     candidates = {h.space.point(b, pos) for b, pos in bad}
     if len(candidates) == 1:
         p = candidates.pop()
         if ref_difference(h, ref_point_region(h.space, p)).is_open():
-            return ("modulo", p, character(h.space, p, h).chi <= OMEGA)
-    return ("not_in_delta", None, False)
+            return ("modulo", p)
+    return ("not_in_delta", None)
 
 
 def is_saturated(r: Region) -> bool:

@@ -11,14 +11,13 @@ from hypersel.decomp import point_decomposition
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.selection import (
     FamilyParams,
+    LevelSelection,
     OrderMaxSelection,
     OrderMinSelection,
     PatchedSelection,
     RestrictSelection,
     SelectionLawError,
     enumerate_closed_family,
-    join_combinator,
-    meet_combinator,
 )
 from hypersel.space import Region, Space
 from oracles import oracle_spaces, ref_enumerate_closed_family
@@ -109,11 +108,15 @@ def _selections(space: Space, hub) -> dict:
     d = point_decomposition(space, hub)
     lower = Region.from_intervals(space, [(0, ZERO, O(5))])
     at = Region.from_intervals(space, [(0, O(2), O(4))])
+
+    def fiber_max(idx, fib):
+        return OrderMaxSelection(space, carrier=fib)
+
     return {
         "order-max": OrderMaxSelection(space),
         "order-min": OrderMinSelection(space),
-        "join": join_combinator(d),
-        "meet": meet_combinator(d),
+        "join": LevelSelection(d, True, fiber_max),
+        "meet": LevelSelection(d, False, fiber_max),
         "restrict": RestrictSelection(OrderMaxSelection(space), lower),
         "patched": PatchedSelection(OrderMinSelection(space), at, space.point(0, O(3))),
         "extreme": decomp_to_extreme_selection(d, hub, "maximal", FamilyParams(grid_k=2)),

@@ -107,6 +107,22 @@ class TestExitCodes:
         assert out.returncode == 2
 
 
+# Planted documents: each fails its one check with this detail.
+PLANTED = {
+    "decomp_overlap": "fibers-disjoint: fibers 0 and 1 overlap",
+    "decomp_gap": "fibers-cover: uncovered region Region(0:{4})",
+}
+
+
+class TestPlantedDefects:
+    @pytest.mark.parametrize("name", sorted(PLANTED))
+    def test_fails_with_pinned_detail(self, name, capsys):
+        assert cli.main(["check", str(SCENARIOS / "defects" / f"{name}.json")]) == 1
+        (record,) = json.loads(capsys.readouterr().out)["results"]
+        assert (record["check"], record["status"]) == ("decomp_validate", "fail")
+        assert record["detail"] == PLANTED[name]
+
+
 class TestValidate:
     def test_valid(self):
         out = run_cli("validate", str(SCENARIOS / "ordinal_omega2.json"))

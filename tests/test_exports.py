@@ -1,5 +1,6 @@
-"""Every name a hypersel module exports in ``__all__`` exists in it, and every
-name a module imports is used in it or exported."""
+"""Every name a hypersel module exports in ``__all__`` exists in it, every
+name a module imports is used in it or exported, and every function, class
+and method the package defines is used by the package or the benchmark."""
 import ast
 import importlib
 from pathlib import Path
@@ -11,7 +12,17 @@ MODULES = [
     "hypersel.decomp", "hypersel.selection", "hypersel.selrel", "hypersel.basebuilder",
     "hypersel.scenario", "hypersel.cli",
 ]
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "hypersel").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "hypersel").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+# Definitions that nothing in the package or the benchmark refers to, kept on
+# purpose.
+KEEP = {
+    "sel_rel": "the paper's selection relation, documented API beside its derived sets",
+    "closed_set": "exported by hypersel.__all__ for building closed sets by hand",
+    "open_set": "exported by hypersel.__all__ for building open sets by hand",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -50,3 +61,42 @@ def test_unused_import_is_found():
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def unreferenced(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """``file:line name`` of each function, class or method defined in
+    ``sources`` (file name -> text) whose name no Name or attribute in
+    ``readers`` (texts) mentions; dunder methods are called implicitly."""
+    refs = set()
+    for text in readers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    out = []
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")) and name not in refs:
+                    out.append(f"{fname}:{node.lineno} {name}")
+    return out
+
+
+def test_unreferenced_definition_is_found():
+    src = (
+        "class A:\n    def m(self): pass\n    def __eq__(self, o): pass\n"
+        "def f(): pass\ndef g(): f()\n"
+    )
+    assert unreferenced({"x.py": src}, [src, "A().m()"]) == ["x.py:5 g"]
+
+
+def test_every_definition_is_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    readers = [*sources.values(), *(path.read_text(encoding="utf-8") for path in BENCH)]
+    found = unreferenced(sources, readers)
+    dead = [d for d in found if d.split()[1] not in KEEP]
+    assert not dead, f"definitions nothing in src/hypersel or bench/ refers to: {dead}"
+    stale = set(KEEP) - {d.split()[1] for d in found}
+    assert not stale, f"KEEP names definitions that are gone or now referenced: {stale}"

@@ -183,7 +183,10 @@ WRONG = {
         [[[0, "0", "w"]]], [[], [], []], [1, 2], {}, None,
         [[[0, "0", "w", "open"]], [[1, "0", "w", "open"], [1, "3", "3", "open"]]],
     ),
-    "an object of non-negative integers": ([1], {"grid_k": -1}, {"grid_k": "1"}, 5, None),
+    "an object of non-negative integers whose `max_intervals` is 1 or 2": (
+        [1], {"grid_k": -1}, {"grid_k": "1"}, 5, None, {"max_intervals": 0},
+        {"max_intervals": 3},
+    ),
     "a net spec": ({}, [1], "x", {"kind": "x"}, {"kind": "tail"}, None),
     "the name of a selection": ("nope", ["x"], None, 1),
     "the name of a selection declared before it": ("nope", "r", ["f"], None),

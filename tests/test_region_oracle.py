@@ -129,7 +129,7 @@ class TestRegionAlgebraMatchesReference:
             if h.is_empty:
                 continue
             status = clopen_modulo(h)
-            assert (status.kind, status.point, status.delta_omega) == ref_clopen_modulo(h)
+            assert (status.kind, status.point) == ref_clopen_modulo(h)
 
     @given(region_pairs())
     @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from hypersel.space import Region, Space
 from hypersel.scenario import (
     CHECKS,
     RULES,
+    MAX_NESTING,
     SCHEMA,
     SHARED,
     SUITE,
@@ -406,6 +407,31 @@ class TestExitContract:
         out = capsys.readouterr()
         assert out.out == ""
         assert "invalid scenario" in out.err and "Traceback" not in out.err
+
+
+    @staticmethod
+    def _nested_nets(depth):
+        """The wedge document with a net whose ``inner`` specs nest depth deep."""
+        doc = _wedge_doc()
+        net = {"kind": "increasing", "branch": 0, "limit": "w"}
+        for _ in range(depth):
+            net = {"kind": "appended", "inner": net, "point": "p"}
+        doc["objects"]["nets"]["deep"] = net
+        return doc
+
+    def test_nesting_far_past_the_cap_is_rejected(self):
+        # the builders recurse once per level: this deep, they would overflow
+        with pytest.raises(ScenarioError, match="nest more than"):
+            Scenario.load(self._nested_nets(1200))
+
+    def test_nesting_cap(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(self._nested_nets(MAX_NESTING)))
+        assert cli.main(["validate", str(path)]) == 0
+        path.write_text(json.dumps(self._nested_nets(MAX_NESTING + 1)))
+        assert cli.main(["check", str(path)]) == 2
+        out = capsys.readouterr()
+        assert "nest more than" in out.err and "Traceback" not in out.err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

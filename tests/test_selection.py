@@ -6,7 +6,7 @@ from hypersel.decomp import ExplicitDecomposition, point_decomposition
 from hypersel.selection import (
     ExtremumNotAttained,
     FamilyParams,
-    FiberSelections,
+    LevelSelection,
     OrderMaxSelection,
     OrderMinSelection,
     PatchedSelection,
@@ -14,8 +14,6 @@ from hypersel.selection import (
     continuity_check,
     enumerate_closed_family,
     extremality_check,
-    join_combinator,
-    meet_combinator,
     order_extremum,
 )
 from hypersel.hyperspace import increasing_union_net
@@ -29,6 +27,11 @@ W2 = P("w*2")
 
 def creg(space, *items):
     return Region.from_intervals(space, list(items))
+
+
+def level(d, top):
+    """The join (top) or meet over d with order-max on every fiber."""
+    return LevelSelection(d, top, lambda idx, fib: OrderMaxSelection(d.space, carrier=fib))
 
 
 class TestOrderPrimitives:
@@ -69,27 +72,25 @@ class TestOrderPrimitives:
         f = OrderMaxSelection(omega_space)
         g = OrderMinSelection(omega_space)
         assert f.maximal_point() == omega_space.point(0, W)
-        assert f.minimal_point() == omega_space.point(0, ZERO)
         assert g.maximal_point() == omega_space.point(0, ZERO)
-        assert g.minimal_point() == omega_space.point(0, W)
 
 
 class TestCombinators:
     def test_join_takes_top_level(self, omega_space):
         d = point_decomposition(omega_space, omega_space.point(0, W))
-        f = join_combinator(d)
+        f = level(d, True)
         s = creg(omega_space, (0, O(2), O(2)), (0, O(7), O(7)))
         assert f.evaluate(s) == omega_space.point(0, O(7))
 
     def test_meet_takes_bottom_level(self, omega_space):
         d = point_decomposition(omega_space, omega_space.point(0, W))
-        f = meet_combinator(d)
+        f = level(d, False)
         s = Region.make(omega_space, [(0, O(3), O(3), True), (0, W, W, True)])
         assert f.evaluate(s) == omega_space.point(0, O(3))
 
     def test_degenerate_single_fiber(self, omega_space):
         d = ExplicitDecomposition(omega_space, [omega_space.whole()])
-        f = join_combinator(d)
+        f = level(d, True)
         g = OrderMaxSelection(omega_space)
         for s in enumerate_closed_family(omega_space, FamilyParams(grid_k=3)):
             assert f.evaluate(s) == g.evaluate(s)
@@ -98,7 +99,7 @@ class TestCombinators:
         lower = creg(omega2_space, (0, ZERO, W))
         upper = creg(omega2_space, (0, P("w+1"), W2))
         d = ExplicitDecomposition(omega2_space, [lower, upper])
-        f = join_combinator(d)
+        f = level(d, True)
         s = creg(omega2_space, (0, O(3), O(3)), (0, P("w+5"), P("w+5")))
         assert f.evaluate(s) == omega2_space.point(0, P("w+5"))
 
@@ -106,8 +107,8 @@ class TestCombinators:
         lower = creg(omega2_space, (0, ZERO, W))
         upper = creg(omega2_space, (0, P("w+1"), W2))
         d = ExplicitDecomposition(omega2_space, [lower, upper])
-        j = join_combinator(d)
-        m = meet_combinator(d)
+        j = level(d, True)
+        m = level(d, False)
         g0 = OrderMaxSelection(omega2_space, carrier=lower)
         for s in enumerate_closed_family(
             omega2_space, FamilyParams(grid_k=3), carrier=lower
@@ -118,8 +119,8 @@ class TestCombinators:
         d = point_decomposition(omega_space, omega_space.point(0, W))
         d.kind = "quasi"
         try:
-            with pytest.raises(ValueError):
-                join_combinator(d)
+            with pytest.raises(ValueError, match="join needs an ordinal decomposition"):
+                level(d, True)
         finally:
             d.kind = "ordinal"
 
@@ -193,7 +194,7 @@ class TestExtremality:
                 return p if s == bad else super()._pick(s)
 
         d = ExplicitDecomposition(space, [space.whole().difference(p_reg), p_reg])
-        meet = meet_combinator(d, FiberSelections(d, lambda idx, fib: LawBreaker(space, fib)))
+        meet = LevelSelection(d, False, lambda idx, fib: LawBreaker(space, fib))
         out = extremality_check(meet, p, "minimal", fam)
         assert out.passed and out.checked == len(family)
         assert meet._values and all(s.contains_point(p) for s in meet._values)
@@ -214,8 +215,8 @@ class TestContinuity:
         top = omega_space.point(0, W)
         d = point_decomposition(omega_space, top)
         nets = canonical_net_corpus(omega_space)
-        assert continuity_check(join_combinator(d), nets).passed
-        assert continuity_check(meet_combinator(d), nets).passed
+        assert continuity_check(level(d, True), nets).passed
+        assert continuity_check(level(d, False), nets).passed
 
     def test_patched_selection_detected(self, omega_space):
         f = OrderMaxSelection(omega_space)

@@ -5,13 +5,12 @@ from hypersel.space import Region, Space, clopen_modulo
 from hypersel.decomp import ExplicitDecomposition, point_decomposition
 from hypersel.selection import (
     FamilyParams,
-    FiberSelections,
+    LevelSelection,
     OrderMaxSelection,
     OrderMinSelection,
     PatchedSelection,
     RestrictSelection,
     enumerate_closed_family,
-    join_combinator,
 )
 from hypersel.basebuilder import decomp_to_extreme_selection, maximal_at, minimal_at
 from hypersel.selrel import (
@@ -272,12 +271,13 @@ def _bracket_cases():
     space = spaces["w^2"]
     lower = creg(space, (0, ZERO, W))
     blocks = ExplicitDecomposition(space, [lower, creg(space, (0, P("w+1"), wsq))])
-    fibers = FiberSelections(
+    join_of_meet = LevelSelection(
         blocks,
+        True,
         lambda idx, fib: minimal_at(space, space.point(0, W), carrier=fib)
         if idx.is_zero else OrderMaxSelection(space, carrier=fib),
     )
-    cases.append(("w^2/join-of-meet", join_combinator(blocks, fibers)))
+    cases.append(("w^2/join-of-meet", join_of_meet))
     return cases
 
 

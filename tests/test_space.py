@@ -6,10 +6,10 @@ from hypersel.space import (
     Region,
     Space,
     SpaceMismatchError,
-    character,
     clopen_modulo,
     closed_set,
     complement_closure,
+    isolated_in,
     next_point,
     open_set,
     rel_open,
@@ -129,7 +129,7 @@ class TestClopenModulo:
     def test_limit_singleton(self):
         sp = Space([W])
         st = clopen_modulo(reg(sp, (0, W, W)))
-        assert st.kind == "modulo" and st.point == Point(0, W) and st.delta_omega
+        assert st.kind == "modulo" and st.point == Point(0, W)
 
     def test_clopen_member(self):
         sp = Space([W])
@@ -152,35 +152,35 @@ class TestClopenModulo:
 
 
 class TestCharacter:
+    """Isolation of a point, and the canonical open tails that form its base."""
+
     def test_isolated(self):
         sp = Space([W])
-        info = character(sp, sp.point(0, O(5)))
-        assert info.chi == Ordinal.from_int(1) and info.psi == info.chi
-        assert info.base(0) == reg(sp, (0, O(5), O(5)))
+        pt = sp.point(0, O(5))
+        assert isolated_in(sp.whole(), pt)
+        assert sp.point_region(pt) == reg(sp, (0, O(5), O(5))) and sp.point_region(pt).is_open()
 
     def test_top_tail_base(self):
         sp = Space([W])
-        info = character(sp, sp.point(0, W))
-        assert info.chi == OMEGA
-        b0 = info.base(0)
-        assert b0.is_clopen() and b0.contains_point(sp.point(0, W))
-        assert info.base(2).subset_of(info.base(1))
+        top = sp.point(0, W)
+        assert not isolated_in(sp.whole(), top)
+        b0 = sp.open_tail(top, 0)
+        assert b0.is_clopen() and b0.contains_point(top)
+        assert sp.open_tail(top, 2).subset_of(sp.open_tail(top, 1))
 
     def test_fan_hub_three_tails(self, fan_space):
         hub = fan_space.point(0, W)
-        info = character(fan_space, hub, fan_space.whole())
-        assert info.chi == OMEGA
-        b1 = info.base(1)
+        assert not isolated_in(fan_space.whole(), hub)
+        b1 = fan_space.open_tail(hub, 1)
         assert all(b1.traces[b] for b in range(3))
-        # every canonical open around the hub absorbs some base member
-        for level in range(2):
-            around = fan_space.open_tail(hub, level)
-            assert any(info.base(n).subset_of(around) for n in range(8))
+        # the tails shrink: each one lies inside the one before
+        for level in range(7):
+            assert fan_space.open_tail(hub, level + 1).subset_of(fan_space.open_tail(hub, level))
 
     def test_relative_isolation(self, line):
         h = reg(line, (0, W, P("w+4")))
-        info = character(line, line.point(0, W), h)
-        assert info.isolated and info.chi == Ordinal.from_int(1)
+        assert isolated_in(h, line.point(0, W))
+        assert not isolated_in(line.whole(), line.point(0, W))
 
 
 class TestNormalization:
@@ -230,8 +230,7 @@ class TestInteriorGluing:
         assert a.is_open()  # both coordinates sit at successor positions
 
     def test_class_is_isolated(self, glued):
-        info = character(glued, glued.point(0, O(5)))
-        assert info.isolated
+        assert isolated_in(glued.whole(), glued.point(0, O(5)))
 
     def test_limit_to_successor_gluing(self):
         sp = Space([W, W], [[(0, W), (1, O(5))]])
@@ -242,8 +241,7 @@ class TestInteriorGluing:
         assert not a.is_open()  # the limit coordinate needs a tail
         b = a.union(reg(sp, (0, O(3), W)))
         assert b.is_open()
-        info = character(sp, pt)
-        assert not info.isolated and info.base(0).is_open()
+        assert not isolated_in(sp.whole(), pt) and sp.open_tail(pt, 0).is_open()
 
     def test_selections_stay_total(self, glued):
         from hypersel.selection import (
