@@ -648,9 +648,11 @@ class GammaBaseDecomposition(DecompositionSpec):
             if j > LEVEL_SCAN_CAP:
                 raise DecompositionError("level scan beyond cap")
 
-    def eta_extremes(self, s: Region) -> tuple[Ordinal, Ordinal]:
+    def eta_extremes(self, s: Region, top: bool) -> Ordinal:
         cands: list[Ordinal] = []
         if s.contains_point(self.gb.p):
+            if top:
+                return self.gamma
             cands.append(self.gamma)
         for b, sp in s.span_items():
             for pos in (sp.lo, sp.hi):
@@ -660,7 +662,7 @@ class GammaBaseDecomposition(DecompositionSpec):
                 cands.append(self.eta_point(pt))
         if not cands:
             raise DecompositionError("set misses every fiber")
-        return min(cands), max(cands)
+        return max(cands) if top else min(cands)
 
     def upper_strict(self, idx: Ordinal) -> Region:
         if idx == self.gamma:

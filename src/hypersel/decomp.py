@@ -70,7 +70,8 @@ class DecompositionSpec:
     def fiber(self, idx: Ordinal) -> Region:
         raise NotImplementedError
 
-    def eta_extremes(self, s: Region) -> tuple[Ordinal, Ordinal]:
+    def eta_extremes(self, s: Region, top: bool) -> Ordinal:
+        """The highest (top) or the lowest level that meets s."""
         raise NotImplementedError
 
     def upper_strict(self, idx: Ordinal) -> Region:
@@ -128,11 +129,12 @@ class ExplicitDecomposition(DecompositionSpec):
     def fiber(self, idx: Ordinal) -> Region:
         return self.fibers[idx.as_int()]
 
-    def eta_extremes(self, s: Region) -> tuple[Ordinal, Ordinal]:
-        hit = [i for i, fib in enumerate(self.fibers) if s.meets(fib)]
-        if not hit:
-            raise DecompositionError("set misses every fiber")
-        return Ordinal.from_int(hit[0]), Ordinal.from_int(hit[-1])
+    def eta_extremes(self, s: Region, top: bool) -> Ordinal:
+        order = range(len(self.fibers) - 1, -1, -1) if top else range(len(self.fibers))
+        for i in order:
+            if s.meets(self.fibers[i]):
+                return Ordinal.from_int(i)
+        raise DecompositionError("set misses every fiber")
 
     def upper_strict(self, idx: Ordinal) -> Region:
         out = self.space.empty()
@@ -191,27 +193,21 @@ class ChainDecomposition(DecompositionSpec):
         n = idx.as_int()
         return self.chain(n).difference(self.chain(n + 1))
 
-    def eta_extremes(self, s: Region) -> tuple[Ordinal, Ordinal]:
+    def eta_extremes(self, s: Region, top: bool) -> Ordinal:
         if s.is_empty:
             raise DecompositionError("set misses every fiber")
-        if s == self._p_region:
-            return OMEGA, OMEGA
-        # min level: largest n with s inside U(n)
-        lo = 0
-        while s.subset_of(self.chain(lo + 1)):
-            lo += 1
-            if lo > SCAN_CAP:
-                raise ChainResolutionError("minimum level beyond scan cap")
-        lo_idx = Ordinal.from_int(lo)
-        # max level: omega when the point is in s, else largest n meeting s
-        if s.contains_point(self.p):
-            return lo_idx, OMEGA
-        hi = 0
-        while s.meets(self.chain(hi + 1)):
-            hi += 1
-            if hi > SCAN_CAP:
-                raise ChainResolutionError("maximum level beyond scan cap")
-        return lo_idx, Ordinal.from_int(hi)
+        if (s.contains_point(self.p) if top else s == self._p_region):
+            return OMEGA
+        # top: the largest n whose U(n) meets s; bottom: the largest n with s
+        # inside U(n)
+        inside = s.meets if top else s.subset_of
+        n = 0
+        while inside(self.chain(n + 1)):
+            n += 1
+            if n > SCAN_CAP:
+                side = "maximum" if top else "minimum"
+                raise ChainResolutionError(f"{side} level beyond scan cap")
+        return Ordinal.from_int(n)
 
     def upper_strict(self, idx: Ordinal) -> Region:
         if idx == OMEGA:

@@ -239,9 +239,9 @@ RULES: dict[str, tuple[str, Any]] = {
     ),
     "params": ("an object", lambda ctx, v: isinstance(v, dict)),
     "objects": (
-        "an object whose groups are objects",
+        "an object of known groups, each an object",
         lambda ctx, v: isinstance(v, dict) and all(
-            isinstance(v.get(group, {}), dict) for group in OBJECT_GROUPS
+            group in OBJECT_GROUPS and isinstance(entries, dict) for group, entries in v.items()
         ),
     ),
     "suites": ("a list", lambda ctx, v: isinstance(v, list)),
@@ -268,9 +268,8 @@ RULES: dict[str, tuple[str, Any]] = {
     "fibers": ("a list of set literals", _set_literals),
     "sides": ("a list of two set literals", lambda ctx, v: len(v) == 2 and _set_literals(ctx, v)),
     "family": (
-        "an object of non-negative integers whose `max_intervals` is 1 or 2",
-        lambda ctx, v: isinstance(v, dict) and all(map(_is_count, v.values()))
-        and v.get("max_intervals", 1) in (1, 2),
+        "an object of a non-negative `grid_k` and a `max_intervals` of 1 or 2",
+        lambda ctx, v: isinstance(v, dict) and FamilyParams(**v),
     ),
     "inner": ("a net spec", "nets"),
     "selection": _name_of("selections", "the name of a selection"),
@@ -349,19 +348,24 @@ MAX_NESTING = 64
 
 def _check(ctx: dict, group: str, spec, what: str) -> None:
     """Raise ScenarioError unless ``spec`` is an object that holds every field
-    its kind requires, and every field its kind reads passes its rule.  A
-    nested spec is walked from a work list, at most MAX_NESTING deep."""
+    its kind requires and no field its kind does not list, and every field
+    its kind reads passes its rule.  A nested spec is walked from a work
+    list, at most MAX_NESTING deep."""
     todo = [(group, spec, what, 0)]
     while todo:
         group, spec, what, depth = todo.pop()
         if not isinstance(spec, dict):
             raise ScenarioError(f"{what} must be an object")
-        fields = SCHEMA[group]
+        fields, kind = SCHEMA[group], None
         if isinstance(fields, dict):
-            key = "check" if group == "suites" else "kind"
-            if not (isinstance(spec.get(key), str) and spec[key] in fields):
-                raise ScenarioError(f"{what}: unknown {key} {spec.get(key)!r}")
-            fields = fields[spec[key]]
+            kind = "check" if group == "suites" else "kind"
+            if not (isinstance(spec.get(kind), str) and spec[kind] in fields):
+                raise ScenarioError(f"{what}: unknown {kind} {spec.get(kind)!r}")
+            fields = fields[spec[kind]]
+        listed = {name.lstrip("?") for name in fields.split()}
+        unknown = [key for key in spec if key not in listed and key != kind]
+        if unknown:
+            raise ScenarioError(f"{what}: unknown field {unknown[0]!r}")
         for name in fields.split():
             key = name.lstrip("?")
             if key not in spec:

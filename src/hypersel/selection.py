@@ -256,29 +256,28 @@ class LevelSelection(Selection):
         self.top = top
         self.kind = "join" if top else "meet"
         self._fiber_selection = fiber_selection
-        self._fibers: dict[Ordinal, Selection] = {}
+        self._fibers: dict[Ordinal, tuple[Selection, Region]] = {}
 
-    def _fiber(self, idx: Ordinal) -> Selection:
-        sel = self._fibers.get(idx)
-        if sel is None:
-            sel = self._fibers[idx] = self._fiber_selection(idx, self.decomp.fiber(idx))
-        return sel
-
-    def _level(self, s: Region) -> Ordinal:
-        lo, hi = self.decomp.eta_extremes(s)
-        return hi if self.top else lo
+    def _fiber(self, idx: Ordinal) -> tuple[Selection, Region]:
+        """The selection of level idx and its fiber, both built once."""
+        entry = self._fibers.get(idx)
+        if entry is None:
+            fib = self.decomp.fiber(idx)
+            entry = self._fibers[idx] = (self._fiber_selection(idx, fib), fib)
+        return entry
 
     def _pick(self, s: Region) -> Point:
-        idx = self._level(s)
-        return self._fiber(idx).evaluate(s.intersect(self.decomp.fiber(idx)))
+        sel, fib = self._fiber(self.decomp.eta_extremes(s, self.top))
+        return sel.evaluate(s.intersect(fib))
 
     def bracket(self, c: Region) -> Region:
         # points beyond the extreme level select themselves; at that level
         # the fiber selection decides
-        idx = self._level(c)
         d = self.decomp
+        idx = d.eta_extremes(c, self.top)
         beyond = d.upper_strict(idx) if self.top else d.lower_strict(idx)
-        return beyond.union(self._fiber(idx).bracket(c.intersect(d.fiber(idx))))
+        sel, fib = self._fiber(idx)
+        return beyond.union(sel.bracket(c.intersect(fib)))
 
     def maximal_point(self) -> Optional[Point]:
         """The point of a join's top fiber when that fiber is a singleton."""
@@ -363,10 +362,16 @@ class PatchedSelection(Selection):
 @dataclass(frozen=True)
 class FamilyParams:
     """Enumeration bounds: endpoints from the k-grid, one interval per branch
-    or (max_intervals 2) up to two; no other value is supported."""
+    or (max_intervals 2) up to two; any other value is rejected."""
 
     grid_k: int = 4
     max_intervals: int = 2
+
+    def __post_init__(self) -> None:
+        if type(self.grid_k) is not int or self.grid_k < 0:
+            raise ValueError(f"grid_k must be a non-negative integer, not {self.grid_k!r}")
+        if type(self.max_intervals) is not int or self.max_intervals not in (1, 2):
+            raise ValueError(f"max_intervals must be 1 or 2, not {self.max_intervals!r}")
 
 
 def enumerate_closed_family(
@@ -403,17 +408,20 @@ def _build_closed_family(space: Space, params: FamilyParams, base: Region) -> li
         pts = sorted(
             (g for g in cands if base.covers_position(b, g)), key=lambda o: o.terms
         )
+        # (lo, successor of hi, segment): two segments are disjoint and not
+        # adjacent when the second starts above the first one's successor
+        after = [successor(g) for g in pts]
         intervals = []
         for i, lo in enumerate(pts):
-            for hi in pts[i:]:
-                seg = Region.from_intervals(space, [(b, lo, hi)])
+            for j in range(i, len(pts)):
+                seg = Region.from_intervals(space, [(b, lo, pts[j])])
                 if seg.subset_of(base):
-                    intervals.append((lo, hi, seg))
+                    intervals.append((lo, after[j], seg))
         options: list[Optional[Region]] = [None]
         options.extend(seg for _, _, seg in intervals)
         if params.max_intervals >= 2:
-            for (_, b1, seg1), (a2, _, seg2) in combinations(intervals, 2):
-                if a2 > successor(b1):
+            for (_, after1, seg1), (a2, _, seg2) in combinations(intervals, 2):
+                if a2 > after1:
                     options.append(seg1.union(seg2))
         per_branch.append(options)
     out: list[Region] = []

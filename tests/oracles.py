@@ -11,8 +11,16 @@ from sympy.sets.ordinals import Ordinal as SymOrdinal, ord0, omega
 
 from itertools import combinations
 
+from hypersel.basebuilder import GammaBaseDecomposition
+from hypersel.decomp import (
+    SCAN_CAP,
+    ChainDecomposition,
+    ChainResolutionError,
+    DecompositionError,
+    ExplicitDecomposition,
+)
 from hypersel.hyperspace import CheckOutcome, ConvergentNet, VietorisBasic, basic_nbhd_family
-from hypersel.ordinal import Ordinal, parse_ordinal, successor
+from hypersel.ordinal import OMEGA, Ordinal, parse_ordinal, successor
 from hypersel.space import Point, Region, Space, Span
 
 
@@ -360,3 +368,47 @@ def ref_net_convergence_check(net: ConvergentNet, depth: int = 2) -> CheckOutcom
         if not ref_vietoris_member(members[net.window], basic):
             return CheckOutcome(False, basic, f"escapes a basic at {net.window}", len(family))
     return CheckOutcome(True, None, "", len(family))
+
+
+# -- reference level scans --------------------------------------------------------------
+#
+# eta_extremes of the three decomposition types as it was before each call
+# scanned one side: both the lowest and the highest level that s meets, every
+# scan run whichever side the caller reads.
+
+
+def ref_eta_extremes(d, s: Region) -> tuple[Ordinal, Ordinal]:
+    if isinstance(d, ExplicitDecomposition):
+        hit = [i for i, fib in enumerate(d.fibers) if s.meets(fib)]
+        if not hit:
+            raise DecompositionError("set misses every fiber")
+        return Ordinal.from_int(hit[0]), Ordinal.from_int(hit[-1])
+    if isinstance(d, ChainDecomposition):
+        if s.is_empty:
+            raise DecompositionError("set misses every fiber")
+        if s == d.space.point_region(d.p):
+            return OMEGA, OMEGA
+        lo = 0
+        while s.subset_of(d.chain(lo + 1)):
+            lo += 1
+            if lo > SCAN_CAP:
+                raise ChainResolutionError("minimum level beyond scan cap")
+        if s.contains_point(d.p):
+            return Ordinal.from_int(lo), OMEGA
+        hi = 0
+        while s.meets(d.chain(hi + 1)):
+            hi += 1
+            if hi > SCAN_CAP:
+                raise ChainResolutionError("maximum level beyond scan cap")
+        return Ordinal.from_int(lo), Ordinal.from_int(hi)
+    if isinstance(d, GammaBaseDecomposition):
+        cands = [d.gamma] if s.contains_point(d.gb.p) else []
+        for b, sp in s.span_items():
+            for pos in (sp.lo, sp.hi):
+                pt = d.space.point(b, pos)
+                if pt != d.gb.p:
+                    cands.append(d.eta_point(pt))
+        if not cands:
+            raise DecompositionError("set misses every fiber")
+        return min(cands), max(cands)
+    raise TypeError(f"no reference level scan for {type(d).__name__}")

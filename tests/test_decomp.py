@@ -1,7 +1,7 @@
 import pytest
 
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
-from hypersel.space import Region
+from hypersel.space import Region, isolated_in
 from hypersel.decomp import (
     ChainDecomposition,
     DecompositionError,
@@ -11,6 +11,15 @@ from hypersel.decomp import (
     point_chain_rule,
     point_decomposition,
 )
+from hypersel.basebuilder import (
+    GammaBaseDecomposition,
+    decomp_to_extreme_selection,
+    gamma_base_to_decomp,
+    transfinite_base,
+)
+from hypersel.selection import FamilyParams, LevelSelection, enumerate_closed_family
+
+from oracles import oracle_spaces, ref_eta_extremes
 
 O = Ordinal.from_int
 P = parse_ordinal
@@ -115,20 +124,25 @@ class TestValidation:
         assert d.limit_modulo_point(W) == omega2_space.point(0, W2)
 
 
+def _both_levels(d, s):
+    """(bottom, top) level of s, one call per side."""
+    return d.eta_extremes(s, False), d.eta_extremes(s, True)
+
+
 class TestEtaExtremes:
     def test_two_singletons(self, omega_space):
         d = point_decomposition(omega_space, omega_space.point(0, W))
         s = creg(omega_space, (0, O(2), O(2)), (0, O(7), O(7)))
-        assert d.eta_extremes(s) == (O(2), O(7))
+        assert _both_levels(d, s) == (O(2), O(7))
 
     def test_top_singleton(self, omega_space):
         d = point_decomposition(omega_space, omega_space.point(0, W))
         s = creg(omega_space, (0, W, W))
-        assert d.eta_extremes(s) == (W, W)
+        assert _both_levels(d, s) == (W, W)
 
     def test_whole_space(self, omega_space):
         d = point_decomposition(omega_space, omega_space.point(0, W))
-        assert d.eta_extremes(omega_space.whole()) == (ZERO, W)
+        assert _both_levels(d, omega_space.whole()) == (ZERO, W)
 
     def test_extreme_levels_meet_the_set(self, omega2_space):
         d = point_decomposition(omega2_space, omega2_space.point(0, W2))
@@ -136,9 +150,63 @@ class TestEtaExtremes:
             creg(omega2_space, (0, O(4), P("w+3"))),
             creg(omega2_space, (0, ZERO, ZERO), (0, W2, W2)),
         ]:
-            lo, hi = d.eta_extremes(s)
+            lo, hi = _both_levels(d, s)
             assert not s.intersect(d.fiber(lo)).is_empty
             assert not s.intersect(d.fiber(hi)).is_empty
+
+
+def _oracle_decompositions():
+    """(id, decomposition, point): at_point, and chain_tails where the point
+    is not isolated, at every branch top, the interior limit w and the
+    isolated point 1 of every oracle space."""
+    for name, space in oracle_spaces().items():
+        pts = [space.point(b, top) for b, top in enumerate(space.branches)]
+        pts += [space.point(0, W), space.point(0, O(1))]
+        for p in dict.fromkeys(pts):
+            yield f"{name}-at_point-{p}", point_decomposition(space, p), p
+            if not isolated_in(space.whole(), p):
+                chain = decomp_from_chain(space, point_chain_rule(space, p), p)
+                yield f"{name}-chain_tails-{p}", chain, p
+
+
+ORACLE_DECOMPOSITIONS = list(_oracle_decompositions())
+
+
+def _agrees_with_reference(d, p, family):
+    """Both one-sided scans equal the two-sided reference on every set of the
+    family, and the join and the meet over d take the value of a reference
+    pick that builds the level's fiber again on every evaluation."""
+    sets = enumerate_closed_family(d.space, family, carrier=d.carrier)
+    for s in sets:
+        assert _both_levels(d, s) == ref_eta_extremes(d, s), s
+    for top, mode in ((True, "maximal"), (False, "minimal")):
+        if top and d.kind != "ordinal":
+            continue
+        fiber_selection = decomp_to_extreme_selection(d, p, mode, family)._fiber_selection
+        f = LevelSelection(d, top, fiber_selection)
+        by_level = {}
+        for s in sets:
+            idx = ref_eta_extremes(d, s)[1 if top else 0]
+            fib = d.fiber(idx)
+            sel = by_level.setdefault(idx, fiber_selection(idx, fib))
+            assert f.evaluate(s) == sel.evaluate(s.intersect(fib)), s
+
+
+class TestOneSidedLevels:
+    @pytest.mark.parametrize(
+        "d, p", [case[1:] for case in ORACLE_DECOMPOSITIONS],
+        ids=[case[0] for case in ORACLE_DECOMPOSITIONS],
+    )
+    def test_oracle_spaces_match_the_two_sided_scan(self, d, p):
+        _agrees_with_reference(d, p, FamilyParams(grid_k=1))
+
+    def test_graded_base_decomposition_matches_the_two_sided_scan(
+        self, omega2_space, omega2_maximal
+    ):
+        top = omega2_space.point(0, W2)
+        d = gamma_base_to_decomp(transfinite_base(omega2_maximal, top, W2))
+        assert isinstance(d, GammaBaseDecomposition)
+        _agrees_with_reference(d, top, FamilyParams(grid_k=3))
 
 
 class TestPointDecomposition:

@@ -7,8 +7,9 @@ sets of mutations go through ``cli.main``:
   fixed set, and the document goes to ``check``, or ``build-base`` for a node
   inside a base; each case must exit 0, 1 or 2 and print no traceback;
 * every field that ``scenario.SCHEMA`` declares, optional ones included, is
-  set to each wrong value for its rule in ``scenario.RULES``, and ``check``
-  must exit 2.  A field or kind added to the table is fuzzed from then on.
+  set to each wrong value for its rule in ``scenario.RULES``, and every spec
+  gets one field its kind does not list; ``check`` must exit 2.  A field or
+  kind added to the table is fuzzed from then on.
 """
 import contextlib
 import io
@@ -155,7 +156,9 @@ WRONG = {
         "x", {}, [[[0.0, "w"]]], [[[True, "w"]]], [[[0, "w", 1]]], [[[0, 5]]], None,
     ),
     "an object": ([1], "x", None),
-    "an object whose groups are objects": ([1], {"points": []}, {"nets": "x"}, None),
+    "an object of known groups, each an object": (
+        [1], {"points": []}, {"nets": "x"}, None, {"selectoins": {}},
+    ),
     "a list": ({}, "x", None),
     "a string": ([1], 1, {}, None),
     "a non-negative integer": (-1, 1.5, True, "1", [1], None),
@@ -183,9 +186,9 @@ WRONG = {
         [[[0, "0", "w"]]], [[], [], []], [1, 2], {}, None,
         [[[0, "0", "w", "open"]], [[1, "0", "w", "open"], [1, "3", "3", "open"]]],
     ),
-    "an object of non-negative integers whose `max_intervals` is 1 or 2": (
+    "an object of a non-negative `grid_k` and a `max_intervals` of 1 or 2": (
         [1], {"grid_k": -1}, {"grid_k": "1"}, 5, None, {"max_intervals": 0},
-        {"max_intervals": 3},
+        {"max_intervals": 3}, {"grid": 1},
     ),
     "a net spec": ({}, [1], "x", {"kind": "x"}, {"kind": "tail"}, None),
     "the name of a selection": ("nope", ["x"], None, 1),
@@ -198,6 +201,9 @@ WRONG = {
 
 # Values no kind field or check field may hold.
 WRONG_KINDS = ("x", "", [1], None)
+
+# A field no spec lists: a misspelt `window`.
+UNLISTED = "windw"
 
 
 def _doc_specs():
@@ -215,8 +221,9 @@ def _doc_specs():
 
 def _mutations():
     """(key path, field, wrong value) for every field the table declares and
-    every literal entry, plus every kind field."""
+    every literal entry, plus every kind field and one unlisted field per spec."""
     for path, group, kind in _doc_specs():
+        yield path, UNLISTED, 1
         fields = SCHEMA[group] if kind is None else SCHEMA[group][kind]
         for name in fields.split():
             key = name.lstrip("?")

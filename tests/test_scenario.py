@@ -341,6 +341,18 @@ def _broken(kind):
     elif kind == "fiber-interval-reversed":
         objects["decompositions"]["e"] = {"kind": "explicit",
                                           "fibers": [[[0, "0", "w"], [1, "5", "2"]]]}
+    elif kind == "params-unknown-field":
+        doc["params"]["windw"] = 8
+    elif kind == "suite-unknown-field":
+        suites[0]["familly"] = {"grid_k": 1}
+    elif kind == "selection-unknown-field":
+        objects["selections"]["f"]["mod"] = "maximal"
+    elif kind == "pcut-unknown-field":
+        objects["pcuts"]["cut"]["kind"] = "cut"
+    elif kind == "objects-unknown-group":
+        objects["selectoins"] = {"g": {"kind": "order_min"}}
+    elif kind == "family-unknown-field":
+        doc["params"]["family"]["grid"] = 2
     elif kind.startswith("net-branch-"):
         objects["nets"]["m"] = {"kind": "increasing", "branch": NOT_COUNTS[kind[11:]],
                                 "limit": "w"}
@@ -379,6 +391,9 @@ HOSTILE = [
     "gluings-object", "document-name-list",
     # an interval that denotes the empty set used to be read as nothing
     "interval-reversed", "interval-open-empty", "fiber-interval-reversed",
+    # a field or group the table does not list used to be ignored
+    "params-unknown-field", "suite-unknown-field", "selection-unknown-field",
+    "pcut-unknown-field", "objects-unknown-group", "family-unknown-field",
     *(f"{where}-branch-{label}" for where in ("net", "set", "point", "gluing")
       for label in NOT_COUNTS),
     *(f"net-offset-{label}" for label in NOT_COUNTS),

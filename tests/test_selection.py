@@ -1,8 +1,12 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.space import Region
-from hypersel.decomp import ExplicitDecomposition, point_decomposition
+from hypersel.decomp import ChainDecomposition, ExplicitDecomposition, point_decomposition
+from hypersel.basebuilder import GammaBaseDecomposition
 from hypersel.selection import (
     ExtremumNotAttained,
     FamilyParams,
@@ -132,6 +136,42 @@ class TestCombinators:
             omega_space, FamilyParams(grid_k=4), carrier=y
         ):
             assert r.evaluate(s) == f.evaluate(s)
+
+
+class TestLevelFibers:
+    def test_each_level_fiber_is_built_once_per_selection(self, monkeypatch):
+        # Count the fibers that LevelSelection code asks a decomposition for,
+        # by selection and level, while extreme selections on [0, w*2] load
+        # (their extremality check evaluates them) and pass selection_law.
+        builds = Counter()
+        for cls in (ExplicitDecomposition, ChainDecomposition, GammaBaseDecomposition):
+
+            def counting(self, idx, original=cls.fiber):
+                caller = sys._getframe(1).f_locals.get("self")
+                if isinstance(caller, LevelSelection):
+                    builds[caller, idx] += 1
+                return original(self, idx)
+
+            monkeypatch.setattr(cls, "fiber", counting)
+        sc = Scenario.load({
+            "schema": "hypersel-scenario/1", "name": "fiber-builds",
+            "space": {"branches": ["w*2"]},
+            "params": {"family": {"grid_k": 3, "max_intervals": 2}},
+            "objects": {
+                "points": {"top": [0, "w*2"]},
+                "selections": {
+                    "join": {"kind": "extreme", "point": "top", "mode": "maximal"},
+                    "meet": {"kind": "extreme", "point": "top", "mode": "minimal"},
+                },
+            },
+            "suites": [
+                {"check": "selection_law", "selection": "join"},
+                {"check": "selection_law", "selection": "meet"},
+            ],
+        })
+        assert run_scenario(sc).passed
+        assert {sel.kind for sel, _ in builds} == {"join", "meet"}
+        assert max(builds.values()) == 1, [k for k, n in builds.items() if n > 1][:5]
 
 
 class TestExtremality:
@@ -266,6 +306,20 @@ class TestFamilyEnumeration:
             omega_space, FamilyParams(grid_k=5), carrier=carrier
         ):
             assert s.subset_of(carrier)
+
+    @pytest.mark.parametrize("bounds", [
+        {"max_intervals": 0}, {"max_intervals": 3}, {"grid_k": -1}, {"grid_k": 1.5},
+        {"max_intervals": 1.5}, {"grid_k": True},
+    ])
+    def test_bounds_it_cannot_enumerate_are_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            FamilyParams(**bounds)
+
+    def test_one_interval_per_branch(self, omega2_space):
+        one = enumerate_closed_family(omega2_space, FamilyParams(grid_k=0, max_intervals=1))
+        two = enumerate_closed_family(omega2_space, FamilyParams(grid_k=0, max_intervals=2))
+        assert all(len(s.traces[0]) == 1 for s in one)
+        assert len(one) < len(two)
 
     def test_wedge_size_near_ten_thousand(self, wedge_space):
         fam = enumerate_closed_family(wedge_space, FamilyParams(grid_k=5))
