@@ -36,12 +36,12 @@ from hypersel.space import (
 )
 from hypersel import hyperspace
 from hypersel.decomp import (
-    ABSORPTION_CAP,
-    SAMPLE_COUNT,
+    ChainDecomposition,
     DecompositionError,
     DecompositionSpec,
     ExplicitDecomposition,
     decomp_validate,
+    point_chain_rule,
     point_decomposition,
 )
 from hypersel.selection import (
@@ -69,7 +69,6 @@ __all__ = [
     "GammaBase",
     "transfinite_base",
     "gamma_base_validate",
-    "GammaBaseDecomposition",
     "gamma_base_to_decomp",
     "decomp_to_extreme_selection",
     "TheoremViolationError",
@@ -77,11 +76,11 @@ __all__ = [
 ]
 
 # Successor stages a transfinite run materializes before certifying their
-# tail pattern; stage tails scanned for one inside a given open set; levels a
-# point's stage scan may climb within one block.
+# tail pattern; stages per block that validation and payloads sample; stage
+# tails scanned for one inside a given open set.
 PROBE_STAGES = 6
+SAMPLE_STAGES = 6
 MEMBER_SCAN_CAP = 64
-LEVEL_SCAN_CAP = 4096
 
 
 class TheoremViolationError(AssertionError):
@@ -309,10 +308,10 @@ class GammaBase:
             if b.limit_index is not None
         ]
 
-    def sample_indices(self, count: int = 6) -> list[Ordinal]:
+    def sample_indices(self) -> list[Ordinal]:
         out = []
         for block in self.blocks:
-            span = min(count, len(block.explicit) + 2)
+            span = min(SAMPLE_STAGES, len(block.explicit) + 2)
             out.extend(block.start + Ordinal.from_int(j) for j in range(span))
             if block.limit_index is not None:
                 out.append(block.limit_index)
@@ -337,27 +336,13 @@ def _tail_form(space: Space, p: Point, u: Region) -> Optional[dict]:
     return cs if rebuilt == u else None
 
 
-def _guide_tail(space: Space, p: Point, level: int) -> Region:
-    """Clopen tails along the fundamental ladders at p: the canonical
-    pseudocharacter family guiding shrink targets."""
-    spans = []
-    for b, beta in space.point_coords(p):
-        if beta.is_limit:
-            spans.append((b, successor(ord_fundamental(beta, level)), beta, True))
-        else:
-            spans.append((b, beta, beta, True))
-    return Region.make(space, spans)
-
-
-def _succ_stage(
-    f: Selection, p: Point, u: Region, aux, guide_level: Optional[int] = None
-) -> Region:
+def _succ_stage(f: Selection, p: Point, u: Region, aux, guide: Optional[Region]) -> Region:
     """One successor step: a clopen set strictly inside the derived interior
     (and inside the guide tail, when a pseudocharacter guide is active)."""
     space = f.space
     inner = derived_sets(f, u).interior if u != space.whole() else space.whole()
-    if guide_level is not None:
-        inner = inner.intersect(_guide_tail(space, p, guide_level + 1))
+    if guide is not None:
+        inner = inner.intersect(guide)
         if not inner.contains_point(p):
             raise SeparationStuckError("guide", "guide tail left the target point")
     pool = inner.remove_point(p)
@@ -479,11 +464,12 @@ def transfinite_base(f: Selection, p: Point, gamma: Ordinal, guided: bool = Fals
     if gamma > OMEGA + OMEGA:
         raise ValueError("transfinite runs are capped at omega*2")
     aux = functools.cache(functools.partial(maximal_at, space))
+    # guided stages stay inside the canonical tails at p (the pseudocharacter
+    # family): stage j of a block inside member j + 2 of the tail chain
+    guide = point_chain_rule(space, p) if guided else None
 
     def stage_fn(u_cur: Region, local_index: int) -> Region:
-        return _succ_stage(
-            f, p, u_cur, aux, guide_level=local_index if guided else None
-        )
+        return _succ_stage(f, p, u_cur, aux, guide and guide(local_index + 2))
 
     blocks: list[_Block] = []
     identity_checked: list[Ordinal] = []
@@ -586,128 +572,13 @@ def _next_index(gb: GammaBase, alpha: Ordinal) -> Ordinal:
 
 def _stage_inside(gb: GammaBase, block: _Block, around: Region) -> bool:
     """Some stage of the block, among its first MEMBER_SCAN_CAP, lies inside
-    the open set."""
-    for j in range(MEMBER_SCAN_CAP):
-        try:
-            if gb.stage_tail_region(block, j).subset_of(around):
-                return True
-        except PatternError:
-            return False
-    return False
+    the open set; a stage at or past gamma is no member of the base."""
+    end = left_difference(block.start, gb.gamma)
+    count = min(MEMBER_SCAN_CAP, end.as_int()) if end.degree == 0 else MEMBER_SCAN_CAP
+    return any(gb.stage_tail_region(block, j).subset_of(around) for j in range(count))
 
 
 # -- base -> decomposition -> extreme selection ---------------------------------
-
-
-class GammaBaseDecomposition(DecompositionSpec):
-    """Level map of a graded base: level of x is the last index whose member
-    still contains x."""
-
-    def __init__(self, gb: GammaBase):
-        if gb.member(ZERO) != gb.space.whole():
-            raise DecompositionError("graded bases must start at the whole space")
-        self.gb = gb
-        self.space = gb.space
-        self.carrier = gb.space.whole()
-        self.gamma = gb.gamma
-        self.kind = "ordinal"
-        self._p_reg = gb.space.point_region(gb.p)
-
-    def fiber(self, idx: Ordinal) -> Region:
-        if idx == self.gamma:
-            return self._p_reg
-        nxt = successor(idx)
-        follower = self._p_reg if nxt == self.gamma else self.gb.member(nxt)
-        return self.gb.member(idx).difference(follower)
-
-    def eta_point(self, pt: Point) -> Ordinal:
-        if pt == self.gb.p:
-            return self.gamma
-        for block in reversed(self.gb.blocks):
-            if block.limit_index is not None and block.limit_set.contains_point(pt):
-                nxt_start = successor(block.limit_index)
-                if nxt_start >= self.gamma or not self.gb.member(nxt_start).contains_point(pt):
-                    return block.limit_index
-            j = self._block_level(block, pt)
-            if j is not None:
-                return block.start + Ordinal.from_int(j)
-        raise DecompositionError(f"{pt} outside the carrier")
-
-    def _block_level(self, block: _Block, pt: Point) -> Optional[int]:
-        if not block.explicit[0].contains_point(pt):
-            return None
-        j = 0
-        while True:
-            try:
-                nxt = self.gb.stage_tail_region(block, j + 1)
-            except PatternError:
-                return j
-            if not nxt.contains_point(pt):
-                return j
-            j += 1
-            if j > LEVEL_SCAN_CAP:
-                raise DecompositionError("level scan beyond cap")
-
-    def eta_extremes(self, s: Region, top: bool) -> Ordinal:
-        cands: list[Ordinal] = []
-        if s.contains_point(self.gb.p):
-            if top:
-                return self.gamma
-            cands.append(self.gamma)
-        for b, sp in s.span_items():
-            for pos in (sp.lo, sp.hi):
-                pt = self.space.point(b, pos)
-                if pt == self.gb.p:
-                    continue
-                cands.append(self.eta_point(pt))
-        if not cands:
-            raise DecompositionError("set misses every fiber")
-        return max(cands) if top else min(cands)
-
-    def upper_strict(self, idx: Ordinal) -> Region:
-        if idx == self.gamma:
-            return self.space.empty()
-        nxt = successor(idx)
-        return self._p_reg if nxt == self.gamma else self.gb.member(nxt)
-
-    def lower_strict(self, idx: Ordinal) -> Region:
-        return self.carrier.difference(self.gb.member(idx))
-
-    def limit_indices(self) -> tuple[Ordinal, ...]:
-        out = [lam for lam, _, _ in self.gb.limit_entries()]
-        if self.gamma.is_limit:
-            out.append(self.gamma)
-        return tuple(out)
-
-    def sample_indices(self) -> list[Ordinal]:
-        out = self.gb.sample_indices(SAMPLE_COUNT)
-        out.append(self.gamma)
-        return out
-
-    def cover_residual(self, idxs: list[Ordinal]) -> Region:
-        out = self.space.empty()
-        for block in self.gb.blocks:
-            local = [
-                left_difference(block.start, i).as_int()
-                for i in idxs
-                if i >= block.start
-                and left_difference(block.start, i).degree == 0
-                and (block.limit_index is None or i < block.limit_index)
-            ]
-            top = max(local, default=0)
-            try:
-                out = out.union(self.gb.stage_tail_region(block, top + 1))
-            except PatternError:
-                pass
-        return out
-
-    def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
-        for block in self.gb.blocks:
-            if block.limit_index == lam or (
-                block.limit_index is None and lam == self.gamma
-            ):
-                return [block.start + Ordinal.from_int(j) for j in range(ABSORPTION_CAP)]
-        return [i for i in self.sample_indices() if i < lam]
 
 
 def gamma_base_to_decomp(gb: GammaBase) -> DecompositionSpec:
@@ -719,7 +590,13 @@ def gamma_base_to_decomp(gb: GammaBase) -> DecompositionSpec:
         fibers = [rest, p_reg] if not rest.is_empty else [p_reg]
         d: DecompositionSpec = ExplicitDecomposition(space, fibers)
     else:
-        d = GammaBaseDecomposition(gb)
+        if gb.member(ZERO) != space.whole():
+            raise DecompositionError("graded bases must start at the whole space")
+        blocks = [(functools.partial(gb.stage_tail_region, b), b.limit_set) for b in gb.blocks]
+        if blocks[-1][1] is not None:
+            # gamma is the last limit + 1: a last block whose stages end at once
+            blocks.append((None, None))
+        d = ChainDecomposition(space, gb.p, gb.gamma, blocks)
     report = decomp_validate(d)
     if not report.passed:
         raise TheoremViolationError(

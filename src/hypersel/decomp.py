@@ -13,8 +13,10 @@ from typing import Callable, Optional, Sequence
 
 from hypersel.ordinal import (
     OMEGA,
+    ZERO,
     Ordinal,
     fund_index_at_least,
+    left_difference,
     ord_fundamental,
     successor,
 )
@@ -93,8 +95,9 @@ class DecompositionSpec:
         return self.space.empty()
 
     def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
-        """Indices below lam to probe when checking closedness of the level map."""
-        return [i for i in self.sample_indices() if i < lam]
+        """Indices below the limit lam to probe when checking closedness of
+        the level map."""
+        raise NotImplementedError
 
     def limit_modulo_point(self, lam: Ordinal) -> Point:
         fib = self.fiber(lam)
@@ -156,81 +159,132 @@ class ExplicitDecomposition(DecompositionSpec):
 
 
 class ChainDecomposition(DecompositionSpec):
-    """Level map of a strictly decreasing clopen chain with a singleton limit fiber.
+    """Level map of a decreasing chain U(alpha), alpha <= gamma, from U(0) =
+    carrier down to U(gamma) = {p}: level alpha carries U(alpha) minus
+    U(alpha+1).
 
-    U(0) is the carrier, U(n+1) is clopen and strictly inside U(n), the chain
-    shrinks to the designated point; level n carries U(n) minus U(n+1) and the
-    level of the point itself is omega.
+    The chain comes in blocks of (rule, limit) pairs.  A block starts at 0 or
+    at lambda+1 and gives its stages as n -> U(start+n); it closes at the
+    limit lambda = start+omega, whose member is the certified intersection
+    of its stages.  The last block has no limit and closes at gamma instead;
+    when gamma is a successor, U(gamma) = {p} ends its stages (a last block
+    that starts at gamma has none).  Members are memoized per block by stage
+    number.
     """
 
     def __init__(
         self,
         space: Space,
-        rule: Callable[[int], Region],
         p: Point,
+        gamma: Ordinal,
+        blocks: Sequence[tuple[Callable[[int], Region], Optional[Region]]],
         carrier: Optional[Region] = None,
         kind: str = "ordinal",
     ) -> None:
         self.space = space
         self.carrier = carrier if carrier is not None else space.whole()
-        self.rule = rule
         self.p = p
-        self.gamma = OMEGA
+        self.gamma = gamma
         self.kind = kind
-        self._memo: dict[int, Region] = {}
         self._p_region = space.point_region(p)
+        self._rules = [rule for rule, _ in blocks]
+        self._limits = [limit for _, limit in blocks]
+        self._starts = [ZERO]
+        self._closes = []
+        for _ in blocks[1:]:
+            lam = self._starts[-1] + OMEGA
+            self._closes.append(lam)
+            self._starts.append(successor(lam))
+        self._closes.append(gamma)
+        self._memos: list[dict[int, Region]] = [{} for _ in blocks]
+        self._memos[0][0] = self.carrier
+        if not gamma.is_limit:  # the last block's stages end at gamma
+            self._memos[-1][left_difference(self._starts[-1], gamma).as_int()] = self._p_region
 
-    def chain(self, n: int) -> Region:
-        reg = self._memo.get(n)
+    def chain(self, n: int, k: int) -> Region:
+        """U(start+n) for the start of block k."""
+        memo = self._memos[k]
+        reg = memo.get(n)
         if reg is None:
-            reg = self.carrier if n == 0 else self.rule(n)
-            self._memo[n] = reg
+            reg = memo[n] = self._rules[k](n)
         return reg
 
-    def fiber(self, idx: Ordinal) -> Region:
-        if idx == OMEGA:
+    def _locate(self, idx: Ordinal) -> tuple[int, Optional[int]]:
+        """(k, n) with idx = start+n in block k, or (k, None) when idx closes block k."""
+        k = len(self._starts) - 1
+        while k and idx < self._starts[k]:
+            k -= 1
+        off = left_difference(self._starts[k], idx) if k else idx
+        return k, None if off.is_limit else off.as_int()
+
+    def _index(self, k: int, n: int) -> Ordinal:
+        return self._starts[k] + Ordinal.from_int(n) if k else Ordinal.from_int(n)
+
+    def member(self, idx: Ordinal) -> Region:
+        """U(idx)."""
+        if idx == self.gamma:
             return self._p_region
-        n = idx.as_int()
-        return self.chain(n).difference(self.chain(n + 1))
+        k, n = self._locate(idx)
+        return self._limits[k] if n is None else self.chain(n, k)
+
+    def fiber(self, idx: Ordinal) -> Region:
+        if idx == self.gamma:
+            return self._p_region
+        k, n = self._locate(idx)
+        if n is None:
+            return self._limits[k].difference(self.chain(0, k + 1))
+        return self.chain(n, k).difference(self.chain(n + 1, k))
 
     def eta_extremes(self, s: Region, top: bool) -> Ordinal:
         if s.is_empty:
             raise DecompositionError("set misses every fiber")
         if (s.contains_point(self.p) if top else s == self._p_region):
-            return OMEGA
-        # top: the largest n whose U(n) meets s; bottom: the largest n with s
-        # inside U(n)
+            return self.gamma
+        # top: the largest alpha whose U(alpha) meets s; bottom: the largest
+        # alpha with s inside U(alpha).  Blocks from the last down, a block's
+        # limit before its stages; U(0) is the carrier, which holds s.
         inside = s.meets if top else s.subset_of
+        k = len(self._starts) - 1
+        while k and not inside(self.chain(0, k)):
+            k -= 1
+            if inside(self._limits[k]):
+                return self._closes[k]
         n = 0
-        while inside(self.chain(n + 1)):
+        while inside(self.chain(n + 1, k)):
             n += 1
             if n > SCAN_CAP:
                 side = "maximum" if top else "minimum"
                 raise ChainResolutionError(f"{side} level beyond scan cap")
-        return Ordinal.from_int(n)
+        return self._starts[k] + Ordinal.from_int(n) if k else Ordinal.from_int(n)
 
     def upper_strict(self, idx: Ordinal) -> Region:
-        if idx == OMEGA:
+        if idx == self.gamma:
             return self.space.empty()
-        return self.chain(idx.as_int() + 1)
+        k, n = self._locate(idx)
+        return self.chain(0, k + 1) if n is None else self.chain(n + 1, k)
 
     def lower_strict(self, idx: Ordinal) -> Region:
-        if idx == OMEGA:
-            return self.carrier.difference(self._p_region)
-        return self.carrier.difference(self.chain(idx.as_int()))
+        return self.carrier.difference(self.member(idx))
 
     def limit_indices(self) -> tuple[Ordinal, ...]:
-        return (OMEGA,)
+        return tuple(lam for lam in self._closes if lam.is_limit)
 
     def sample_indices(self) -> list[Ordinal]:
-        return [Ordinal.from_int(i) for i in range(SAMPLE_COUNT)] + [OMEGA]
+        out = []
+        for k, limit in enumerate(self._limits):
+            out += [self._index(k, n) for n in range(SAMPLE_COUNT)]
+            if limit is not None:
+                out.append(self._closes[k])
+        return [i for i in out if i < self.gamma] + [self.gamma]
 
     def cover_residual(self, idxs: list[Ordinal]) -> Region:
-        top = max((i.as_int() for i in idxs if i != OMEGA), default=0)
-        return self.chain(top + 1)
+        # every level above the first block's sampled ones lies in U(top+1)
+        top = max((i.as_int() for i in idxs if i.degree == 0 and i != self.gamma), default=0)
+        return self.chain(top + 1, 0)
 
     def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
-        return [Ordinal.from_int(n) for n in range(ABSORPTION_CAP)]
+        k = self._closes.index(lam)
+        return [self._index(k, n) for n in range(ABSORPTION_CAP)]
 
 
 def point_chain_rule(space: Space, p: Point, carrier: Optional[Region] = None):
@@ -276,7 +330,7 @@ def point_decomposition(
         if rest.is_empty:
             return ExplicitDecomposition(space, [p_reg], carrier=base)
         return ExplicitDecomposition(space, [rest, p_reg], carrier=base)
-    return ChainDecomposition(space, point_chain_rule(space, p, base), p, carrier=base)
+    return ChainDecomposition(space, p, OMEGA, [(point_chain_rule(space, p, base), None)], base)
 
 
 def decomp_from_chain(
@@ -310,7 +364,7 @@ def decomp_from_chain(
             raise DecompositionError(
                 f"chain intersection meets the grid at {pt}, not only at {p}"
             )
-    d = ChainDecomposition(space, rule, p, carrier=base, kind="quasi")
+    d = ChainDecomposition(space, p, OMEGA, [(rule, None)], base, "quasi")
     if _chain_is_base(space, d, p):
         d.kind = "ordinal"
     return d
@@ -322,7 +376,7 @@ def _chain_is_base(space: Space, d: ChainDecomposition, p: Point) -> bool:
             around = space.open_tail(p, level)
         except ValueError:
             return False
-        if not any(d.chain(n).subset_of(around) for n in range(1, CHAIN_WINDOW + 1)):
+        if not any(d.chain(n, 0).subset_of(around) for n in range(1, CHAIN_WINDOW + 1)):
             return False
     return True
 

@@ -11,7 +11,6 @@ from sympy.sets.ordinals import Ordinal as SymOrdinal, ord0, omega
 
 from itertools import combinations
 
-from hypersel.basebuilder import GammaBaseDecomposition
 from hypersel.decomp import (
     SCAN_CAP,
     ChainDecomposition,
@@ -20,7 +19,7 @@ from hypersel.decomp import (
     ExplicitDecomposition,
 )
 from hypersel.hyperspace import CheckOutcome, ConvergentNet, VietorisBasic, basic_nbhd_family
-from hypersel.ordinal import OMEGA, Ordinal, parse_ordinal, successor
+from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal, successor
 from hypersel.space import Point, Region, Space, Span
 
 
@@ -372,43 +371,72 @@ def ref_net_convergence_check(net: ConvergentNet, depth: int = 2) -> CheckOutcom
 
 # -- reference level scans --------------------------------------------------------------
 #
-# eta_extremes of the three decomposition types as it was before each call
-# scanned one side: both the lowest and the highest level that s meets, every
-# scan run whichever side the caller reads.
+# eta_extremes of the decomposition types as it was before each call scanned
+# one side: both the lowest and the highest level that s meets, every scan
+# run whichever side the caller reads.  With ``endpoints`` a chain
+# decomposition instead takes the levels of the endpoints of the spans of s,
+# each found block by block (the graded-base level map before its levels
+# became one chain scan).
+
+# Stages the level scan of one point may climb within one block.
+LEVEL_SCAN_CAP = 4096
 
 
-def ref_eta_extremes(d, s: Region) -> tuple[Ordinal, Ordinal]:
+def ref_eta_extremes(d, s: Region, endpoints: bool = False) -> tuple[Ordinal, Ordinal]:
     if isinstance(d, ExplicitDecomposition):
         hit = [i for i, fib in enumerate(d.fibers) if s.meets(fib)]
         if not hit:
             raise DecompositionError("set misses every fiber")
         return Ordinal.from_int(hit[0]), Ordinal.from_int(hit[-1])
-    if isinstance(d, ChainDecomposition):
-        if s.is_empty:
-            raise DecompositionError("set misses every fiber")
-        if s == d.space.point_region(d.p):
-            return OMEGA, OMEGA
-        lo = 0
-        while s.subset_of(d.chain(lo + 1)):
-            lo += 1
-            if lo > SCAN_CAP:
-                raise ChainResolutionError("minimum level beyond scan cap")
-        if s.contains_point(d.p):
-            return Ordinal.from_int(lo), OMEGA
-        hi = 0
-        while s.meets(d.chain(hi + 1)):
-            hi += 1
-            if hi > SCAN_CAP:
-                raise ChainResolutionError("maximum level beyond scan cap")
-        return Ordinal.from_int(lo), Ordinal.from_int(hi)
-    if isinstance(d, GammaBaseDecomposition):
-        cands = [d.gamma] if s.contains_point(d.gb.p) else []
+    if not isinstance(d, ChainDecomposition):
+        raise TypeError(f"no reference level scan for {type(d).__name__}")
+    if endpoints:
+        cands = [d.gamma] if s.contains_point(d.p) else []
         for b, sp in s.span_items():
             for pos in (sp.lo, sp.hi):
                 pt = d.space.point(b, pos)
-                if pt != d.gb.p:
-                    cands.append(d.eta_point(pt))
+                if pt != d.p:
+                    cands.append(ref_eta_point(d, pt))
         if not cands:
             raise DecompositionError("set misses every fiber")
         return min(cands), max(cands)
-    raise TypeError(f"no reference level scan for {type(d).__name__}")
+    if s.is_empty:
+        raise DecompositionError("set misses every fiber")
+    if s == d.space.point_region(d.p):
+        return OMEGA, OMEGA
+    lo = 0
+    while s.subset_of(d.chain(lo + 1, 0)):
+        lo += 1
+        if lo > SCAN_CAP:
+            raise ChainResolutionError("minimum level beyond scan cap")
+    if s.contains_point(d.p):
+        return Ordinal.from_int(lo), OMEGA
+    hi = 0
+    while s.meets(d.chain(hi + 1, 0)):
+        hi += 1
+        if hi > SCAN_CAP:
+            raise ChainResolutionError("maximum level beyond scan cap")
+    return Ordinal.from_int(lo), Ordinal.from_int(hi)
+
+
+def ref_eta_point(d: ChainDecomposition, pt: Point) -> Ordinal:
+    """The last alpha whose U(alpha) holds pt, through the members U(alpha)
+    of d: blocks from the last down, a block's limit before its stages."""
+    if pt == d.p:
+        return d.gamma
+    lams = [lam for lam in d.limit_indices() if lam != d.gamma]
+    starts = [ZERO] + [successor(lam) for lam in lams]
+    for k in range(len(starts) - 1, -1, -1):
+        if k < len(lams) and d.member(lams[k]).contains_point(pt):
+            nxt = successor(lams[k])
+            if nxt >= d.gamma or not d.member(nxt).contains_point(pt):
+                return lams[k]
+        if starts[k] >= d.gamma or not d.member(starts[k]).contains_point(pt):
+            continue
+        j = 0
+        while d.member(starts[k] + Ordinal.from_int(j + 1)).contains_point(pt):
+            j += 1
+            if j > LEVEL_SCAN_CAP:
+                raise DecompositionError("level scan beyond cap")
+        return starts[k] + Ordinal.from_int(j)
+    raise DecompositionError(f"{pt} outside the carrier")

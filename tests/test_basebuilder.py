@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
-from hypersel.space import Region, clopen_modulo
-from hypersel.decomp import decomp_validate, point_decomposition
+from hypersel.space import Region, Space, clopen_modulo
+from hypersel.decomp import decomp_validate, point_chain_rule, point_decomposition
 from hypersel.selection import (
     FamilyParams,
     OrderMaxSelection,
@@ -227,6 +229,10 @@ class TestTransfiniteBase:
         top = omega_sq_space.point(0, parse_ordinal("w^2"))
         gb = transfinite_base(omega_sq_maximal, top, W, guided=True)
         assert gamma_base_validate(gb) == []
+        # the guide: stage j + 1 lies in member j + 2 of the canonical tail chain
+        tails = point_chain_rule(omega_sq_space, top)
+        assert all(gb.member(O(j + 1)).subset_of(tails(j + 2)) for j in range(6))
+        assert gb.member(O(1)) == creg(omega_sq_space, (0, P("w+2"), P("w^2")))
         deep = gb.member(O(25))  # ladder-affine pattern evaluation
         assert deep.is_clopen()
         assert deep.covers_position(0, parse_ordinal("w*25 + 5"))
@@ -241,6 +247,19 @@ class TestTransfiniteBase:
         top = omega_sq_space.point(0, parse_ordinal("w^2"))
         gb = transfinite_base(omega_sq_maximal, top, W, guided=False)
         assert gamma_base_validate(gb) != []
+
+    @pytest.mark.parametrize("line, gamma", [("w", "10"), ("w*2", "w+10")])
+    def test_stages_past_a_successor_gamma_are_no_members(self, line, gamma):
+        # past the probe stages the run certifies a tail pattern that goes on
+        # beyond gamma; those pattern stages are not members of the base, so
+        # no member reaches the canonical opens at the top
+        space = Space([parse_ordinal(line)])
+        top = space.point(0, parse_ordinal(line))
+        f = decomp_to_extreme_selection(
+            point_decomposition(space, top), top, "maximal", FamilyParams(grid_k=2)
+        )
+        gb = transfinite_base(f, top, parse_ordinal(gamma))
+        assert gamma_base_validate(gb) == [f"no member inside a canonical open around {top}"]
 
     def test_overlong_gamma_reports_violation(self, omega_space):
         # psi at the top of [0, w] is omega; asking for an interior limit stage
@@ -280,6 +299,18 @@ class TestRoundtrip:
         f2 = decomp_to_extreme_selection(d, top, "maximal", FamilyParams(grid_k=4))
         out = extremality_check(f2, top, "maximal", FamilyParams(grid_k=5))
         assert out.passed
+
+    @pytest.mark.parametrize("gamma, level", [("w+1", "w"), ("w+3", "w + 2")])
+    def test_successor_gamma_level_map_is_not_continuous(
+        self, omega2_space, omega2_maximal, gamma, level
+    ):
+        # U(gamma) = {p} right after the limit, or after the last stage of a
+        # finite last block: the upper preimage of the level below is {p}
+        top = omega2_space.point(0, W2)
+        gb = transfinite_base(omega2_maximal, top, P(gamma))
+        with pytest.raises(TheoremViolationError,
+                           match=re.escape(f"upper preimage at {level} not open")):
+            gamma_base_to_decomp(gb)
 
     def test_chain_decomp_to_maximal_equals_order_max(self, omega_space):
         top = omega_space.point(0, W)

@@ -107,10 +107,15 @@ class TestExitCodes:
         assert out.returncode == 2
 
 
-# Planted documents: each fails its one check with this detail.
+# Planted documents: each fails its one check with this detail, and its report
+# has this digest.
 PLANTED = {
     "decomp_overlap": "fibers-disjoint: fibers 0 and 1 overlap",
     "decomp_gap": "fibers-cover: uncovered region Region(0:{4})",
+}
+PLANTED_DIGESTS = {
+    "decomp_overlap": "4271d079af97635359597ff3103a0b28b9159311f70cda1000f3a662dfd1be76",
+    "decomp_gap": "0a64c3f3f95049b5cf1e74522661fb1ac7b21e41c1c35eeeb797e068c492c98f",
 }
 
 
@@ -118,9 +123,11 @@ class TestPlantedDefects:
     @pytest.mark.parametrize("name", sorted(PLANTED))
     def test_fails_with_pinned_detail(self, name, capsys):
         assert cli.main(["check", str(SCENARIOS / "defects" / f"{name}.json")]) == 1
-        (record,) = json.loads(capsys.readouterr().out)["results"]
+        report = json.loads(capsys.readouterr().out)
+        (record,) = report["results"]
         assert (record["check"], record["status"]) == ("decomp_validate", "fail")
         assert record["detail"] == PLANTED[name]
+        assert report_digest(report) == PLANTED_DIGESTS[name]
 
 
 class TestValidate:

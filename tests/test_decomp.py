@@ -1,7 +1,7 @@
 import pytest
 
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
-from hypersel.space import Region, isolated_in
+from hypersel.space import Region, Space, isolated_in
 from hypersel.decomp import (
     ChainDecomposition,
     DecompositionError,
@@ -12,9 +12,9 @@ from hypersel.decomp import (
     point_decomposition,
 )
 from hypersel.basebuilder import (
-    GammaBaseDecomposition,
     decomp_to_extreme_selection,
     gamma_base_to_decomp,
+    gamma_base_validate,
     transfinite_base,
 )
 from hypersel.selection import FamilyParams, LevelSelection, enumerate_closed_family
@@ -113,7 +113,7 @@ class TestValidation:
     def test_quasi_chain_gets_strengthening_note(self, omega_space):
         top = omega_space.point(0, W)
         d = ChainDecomposition(
-            omega_space, point_chain_rule(omega_space, top), top, kind="quasi"
+            omega_space, top, W, [(point_chain_rule(omega_space, top), None)], kind="quasi"
         )
         report = decomp_validate(d)
         assert report.passed
@@ -172,13 +172,14 @@ def _oracle_decompositions():
 ORACLE_DECOMPOSITIONS = list(_oracle_decompositions())
 
 
-def _agrees_with_reference(d, p, family):
-    """Both one-sided scans equal the two-sided reference on every set of the
-    family, and the join and the meet over d take the value of a reference
-    pick that builds the level's fiber again on every evaluation."""
+def _agrees_with_reference(d, p, family, endpoints=False):
+    """Both one-sided scans equal the two-sided reference (levels of span
+    endpoints with ``endpoints``) on every set of the family, and the join
+    and the meet over d take the value of a reference pick that builds the
+    level's fiber again on every evaluation."""
     sets = enumerate_closed_family(d.space, family, carrier=d.carrier)
     for s in sets:
-        assert _both_levels(d, s) == ref_eta_extremes(d, s), s
+        assert _both_levels(d, s) == ref_eta_extremes(d, s, endpoints), s
     for top, mode in ((True, "maximal"), (False, "minimal")):
         if top and d.kind != "ordinal":
             continue
@@ -186,7 +187,7 @@ def _agrees_with_reference(d, p, family):
         f = LevelSelection(d, top, fiber_selection)
         by_level = {}
         for s in sets:
-            idx = ref_eta_extremes(d, s)[1 if top else 0]
+            idx = ref_eta_extremes(d, s, endpoints)[1 if top else 0]
             fib = d.fiber(idx)
             sel = by_level.setdefault(idx, fiber_selection(idx, fib))
             assert f.evaluate(s) == sel.evaluate(s.intersect(fib)), s
@@ -204,9 +205,24 @@ class TestOneSidedLevels:
         self, omega2_space, omega2_maximal
     ):
         top = omega2_space.point(0, W2)
-        d = gamma_base_to_decomp(transfinite_base(omega2_maximal, top, W2))
-        assert isinstance(d, GammaBaseDecomposition)
-        _agrees_with_reference(d, top, FamilyParams(grid_k=3))
+        gb = transfinite_base(omega2_maximal, top, W2)
+        assert gamma_base_validate(gb) == []
+        d = gamma_base_to_decomp(gb)
+        assert isinstance(d, ChainDecomposition)
+        _agrees_with_reference(d, top, FamilyParams(grid_k=3), endpoints=True)
+
+    @pytest.mark.parametrize("line", ["w^2", "w^2+w"])
+    def test_guided_omega_run_matches_the_endpoint_scan(self, line):
+        # the guided w-runs of the construct workload: one block, gamma = w
+        space = Space([P(line)])
+        top = space.point(0, P(line))
+        family = FamilyParams(grid_k=3)
+        f = decomp_to_extreme_selection(point_decomposition(space, top), top, "maximal", family)
+        gb = transfinite_base(f, top, W, guided=True)
+        assert gamma_base_validate(gb) == []
+        d = gamma_base_to_decomp(gb)
+        assert isinstance(d, ChainDecomposition) and d.gamma == W
+        _agrees_with_reference(d, top, family, endpoints=True)
 
 
 class TestPointDecomposition:

@@ -1,6 +1,7 @@
 """Every name a hypersel module exports in ``__all__`` exists in it, every
-name a module imports is used in it or exported, and every function, class
-and method the package defines is used by the package or the benchmark."""
+name a module imports is used in it or exported, and every function, class,
+method and module-level constant the package defines is used by the package
+or the benchmark."""
 import ast
 import importlib
 from pathlib import Path
@@ -22,6 +23,7 @@ KEEP = {
     "sel_rel": "the paper's selection relation, documented API beside its derived sets",
     "closed_set": "exported by hypersel.__all__ for building closed sets by hand",
     "open_set": "exported by hypersel.__all__ for building open sets by hand",
+    "ONE": "exported by hypersel.ordinal.__all__ beside ZERO and OMEGA",
 }
 
 
@@ -64,32 +66,41 @@ def test_no_unused_imports(path):
 
 
 def unreferenced(sources: dict[str, str], readers: list[str]) -> list[str]:
-    """``file:line name`` of each function, class or method defined in
-    ``sources`` (file name -> text) whose name no Name or attribute in
-    ``readers`` (texts) mentions; dunder methods are called implicitly."""
+    """``file:line name`` of each function, class or method, and of each
+    module-level constant, defined in ``sources`` (file name -> text) whose
+    name no read Name or attribute in ``readers`` (texts) mentions; dunder
+    names are read implicitly."""
     refs = set()
     for text in readers:
         for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 refs.add(node.id)
             elif isinstance(node, ast.Attribute):
                 refs.add(node.attr)
     out = []
     for fname, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = node.name
-                if not (name.startswith("__") and name.endswith("__")) and name not in refs:
-                    out.append(f"{fname}:{node.lineno} {name}")
+        tree = ast.parse(text)
+        defined = [
+            (node.lineno, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+        for lineno, name in sorted(defined):
+            if not (name.startswith("__") and name.endswith("__")) and name not in refs:
+                out.append(f"{fname}:{lineno} {name}")
     return out
 
 
 def test_unreferenced_definition_is_found():
     src = (
         "class A:\n    def m(self): pass\n    def __eq__(self, o): pass\n"
-        "def f(): pass\ndef g(): f()\n"
+        "def f(): pass\ndef g(): f()\nCAP = 4\nUSED = 2\n__all__ = []\n"
+        "def h(): return USED\n"
     )
-    assert unreferenced({"x.py": src}, [src, "A().m()"]) == ["x.py:5 g"]
+    assert unreferenced({"x.py": src}, [src, "A().m()", "h()"]) == ["x.py:5 g", "x.py:6 CAP"]
 
 
 def test_every_definition_is_referenced():

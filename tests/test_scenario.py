@@ -177,6 +177,29 @@ class TestReports:
         assert report.records[0].status == "error"
         assert report.records[0].detail == "KeyError: 'planted'"
 
+    def test_precondition_failure_is_an_error_record(self):
+        # no theorem's hypothesis holds for a selection that is not maximal
+        # at the point, so there is no witness and no fail record
+        doc = minimal_doc(
+            space={"branches": ["w", "w"], "gluings": [[[0, "w"], [1, "w"]]]},
+            objects={
+                "points": {"hub": [0, "w"], "zero": [0, "0"]},
+                "selections": {"f": {"kind": "order_max"}},
+                "pcuts": {"cut": {"point": "hub", "sides": [[[0, "0", "w", "open"]],
+                                                           [[1, "0", "w", "open"]]]}},
+            },
+            suites=[
+                {"check": "transfinite_roundtrip", "selection": "f", "point": "zero"},
+                {"check": "base_at_cut", "selection": "f", "pcut": "cut"},
+            ],
+        )
+        report = run_scenario(Scenario.load(doc))
+        assert report.exit_code() == 1
+        assert [(r.status, r.detail, r.witness) for r in report.records] == [
+            ("error", f"ValueError: selection is not maximal at {p} (precondition)", None)
+            for p in ("(0:0)", "(0:w)")
+        ]
+
     def test_generator_documents_validate(self):
         for doc in [make_ordinal_scenario("w*2"), make_wedge_scenario(2),
                     make_fan_scenario(3)]:

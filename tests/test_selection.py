@@ -6,7 +6,6 @@ import pytest
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.space import Region
 from hypersel.decomp import ChainDecomposition, ExplicitDecomposition, point_decomposition
-from hypersel.basebuilder import GammaBaseDecomposition
 from hypersel.selection import (
     ExtremumNotAttained,
     FamilyParams,
@@ -144,7 +143,7 @@ class TestLevelFibers:
         # by selection and level, while extreme selections on [0, w*2] load
         # (their extremality check evaluates them) and pass selection_law.
         builds = Counter()
-        for cls in (ExplicitDecomposition, ChainDecomposition, GammaBaseDecomposition):
+        for cls in (ExplicitDecomposition, ChainDecomposition):
 
             def counting(self, idx, original=cls.fiber):
                 caller = sys._getframe(1).f_locals.get("self")
