@@ -18,6 +18,7 @@ from hypersel.ordinal import (
     fund_index_at_least,
     left_difference,
     ord_fundamental,
+    predecessor,
     successor,
 )
 from hypersel.space import (
@@ -275,11 +276,20 @@ class ChainDecomposition(DecompositionSpec):
             out += [self._index(k, n) for n in range(SAMPLE_COUNT)]
             if limit is not None:
                 out.append(self._closes[k])
+        if self.gamma.is_successor:  # the last stage: its upper preimage is {p}
+            last = predecessor(self.gamma)
+            if last not in out:
+                out.append(last)
         return [i for i in out if i < self.gamma] + [self.gamma]
 
     def cover_residual(self, idxs: list[Ordinal]) -> Region:
-        # every level above the first block's sampled ones lies in U(top+1)
-        top = max((i.as_int() for i in idxs if i.degree == 0 and i != self.gamma), default=0)
+        # every level above the first block's run 0, 1, ..., top of sampled
+        # stages lies in U(top+1)
+        top = 0
+        for n, i in enumerate(idxs):
+            if i == self.gamma or i.degree or i.as_int() != n:
+                break
+            top = n
         return self.chain(top + 1, 0)
 
     def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
@@ -490,7 +500,7 @@ def _absorbs_below(
     upper_lam = d.upper_strict(lam)
     below = set(i for i in idxs if i < lam)
     below.update(d.absorption_candidates(lam))
-    for alpha in sorted(below, key=lambda o: o.terms, reverse=True):
+    for alpha in sorted(below, reverse=True):
         seg = d.upper_strict(alpha).difference(upper_lam)
         if seg.subset_of(around):
             return True

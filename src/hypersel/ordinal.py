@@ -8,7 +8,7 @@ tuple comparison realizes the ordinal order.  Values are immutable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Ordinal",
@@ -29,11 +29,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Ordinal:
-    """Ordinal below w^w in Cantor normal form."""
-
+class _Terms(NamedTuple):
     terms: tuple[tuple[int, int], ...] = ()
+
+
+class Ordinal(_Terms):
+    """Ordinal below w^w in Cantor normal form.
+
+    A one-field tuple, so hashing, equality and order run in C.  Tuple order
+    on ``(terms,)`` is exactly the ordinal order: the first differing term
+    decides (higher exponent, then higher coefficient), and a proper prefix
+    is smaller than its extension.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, terms: tuple[tuple[int, int], ...] = ()) -> "Ordinal":
+        self = tuple.__new__(cls, (terms,))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         prev = None
@@ -50,25 +64,15 @@ class Ordinal:
             raise ValueError("ordinal literals are non-negative")
         return Ordinal(((0, n),)) if n else Ordinal()
 
-    # Tuple order on canonical terms is exactly the ordinal order: the first
-    # differing term decides (higher exponent, then higher coefficient), and a
-    # proper prefix is smaller than its extension.
-    def __lt__(self, other: "Ordinal") -> bool:
-        return self.terms < other.terms
-
-    def __le__(self, other: "Ordinal") -> bool:
-        return self.terms <= other.terms
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        return self.terms > other.terms
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        return self.terms >= other.terms
-
     def __add__(self, other: "Ordinal | int") -> "Ordinal":
         if isinstance(other, int):
             other = Ordinal.from_int(other)
         return ord_add(self, other)
+
+    def __mul__(self, other):  # ordinals are not sequences: no repetition
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -104,19 +108,13 @@ class Ordinal:
         return f"Ordinal({format_ordinal(self)!r})"
 
 
-_new = object.__new__
-_set_terms = Ordinal.terms.__set__  # the slot, past the frozen __setattr__
-
-
 def _cnf(terms: tuple[tuple[int, int], ...]) -> Ordinal:
     """Ordinal from terms that are in Cantor normal form by construction.
 
     Skips the validation of ``Ordinal(...)``; only the arithmetic below calls
     it, on terms built from canonical operands.
     """
-    o = _new(Ordinal)
-    _set_terms(o, terms)
-    return o
+    return tuple.__new__(Ordinal, (terms,))
 
 
 ZERO = Ordinal()

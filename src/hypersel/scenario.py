@@ -169,10 +169,10 @@ def witness_to_json(w) -> Any:
         return {"point": point_to_json(w)}
     if isinstance(w, hyperspace.VietorisBasic):
         return {"basic": [region_to_json(part) for part in w.parts]}
-    if isinstance(w, tuple):
-        return [witness_to_json(x) for x in w]
     if isinstance(w, Ordinal):
         return format_ordinal(w)
+    if isinstance(w, tuple):
+        return [witness_to_json(x) for x in w]
     return str(w)
 
 
@@ -660,7 +660,7 @@ def _oracle_is_open(h: Region) -> bool:
             positions.add(s.lo)
             if s.hi_in:
                 positions.add(s.hi)
-        for x in sorted(positions, key=lambda o: o.terms):
+        for x in sorted(positions):
             if not _oracle_has_base_interval(h, b, x):
                 return False
     return True

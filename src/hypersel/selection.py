@@ -405,9 +405,7 @@ def _build_closed_family(space: Space, params: FamilyParams, base: Region) -> li
         for sp in base.traces[b]:
             cands.add(sp.lo)
             cands.add(sp.hi)
-        pts = sorted(
-            (g for g in cands if base.covers_position(b, g)), key=lambda o: o.terms
-        )
+        pts = sorted(g for g in cands if base.covers_position(b, g))
         # (lo, successor of hi, segment): two segments are disjoint and not
         # adjacent when the second starts above the first one's successor
         after = [successor(g) for g in pts]

@@ -61,15 +61,11 @@ class Span(NamedTuple):
         return (self.hi, self.hi_in)
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(NamedTuple):
     """A point of the quotient, held at the least coordinate of its class."""
 
     branch: int
     pos: Ordinal
-
-    def __lt__(self, other: "Point") -> bool:
-        return (self.branch, self.pos.terms) < (other.branch, other.pos.terms)
 
     def __str__(self) -> str:
         return f"({self.branch}:{self.pos})"
@@ -94,7 +90,7 @@ class Space:
         classes = []
         seen: set[tuple[int, Ordinal]] = set()
         for cls in gluings:
-            coords = tuple(sorted(((b, p) for b, p in cls), key=lambda c: (c[0], c[1].terms)))
+            coords = tuple(sorted((b, p) for b, p in cls))
             if len(coords) < 2:
                 raise ValueError("a gluing class needs at least two coordinates")
             for b, p in coords:
@@ -108,12 +104,10 @@ class Space:
             classes.append(coords)
         self.gluings = tuple(classes)
         self.grid_k = grid_k
-        # keyed by (branch, pos.terms): a tuple of ints hashes without a
-        # Python-level call
-        self._coord_class: dict[tuple[int, tuple], tuple[tuple[int, Ordinal], ...]] = {}
+        self._coord_class: dict[tuple[int, Ordinal], tuple[tuple[int, Ordinal], ...]] = {}
         for coords in self.gluings:
             for b, p in coords:
-                self._coord_class[(b, p.terms)] = coords
+                self._coord_class[(b, p)] = coords
         self._grid_cache: dict[tuple[int, int], tuple[Ordinal, ...]] = {}
         self._grid_points_cache: dict[int, tuple[Point, ...]] = {}
         # regions are immutable values, so one singleton per point is shared
@@ -129,7 +123,7 @@ class Space:
     # -- points ------------------------------------------------------------
 
     def class_coords(self, branch: int, pos: Ordinal) -> tuple[tuple[int, Ordinal], ...]:
-        return self._coord_class.get((branch, pos.terms)) or ((branch, pos),)
+        return self._coord_class.get((branch, pos)) or ((branch, pos),)
 
     def point(self, branch: int, pos: Ordinal) -> Point:
         if pos > self.branches[branch]:
@@ -180,7 +174,7 @@ class Space:
                     for c in range(0, k + 1)
                 ]
             bases |= {b for b in combos if b <= top}
-        return sorted((b for b in bases if b <= top), key=lambda o: o.terms)
+        return sorted(b for b in bases if b <= top)
 
     def grid_positions(self, branch: int, k: Optional[int] = None) -> tuple[Ordinal, ...]:
         k = self.grid_k if k is None else k
@@ -200,7 +194,7 @@ class Space:
                 if b == branch:
                     pts.add(p)
         pts.add(top)
-        out = tuple(sorted(pts, key=lambda o: o.terms))
+        out = tuple(sorted(pts))
         self._grid_cache[key] = out
         return out
 
@@ -283,14 +277,14 @@ def _normalize(spans: list[Span]) -> tuple[Span, ...]:
         if lo > hi:
             continue
         cleaned.append(Span(lo, hi, hi_in))
-    cleaned.sort(key=lambda s: (s.lo.terms, s.hi.terms, s.hi_in))
+    cleaned.sort()
     out: list[Span] = []
     for s in cleaned:
         if out:
             prev = out[-1]
             lo_t, top_t = s.lo.terms, prev.hi.terms
             if lo_t <= top_t or (prev.hi_in and lo_t == _succ_terms(top_t)):
-                end = max(prev.cover_end, s.cover_end, key=lambda e: (e[0].terms, e[1]))
+                end = max(prev.cover_end, s.cover_end)
                 out[-1] = Span(prev.lo, end[0], end[1])
                 continue
         out.append(s)
@@ -515,10 +509,8 @@ class Region:
         return False
 
     def contains_point(self, pt: Point) -> bool:
-        for b, p in self.space.class_coords(pt.branch, pt.pos):
-            if self.covers_position(b, p):
-                return True
-        return False
+        # regions are saturated: one coordinate of a class stands for all
+        return self.covers_position(pt.branch, pt.pos)
 
     def span_items(self) -> Iterable[tuple[int, Span]]:
         for b, tr in enumerate(self.traces):

@@ -16,6 +16,7 @@ from hypersel.ordinal import (
     predecessor,
     successor,
 )
+from hypersel.scenario import witness_to_json
 from oracles import sym_add_equals, sym_compare
 
 P = parse_ordinal
@@ -62,6 +63,46 @@ class TestCompare:
         assert compare(a, b) == expected
         assert (a == b) == (expected == 0)
         assert (a <= b) == (expected <= 0) and (a >= b) == (expected >= 0)
+        # hashing, equality and order are those of the term tuples
+        assert (a == b) == (a.terms == b.terms) and (a != b) == (a.terms != b.terms)
+        assert (a < b) == (a.terms < b.terms) and (a > b) == (a.terms > b.terms)
+        assert hash(a) == hash((a.terms,)) and (a != b or hash(a) == hash(b))
+
+    @given(st.lists(ordinals(), max_size=8))
+    @settings(max_examples=200)
+    def test_sorted_matches_terms_and_oracle(self, xs):
+        out = sorted(xs)
+        assert [o.terms for o in out] == sorted(o.terms for o in xs)
+        assert all(sym_compare(a, b) <= 0 for a, b in zip(out, out[1:]))
+        assert len(set(xs)) == len({o.terms for o in xs})
+
+
+class TestValueType:
+    def test_no_repetition(self):
+        for product in (lambda: OMEGA * 2, lambda: 2 * OMEGA, lambda: OMEGA * OMEGA):
+            with pytest.raises(TypeError):
+                product()
+
+    def test_plus_is_ordinal_addition(self):
+        assert ONE + OMEGA == OMEGA and OMEGA + ONE == P("w+1")
+        assert OMEGA + 3 == P("w+3") and OMEGA + OMEGA == P("w*2")
+        assert isinstance(OMEGA + ONE, Ordinal) and (OMEGA + ONE).terms == ((1, 1), (0, 1))
+
+    def test_truth(self):
+        assert not ZERO and not Ordinal() and ONE and OMEGA
+
+    @pytest.mark.parametrize("terms", [((0, 0),), ((-1, 1),), ((1, 1), (1, 2)), ((0, 1), (1, 1))])
+    def test_invalid_cnf_rejected(self, terms):
+        with pytest.raises(ValueError):
+            Ordinal(terms)
+
+    def test_text(self):
+        assert str(P("w^2*3 + w + 4")) == "w^2*3 + w + 4"
+        assert repr(P("w*2+1")) == "Ordinal('w*2 + 1')" and repr(ZERO) == "Ordinal('0')"
+
+    def test_witness_json(self):
+        assert witness_to_json(OMEGA) == "w"
+        assert witness_to_json((OMEGA, ZERO)) == ["w", "0"]
 
 
 class TestAdd:

@@ -1,5 +1,6 @@
 """Differential tests: the merge-based region algebra and the trusted CNF
 constructor against the reference copies in oracles.py and sympy."""
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersel.ordinal import (
@@ -14,7 +15,7 @@ from hypersel.ordinal import (
 )
 from hypersel.scenario import _oracle_has_base_interval
 from hypersel.selection import FamilyParams, enumerate_closed_family
-from hypersel.space import Region, Space, clopen_modulo
+from hypersel.space import Point, Region, Space, clopen_modulo
 from oracles import (
     is_saturated,
     oracle_spaces,
@@ -142,6 +143,25 @@ class TestRegionAlgebraMatchesReference:
         for x, y in ((inner, a), (inner, b), (a, a), (a.difference(b), a), (a, a.closure())):
             assert x.subset_of(y) and ref_subset_of(x, y)
             assert y.subset_of(x) == ref_subset_of(y, x)
+
+
+class TestMembershipReadsOneCoordinate:
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_contains_point_matches_every_coordinate(self, name, data):
+        # contains_point reads only the point's own coordinate, which is
+        # enough because every region is saturated; the reference tests
+        # every coordinate of the class, at points held at any of them
+        space = SPACES[name]
+        a = Region.make(space, data.draw(span_lists(space)))
+        b = Region.make(space, data.draw(span_lists(space)))
+        pts = set(space.grid_points(3))
+        pts.update(Point(br, pos) for coords in space.gluings for br, pos in coords)
+        for r in (a, a.union(b), a.intersect(b), a.difference(b), a.closure(), a.complement()):
+            assert is_saturated(r)
+            for pt in pts:
+                assert r.contains_point(pt) == ref_contains_point(r, pt)
 
 
 class TestOracleAndSpaceCaches:

@@ -200,6 +200,25 @@ class TestReports:
             for p in ("(0:0)", "(0:w)")
         ]
 
+    @pytest.mark.parametrize("line, gamma, level", [("w*2", "w+20", "w + 19"), ("w", "20", "19")])
+    def test_successor_gamma_roundtrip_fails(self, line, gamma, level):
+        # the last block has stages enough to enter the canonical opens, but
+        # a base of successor length has a least member, {p} after the last
+        # stage, so the level map is not continuous there
+        doc = minimal_doc(
+            space={"branches": [line], "gluings": []},
+            params={"family": {"grid_k": 2}},
+            objects={
+                "points": {"top": [0, line]},
+                "selections": {"f": {"kind": "extreme", "mode": "maximal", "point": "top"}},
+            },
+            suites=[{"check": "transfinite_roundtrip", "selection": "f", "point": "top",
+                     "gamma": gamma}],
+        )
+        [record] = run_scenario(Scenario.load(doc)).records
+        assert record.status == "fail"
+        assert record.detail.endswith(f"eta-continuous upper preimage at {level} not open")
+
     def test_generator_documents_validate(self):
         for doc in [make_ordinal_scenario("w*2"), make_wedge_scenario(2),
                     make_fan_scenario(3)]:

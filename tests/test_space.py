@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.space import (
@@ -14,7 +15,7 @@ from hypersel.space import (
     open_set,
     rel_open,
 )
-from hypersel.scenario import _oracle_is_open
+from hypersel.scenario import _oracle_is_open, witness_to_json
 from oracles import grid_closure_members
 
 O = Ordinal.from_int
@@ -30,6 +31,38 @@ def line():
 
 def reg(space, *items):
     return Region.from_intervals(space, list(items))
+
+
+@st.composite
+def points(draw):
+    terms = draw(st.dictionaries(st.integers(0, 3), st.integers(1, 4), max_size=3))
+    return Point(draw(st.integers(0, 2)), Ordinal(tuple(sorted(terms.items(), reverse=True))))
+
+
+def _key(pt):
+    return (pt.branch, pt.pos.terms)
+
+
+class TestPointValue:
+    @given(points(), points())
+    @settings(max_examples=300)
+    def test_hash_equality_and_order_are_the_coordinates(self, p, q):
+        assert (p == q) == (_key(p) == _key(q)) and (p != q) == (_key(p) != _key(q))
+        assert (p < q) == (_key(p) < _key(q)) and (p >= q) == (_key(p) >= _key(q))
+        assert hash(p) == hash((p.branch, p.pos)) and (p != q or hash(p) == hash(q))
+
+    @given(st.lists(points(), max_size=8))
+    @settings(max_examples=200)
+    def test_sorted_and_min(self, pts):
+        assert [_key(p) for p in sorted(pts)] == sorted(map(_key, pts))
+        assert not pts or _key(min(pts)) == min(map(_key, pts))
+        assert len(set(pts)) == len(set(map(_key, pts)))
+
+    def test_text_and_json(self):
+        pt = Point(1, W2)
+        assert str(pt) == "(1:w*2)" and repr(pt) == "Point(branch=1, pos=Ordinal('w*2'))"
+        assert witness_to_json(pt) == {"point": [1, "w*2"]}
+        assert witness_to_json((pt, W)) == [{"point": [1, "w*2"]}, "w"]
 
 
 class TestAlgebra:
