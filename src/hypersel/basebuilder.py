@@ -12,7 +12,7 @@ TheoremViolationError carrying the witness.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from hypersel.ordinal import (
@@ -37,10 +37,7 @@ from hypersel.space import (
 from hypersel import hyperspace
 from hypersel.decomp import (
     ChainDecomposition,
-    DecompositionError,
     DecompositionSpec,
-    ExplicitDecomposition,
-    decomp_validate,
     point_chain_rule,
     point_decomposition,
 )
@@ -66,10 +63,9 @@ __all__ = [
     "CutBase",
     "base_at_cut",
     "cut_base_absorbs",
-    "GammaBase",
     "transfinite_base",
+    "base_members",
     "gamma_base_validate",
-    "gamma_base_to_decomp",
     "decomp_to_extreme_selection",
     "TheoremViolationError",
     "PatternError",
@@ -258,66 +254,6 @@ class _LadderTail:
 TailPattern = _AffineTail | _LadderTail
 
 
-@dataclass
-class _Block:
-    start: Ordinal  # first stage index of this block
-    explicit: list[Region]  # stage sets at start, start+1, ...
-    pattern: Optional[TailPattern] = None
-    limit_index: Optional[Ordinal] = None
-    limit_set: Optional[Region] = None  # the graded-base member at the limit index
-    limit_boundary: Optional[Point] = None
-
-
-@dataclass
-class GammaBase:
-    """Decreasing neighbourhood base {H_alpha : alpha < gamma} at p, with clopen
-    successor stages and limit members clopen modulo a recorded point."""
-
-    space: Space
-    p: Point
-    gamma: Ordinal
-    blocks: list[_Block]
-    identity_checked: list[Ordinal] = field(default_factory=list)
-
-    def stage_tail_region(self, block: _Block, j: int) -> Region:
-        if j < len(block.explicit):
-            return block.explicit[j]
-        pat = block.pattern
-        if pat is None:
-            raise PatternError(f"stage {block.start}+{j} beyond explicit stages")
-        return _pattern_region(self.space, self.p, pat, j - pat.anchor)
-
-    def member(self, alpha: Ordinal) -> Region:
-        """H_alpha for alpha <= gamma (gamma itself gives the point)."""
-        if alpha == self.gamma:
-            return self.space.point_region(self.p)
-        if alpha > self.gamma:
-            raise ValueError(f"index {alpha} beyond {self.gamma}")
-        for block in reversed(self.blocks):
-            if block.limit_index is not None and alpha == block.limit_index:
-                return block.limit_set
-            if alpha >= block.start:
-                j = left_difference(block.start, alpha).as_int()
-                return self.stage_tail_region(block, j)
-        raise ValueError(f"could not resolve index {alpha}")
-
-    def limit_entries(self) -> list[tuple[Ordinal, Region, Point]]:
-        return [
-            (b.limit_index, b.limit_set, b.limit_boundary)
-            for b in self.blocks
-            if b.limit_index is not None
-        ]
-
-    def sample_indices(self) -> list[Ordinal]:
-        out = []
-        for block in self.blocks:
-            span = min(SAMPLE_STAGES, len(block.explicit) + 2)
-            out.extend(block.start + Ordinal.from_int(j) for j in range(span))
-            if block.limit_index is not None:
-                out.append(block.limit_index)
-        return [i for i in out if i < self.gamma]
-
-
 def _tail_form(space: Space, p: Point, u: Region) -> Optional[dict]:
     """Coordinates of u as a saturated union of closed tails at p, if it is one."""
     coords = space.point_coords(p)
@@ -445,22 +381,40 @@ def _pattern_limit(space: Space, p: Point, pattern: TailPattern) -> Region:
     return Region.make(space, spans)
 
 
-def transfinite_base(f: Selection, p: Point, gamma: Ordinal, guided: bool = False) -> GammaBase:
-    """Graded neighbourhood base at p of length gamma (at most omega*2 + finite).
+def _stage_rule(space: Space, p: Point, start: Ordinal, explicit: list[Region],
+                pattern: Optional[TailPattern]):
+    """n -> U(start+n): the materialized stages, then the certified pattern."""
+
+    def rule(n: int) -> Region:
+        if n < len(explicit):
+            return explicit[n]
+        if pattern is None:
+            raise PatternError(f"stage {start}+{n} beyond explicit stages")
+        return _pattern_region(space, p, pattern, n - pattern.anchor)
+
+    return rule
+
+
+def transfinite_base(
+    f: Selection, p: Point, gamma: Ordinal, guided: bool = False
+) -> tuple[DecompositionSpec, dict[Ordinal, Point]]:
+    """Graded neighbourhood base at p of length gamma (at most omega*2 + finite),
+    as the chain decomposition whose level alpha carries H_alpha minus
+    H_alpha+1, with the boundary point of each limit stage below gamma.
 
     Successor stages by two-step clopen separation; limit stages as certified
     pattern intersections, with the bracket identity and the boundary-avoids-p
     guarantee verified exactly.  With `guided` the stage targets are cut down
     by the canonical pseudocharacter tails at p, which makes omega-length runs
-    reach points behind interior limits (at the price of skipping them).
+    reach points behind interior limits (at the price of skipping them).  At
+    an isolated point the base is the one member {p}, and the decomposition
+    has the two fibers of `point_decomposition`.
     """
     space = f.space
     if f.maximal_point() != p:
         raise ValueError(f"selection is not maximal at {p} (precondition)")
-    p_reg = space.point_region(p)
-    if p_reg.is_open():
-        blk = _Block(start=ZERO, explicit=[p_reg])
-        return GammaBase(space, p, Ordinal.from_int(1), [blk])
+    if space.point_region(p).is_open():
+        return point_decomposition(space, p), {}
     if gamma > OMEGA + OMEGA:
         raise ValueError("transfinite runs are capped at omega*2")
     aux = functools.cache(functools.partial(maximal_at, space))
@@ -471,29 +425,25 @@ def transfinite_base(f: Selection, p: Point, gamma: Ordinal, guided: bool = Fals
     def stage_fn(u_cur: Region, local_index: int) -> Region:
         return _succ_stage(f, p, u_cur, aux, guide and guide(local_index + 2))
 
-    blocks: list[_Block] = []
-    identity_checked: list[Ordinal] = []
+    blocks = []
+    boundaries: dict[Ordinal, Point] = {}
     start = ZERO
     u = space.whole()
     remaining = gamma
     while True:
-        block = _Block(start=start, explicit=[u])
-        if remaining <= Ordinal.from_int(PROBE_STAGES + 1):
-            # final finite run: materialize exactly the requested stages
-            for j in range(remaining.as_int() - 1):
-                u = stage_fn(u, j)
-                block.explicit.append(u)
-            blocks.append(block)
-            break
-        for j in range(PROBE_STAGES):
+        explicit = [u]
+        # a final finite run materializes exactly the requested stages
+        finite = remaining <= Ordinal.from_int(PROBE_STAGES + 1)
+        for j in range(remaining.as_int() - 1 if finite else PROBE_STAGES):
             u = stage_fn(u, j)
-            block.explicit.append(u)
-        block.pattern = _certify_pattern(space, p, stage_fn, block.explicit)
+            explicit.append(u)
+        pattern = None if finite else _certify_pattern(space, p, stage_fn, explicit)
+        rule = _stage_rule(space, p, start, explicit, pattern)
         limit_index = start + OMEGA
-        if limit_index >= gamma:
-            blocks.append(block)
+        if finite or limit_index >= gamma:
+            blocks.append((rule, None))
             break
-        h_lim = _pattern_limit(space, p, block.pattern)
+        h_lim = _pattern_limit(space, p, pattern)
         f_lim = complement_closure(h_lim)
         q_lim = f.evaluate(f_lim)
         if q_lim == p:
@@ -508,11 +458,8 @@ def transfinite_base(f: Selection, p: Point, gamma: Ordinal, guided: bool = Fals
                 f" differs from intersection {h_lim!r}",
                 (ds.bracket, h_lim),
             )
-        identity_checked.append(limit_index)
-        block.limit_index = limit_index
-        block.limit_set = h_lim
-        block.limit_boundary = q_lim
-        blocks.append(block)
+        boundaries[limit_index] = q_lim
+        blocks.append((rule, h_lim))
         punctured = h_lim.remove_point(q_lim)
         if punctured.remove_point(p).is_empty:
             raise TheoremViolationError(
@@ -522,89 +469,79 @@ def transfinite_base(f: Selection, p: Point, gamma: Ordinal, guided: bool = Fals
         start = successor(limit_index)
         remaining = left_difference(start, gamma)
         if remaining.is_zero:
+            # gamma is the last limit + 1: a last block whose stages end at once
+            blocks.append((None, None))
             break
         u = stage_fn(punctured, 0)
-    return GammaBase(space, p, gamma, blocks, identity_checked)
+    return ChainDecomposition(space, p, gamma, blocks), boundaries
 
 
-def gamma_base_validate(gb: GammaBase) -> list[str]:
+def _blocks(d: ChainDecomposition) -> list[tuple[Ordinal, Optional[Ordinal]]]:
+    """(start, limit index) of each block of the chain; the last has no limit."""
+    lims = [lam for lam in d.limit_indices() if lam < d.gamma]
+    return list(zip([ZERO, *map(successor, lims)], [*lims, None]))
+
+
+def base_members(d: DecompositionSpec) -> list[tuple[Ordinal, Region]]:
+    """Sampled members (alpha, H_alpha), alpha < gamma, of the graded base that
+    `transfinite_base` returned as d: the first SAMPLE_STAGES stages of each
+    block, then its limit.  At an isolated point: the one member {p}."""
+    if not isinstance(d, ChainDecomposition):
+        return [(ZERO, d.fiber(d.gamma))]
+    out = []
+    for start, lam in _blocks(d):
+        out += [start + Ordinal.from_int(j) for j in range(SAMPLE_STAGES)]
+        if lam is not None:
+            out.append(lam)
+    return [(i, d.member(i)) for i in out if i < d.gamma]
+
+
+def gamma_base_validate(d: DecompositionSpec) -> list[str]:
     """Successor clopen-and-strict, limit neighbourhood-base condition at the
     first two refinement levels, every member clopen modulo a point; returns
     failure strings."""
+    if not isinstance(d, ChainDecomposition):
+        return []  # the one-member base {{p}} at an isolated point
     problems = []
-    space = gb.space
-    idxs = gb.sample_indices()
-    for alpha in idxs:
-        h = gb.member(alpha)
-        if not h.contains_point(gb.p):
+    for alpha, h in base_members(d):
+        if not h.contains_point(d.p):
             problems.append(f"{alpha}: member lost the point")
-        status = clopen_modulo(h)
-        if not status.in_delta:
+        if not clopen_modulo(h).in_delta:
             problems.append(f"{alpha}: member outside the graded family")
-        nxt = gb.member(_next_index(gb, alpha))
+        up = successor(alpha)
+        nxt = d.member(up)
         if not nxt.subset_of(h) or nxt == h:
             problems.append(f"{alpha}: successor member not strictly inside")
-        if _next_index(gb, alpha).is_successor and not nxt.is_clopen():
-            if _next_index(gb, alpha) != gb.gamma:
-                problems.append(f"{alpha}: successor member not clopen")
-    for lam, h_lim, _q in gb.limit_entries():
-        block = next(b for b in gb.blocks if b.limit_index == lam)
+        if up != d.gamma and not nxt.is_clopen():
+            problems.append(f"{alpha}: successor member not clopen")
+    blocks = _blocks(d)
+    for k, (start, lam) in enumerate(blocks[:-1]):
+        h_lim = d.member(lam)
         for level in (0, 1):
-            if not _stage_inside(gb, block, hyperspace.open_cover_of(h_lim, level)):
+            if not _stage_inside(d, k, start, hyperspace.open_cover_of(h_lim, level)):
                 problems.append(f"{lam}: earlier members never enter a cover")
                 break
     for level in (0, 1):
-        around = space.open_tail(gb.p, level)
+        around = d.space.open_tail(d.p, level)
         if not any(
-            (block.limit_set is not None and block.limit_set.subset_of(around))
-            or _stage_inside(gb, block, around)
-            for block in gb.blocks
+            (lam is not None and d.member(lam).subset_of(around))
+            or _stage_inside(d, k, start, around)
+            for k, (start, lam) in enumerate(blocks)
         ):
-            problems.append(f"no member inside a canonical open around {gb.p}")
+            problems.append(f"no member inside a canonical open around {d.p}")
             break
     return problems
 
 
-def _next_index(gb: GammaBase, alpha: Ordinal) -> Ordinal:
-    nxt = successor(alpha)
-    return nxt if nxt <= gb.gamma else gb.gamma
-
-
-def _stage_inside(gb: GammaBase, block: _Block, around: Region) -> bool:
-    """Some stage of the block, among its first MEMBER_SCAN_CAP, lies inside
-    the open set; a stage at or past gamma is no member of the base."""
-    end = left_difference(block.start, gb.gamma)
+def _stage_inside(d: ChainDecomposition, k: int, start: Ordinal, around: Region) -> bool:
+    """Some stage of block k, among its first MEMBER_SCAN_CAP, lies inside the
+    open set; a stage at or past gamma is no member of the base."""
+    end = left_difference(start, d.gamma)
     count = min(MEMBER_SCAN_CAP, end.as_int()) if end.degree == 0 else MEMBER_SCAN_CAP
-    return any(gb.stage_tail_region(block, j).subset_of(around) for j in range(count))
+    return any(d.chain(j, k).subset_of(around) for j in range(count))
 
 
-# -- base -> decomposition -> extreme selection ---------------------------------
-
-
-def gamma_base_to_decomp(gb: GammaBase) -> DecompositionSpec:
-    space = gb.space
-    p_reg = space.point_region(gb.p)
-    if gb.member(ZERO) == p_reg:
-        # one-member base at an isolated point: the point and the rest
-        rest = space.whole().difference(p_reg)
-        fibers = [rest, p_reg] if not rest.is_empty else [p_reg]
-        d: DecompositionSpec = ExplicitDecomposition(space, fibers)
-    else:
-        if gb.member(ZERO) != space.whole():
-            raise DecompositionError("graded bases must start at the whole space")
-        blocks = [(functools.partial(gb.stage_tail_region, b), b.limit_set) for b in gb.blocks]
-        if blocks[-1][1] is not None:
-            # gamma is the last limit + 1: a last block whose stages end at once
-            blocks.append((None, None))
-        d = ChainDecomposition(space, gb.p, gb.gamma, blocks)
-    report = decomp_validate(d)
-    if not report.passed:
-        raise TheoremViolationError(
-            "graded-base decomposition failed validation: "
-            + "; ".join(e.name + " " + e.detail for e in report.failures()),
-            report,
-        )
-    return d
+# -- decomposition -> extreme selection ------------------------------------------
 
 
 def decomp_to_extreme_selection(

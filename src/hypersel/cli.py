@@ -11,7 +11,8 @@ import json
 import sys
 from typing import Optional
 
-from hypersel.ordinal import format_ordinal, parse_ordinal
+from hypersel.decomp import ChainDecomposition
+from hypersel.ordinal import ONE, format_ordinal, parse_ordinal
 from hypersel.scenario import (
     Report,
     Scenario,
@@ -23,7 +24,7 @@ from hypersel.scenario import (
     region_to_json,
     run_scenario,
 )
-from hypersel.basebuilder import base_at_cut, transfinite_base
+from hypersel.basebuilder import base_at_cut, base_members, transfinite_base
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -108,24 +109,25 @@ def _build_base_payload(sc: Scenario, target: str, spec: dict) -> dict:
     f = sc.selections[spec["selection"]]
     if spec["kind"] == "transfinite":
         gamma = parse_ordinal(spec.get("gamma", "w"))
-        gb = transfinite_base(f, sc._point(spec["point"]), gamma, guided=spec.get("guided", False))
-        sample = gb.sample_indices()
+        p = sc._point(spec["point"])
+        d, boundaries = transfinite_base(f, p, gamma, guided=spec.get("guided", False))
         return {
             "target": target,
             "kind": "transfinite",
-            "gamma": format_ordinal(gb.gamma),
-            "point": point_to_json(gb.p),
+            # at an isolated point the base is the one member {p}
+            "gamma": format_ordinal(d.gamma if isinstance(d, ChainDecomposition) else ONE),
+            "point": point_to_json(p),
             "members": [
-                {"index": format_ordinal(i), "set": region_to_json(gb.member(i))}
-                for i in sample
+                {"index": format_ordinal(i), "set": region_to_json(h)}
+                for i, h in base_members(d)
             ],
             "limits": [
                 {
                     "index": format_ordinal(lam),
-                    "set": region_to_json(h),
+                    "set": region_to_json(d.member(lam)),
                     "boundary": point_to_json(q),
                 }
-                for lam, h, q in gb.limit_entries()
+                for lam, q in boundaries.items()
             ],
         }
     base = base_at_cut(f, sc.pcuts[spec["pcut"]], spec.get("steps", 8))
@@ -140,8 +142,8 @@ def _build_base_payload(sc: Scenario, target: str, spec: dict) -> dict:
 
 GENERATORS = {
     "ordinal": lambda args: make_ordinal_scenario(args.gamma),
-    "wedge": lambda args: make_wedge_scenario(args.prongs or 2),
-    "fan": lambda args: make_fan_scenario(args.prongs or 3),
+    "wedge": lambda args: make_wedge_scenario(2 if args.prongs is None else args.prongs),
+    "fan": lambda args: make_fan_scenario(3 if args.prongs is None else args.prongs),
 }
 
 

@@ -67,7 +67,6 @@ from hypersel.basebuilder import (
     base_at_cut,
     cut_base_absorbs,
     decomp_to_extreme_selection,
-    gamma_base_to_decomp,
     gamma_base_validate,
     pcut_validate,
     transfinite_base,
@@ -828,18 +827,18 @@ def _check_transfinite_roundtrip(sc: Scenario, spec: dict) -> tuple[str, str, An
     p = sc._point(spec["point"])
     gamma = parse_ordinal(spec.get("gamma", "w"))
     fam = sc.family_params(spec.get("family"))
-    gb = transfinite_base(f, p, gamma, guided=spec.get("guided", False))
-    problems = gamma_base_validate(gb)
+    d, boundaries = transfinite_base(f, p, gamma, guided=spec.get("guided", False))
+    problems = gamma_base_validate(d)
     if problems:
         return "fail", "; ".join(problems), None
-    d = gamma_base_to_decomp(gb)
+    report = decomp_validate(d)
+    if not report.passed:
+        failures = "; ".join(e.name + " " + e.detail for e in report.failures())
+        return "fail", "graded-base decomposition failed validation: " + failures, report
     decomp_to_extreme_selection(d, p, "maximal", family=fam)
-    detail = (
-        f"gamma={format_ordinal(gamma)}, identities at "
-        + ", ".join(format_ordinal(i) for i in gb.identity_checked)
-        if gb.identity_checked
-        else f"gamma={format_ordinal(gamma)}"
-    )
+    detail = f"gamma={format_ordinal(gamma)}"
+    if boundaries:
+        detail += ", identities at " + ", ".join(map(format_ordinal, boundaries))
     return "pass", detail, None
 
 
@@ -935,7 +934,10 @@ def run_scenario(sc: Scenario) -> Report:
 
 
 def make_ordinal_scenario(gamma: str = "w*2") -> dict:
-    top = parse_ordinal(gamma)
+    try:
+        top = parse_ordinal(gamma)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     if not top.is_limit:
         raise ScenarioError("the demo ordinal space needs a limit top")
     # graded-base runs are capped at w*2 stages; tops past w*2 get a guided

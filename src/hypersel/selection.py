@@ -323,6 +323,8 @@ class PatchedSelection(Selection):
     def __init__(self, parent: Selection, at: Region, value: Point) -> None:
         if at.is_empty or not at.is_closed():
             raise ValueError("patch target must be a nonempty closed set")
+        if not at.subset_of(parent.carrier):
+            raise ValueError("patch target outside the parent domain")
         if not at.contains_point(value):
             raise ValueError("patched value must satisfy the selection law")
         self.parent = parent

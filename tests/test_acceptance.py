@@ -35,7 +35,6 @@ from hypersel.basebuilder import (
     base_at_cut,
     cut_base_absorbs,
     decomp_to_extreme_selection,
-    gamma_base_to_decomp,
     gamma_base_validate,
     pcut_validate,
     transfinite_base,
@@ -292,12 +291,12 @@ def test_criterion_7_cut_point_base(wedge_space, wedge_maximal):
 
 def test_criterion_8_transfinite_roundtrip(omega2_space, omega2_maximal):
     top = omega2_space.point(0, W2)
-    gb = transfinite_base(omega2_maximal, top, W2)  # limit identity verified inside
-    problems = gamma_base_validate(gb)
-    if gb.identity_checked != [W]:
+    # limit identity verified inside; d is the base's chain decomposition
+    d, boundaries = transfinite_base(omega2_maximal, top, W2)
+    problems = gamma_base_validate(d)
+    if list(boundaries) != [W]:
         problems.append("missing limit-stage identity verification")
-    d = gamma_base_to_decomp(gb)  # validates, fibers clopen modulo a point
-    vrep = decomp_validate(d)
+    vrep = decomp_validate(d)  # fibers clopen modulo a point among the rest
     if not vrep.passed:
         problems.extend(e.name for e in vrep.failures())
     f2 = decomp_to_extreme_selection(d, top, "maximal", FamilyParams(grid_k=4))

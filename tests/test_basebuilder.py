@@ -1,5 +1,3 @@
-import re
-
 import pytest
 
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
@@ -14,9 +12,9 @@ from hypersel.selection import (
 from hypersel.basebuilder import (
     TheoremViolationError,
     base_at_cut,
+    base_members,
     cut_base_absorbs,
     decomp_to_extreme_selection,
-    gamma_base_to_decomp,
     gamma_base_validate,
     maximal_at,
     minimal_at,
@@ -184,60 +182,62 @@ class TestTransfiniteBase:
         f = decomp_to_extreme_selection(
             point_decomposition(omega_space, top), top, "maximal", FamilyParams(grid_k=4)
         )
-        gb = transfinite_base(f, top, W)
-        assert gb.gamma == W
-        assert gb.member(ZERO) == omega_space.whole()
-        assert gamma_base_validate(gb) == []
+        d, boundaries = transfinite_base(f, top, W)
+        assert d.gamma == W and boundaries == {}
+        assert d.member(ZERO) == omega_space.whole()
+        assert gamma_base_validate(d) == []
         # members are eventually inside every canonical tail
         for level in range(2):
             around = omega_space.open_tail(top, level)
-            assert any(gb.member(O(n)).subset_of(around) for n in range(64))
+            assert any(d.member(O(n)).subset_of(around) for n in range(64))
 
     def test_omega2_line_one_limit_stage(self, omega2_space, omega2_maximal):
         top = omega2_space.point(0, W2)
-        gb = transfinite_base(omega2_maximal, top, W2)
-        assert gb.identity_checked == [W]
-        (lam, h, q), = gb.limit_entries()
+        d, boundaries = transfinite_base(omega2_maximal, top, W2)
+        assert list(boundaries) == [W]
+        (lam, q), = boundaries.items()
         assert lam == W
-        assert h == creg(omega2_space, (0, W, W2))
+        assert d.member(lam) == creg(omega2_space, (0, W, W2))
         assert q == omega2_space.point(0, W)
-        assert gamma_base_validate(gb) == []
+        assert gamma_base_validate(d) == []
 
     def test_isolated_point_one_base(self, omega2_space):
         p = omega2_space.point(0, O(5))
         f = maximal_at(omega2_space, p)
-        gb = transfinite_base(f, p, W)
-        assert gb.gamma == O(1)
-        assert gb.member(ZERO) == omega2_space.point_region(p)
-        d = gamma_base_to_decomp(gb)
+        d, boundaries = transfinite_base(f, p, W)
+        assert boundaries == {}
+        assert base_members(d) == [(ZERO, omega2_space.point_region(p))]
+        # the one-member base {{p}} is a valid base, and its decomposition too
+        assert gamma_base_validate(d) == []
+        assert decomp_validate(d).passed
         assert d.gamma == O(1)
         assert d.fiber(O(1)) == omega2_space.point_region(p)
         assert d.fiber(ZERO) == omega2_space.whole().remove_point(p)
 
     def test_wedge_gamma_omega(self, wedge_space, wedge_maximal):
         hub = wedge_space.point(0, W)
-        gb = transfinite_base(wedge_maximal, hub, W)
-        assert gamma_base_validate(gb) == []
-        member = gb.member(O(20))  # beyond the explicit probe: pattern evaluation
+        d, _ = transfinite_base(wedge_maximal, hub, W)
+        assert gamma_base_validate(d) == []
+        member = d.member(O(20))  # beyond the explicit probe: pattern evaluation
         assert member.is_clopen() and member.contains_point(hub)
         # level sets pair off tail differences across both prongs
-        d = gamma_base_to_decomp(gb)
+        assert decomp_validate(d).passed
         fib = d.fiber(O(2))
         assert fib.traces[0] and fib.traces[1]
 
     def test_guided_run_crosses_interior_limits(self, omega_sq_space, omega_sq_maximal):
         top = omega_sq_space.point(0, parse_ordinal("w^2"))
-        gb = transfinite_base(omega_sq_maximal, top, W, guided=True)
-        assert gamma_base_validate(gb) == []
+        d, _ = transfinite_base(omega_sq_maximal, top, W, guided=True)
+        assert gamma_base_validate(d) == []
         # the guide: stage j + 1 lies in member j + 2 of the canonical tail chain
         tails = point_chain_rule(omega_sq_space, top)
-        assert all(gb.member(O(j + 1)).subset_of(tails(j + 2)) for j in range(6))
-        assert gb.member(O(1)) == creg(omega_sq_space, (0, P("w+2"), P("w^2")))
-        deep = gb.member(O(25))  # ladder-affine pattern evaluation
+        assert all(d.member(O(j + 1)).subset_of(tails(j + 2)) for j in range(6))
+        assert d.member(O(1)) == creg(omega_sq_space, (0, P("w+2"), P("w^2")))
+        deep = d.member(O(25))  # ladder-affine pattern evaluation
         assert deep.is_clopen()
         assert deep.covers_position(0, parse_ordinal("w*25 + 5"))
         assert not deep.covers_position(0, parse_ordinal("w*24"))
-        d = gamma_base_to_decomp(gb)
+        assert decomp_validate(d).passed
         f2 = decomp_to_extreme_selection(d, top, "maximal", FamilyParams(grid_k=3))
         assert f2.maximal_point() == top
 
@@ -245,8 +245,8 @@ class TestTransfiniteBase:
         # without the pseudocharacter guide the stages creep toward the first
         # interior limit and never reach the top; the validator must say so
         top = omega_sq_space.point(0, parse_ordinal("w^2"))
-        gb = transfinite_base(omega_sq_maximal, top, W, guided=False)
-        assert gamma_base_validate(gb) != []
+        d, _ = transfinite_base(omega_sq_maximal, top, W, guided=False)
+        assert gamma_base_validate(d) != []
 
     @pytest.mark.parametrize("line, gamma", [("w", "10"), ("w*2", "w+10")])
     def test_stages_past_a_successor_gamma_are_no_members(self, line, gamma):
@@ -258,8 +258,8 @@ class TestTransfiniteBase:
         f = decomp_to_extreme_selection(
             point_decomposition(space, top), top, "maximal", FamilyParams(grid_k=2)
         )
-        gb = transfinite_base(f, top, parse_ordinal(gamma))
-        assert gamma_base_validate(gb) == [f"no member inside a canonical open around {top}"]
+        d, _ = transfinite_base(f, top, parse_ordinal(gamma))
+        assert gamma_base_validate(d) == [f"no member inside a canonical open around {top}"]
 
     def test_overlong_gamma_reports_violation(self, omega_space):
         # psi at the top of [0, w] is omega; asking for an interior limit stage
@@ -278,8 +278,8 @@ class TestRoundtrip:
         f = decomp_to_extreme_selection(
             point_decomposition(omega_space, top), top, "maximal", FamilyParams(grid_k=4)
         )
-        gb = transfinite_base(f, top, W)
-        d = gamma_base_to_decomp(gb)
+        d, _ = transfinite_base(f, top, W)
+        assert decomp_validate(d).passed
         chain = point_decomposition(omega_space, top)
         # same singleton top fiber; level sets refine the same tails
         assert d.fiber(d.gamma) == chain.fiber(chain.gamma)
@@ -289,8 +289,7 @@ class TestRoundtrip:
 
     def test_full_roundtrip_on_omega2(self, omega2_space, omega2_maximal):
         top = omega2_space.point(0, W2)
-        gb = transfinite_base(omega2_maximal, top, W2)
-        d = gamma_base_to_decomp(gb)
+        d, _ = transfinite_base(omega2_maximal, top, W2)
         assert decomp_validate(d).passed
         assert d.fiber(d.gamma) == omega2_space.point_region(top)
         limit_fiber = d.fiber(W)
@@ -307,10 +306,11 @@ class TestRoundtrip:
         # U(gamma) = {p} right after the limit, or after the last stage of a
         # finite last block: the upper preimage of the level below is {p}
         top = omega2_space.point(0, W2)
-        gb = transfinite_base(omega2_maximal, top, P(gamma))
-        with pytest.raises(TheoremViolationError,
-                           match=re.escape(f"upper preimage at {level} not open")):
-            gamma_base_to_decomp(gb)
+        d, _ = transfinite_base(omega2_maximal, top, P(gamma))
+        failures = decomp_validate(d).failures()
+        assert [(e.name, e.detail) for e in failures] == [
+            ("eta-continuous", f"upper preimage at {level} not open")
+        ]
 
     def test_chain_decomp_to_maximal_equals_order_max(self, omega_space):
         top = omega_space.point(0, W)

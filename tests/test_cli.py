@@ -106,16 +106,48 @@ class TestExitCodes:
         out = run_cli("check", "scenarios/that_does_not_exist.json")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["demo", "ordinal", "--gamma", "foo"],
+        ["demo", "ordinal", "--gamma", "w^"],
+        ["demo", "ordinal", "--gamma", "w^w"],
+        ["demo", "ordinal", "--gamma", ""],
+        ["demo", "wedge", "--prongs", "0"],
+        ["demo", "fan", "--prongs", "0"],
+        ["demo", "wedge", "--prongs", "1"],
+    ])
+    def test_bad_demo_argument_exits_two(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("generator produced an invalid scenario: ")
+        assert out.err.count("\n") == 1 and "Traceback" not in out.err
 
-# Planted documents: each fails its one check with this detail, and its report
-# has this digest.
+
+# Planted documents: each fails its one check, named here, with this detail, and
+# its report has this digest.
 PLANTED = {
-    "decomp_overlap": "fibers-disjoint: fibers 0 and 1 overlap",
-    "decomp_gap": "fibers-cover: uncovered region Region(0:{4})",
+    "decomp_overlap": ("decomp_validate", "fibers-disjoint: fibers 0 and 1 overlap"),
+    "decomp_gap": ("decomp_validate", "fibers-cover: uncovered region Region(0:{4})"),
+    # a base of successor length w+20 ends in {p}: its level map is not
+    # continuous at the last stage
+    "roundtrip_successor_gamma": (
+        "transfinite_roundtrip",
+        "graded-base decomposition failed validation:"
+        " eta-continuous upper preimage at w + 19 not open",
+    ),
+    # the 10 stages of a base of length 10 all stay outside the canonical opens
+    "roundtrip_stages_past_gamma": (
+        "transfinite_roundtrip",
+        "no member inside a canonical open around (0:w)",
+    ),
 }
 PLANTED_DIGESTS = {
     "decomp_overlap": "4271d079af97635359597ff3103a0b28b9159311f70cda1000f3a662dfd1be76",
     "decomp_gap": "0a64c3f3f95049b5cf1e74522661fb1ac7b21e41c1c35eeeb797e068c492c98f",
+    "roundtrip_successor_gamma":
+        "fc12e25b5faf5a098a121e4315a10149d24247fd391adf32e39006836d858dbb",
+    "roundtrip_stages_past_gamma":
+        "eb45ddd0311505c5e603f3c7b3bd00fbd615d2ceaede6af640333b5bed73f412",
 }
 
 
@@ -125,9 +157,37 @@ class TestPlantedDefects:
         assert cli.main(["check", str(SCENARIOS / "defects" / f"{name}.json")]) == 1
         report = json.loads(capsys.readouterr().out)
         (record,) = report["results"]
-        assert (record["check"], record["status"]) == ("decomp_validate", "fail")
-        assert record["detail"] == PLANTED[name]
+        check, detail = PLANTED[name]
+        assert (record["check"], record["status"]) == (check, "fail")
+        assert record["detail"] == detail
         assert report_digest(report) == PLANTED_DIGESTS[name]
+
+
+def transfinite_doc(line, point, gamma):
+    """One line [0, line], the maximal selection at a point, and its graded
+    base of length gamma as a build-base target and a roundtrip suite."""
+    return {
+        "schema": "hypersel-scenario/1",
+        "name": "graded",
+        "space": {"branches": [line]},
+        "params": {"family": {"grid_k": 2}},
+        "objects": {
+            "points": {"p": [0, point]},
+            "selections": {"f": {"kind": "extreme", "mode": "maximal", "point": "p"}},
+            "bases": {"b": {"kind": "transfinite", "selection": "f", "point": "p",
+                            "gamma": gamma}},
+        },
+        "suites": [{"check": "transfinite_roundtrip", "selection": "f", "point": "p",
+                    "gamma": gamma}],
+    }
+
+
+# build-base payloads no fixture pins: the one-member base {(0:3)} at an
+# isolated point, and a base of length w+3 on [0, w*2].
+PAYLOAD_DIGESTS = {
+    ("w", "3", "w"): "38ce2dfaef4d5cda58ca60adc2390c6bb23f2987ae6425b4dba091228edcc509",
+    ("w*2", "w*2", "w+3"): "b35e4683c2795b8551fc9b58aef68dead74241bf0ae86c945d90849cc6aeb076",
+}
 
 
 class TestValidate:
@@ -183,6 +243,26 @@ class TestBuildBase:
         assert payload["gamma"] == "w*2"
         assert payload["limits"][0]["index"] == "w"
         assert payload["limits"][0]["boundary"] == [0, "w"]
+
+    @pytest.mark.parametrize("case", sorted(PAYLOAD_DIGESTS))
+    def test_transfinite_payload_pinned(self, case, tmp_path, capsys):
+        path = tmp_path / "graded.json"
+        path.write_text(json.dumps(transfinite_doc(*case)))
+        assert cli.main(["build-base", str(path), "--target", "b"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert report_digest(payload) == PAYLOAD_DIGESTS[case]
+
+    def test_isolated_point_base_is_one_member(self, tmp_path, capsys):
+        path = tmp_path / "isolated.json"
+        path.write_text(json.dumps(transfinite_doc("w", "3", "w")))
+        assert cli.main(["build-base", str(path), "--target", "b"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["gamma"], payload["limits"]) == ("1", [])
+        assert payload["members"] == [{"index": "0", "set": [[0, "3", "3"]]}]
+        # the one-member base {{p}} is a valid base: the roundtrip passes
+        assert cli.main(["check", str(path)]) == 0
+        (record,) = json.loads(capsys.readouterr().out)["results"]
+        assert (record["status"], record["detail"]) == ("pass", "gamma=w")
 
     def test_cut_target(self):
         out = run_cli("build-base", str(SCENARIOS / "wedge.json"), "--target", "cutbase")

@@ -13,7 +13,6 @@ from hypersel.decomp import (
 )
 from hypersel.basebuilder import (
     decomp_to_extreme_selection,
-    gamma_base_to_decomp,
     gamma_base_validate,
     transfinite_base,
 )
@@ -205,10 +204,9 @@ class TestOneSidedLevels:
         self, omega2_space, omega2_maximal
     ):
         top = omega2_space.point(0, W2)
-        gb = transfinite_base(omega2_maximal, top, W2)
-        assert gamma_base_validate(gb) == []
-        d = gamma_base_to_decomp(gb)
-        assert isinstance(d, ChainDecomposition)
+        d, _ = transfinite_base(omega2_maximal, top, W2)
+        assert gamma_base_validate(d) == []
+        assert isinstance(d, ChainDecomposition) and decomp_validate(d).passed
         _agrees_with_reference(d, top, FamilyParams(grid_k=3), endpoints=True)
 
     @pytest.mark.parametrize("line", ["w^2", "w^2+w"])
@@ -218,10 +216,10 @@ class TestOneSidedLevels:
         top = space.point(0, P(line))
         family = FamilyParams(grid_k=3)
         f = decomp_to_extreme_selection(point_decomposition(space, top), top, "maximal", family)
-        gb = transfinite_base(f, top, W, guided=True)
-        assert gamma_base_validate(gb) == []
-        d = gamma_base_to_decomp(gb)
+        d, _ = transfinite_base(f, top, W, guided=True)
+        assert gamma_base_validate(d) == []
         assert isinstance(d, ChainDecomposition) and d.gamma == W
+        assert decomp_validate(d).passed
         _agrees_with_reference(d, top, family, endpoints=True)
 
 

@@ -23,7 +23,6 @@ KEEP = {
     "sel_rel": "the paper's selection relation, documented API beside its derived sets",
     "closed_set": "exported by hypersel.__all__ for building closed sets by hand",
     "open_set": "exported by hypersel.__all__ for building open sets by hand",
-    "ONE": "exported by hypersel.ordinal.__all__ beside ZERO and OMEGA",
 }
 
 

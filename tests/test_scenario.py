@@ -291,6 +291,11 @@ def _broken(kind):
     elif kind == "patched-parent-list":
         objects["selections"]["g"] = {"kind": "patched", "parent": ["f"], "at": "c",
                                       "value": "p"}
+    elif kind == "patched-at-outside-parent":
+        objects["selections"]["r"] = {"kind": "restrict", "parent": "f",
+                                      "carrier": [[0, "0", "5"]]}
+        objects["selections"]["g"] = {"kind": "patched", "parent": "r",
+                                      "at": [[0, "7", "9"]], "value": [0, "7"]}
     elif kind == "restrict-parent-list":
         objects["selections"]["g"] = {"kind": "restrict", "parent": ["f"], "carrier": "c"}
     elif kind == "net-branch-list":
@@ -433,6 +438,8 @@ HOSTILE = [
     "gluings-object", "document-name-list",
     # an interval that denotes the empty set used to be read as nothing
     "interval-reversed", "interval-open-empty", "fiber-interval-reversed",
+    # a patch outside its parent's domain used to load and change nothing
+    "patched-at-outside-parent",
     # a field or group the table does not list used to be ignored
     "params-unknown-field", "suite-unknown-field", "selection-unknown-field",
     "pcut-unknown-field", "objects-unknown-group", "family-unknown-field",
