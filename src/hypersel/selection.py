@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from hypersel.ordinal import Ordinal, predecessor, successor
-from hypersel.space import Point, Region, Space
+from hypersel.space import Point, Region, Space, Span
 from hypersel.decomp import DecompositionSpec
 from hypersel import hyperspace
 from hypersel.hyperspace import CheckOutcome
@@ -165,12 +165,11 @@ class Selection:
 
     def evaluate(self, s: Region) -> Point:
         # A selection is a fixed map, so its value on a set is kept, but only
-        # after the set passed every guard below and the value the selection
-        # law: a failing call stores nothing and fails again when repeated.
-        # Region equality includes the space instance, so a stored set is one
-        # over self.space.
-        values = self.__dict__.setdefault("_values", {})
-        value = values.get(s)
+        # after the set passed every guard below (or a caller of _value proved
+        # them) and the value the selection law: a failing call stores nothing
+        # and fails again when repeated.  Region equality includes the space
+        # instance, so a stored set is one over self.space.
+        value = self.__dict__.setdefault("_values", {}).get(s)
         if value is not None:
             return value
         if s.space is not self.space:
@@ -181,10 +180,20 @@ class Selection:
             raise ValueError("selections act on closed sets")
         if not s.subset_of(self.carrier):
             raise ValueError("argument escapes the selection domain")
-        value = self._pick(s)
-        if not s.contains_point(value):
-            raise SelectionLawError(f"{self.kind} chose {value} outside {s!r}")
-        values[s] = value
+        return self._value(s)
+
+    def _value(self, s: Region) -> Point:
+        """f(s) for an s already proven to be a nonempty closed set over
+        self.space inside the carrier: evaluate's guards, proven once per
+        closed family or per level instead of once per set.  Every fresh
+        value still meets the selection law before it is kept."""
+        values = self.__dict__.setdefault("_values", {})
+        value = values.get(s)
+        if value is None:
+            value = self._pick(s)
+            if not s.contains_point(value):
+                raise SelectionLawError(f"{self.kind} chose {value} outside {s!r}")
+            values[s] = value
         return value
 
     def _pick(self, s: Region) -> Point:
@@ -256,19 +265,25 @@ class LevelSelection(Selection):
         self.top = top
         self.kind = "join" if top else "meet"
         self._fiber_selection = fiber_selection
-        self._fibers: dict[Ordinal, tuple[Selection, Region]] = {}
+        self._fibers: dict[Ordinal, tuple[Selection, Region, Callable[[Region], Point]]] = {}
 
-    def _fiber(self, idx: Ordinal) -> tuple[Selection, Region]:
-        """The selection of level idx and its fiber, both built once."""
+    def _fiber(self, idx: Ordinal) -> tuple[Selection, Region, Callable[[Region], Point]]:
+        """The selection of level idx, its fiber and the step that evaluates
+        the selection on s & fiber, all built once.  The level is met, so
+        s & fiber is nonempty; when the fiber is proven closed and inside the
+        selection's carrier, so is s & fiber for every closed s, and the step
+        skips evaluate's guards.  A level that fails the proof keeps them."""
         entry = self._fibers.get(idx)
         if entry is None:
             fib = self.decomp.fiber(idx)
-            entry = self._fibers[idx] = (self._fiber_selection(idx, fib), fib)
+            sel = self._fiber_selection(idx, fib)
+            proven = sel.space is fib.space and fib.is_closed() and fib.subset_of(sel.carrier)
+            entry = self._fibers[idx] = (sel, fib, sel._value if proven else sel.evaluate)
         return entry
 
     def _pick(self, s: Region) -> Point:
-        sel, fib = self._fiber(self.decomp.eta_extremes(s, self.top))
-        return sel.evaluate(s.intersect(fib))
+        _, fib, step = self._fiber(self.decomp.eta_extremes(s, self.top))
+        return step(s.intersect(fib))
 
     def bracket(self, c: Region) -> Region:
         # points beyond the extreme level select themselves; at that level
@@ -276,7 +291,7 @@ class LevelSelection(Selection):
         d = self.decomp
         idx = d.eta_extremes(c, self.top)
         beyond = d.upper_strict(idx) if self.top else d.lower_strict(idx)
-        sel, fib = self._fiber(idx)
+        sel, fib, _ = self._fiber(idx)
         return beyond.union(sel.bracket(c.intersect(fib)))
 
     def maximal_point(self) -> Optional[Point]:
@@ -303,7 +318,8 @@ class RestrictSelection(Selection):
         self.carrier = carrier
 
     def _pick(self, s: Region) -> Point:
-        return self.parent.evaluate(s)
+        # the carrier lies inside the parent's (checked when built)
+        return self.parent._value(s)
 
     def bracket(self, c: Region) -> Region:
         return self.parent.bracket(c).intersect(self.carrier)
@@ -401,28 +417,42 @@ def _build_closed_family(space: Space, params: FamilyParams, base: Region) -> li
     # spans together gives the same set: saturation adds the gluing classes
     # any span touches, and the classes are disjoint.  The merge keeps the
     # union normalized and saturated (see the comment above _meet_trace).
+    # Every option is closed and nonempty, and is tested against the carrier
+    # here, so members need no guard when a selection is evaluated on them.
+    # On a branch no gluing touches, an option's closed spans are already its
+    # normalized saturated trace (two segments neither overlap nor touch).
+    glued = {b for coords in space.gluings for b, _ in coords}
+    empty = space.empty().traces
     per_branch: list[list[Optional[Region]]] = []
     for b in range(len(space.branches)):
+        direct = b not in glued
         cands = set(space.grid_positions(b, params.grid_k))
         for sp in base.traces[b]:
             cands.add(sp.lo)
             cands.add(sp.hi)
         pts = sorted(g for g in cands if base.covers_position(b, g))
-        # (lo, successor of hi, segment): two segments are disjoint and not
-        # adjacent when the second starts above the first one's successor
+        # (lo, successor of hi, span, segment): two segments are disjoint and
+        # not adjacent when the second starts above the first one's successor
         after = [successor(g) for g in pts]
         intervals = []
         for i, lo in enumerate(pts):
             for j in range(i, len(pts)):
-                seg = Region.from_intervals(space, [(b, lo, pts[j])])
+                span = Span(lo, pts[j], True)
+                seg = (
+                    Region(space, empty[:b] + ((span,),) + empty[b + 1:]) if direct
+                    else Region.from_intervals(space, [(b, lo, pts[j])])
+                )
                 if seg.subset_of(base):
-                    intervals.append((lo, after[j], seg))
+                    intervals.append((lo, after[j], span, seg))
         options: list[Optional[Region]] = [None]
-        options.extend(seg for _, _, seg in intervals)
+        options.extend(seg for *_, seg in intervals)
         if params.max_intervals >= 2:
-            for (_, after1, seg1), (a2, _, seg2) in combinations(intervals, 2):
+            for (_, after1, span1, seg1), (a2, _, span2, seg2) in combinations(intervals, 2):
                 if a2 > after1:
-                    options.append(seg1.union(seg2))
+                    options.append(
+                        Region(space, empty[:b] + ((span1, span2),) + empty[b + 1:]) if direct
+                        else seg1.union(seg2)
+                    )
         per_branch.append(options)
     out: list[Region] = []
     seen: set = set()
@@ -462,13 +492,13 @@ def extremality_check(
     sets = enumerate_closed_family(space, family, carrier=f.carrier)
     p_region = space.point_region(p)
     checked = 0
-    for s in sets:
+    for s in sets:  # the family is proven to fit f (see _build_closed_family)
         checked += 1
         if mode == "maximal":
-            if s.contains_point(p) and f.evaluate(s) != p:
+            if s.contains_point(p) and f._value(s) != p:
                 return CheckOutcome(False, s, f"f(S) != {p} though {p} in S", checked)
         else:
-            if s.contains_point(p) and s != p_region and f.evaluate(s) == p:
+            if s.contains_point(p) and s != p_region and f._value(s) == p:
                 return CheckOutcome(False, s, f"f(S) = {p} though S != {{{p}}}", checked)
     return CheckOutcome(True, None, "", checked)
 

@@ -110,7 +110,12 @@ class Space:
                 self._coord_class[(b, p)] = coords
         self._grid_cache: dict[tuple[int, int], tuple[Ordinal, ...]] = {}
         self._grid_points_cache: dict[int, tuple[Point, ...]] = {}
-        # regions are immutable values, so one singleton per point is shared
+        # regions are immutable values, so the whole space, the empty set and
+        # one singleton per point are each built once and shared
+        self._whole = Region.make(
+            self, [(b, ZERO, top, True) for b, top in enumerate(self.branches)]
+        )
+        self._empty = Region(self, ((),) * len(self.branches))
         self._point_regions: dict[Point, Region] = {}
         # canonical open tails by (point, level); neighbourhood families by
         # (closed set, depth), filled and read by hyperspace.basic_nbhd_family
@@ -247,12 +252,10 @@ class Space:
         return reg
 
     def whole(self) -> "Region":
-        return Region.make(
-            self, [(b, ZERO, top, True) for b, top in enumerate(self.branches)]
-        )
+        return self._whole
 
     def empty(self) -> "Region":
-        return Region.make(self, [])
+        return self._empty
 
     def __repr__(self) -> str:
         return f"Space(branches={[str(b) for b in self.branches]}, gluings={len(self.gluings)})"

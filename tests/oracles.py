@@ -344,6 +344,24 @@ def ref_enumerate_closed_family(space: Space, params, carrier=None) -> list[Regi
     return out
 
 
+# -- reference extremality check -------------------------------------------------------
+#
+# extremality_check as it was before family members skipped evaluate's guards:
+# every set of the reference family goes through the public, guarded evaluate.
+
+
+def ref_extremality_check(f, p: Point, mode: str, sets: list[Region]) -> CheckOutcome:
+    """Over sets, the reference family over f's carrier."""
+    p_region = f.space.point_region(p)
+    for checked, s in enumerate(sets, 1):
+        if mode == "maximal":
+            if s.contains_point(p) and f.evaluate(s) != p:
+                return CheckOutcome(False, s, f"f(S) != {p} though {p} in S", checked)
+        elif s.contains_point(p) and s != p_region and f.evaluate(s) == p:
+            return CheckOutcome(False, s, f"f(S) = {p} though S != {{{p}}}", checked)
+    return CheckOutcome(True, None, "", len(sets))
+
+
 # -- reference net convergence check -------------------------------------------------
 #
 # net_convergence_check as it was before it built only the member it reads:

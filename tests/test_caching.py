@@ -1,13 +1,20 @@
-"""The per-Space family cache and the per-selection evaluation memo.
+"""The per-Space family cache, the per-selection evaluation memo and the
+private evaluation step behind the guarded one.
 
 The family builder is compared with the reference builder in oracles.py
 (one Region.make per member); memoized selections are compared with fresh
-instances, and every guard must fail again on a repeated call.
+instances, and every guard must fail again on a repeated call.  Values from
+the private step, which skips the guards its callers proved, are compared
+with the public evaluate, and extremality verdicts with the reference check
+that evaluates every set through it.
 """
+import runpy
+from pathlib import Path
+
 import pytest
 
-from hypersel.basebuilder import decomp_to_extreme_selection
-from hypersel.decomp import point_decomposition
+from hypersel.basebuilder import decomp_to_extreme_selection, maximal_at, minimal_at
+from hypersel.decomp import ExplicitDecomposition, point_decomposition
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.selection import (
     FamilyParams,
@@ -18,13 +25,20 @@ from hypersel.selection import (
     RestrictSelection,
     SelectionLawError,
     enumerate_closed_family,
+    extremality_check,
 )
 from hypersel.space import Region, Space
-from oracles import oracle_spaces, ref_enumerate_closed_family
+from oracles import oracle_spaces, ref_enumerate_closed_family, ref_extremality_check
 
+ROOT = Path(__file__).resolve().parent.parent
 O = Ordinal.from_int
 W = OMEGA
 BOUNDS = [FamilyParams(grid_k=k, max_intervals=m) for k in (1, 2, 3) for m in (1, 2)]
+# the four guard messages of Selection.evaluate, matched whole
+OTHER_SPACE = "^argument over a different space$"
+NONEMPTY = "^selections act on nonempty closed sets$"
+CLOSED = "^selections act on closed sets$"
+ESCAPES = "^argument escapes the selection domain$"
 
 
 def fiber_carriers(space: Space) -> list[Region]:
@@ -54,6 +68,46 @@ class TestFamilyBuilder:
                     carrier,
                     params,
                 )
+
+    def test_matches_reference_over_bench_spaces(self):
+        # every space of the seed-0 benchmark documents, at the family bounds
+        # they declare, over the whole space and the fibers
+        workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+        bounds: dict[tuple, set] = {}
+        for name in workloads["WORKLOADS"]:
+            for op in workloads["build"](name, 0):
+                if isinstance(op.doc, dict) and op.expect_exit != 2:
+                    sp, fam = op.doc["space"], op.doc["params"]["family"]
+                    key = (tuple(sp["branches"]), tuple(tuple(map(tuple, c)) for c in sp["gluings"]))
+                    bounds.setdefault(key, set()).add(FamilyParams(**fam))
+        assert len(bounds) == 8
+        for (tops, gluings), params_set in bounds.items():
+            space = Space(
+                [parse_ordinal(top) for top in tops],
+                [[(b, parse_ordinal(pos)) for b, pos in cls] for cls in gluings],
+            )
+            for carrier in [space.whole(), *fiber_carriers(space)]:
+                for params in params_set:
+                    assert enumerate_closed_family(space, params, carrier=carrier) == (
+                        ref_enumerate_closed_family(space, params, carrier=carrier)
+                    ), (tops, carrier, params)
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            # branch 0 is free of gluings, branches 1 and 2 meet at their tops
+            Space([parse_ordinal("w*2"), W, W], [[(1, W), (2, W)]]),
+            # one gluing class with two coordinates on the same branch
+            Space([parse_ordinal("w*2")], [[(0, O(3)), (0, W)]]),
+        ],
+        ids=["free-and-glued", "self-glued"],
+    )
+    def test_matches_reference_with_free_and_glued_branches(self, space):
+        for carrier in [space.whole(), *fiber_carriers(space)]:
+            for params in BOUNDS[:4]:
+                assert enumerate_closed_family(space, params, carrier=carrier) == (
+                    ref_enumerate_closed_family(space, params, carrier=carrier)
+                ), (carrier, params)
 
     def test_whole_space_carrier_is_no_carrier(self):
         space = oracle_spaces()["wedge"]
@@ -157,14 +211,14 @@ class TestEvaluationMemo:
         f = OrderMaxSelection(space)
         half_open = Region.make(space, [(0, ZERO, W, False)])
         for _ in range(2):
-            with pytest.raises(ValueError, match="closed"):
+            with pytest.raises(ValueError, match=CLOSED):
                 f.evaluate(half_open)
 
     def test_empty_argument_fails_every_time(self):
         space = Space([W])
         f = OrderMinSelection(space)
         for _ in range(2):
-            with pytest.raises(ValueError, match="nonempty"):
+            with pytest.raises(ValueError, match=NONEMPTY):
                 f.evaluate(space.empty())
 
     def test_argument_outside_carrier_fails_every_time(self):
@@ -174,7 +228,7 @@ class TestEvaluationMemo:
         outside = Region.from_intervals(space, [(0, O(3), O(8))])
         assert parent.evaluate(outside) == space.point(0, O(8))
         for _ in range(2):
-            with pytest.raises(ValueError, match="domain"):
+            with pytest.raises(ValueError, match=ESCAPES):
                 r.evaluate(outside)
 
     def test_argument_over_equal_space_fails_every_time(self):
@@ -184,7 +238,7 @@ class TestEvaluationMemo:
         s_b = Region.from_intervals(b, [(0, O(1), O(4))])
         assert f.evaluate(s_a) == a.point(0, O(4))
         for _ in range(2):
-            with pytest.raises(ValueError, match="different space"):
+            with pytest.raises(ValueError, match=OTHER_SPACE):
                 f.evaluate(s_b)
 
     def test_selection_law_failure_is_never_stored(self):
@@ -201,3 +255,148 @@ class TestEvaluationMemo:
             with pytest.raises(SelectionLawError):
                 f.evaluate(s)
         assert f.evaluate(Region.from_intervals(space, [(0, O(1), O(9))])) == stray
+
+
+class TestGuards:
+    """Every public evaluate keeps its four guards and their messages, and a
+    level whose fiber fails the proof takes the guarded path."""
+
+    @pytest.mark.parametrize("kind", SELECTION_KINDS)
+    def test_every_selection_rejects_bad_arguments(self, kind):
+        space = oracle_spaces()["line-w*2"]
+        other = Space(space.branches)
+        f = _selections(space, space.point(0, W))[kind]
+        for _ in range(2):
+            with pytest.raises(ValueError, match=OTHER_SPACE):
+                f.evaluate(Region.from_intervals(other, [(0, O(1), O(4))]))
+            with pytest.raises(ValueError, match=NONEMPTY):
+                f.evaluate(space.empty())
+            with pytest.raises(ValueError, match=CLOSED):
+                f.evaluate(Region.make(space, [(0, O(1), W, False)]))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda space, c: OrderMaxSelection(space, carrier=c),
+            lambda space, c: OrderMinSelection(space, carrier=c),
+            lambda space, c: maximal_at(space, space.point(0, O(5)), carrier=c),
+            lambda space, c: minimal_at(space, space.point(0, O(5)), carrier=c),
+            lambda space, c: RestrictSelection(maximal_at(space, space.point(0, W)), c),
+        ],
+        ids=["order-max", "order-min", "maximal-at", "minimal-at", "restrict"],
+    )
+    def test_every_selection_rejects_arguments_outside_its_carrier(self, build):
+        space = oracle_spaces()["line-w*2"]
+        f = build(space, Region.from_intervals(space, [(0, ZERO, O(5))]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=ESCAPES):
+                f.evaluate(Region.from_intervals(space, [(0, O(3), O(8))]))
+
+    def test_level_with_non_closed_fiber_keeps_the_closed_guard(self):
+        w1, w2 = parse_ordinal("w+1"), parse_ordinal("w*2")
+        space = Space([w2])
+        lower = Region.make(space, [(0, ZERO, W, False)])
+        d = ExplicitDecomposition(space, [lower, Region.from_intervals(space, [(0, W, w2)])])
+        meet = LevelSelection(d, False, lambda idx, fib: OrderMaxSelection(space, carrier=fib))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=CLOSED):
+                meet.evaluate(space.whole())
+        # the closed level passes its proof and evaluates
+        assert meet.evaluate(Region.from_intervals(space, [(0, w1, w2)])) == space.point(0, w2)
+
+    def test_fiber_selection_smaller_than_its_fiber_keeps_the_carrier_guard(self):
+        space = Space([W])
+        d = ExplicitDecomposition(space, [space.whole()])
+        small = Region.from_intervals(space, [(0, ZERO, O(5))])
+        join = LevelSelection(d, True, lambda idx, fib: OrderMaxSelection(space, carrier=small))
+        assert join.evaluate(Region.from_intervals(space, [(0, O(1), O(4))])) == space.point(0, O(4))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=ESCAPES):
+                join.evaluate(Region.from_intervals(space, [(0, O(3), O(8))]))
+
+    def test_private_step_checks_the_selection_law(self):
+        w1, w2 = parse_ordinal("w+1"), parse_ordinal("w*2")
+        space = Space([w2])
+        upper = Region.from_intervals(space, [(0, W, w2)])
+        stray = space.point(0, O(9))
+
+        class Stray(OrderMaxSelection):
+            def _pick(self, s):
+                return stray
+
+        hub = space.point(0, W)
+        s = Region.from_intervals(space, [(0, W, w1)])
+        callers = {
+            "extremality": lambda: extremality_check(
+                Stray(space, carrier=upper), hub, "maximal", FamilyParams(1)
+            ),
+            "restrict": lambda: RestrictSelection(Stray(space), upper).evaluate(s),
+            "level": lambda: LevelSelection(
+                point_decomposition(space, hub), True, lambda idx, fib: Stray(space, carrier=fib)
+            ).evaluate(s),
+        }
+        for call in callers.values():
+            with pytest.raises(SelectionLawError):
+                call()
+
+
+def _fresh_selections(space: Space, p) -> dict:
+    """Builders of every selection the private step serves, over the point p;
+    each call gives a new instance with an empty memo."""
+    lower = Region.from_intervals(space, [(0, ZERO, O(5))])
+    at = Region.from_intervals(space, [(0, O(2), O(4))])
+
+    def extreme(mode):
+        f = decomp_to_extreme_selection(point_decomposition(space, p), p, mode, FamilyParams(1))
+        # forget what the load-time check evaluated: the fiber selections
+        # are rebuilt on first use
+        f.__dict__.pop("_values", None)
+        f._fibers.clear()
+        return f
+
+    return {
+        "order-max": lambda: OrderMaxSelection(space),
+        "order-min": lambda: OrderMinSelection(space),
+        "maximal-at": lambda: maximal_at(space, p),
+        "minimal-at": lambda: minimal_at(space, p),
+        "extreme-maximal": lambda: extreme("maximal"),
+        "extreme-minimal": lambda: extreme("minimal"),
+        "restrict": lambda: RestrictSelection(maximal_at(space, p), lower),
+        "patched": lambda: PatchedSelection(minimal_at(space, p), at, space.point(0, O(3))),
+    }
+
+
+DIFF_BOUNDS = [FamilyParams(grid_k=k, max_intervals=m) for k in (1, 2) for m in (1, 2)]
+PRIVATE_KINDS = [
+    "order-max", "order-min", "maximal-at", "minimal-at",
+    "extreme-maximal", "extreme-minimal", "restrict", "patched",
+]
+
+
+class TestPrivateStep:
+    """The private step agrees with the guarded evaluate on every family of
+    the oracle spaces, and extremality_check with its guarded reference."""
+
+    @pytest.mark.parametrize("kind", PRIVATE_KINDS)
+    @pytest.mark.parametrize("name", sorted(oracle_spaces()))
+    def test_private_values_match_guarded_evaluate(self, name, kind):
+        space = oracle_spaces()[name]
+        build = _fresh_selections(space, space.point(0, W))[kind]
+        for params in DIFF_BOUNDS:
+            private, guarded = build(), build()
+            sets = enumerate_closed_family(space, params, carrier=private.carrier)
+            values = [private._value(s) for s in sets]
+            assert values == [guarded.evaluate(s) for s in sets], params
+
+    @pytest.mark.parametrize("kind", PRIVATE_KINDS)
+    @pytest.mark.parametrize("name", sorted(oracle_spaces()))
+    def test_extremality_matches_guarded_reference(self, name, kind):
+        space = oracle_spaces()[name]
+        build = _fresh_selections(space, space.point(0, W))[kind]
+        carrier = build().carrier
+        for params in DIFF_BOUNDS:
+            sets = ref_enumerate_closed_family(space, params, carrier=carrier)
+            for p in (space.point(0, W), space.point(0, O(1))):
+                for mode in ("maximal", "minimal"):
+                    got = extremality_check(build(), p, mode, params)
+                    assert got == ref_extremality_check(build(), p, mode, sets), (p, mode, params)

@@ -1,7 +1,8 @@
 """Every name a hypersel module exports in ``__all__`` exists in it, every
 name a module imports is used in it or exported, and every function, class,
 method and module-level constant the package defines is used by the package
-or the benchmark."""
+or the benchmark, and only the sites that prove evaluate's guards call the
+evaluation step behind them."""
 import ast
 import importlib
 from pathlib import Path
@@ -110,3 +111,53 @@ def test_every_definition_is_referenced():
     assert not dead, f"definitions nothing in src/hypersel or bench/ refers to: {dead}"
     stale = set(KEEP) - {d.split()[1] for d in found}
     assert not stale, f"KEEP names definitions that are gone or now referenced: {stale}"
+
+
+# The sites that call Selection._value, the evaluation step without the
+# guards: each has proven its argument nonempty, closed, over the space and
+# inside the carrier.  Selection.evaluate after its guards; extremality_check
+# and the selection_law check on members of the closed family, proven once
+# when the family is built; LevelSelection._fiber on s & fiber of a level whose
+# fiber is proven closed and inside its selection's carrier; RestrictSelection
+# on its own checked arguments, inside the parent's carrier by construction.
+PRIVATE_STEP_SITES = {
+    "selection.py Selection.evaluate",
+    "selection.py extremality_check",
+    "selection.py LevelSelection._fiber",
+    "selection.py RestrictSelection._pick",
+    "scenario.py _check_selection_law",
+}
+
+
+def private_step_sites(sources: dict[str, str], name: str = "_value") -> set[str]:
+    """``file qualname`` of each function that reads the attribute ``name``
+    or names it in a string (as getattr would)."""
+    out = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, [*scope, child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == name) or (
+                isinstance(child, ast.Constant) and child.value == name
+            ):
+                out.add(f"{fname} {'.'.join(scope) or '<module>'}")
+            walk(child, scope)
+
+    for fname, text in sources.items():
+        walk(ast.parse(text), [])
+    return out
+
+
+def test_private_step_site_is_found():
+    src = (
+        "class A:\n    def _value(self, s): pass\n    def m(self, s): return self._value(s)\n"
+        "def f(g, s):\n    def h(): return getattr(g, '_value')\n    return h\n"
+    )
+    assert private_step_sites({"x.py": src}) == {"x.py A.m", "x.py f.h"}
+
+
+def test_private_step_called_only_where_guards_are_proven():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in [*SOURCES, *BENCH]}
+    assert private_step_sites(sources) == PRIVATE_STEP_SITES
