@@ -17,6 +17,7 @@ from typing import Optional
 
 from hypersel.ordinal import (
     OMEGA,
+    ONE,
     ZERO,
     Ordinal,
     finite_part,
@@ -65,6 +66,7 @@ __all__ = [
     "cut_base_absorbs",
     "transfinite_base",
     "base_members",
+    "base_length",
     "gamma_base_validate",
     "decomp_to_extreme_selection",
     "TheoremViolationError",
@@ -480,6 +482,12 @@ def _blocks(d: ChainDecomposition) -> list[tuple[Ordinal, Optional[Ordinal]]]:
     """(start, limit index) of each block of the chain; the last has no limit."""
     lims = [lam for lam in d.limit_indices() if lam < d.gamma]
     return list(zip([ZERO, *map(successor, lims)], [*lims, None]))
+
+
+def base_length(d: DecompositionSpec) -> Ordinal:
+    """The length of the graded base that `transfinite_base` returned as d:
+    its gamma, or 1 for the one member {p} at an isolated point."""
+    return d.gamma if isinstance(d, ChainDecomposition) else ONE
 
 
 def base_members(d: DecompositionSpec) -> list[tuple[Ordinal, Region]]:

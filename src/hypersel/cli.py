@@ -11,8 +11,7 @@ import json
 import sys
 from typing import Optional
 
-from hypersel.decomp import ChainDecomposition
-from hypersel.ordinal import ONE, format_ordinal, parse_ordinal
+from hypersel.ordinal import format_ordinal, parse_ordinal
 from hypersel.scenario import (
     Report,
     Scenario,
@@ -24,7 +23,7 @@ from hypersel.scenario import (
     region_to_json,
     run_scenario,
 )
-from hypersel.basebuilder import base_at_cut, base_members, transfinite_base
+from hypersel.basebuilder import base_at_cut, base_length, base_members, transfinite_base
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -97,47 +96,51 @@ def cmd_build_base(args) -> int:
         sys.stderr.write(f"no base target named {args.target!r}\n")
         return EXIT_INVALID
     try:
-        payload = _build_base_payload(sc, args.target, spec)
+        payload = BASE_PAYLOADS[spec["kind"]](sc, spec)
     except (ValueError, AssertionError, RuntimeError) as exc:
         sys.stderr.write(f"base construction failed: {exc}\n")
         return EXIT_FAIL
-    _emit(payload, args.out)
+    _emit({"target": args.target, **payload}, args.out)
     return EXIT_PASS
 
 
-def _build_base_payload(sc: Scenario, target: str, spec: dict) -> dict:
+def _transfinite_payload(sc: Scenario, spec: dict) -> dict:
     f = sc.selections[spec["selection"]]
-    if spec["kind"] == "transfinite":
-        gamma = parse_ordinal(spec.get("gamma", "w"))
-        p = sc._point(spec["point"])
-        d, boundaries = transfinite_base(f, p, gamma, guided=spec.get("guided", False))
-        return {
-            "target": target,
-            "kind": "transfinite",
-            # at an isolated point the base is the one member {p}
-            "gamma": format_ordinal(d.gamma if isinstance(d, ChainDecomposition) else ONE),
-            "point": point_to_json(p),
-            "members": [
-                {"index": format_ordinal(i), "set": region_to_json(h)}
-                for i, h in base_members(d)
-            ],
-            "limits": [
-                {
-                    "index": format_ordinal(lam),
-                    "set": region_to_json(d.member(lam)),
-                    "boundary": point_to_json(q),
-                }
-                for lam, q in boundaries.items()
-            ],
-        }
-    base = base_at_cut(f, sc.pcuts[spec["pcut"]], spec.get("steps", 8))
+    p = sc._point(spec["point"])
+    gamma = parse_ordinal(sc.arg(spec, "gamma"))
+    d, boundaries = transfinite_base(f, p, gamma, guided=sc.arg(spec, "guided"))
     return {
-        "target": target,
+        "kind": "transfinite",
+        "gamma": format_ordinal(base_length(d)),
+        "point": point_to_json(p),
+        "members": [
+            {"index": format_ordinal(i), "set": region_to_json(h)}
+            for i, h in base_members(d)
+        ],
+        "limits": [
+            {
+                "index": format_ordinal(lam),
+                "set": region_to_json(d.member(lam)),
+                "boundary": point_to_json(q),
+            }
+            for lam, q in boundaries.items()
+        ],
+    }
+
+
+def _cut_payload(sc: Scenario, spec: dict) -> dict:
+    f = sc.selections[spec["selection"]]
+    base = base_at_cut(f, sc.pcuts[spec["pcut"]], sc.arg(spec, "steps"))
+    return {
         "kind": "cut",
         "point": point_to_json(base.p),
         "stages": [region_to_json(u) for u in base.stages],
         "boundaries": [point_to_json(q) for q in base.boundary_points],
     }
+
+
+# The payload of each base kind, after the target's name.
+BASE_PAYLOADS = {"transfinite": _transfinite_payload, "cut": _cut_payload}
 
 
 GENERATORS = {

@@ -1,8 +1,8 @@
-"""Ordinal and quasi-ordinal decomposition specifications with exact validation.
+"""Ordinal decomposition specifications with exact validation.
 
 A decomposition is a level map from a carrier onto a compact ordinal index
 space: fibers partition the carrier, every fiber is clopen modulo at most one
-point, the map is continuous, and for the ordinal kind also closed.  Index
+point, and the map is continuous and closed.  Index
 arithmetic is exact; infinite chains are handled through their defining rules
 with explicit scan caps, so every answer is either exact or an error.
 """
@@ -38,7 +38,6 @@ __all__ = [
     "ChainDecomposition",
     "DecompositionError",
     "ChainResolutionError",
-    "decomp_from_chain",
     "point_chain_rule",
     "point_decomposition",
     "decomp_validate",
@@ -46,11 +45,9 @@ __all__ = [
 ]
 
 # Levels a chain scan steps through before giving up, indices below a limit
-# that the closedness check probes, chain members a chain is validated on, and
-# finite levels a validation samples.
+# that the closedness check probes, and finite levels a validation samples.
 SCAN_CAP = 512
 ABSORPTION_CAP = 48
-CHAIN_WINDOW = 16
 SAMPLE_COUNT = 8
 
 
@@ -68,7 +65,6 @@ class DecompositionSpec:
     space: Space
     carrier: Region
     gamma: Ordinal
-    kind: str  # 'ordinal' | 'quasi'
 
     def fiber(self, idx: Ordinal) -> Region:
         raise NotImplementedError
@@ -128,7 +124,6 @@ class ExplicitDecomposition(DecompositionSpec):
         self.carrier = carrier if carrier is not None else space.whole()
         self.fibers = tuple(fibers)
         self.gamma = Ordinal.from_int(len(self.fibers) - 1)
-        self.kind = "ordinal"
 
     def fiber(self, idx: Ordinal) -> Region:
         return self.fibers[idx.as_int()]
@@ -180,13 +175,11 @@ class ChainDecomposition(DecompositionSpec):
         gamma: Ordinal,
         blocks: Sequence[tuple[Callable[[int], Region], Optional[Region]]],
         carrier: Optional[Region] = None,
-        kind: str = "ordinal",
     ) -> None:
         self.space = space
         self.carrier = carrier if carrier is not None else space.whole()
         self.p = p
         self.gamma = gamma
-        self.kind = kind
         self._p_region = space.point_region(p)
         self._rules = [rule for rule, _ in blocks]
         self._limits = [limit for _, limit in blocks]
@@ -343,54 +336,6 @@ def point_decomposition(
     return ChainDecomposition(space, p, OMEGA, [(point_chain_rule(space, p, base), None)], base)
 
 
-def decomp_from_chain(
-    space: Space,
-    rule: Callable[[int], Region],
-    p: Point,
-    carrier: Optional[Region] = None,
-) -> ChainDecomposition:
-    """Validate a clopen chain and wrap it as a level map with gamma = omega.
-
-    The chain must start at the carrier, decrease strictly through relatively
-    clopen sets, and meet the grid only at p in the end; the kind is ordinal
-    exactly when the chain absorbs every canonical open around p.
-    """
-    base = carrier if carrier is not None else space.whole()
-    prev = base
-    sets = [base]
-    for n in range(1, CHAIN_WINDOW + 1):
-        cur = rule(n)
-        if not cur.subset_of(prev) or cur == prev:
-            raise DecompositionError(f"chain is not strictly decreasing at {n}")
-        if not cur.is_closed() or not rel_open(cur, base):
-            raise DecompositionError(f"chain member {n} is not relatively clopen")
-        if not cur.contains_point(p):
-            raise DecompositionError(f"chain member {n} lost the point {p}")
-        sets.append(cur)
-        prev = cur
-    tail = sets[-1]
-    for pt in tail.grid_members():
-        if pt != p:
-            raise DecompositionError(
-                f"chain intersection meets the grid at {pt}, not only at {p}"
-            )
-    d = ChainDecomposition(space, p, OMEGA, [(rule, None)], base, "quasi")
-    if _chain_is_base(space, d, p):
-        d.kind = "ordinal"
-    return d
-
-
-def _chain_is_base(space: Space, d: ChainDecomposition, p: Point) -> bool:
-    for level in (0, 1):
-        try:
-            around = space.open_tail(p, level)
-        except ValueError:
-            return False
-        if not any(d.chain(n, 0).subset_of(around) for n in range(1, CHAIN_WINDOW + 1)):
-            return False
-    return True
-
-
 @dataclass
 class ValidationEntry:
     name: str
@@ -414,9 +359,9 @@ class ValidationReport:
 
 
 def decomp_validate(d: DecompositionSpec) -> ValidationReport:
-    """Disjoint cover, fibers clopen modulo a point, continuity, and (for the
-    ordinal kind) closedness of the level map at the first two refinement
-    levels; failures carry witnesses."""
+    """Disjoint cover, fibers clopen modulo a point, continuity, and
+    closedness of the level map at the first two refinement levels; failures
+    carry witnesses."""
     report = ValidationReport([])
     idxs = d.sample_indices()
 
@@ -466,29 +411,18 @@ def decomp_validate(d: DecompositionSpec) -> ValidationReport:
             break
     report.add("eta-continuous", ok, detail)
 
-    if d.kind == "ordinal":
-        ok, detail = True, ""
-        for lam in d.limit_indices():
-            fib = d.fiber(lam)
-            for level in (0, 1):
-                around = hyperspace.open_cover_of(fib, level)
-                if not _absorbs_below(d, lam, around, idxs):
-                    ok = False
-                    detail = f"no upper tail below {lam} inside a cover of its fiber"
-                    break
-            if not ok:
+    ok, detail = True, ""
+    for lam in d.limit_indices():
+        fib = d.fiber(lam)
+        for level in (0, 1):
+            around = hyperspace.open_cover_of(fib, level)
+            if not _absorbs_below(d, lam, around, idxs):
+                ok = False
+                detail = f"no upper tail below {lam} inside a cover of its fiber"
                 break
-        report.add("eta-closed", ok, detail)
-    else:
-        if d.limit_indices() and all(
-            _absorbs_below(d, lam, hyperspace.open_cover_of(d.fiber(lam), 0), idxs)
-            for lam in d.limit_indices()
-        ):
-            report.add(
-                "kind-note",
-                True,
-                "claimed quasi-ordinal, but the closedness criterion holds",
-            )
+        if not ok:
+            break
+    report.add("eta-closed", ok, detail)
 
     return report
 

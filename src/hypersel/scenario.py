@@ -7,11 +7,12 @@ scenario inputs, so any counterexample can be re-ingested as a fixture.
 """
 from __future__ import annotations
 
+import copy
 import json
 import random
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
 from hypersel.ordinal import (
@@ -42,13 +43,7 @@ from hypersel.hyperspace import (
     net_convergence_check,
     shrinking_tail_net,
 )
-from hypersel.decomp import (
-    ExplicitDecomposition,
-    decomp_from_chain,
-    decomp_validate,
-    point_chain_rule,
-    point_decomposition,
-)
+from hypersel.decomp import ExplicitDecomposition, decomp_validate, point_decomposition
 from hypersel.selection import (
     FamilyParams,
     OrderMaxSelection,
@@ -65,6 +60,7 @@ from hypersel.selrel import DerivedSetsInvariantError, derived_sets
 from hypersel.basebuilder import (
     TheoremViolationError,
     base_at_cut,
+    base_length,
     cut_base_absorbs,
     decomp_to_extreme_selection,
     gamma_base_validate,
@@ -181,14 +177,16 @@ def witness_to_json(w) -> Any:
 # built, so the builders and the checks read fields that are already valid.
 # RULES says what a field must hold; a field name means the same wherever it
 # appears, in params, an object spec or a suite entry.  SCHEMA lists the fields
-# of the document, of params, of each object kind and of each check; "?" marks
-# an optional one.  The entries of points, closed_sets and open_sets are
-# literals, each parsed by the rule named after its group.  A rule's test gets
-# ``ctx``, which holds the space and, by group, the names declared so far (so a
-# parent is declared before its child), and the value.  It returns False for an
-# invalid value or raises ValueError or TypeError saying why; any other result,
-# such as the parsed literal, means the value is valid.  A rule that names a
-# group instead holds a nested spec of that group.
+# of the document, of params, of each object kind and of each check, which
+# are the fields its builder or check reads; "?" marks an optional one, and
+# DEFAULTS gives the value it takes when left out.  The entries of points,
+# closed_sets and open_sets are literals, each parsed by the rule named after
+# its group.  A rule's test gets ``ctx``, which holds the space and, by group,
+# the names declared so far (so a parent is declared before its child), and
+# the value.  It returns False for an invalid value or raises ValueError or
+# TypeError saying why; any other result, such as the parsed literal, means the
+# value is valid.  A rule that names a group instead holds a nested spec of
+# that group.
 
 
 def _closed_literal(ctx: dict, literal) -> Any:
@@ -283,16 +281,12 @@ RULES: dict[str, tuple[str, Any]] = {
     ),
 }
 
-# Fields that every suite entry and every base may set.
-SHARED = "?triples ?count ?steps ?absorb_steps ?depth ?seed ?gamma"
-SUITE = SHARED + " ?family ?name"
-
 # The kind of an object spec is its "kind" field, the kind of a suite entry its
 # "check"; the document, params and pcuts have one kind only.
 SCHEMA: dict[str, Any] = {
     "document": "schema space ?name ?params ?objects ?suites",
     "space": "branches ?gluings",
-    "params": "grid_k window depth seed family",
+    "params": "?grid_k ?window ?depth ?seed ?family",
     "decompositions": {"at_point": "point", "chain_tails": "point", "explicit": "fibers"},
     "selections": {
         "order_max": "",
@@ -310,23 +304,46 @@ SCHEMA: dict[str, Any] = {
         "moving": "point base ?offset ?window",
     },
     "bases": {
-        "transfinite": "selection point ?guided " + SHARED,
-        "cut": "selection pcut " + SHARED,
+        "transfinite": "selection point ?gamma ?guided",
+        "cut": "selection pcut ?steps",
     },
     "suites": {
-        "ordinal_laws": SUITE,
-        "clopen_oracle": SUITE,
-        "selection_law": "selection " + SUITE,
-        "extremality": "selection point ?mode " + SUITE,
-        "continuity": "selection ?nets " + SUITE,
-        "net_convergence": "net " + SUITE,
-        "derived_props": "selection " + SUITE,
-        "decomp_validate": "decomp " + SUITE,
-        "base_at_cut": "selection pcut " + SUITE,
-        "transfinite_roundtrip": "selection point ?guided " + SUITE,
-        "pointwise_minimal": SUITE,
+        "ordinal_laws": "?triples ?seed ?name",
+        "clopen_oracle": "?family ?name",
+        "selection_law": "selection ?family ?name",
+        "extremality": "selection point ?mode ?family ?name",
+        "continuity": "selection ?nets ?depth ?name",
+        "net_convergence": "net ?depth ?name",
+        "derived_props": "selection ?count ?seed ?name",
+        "decomp_validate": "decomp ?name",
+        "base_at_cut": "selection pcut ?steps ?absorb_steps ?name",
+        "transfinite_roundtrip": "selection point ?gamma ?guided ?family ?name",
+        "pointwise_minimal": "?family ?name",
     },
 }
+
+# The value of an optional field that a spec leaves out, one per field.  An
+# object spec, a base or a suite entry that leaves out a field of params takes
+# the document's params value (Scenario.arg).  Two defaults are not values: a
+# suite entry is named `<check>-<index>`, and an appended net takes the window
+# of its inner net.  `decomp` and `base` have none: left out, there is none.
+DEFAULTS: dict[str, Any] = {
+    "name": "scenario", "params": {}, "objects": {}, "suites": [], "gluings": [],
+    "grid_k": 10, "window": 64, "depth": 2, "seed": 0, "family": asdict(FamilyParams()),
+    "triples": 10000, "count": 200, "steps": 8, "absorb_steps": 30, "gamma": "w",
+    "guided": False, "mode": "maximal", "branch": 0, "lo": "0", "offset": 0,
+    "nets": "canonical",
+}
+
+
+def _defaults(group: str) -> dict:
+    """A copy of the default of every optional field of a group of one kind,
+    in table order: a document's params go into its report."""
+    return {
+        name[1:]: copy.copy(DEFAULTS[name[1:]])
+        for name in SCHEMA[group].split() if name[0] == "?"
+    }
+
 
 def _field(ctx: dict, key: str, value, what: str) -> Any:
     """The result of the rule for ``key`` on ``value``, such as a parsed literal."""
@@ -396,12 +413,18 @@ class Scenario:
     bases: dict[str, dict] = field(default_factory=dict)
     suites: list[dict] = field(default_factory=list)
 
-    def family_params(self, spec: Optional[dict] = None) -> FamilyParams:
-        fam = {**self.params["family"], **(spec or {})}
-        return FamilyParams(
-            grid_k=fam.get("grid_k", 4),
-            max_intervals=fam.get("max_intervals", 2),
-        )
+    def arg(self, spec: dict, key: str) -> Any:
+        """Field ``key`` of an object spec, a base or a suite entry: its own
+        value, else the document's params value, else its default.  A default
+        never goes into the spec, which a report echoes."""
+        if key in spec:
+            return spec[key]
+        return self.params[key] if key in self.params else DEFAULTS[key]
+
+    def family_params(self, spec: dict) -> FamilyParams:
+        """The family bounds of a spec: each bound its ``family`` sets, else
+        the document's, else the FamilyParams default."""
+        return FamilyParams(**{**self.params["family"], **self.arg(spec, "family")})
 
     @staticmethod
     def load(doc: dict | str, overrides: Optional[dict] = None) -> "Scenario":
@@ -412,26 +435,18 @@ class Scenario:
             except (OSError, ValueError, RecursionError) as exc:
                 raise ScenarioError(f"cannot read scenario: {exc}") from exc
         _check({}, "document", doc, "scenario document")
-        branches = [parse_ordinal(top) for top in doc["space"]["branches"]]
-        gluings = [
-            [(b, parse_ordinal(pos)) for b, pos in cls] for cls in doc["space"].get("gluings", [])
-        ]
-        params = {
-            "grid_k": 10,
-            "window": 64,
-            "depth": 2,
-            "seed": 0,
-            "family": {"grid_k": 4, "max_intervals": 2},
-            **doc.get("params", {}),
-            **(overrides or {}),
-        }
+        doc = {**_defaults("document"), **doc}
+        space_spec = {**_defaults("space"), **doc["space"]}
+        branches = [parse_ordinal(top) for top in space_spec["branches"]]
+        gluings = [[(b, parse_ordinal(pos)) for b, pos in cls] for cls in space_spec["gluings"]]
+        params = {**_defaults("params"), **doc["params"], **(overrides or {})}
         _check({}, "params", params, "params")
         try:
             space = Space(branches, gluings, grid_k=params["grid_k"])
         except ValueError as exc:
             raise ScenarioError(f"bad space: {exc}") from exc
-        sc = Scenario(doc.get("name", "scenario"), space, params, suites=doc.get("suites", []))
-        objects = doc.get("objects", {})
+        sc = Scenario(doc["name"], space, params, suites=doc["suites"])
+        objects = doc["objects"]
         ctx: dict = {"space": space}
         for group in OBJECT_GROUPS:
             ctx[group] = set()
@@ -475,10 +490,8 @@ class Scenario:
         if spec["kind"] == "explicit":
             fibers = [region_from_json(self.space, lit) for lit in spec["fibers"]]
             return ExplicitDecomposition(self.space, fibers)
-        p = self._point(spec["point"])
-        if spec["kind"] == "at_point":
-            return point_decomposition(self.space, p)
-        return decomp_from_chain(self.space, point_chain_rule(self.space, p), p)
+        # chain_tails is another name for at_point
+        return point_decomposition(self.space, self._point(spec["point"]))
 
     def _build_selection(self, name: str, spec: dict) -> Selection:
         kind = spec["kind"]
@@ -497,8 +510,8 @@ class Scenario:
             d = self.decompositions[spec["decomp"]]
         else:
             d = point_decomposition(self.space, p)
-        family = self.family_params(spec.get("family"))
-        return decomp_to_extreme_selection(d, p, spec.get("mode", "maximal"), family=family)
+        family = self.family_params(spec)
+        return decomp_to_extreme_selection(d, p, self.arg(spec, "mode"), family=family)
 
     def _build_pcut(self, name: str, spec: dict):
         s0, s1 = (region_from_json(self.space, side) for side in spec["sides"])
@@ -506,15 +519,15 @@ class Scenario:
 
     def _build_net(self, name: str, spec: dict) -> ConvergentNet:
         kind = spec["kind"]
-        window = spec.get("window", self.params["window"])
+        window = self.arg(spec, "window")
         base = self._closed(spec["base"]) if "base" in spec else None
         if kind == "constant":
             return constant_net(self._closed(spec["set"]), window, name)
         if kind == "increasing":
             return increasing_union_net(
                 self.space,
-                spec.get("branch", 0),
-                parse_ordinal(spec.get("lo", "0")),
+                self.arg(spec, "branch"),
+                parse_ordinal(self.arg(spec, "lo")),
                 parse_ordinal(spec["limit"]),
                 base=base,
                 window=window,
@@ -525,14 +538,16 @@ class Scenario:
             inner = self._build_net(name + ".inner", spec["inner"])
             return appended_point_net(inner, p, spec.get("window", inner.window), name)
         build = shrinking_tail_net if kind == "tail" else moving_point_net
-        return build(self.space, p, base=base, window=window, offset=spec.get("offset", 0),
+        return build(self.space, p, base=base, window=window, offset=self.arg(spec, "offset"),
                      name=name)
 
 
 # -- canonical net corpus --------------------------------------------------------
 
 
-def canonical_net_corpus(space: Space, window: int = 64) -> list[ConvergentNet]:
+def canonical_net_corpus(
+    space: Space, window: int = DEFAULTS["window"]
+) -> list[ConvergentNet]:
     """Tail, increasing, appended-point and moving-point nets at every limit
     grid point, plus a constant net; deterministic order."""
     nets: list[ConvergentNet] = []
@@ -599,8 +614,8 @@ class CheckRecord:
 
 
 def _check_ordinal_laws(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
-    count = spec.get("triples", 10000)
-    rng = random.Random(spec.get("seed", sc.params["seed"]))
+    count = sc.arg(spec, "triples")
+    rng = random.Random(sc.arg(spec, "seed"))
 
     def rand_ord() -> Ordinal:
         total = ZERO
@@ -666,7 +681,7 @@ def _oracle_is_open(h: Region) -> bool:
 
 
 def _check_clopen_oracle(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
-    fam = sc.family_params(spec.get("family"))
+    fam = sc.family_params(spec)
     sets = enumerate_closed_family(sc.space, fam)
     modulo = 0
     for h in sets:
@@ -693,7 +708,7 @@ def _check_clopen_oracle(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
 
 def _check_selection_law(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     f = sc.selections[spec["selection"]]
-    fam = sc.family_params(spec.get("family"))
+    fam = sc.family_params(spec)
     sets = enumerate_closed_family(sc.space, fam, carrier=f.carrier)
     for s in sets:
         try:
@@ -706,8 +721,8 @@ def _check_selection_law(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
 def _check_extremality(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     f = sc.selections[spec["selection"]]
     p = sc._point(spec["point"])
-    mode = spec.get("mode", "maximal")
-    fam = sc.family_params(spec.get("family"))
+    mode = sc.arg(spec, "mode")
+    fam = sc.family_params(spec)
     out = extremality_check(f, p, mode, fam)
     if out.passed:
         return "pass", f"{out.checked} sets", None
@@ -716,12 +731,12 @@ def _check_extremality(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
 
 def _check_continuity(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     f = sc.selections[spec["selection"]]
-    nets_ref = spec.get("nets", "canonical")
+    nets_ref = sc.arg(spec, "nets")
     if nets_ref == "canonical":
         nets = canonical_net_corpus(sc.space, sc.params["window"])
     else:
         nets = [sc.nets[n] for n in nets_ref]
-    out = continuity_check(f, nets, spec.get("depth", sc.params["depth"]))
+    out = continuity_check(f, nets, sc.arg(spec, "depth"))
     if out.passed:
         return "pass", f"{len(nets)} nets", None
     name, around = out.witness
@@ -730,7 +745,7 @@ def _check_continuity(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
 
 def _check_net_convergence(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     net = sc.nets[spec["net"]]
-    out = net_convergence_check(net, spec.get("depth", sc.params["depth"]))
+    out = net_convergence_check(net, sc.arg(spec, "depth"))
     if out.passed:
         return "pass", f"{out.checked} basics", None
     return "fail", out.detail, out.witness
@@ -771,8 +786,8 @@ def _deterministic_opens(sc: Scenario, count: int, seed: int) -> list[Region]:
 
 def _check_derived_props(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     f = sc.selections[spec["selection"]]
-    count = spec.get("count", 200)
-    opens = _deterministic_opens(sc, count, spec.get("seed", sc.params["seed"]))
+    count = sc.arg(spec, "count")
+    opens = _deterministic_opens(sc, count, sc.arg(spec, "seed"))
     if len(opens) < count:
         return "error", f"only generated {len(opens)} distinct opens", None
     oracle_pts = 12
@@ -810,8 +825,8 @@ def _check_decomp_validate(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
 def _check_base_at_cut(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     f = sc.selections[spec["selection"]]
     cut = sc.pcuts[spec["pcut"]]
-    steps = spec.get("steps", 8)
-    absorb_steps = spec.get("absorb_steps", 30)
+    steps = sc.arg(spec, "steps")
+    absorb_steps = sc.arg(spec, "absorb_steps")
     base = base_at_cut(f, cut, steps)
     extended = base_at_cut(f, cut, max(steps, absorb_steps))
     if extended.stages[:steps] != base.stages:
@@ -825,9 +840,9 @@ def _check_base_at_cut(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
 def _check_transfinite_roundtrip(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     f = sc.selections[spec["selection"]]
     p = sc._point(spec["point"])
-    gamma = parse_ordinal(spec.get("gamma", "w"))
-    fam = sc.family_params(spec.get("family"))
-    d, boundaries = transfinite_base(f, p, gamma, guided=spec.get("guided", False))
+    gamma = parse_ordinal(sc.arg(spec, "gamma"))
+    fam = sc.family_params(spec)
+    d, boundaries = transfinite_base(f, p, gamma, guided=sc.arg(spec, "guided"))
     problems = gamma_base_validate(d)
     if problems:
         return "fail", "; ".join(problems), None
@@ -836,14 +851,14 @@ def _check_transfinite_roundtrip(sc: Scenario, spec: dict) -> tuple[str, str, An
         failures = "; ".join(e.name + " " + e.detail for e in report.failures())
         return "fail", "graded-base decomposition failed validation: " + failures, report
     decomp_to_extreme_selection(d, p, "maximal", family=fam)
-    detail = f"gamma={format_ordinal(gamma)}"
+    detail = f"gamma={format_ordinal(base_length(d))}"
     if boundaries:
         detail += ", identities at " + ", ".join(map(format_ordinal, boundaries))
     return "pass", detail, None
 
 
 def _check_pointwise_minimal(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
-    fam = sc.family_params(spec.get("family"))
+    fam = sc.family_params(spec)
     done = 0
     for p in sc.space.grid_points():
         d = point_decomposition(sc.space, p)
@@ -933,7 +948,7 @@ def run_scenario(sc: Scenario) -> Report:
 # -- built-in generators ----------------------------------------------------------
 
 
-def make_ordinal_scenario(gamma: str = "w*2") -> dict:
+def make_ordinal_scenario(gamma: str) -> dict:
     try:
         top = parse_ordinal(gamma)
     except ValueError as exc:

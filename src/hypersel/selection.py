@@ -255,10 +255,6 @@ class LevelSelection(Selection):
         top: bool,
         fiber_selection: Callable[[Ordinal, Region], Selection],
     ) -> None:
-        if top and decomp.kind != "ordinal":
-            raise ValueError("join needs an ordinal decomposition")
-        if not top and decomp.kind not in ("ordinal", "quasi"):
-            raise ValueError("meet needs a quasi-ordinal decomposition")
         self.decomp = decomp
         self.space = decomp.space
         self.carrier = decomp.carrier

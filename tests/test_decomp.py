@@ -1,14 +1,11 @@
 import pytest
 
-from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
-from hypersel.space import Region, Space, isolated_in
+from hypersel.ordinal import OMEGA, ZERO, Ordinal, format_ordinal, parse_ordinal
+from hypersel.space import Region, Space
 from hypersel.decomp import (
     ChainDecomposition,
-    DecompositionError,
     ExplicitDecomposition,
-    decomp_from_chain,
     decomp_validate,
-    point_chain_rule,
     point_decomposition,
 )
 from hypersel.basebuilder import (
@@ -17,6 +14,7 @@ from hypersel.basebuilder import (
     transfinite_base,
 )
 from hypersel.selection import FamilyParams, LevelSelection, enumerate_closed_family
+from hypersel.scenario import Scenario
 
 from oracles import oracle_spaces, ref_eta_extremes
 
@@ -28,62 +26,6 @@ W2 = P("w*2")
 
 def creg(space, *items):
     return Region.from_intervals(space, list(items))
-
-
-class TestChainFromRule:
-    def test_tail_chain_is_ordinal(self, omega_space):
-        top = omega_space.point(0, W)
-
-        def rule(n):
-            return creg(omega_space, (0, O(n), W))
-
-        d = decomp_from_chain(omega_space, rule, top)
-        assert d.kind == "ordinal"
-        assert d.gamma == W
-        assert d.fiber(O(3)) == creg(omega_space, (0, O(3), O(3)))
-        assert d.fiber(W) == creg(omega_space, (0, W, W))
-
-    def test_wedge_tail_chain(self, wedge_space):
-        hub = wedge_space.point(0, W)
-
-        def rule(n):
-            if n == 0:
-                return wedge_space.whole()
-            return creg(wedge_space, (0, O(n), W), (1, O(n), W))
-
-        d = decomp_from_chain(wedge_space, rule, hub)
-        assert d.kind == "ordinal"
-        assert d.fiber(O(2)) == creg(wedge_space, (0, O(2), O(2)), (1, O(2), O(2)))
-        assert d.fiber(W) == wedge_space.point_region(hub)
-
-    def test_fat_intersection_rejected(self, omega2_space):
-        top = omega2_space.point(0, W2)
-
-        def rule(n):
-            return creg(omega2_space, (0, O(n), W2))
-
-        with pytest.raises(DecompositionError):
-            decomp_from_chain(omega2_space, rule, top)
-
-    def test_non_decreasing_rejected(self, omega_space):
-        top = omega_space.point(0, W)
-
-        def rule(n):
-            return omega_space.whole()
-
-        with pytest.raises(DecompositionError):
-            decomp_from_chain(omega_space, rule, top)
-
-    def test_non_clopen_member_rejected(self, omega2_space):
-        top = omega2_space.point(0, W2)
-
-        def rule(n):
-            return creg(omega2_space, (0, W, W2)) if n == 1 else creg(
-                omega2_space, (0, P(f"w+{n}"), W2)
-            )
-
-        with pytest.raises(DecompositionError):
-            decomp_from_chain(omega2_space, rule, top)
 
 
 class TestValidation:
@@ -108,15 +50,6 @@ class TestValidation:
         report = decomp_validate(d)
         assert not report.passed
         assert any(e.name == "fibers-in-delta" for e in report.failures())
-
-    def test_quasi_chain_gets_strengthening_note(self, omega_space):
-        top = omega_space.point(0, W)
-        d = ChainDecomposition(
-            omega_space, top, W, [(point_chain_rule(omega_space, top), None)], kind="quasi"
-        )
-        report = decomp_validate(d)
-        assert report.passed
-        assert any(e.name == "kind-note" for e in report.entries)
 
     def test_limit_modulo_point_recorded(self, omega2_space):
         d = point_decomposition(omega2_space, omega2_space.point(0, W2))
@@ -155,17 +88,13 @@ class TestEtaExtremes:
 
 
 def _oracle_decompositions():
-    """(id, decomposition, point): at_point, and chain_tails where the point
-    is not isolated, at every branch top, the interior limit w and the
-    isolated point 1 of every oracle space."""
+    """(id, decomposition, point): at_point at every branch top, the interior
+    limit w and the isolated point 1 of every oracle space."""
     for name, space in oracle_spaces().items():
         pts = [space.point(b, top) for b, top in enumerate(space.branches)]
         pts += [space.point(0, W), space.point(0, O(1))]
         for p in dict.fromkeys(pts):
             yield f"{name}-at_point-{p}", point_decomposition(space, p), p
-            if not isolated_in(space.whole(), p):
-                chain = decomp_from_chain(space, point_chain_rule(space, p), p)
-                yield f"{name}-chain_tails-{p}", chain, p
 
 
 ORACLE_DECOMPOSITIONS = list(_oracle_decompositions())
@@ -180,8 +109,6 @@ def _agrees_with_reference(d, p, family, endpoints=False):
     for s in sets:
         assert _both_levels(d, s) == ref_eta_extremes(d, s, endpoints), s
     for top, mode in ((True, "maximal"), (False, "minimal")):
-        if top and d.kind != "ordinal":
-            continue
         fiber_selection = decomp_to_extreme_selection(d, p, mode, family)._fiber_selection
         f = LevelSelection(d, top, fiber_selection)
         by_level = {}
@@ -234,7 +161,6 @@ class TestPointDecomposition:
     def test_interior_limit_point(self, omega2_space):
         p = omega2_space.point(0, W)
         d = point_decomposition(omega2_space, p)
-        assert d.kind == "ordinal"
         assert d.fiber(W) == omega2_space.point_region(p)
         fiber0 = d.fiber(ZERO)
         assert fiber0.covers_position(0, P("w*2"))
@@ -243,7 +169,6 @@ class TestPointDecomposition:
     def test_fan_hub(self, fan_space):
         hub = fan_space.point(0, W)
         d = point_decomposition(fan_space, hub)
-        assert d.kind == "ordinal"
         assert decomp_validate(d).passed
         fib = d.fiber(O(1))
         assert all(fib.covers_position(b, O(1)) for b in range(3))
@@ -268,3 +193,48 @@ class TestPointDecomposition:
             assert member.is_clopen()
             meet = meet.intersect(member)
         assert meet.grid_members() == [hub]
+
+
+def _chain_tails_documents():
+    """(id, document) declaring an at_point and a chain_tails decomposition at
+    one grid point (grid_k 2) of an oracle space, for every such point."""
+    for name, space in oracle_spaces().items():
+        doc_space = {
+            "branches": [format_ordinal(top) for top in space.branches],
+            "gluings": [[[b, format_ordinal(x)] for b, x in cls] for cls in space.gluings],
+        }
+        for p in space.grid_points(2):
+            yield f"{name}-{p}", {
+                "schema": "hypersel-scenario/1",
+                "space": doc_space,
+                "params": {"grid_k": 2},
+                "objects": {
+                    "points": {"p": [p.branch, format_ordinal(p.pos)]},
+                    "decompositions": {"at": {"kind": "at_point", "point": "p"},
+                                       "tails": {"kind": "chain_tails", "point": "p"}},
+                },
+            }
+
+
+CHAIN_TAILS_DOCUMENTS = dict(_chain_tails_documents())
+
+
+class TestChainTailsIsAtPoint:
+    @pytest.mark.parametrize("case", sorted(CHAIN_TAILS_DOCUMENTS))
+    def test_both_kinds_load_the_same_decomposition(self, case):
+        sc = Scenario.load(CHAIN_TAILS_DOCUMENTS[case])
+        at, tails = sc.decompositions["at"], sc.decompositions["tails"]
+        assert type(tails) is type(at) and tails.gamma == at.gamma
+        idxs = at.sample_indices()
+        assert tails.sample_indices() == idxs
+        assert [tails.fiber(i) for i in idxs] == [at.fiber(i) for i in idxs]
+        assert decomp_validate(tails).entries == decomp_validate(at).entries
+
+    def test_isolated_point_loads_the_two_fiber_split(self):
+        # like at_point, chain_tails at an isolated point is the two-fiber split
+        sc = Scenario.load(CHAIN_TAILS_DOCUMENTS["line-w*2-(0:w + 1)"])
+        tails = sc.decompositions["tails"]
+        p = sc.points["p"]
+        assert isinstance(tails, ExplicitDecomposition)
+        assert tails.fibers == (sc.space.whole().remove_point(p), sc.space.point_region(p))
+        assert decomp_validate(tails).passed

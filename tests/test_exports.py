@@ -1,13 +1,18 @@
 """Every name a hypersel module exports in ``__all__`` exists in it, every
 name a module imports is used in it or exported, and every function, class,
 method and module-level constant the package defines is used by the package
-or the benchmark, and only the sites that prove evaluate's guards call the
-evaluation step behind them."""
+or the benchmark, only the sites that prove evaluate's guards call the
+evaluation step behind them, every field that the table lists for a check or
+a base is read on its code path, and no literal default of a field sits
+outside the table."""
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
+
+from hypersel.cli import BASE_PAYLOADS
+from hypersel.scenario import CHECKS, RULES, SCHEMA
 
 MODULES = [
     "hypersel", "hypersel.ordinal", "hypersel.space", "hypersel.hyperspace",
@@ -161,3 +166,127 @@ def test_private_step_site_is_found():
 def test_private_step_called_only_where_guards_are_proven():
     sources = {path.name: path.read_text(encoding="utf-8") for path in [*SOURCES, *BENCH]}
     assert private_step_sites(sources) == PRIVATE_STEP_SITES
+
+
+# -- the field table ----------------------------------------------------------------
+#
+# scenario.SCHEMA lists the fields each kind reads, and scenario.DEFAULTS gives
+# each default once.  A check reads the fields of its suite entry, and a base
+# payload those of its base, from the parameter ``spec``: as ``spec["k"]``,
+# ``"k" in spec``, ``spec.get("k", ...)`` or ``arg(spec, "k")``, in its own body
+# or in a function of scenario.py or cli.py that it hands ``spec`` to.
+
+DOCUMENT_READERS = [ROOT / "src" / "hypersel" / name for name in ("scenario.py", "cli.py")]
+
+
+def _is_spec(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "spec"
+
+
+def _constant(node):
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def spec_reads(functions: dict, name: str, seen: frozenset = frozenset()) -> set:
+    """The fields that function ``name`` of ``functions`` (name -> FunctionDef)
+    reads from ``spec``, itself or through the functions it passes spec to."""
+    out = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Subscript) and _is_spec(node.value):
+            out.add(_constant(node.slice))
+        elif isinstance(node, ast.Compare) and _is_spec(node.comparators[0]):
+            out.add(_constant(node.left))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            node.func.attr == "get" and _is_spec(node.func.value)
+        ):
+            out.add(_constant(node.args[0]))
+        elif isinstance(node, ast.Call) and any(map(_is_spec, node.args)):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if callee == "arg":
+                out.add(_constant(node.args[1]))
+            elif callee in functions and callee not in seen | {name}:
+                out |= spec_reads(functions, callee, seen | {name})
+    return out - {None}
+
+
+def _functions(texts) -> dict:
+    return {
+        node.name: node for text in texts for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_spec_read_is_found():
+    src = (
+        "def check(sc, spec):\n    n = sc.arg(spec, 'count')\n    return helper(sc, spec)\n"
+        "def helper(sc, spec):\n    return spec['point'] if 'seed' in spec else spec.get('name')\n"
+        "def other(sc, spec):\n    return sc.params['window']\n"
+    )
+    assert spec_reads(_functions([src]), "check") == {"count", "point", "seed", "name"}
+    assert spec_reads(_functions([src]), "other") == set()
+
+
+def test_every_listed_field_is_read():
+    functions = _functions(path.read_text(encoding="utf-8") for path in DOCUMENT_READERS)
+    entry = spec_reads(functions, "run_scenario")  # the check and the name of every entry
+    for group, readers, shared in (("suites", CHECKS, entry), ("bases", BASE_PAYLOADS, set())):
+        for kind, reader in readers.items():
+            listed = {name.lstrip("?") for name in SCHEMA[group][kind].split()}
+            reads = (spec_reads(functions, reader.__name__) | shared) & set(RULES)
+            assert reads == listed, (
+                f"{group} {kind}: lists {sorted(listed - reads)} unread,"
+                f" reads {sorted(reads - listed)} unlisted"
+            )
+
+
+def _is_literal(node) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def literal_defaults(sources: dict[str, str], fields) -> list[str]:
+    """``file:line field`` of each literal default of a field in a function:
+    a parameter named after the field with a literal default, a
+    ``.get(field, literal)``, and a dict that merges others over a literal
+    value of the field."""
+    out = {}
+    for fname, text in sources.items():
+        for func in ast.walk(ast.parse(text)):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = [*func.args.posonlyargs, *func.args.args]
+            pairs = [*zip(args[len(args) - len(func.args.defaults):], func.args.defaults),
+                     *zip(func.args.kwonlyargs, func.args.kw_defaults)]
+            found = [(func.lineno, arg.arg) for arg, default in pairs
+                     if default is not None and _is_literal(default)]
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+                    if len(node.args) == 2 and _is_literal(node.args[1]):
+                        found.append((node.lineno, _constant(node.args[0])))
+                elif isinstance(node, ast.Dict) and None in node.keys:
+                    found += [(node.lineno, _constant(key))
+                              for key, value in zip(node.keys, node.values)
+                              if key is not None and _is_literal(value)]
+            out.update(dict.fromkeys(f"{fname}:{line} {field}" for line, field in found
+                                     if field in fields))
+    return list(out)
+
+
+def test_literal_default_is_found():
+    src = (
+        "def f(spec, window=64, name=None, *, seed=0, depth=DEFAULTS['depth']):\n"
+        "    a = spec.get('count', 200)\n    b = spec.get('name', f'x-{a}')\n"
+        "    return {'grid_k': 10, **spec}, {'grid_k': 10}, {**spec}\n"
+    )
+    found = literal_defaults({"x.py": src}, {"window", "name", "seed", "depth", "count", "grid_k"})
+    assert found == ["x.py:1 window", "x.py:1 name", "x.py:1 seed", "x.py:2 count",
+                     "x.py:4 grid_k"]
+
+
+def test_defaults_are_stated_only_in_the_table():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in DOCUMENT_READERS}
+    found = literal_defaults(sources, set(RULES))
+    assert not found, f"literal defaults of fields outside scenario.DEFAULTS: {found}"

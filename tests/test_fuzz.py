@@ -8,15 +8,16 @@ sets of mutations go through ``cli.main``:
   inside a base; each case must exit 0, 1 or 2 and print no traceback;
 * every field that ``scenario.SCHEMA`` declares, optional ones included, is
   set to each wrong value for its rule in ``scenario.RULES``, and every spec
-  gets one field its kind does not list; ``check`` must exit 2.  A field or
-  kind added to the table is fuzzed from then on.
+  gets a misspelt field and, one at a time, each field of ``RULES`` that its
+  kind does not list, with a value its rule accepts; ``check`` must exit 2.
+  A field or kind added to the table is fuzzed from then on.
 """
 import contextlib
 import io
 import json
 
 from hypersel import cli
-from hypersel.scenario import OBJECT_GROUPS, RULES, SCHEMA
+from hypersel.scenario import OBJECT_GROUPS, RULES, SCHEMA, Scenario, _check
 
 DOC = {
     "schema": "hypersel-scenario/1",
@@ -205,6 +206,40 @@ WRONG_KINDS = ("x", "", [1], None)
 # A field no spec lists: a misspelt `window`.
 UNLISTED = "windw"
 
+# A value each rule accepts in the document above, by what the rule says a
+# value must be.
+VALID = {
+    "`hypersel-scenario/1`": "hypersel-scenario/1",
+    "a space": {"branches": ["w"]},
+    "a list of ordinal literals": ["w"],
+    "a list of lists of [branch, position] pairs": [],
+    "an object": {},
+    "an object of known groups, each an object": {},
+    "a list": [],
+    "a string": "x",
+    "a non-negative integer": 1,
+    "an integer": -1,
+    "a boolean": False,
+    "`maximal` or `minimal`": "minimal",
+    "a branch index": 1,
+    "an ordinal literal": "w",
+    "a point literal": [1, "2"],
+    "a nonempty closed set literal": [[0, "0", "w"]],
+    "an open set literal": [[0, "1", "w", "open"]],
+    "a point name or a point literal": "p",
+    "a closed-set name or a nonempty closed set literal": "c",
+    "a list of set literals": [[[0, "0", "w"]]],
+    "a list of two set literals": DOC["objects"]["pcuts"]["cut"]["sides"],
+    "an object of a non-negative `grid_k` and a `max_intervals` of 1 or 2": {"grid_k": 0},
+    "a net spec": {"kind": "constant", "set": "c"},
+    "the name of a selection": "f",
+    "the name of a selection declared before it": "f",
+    "the name of a decomposition": "d",
+    "the name of a pcut": "cut",
+    "the name of a net": "n1",
+    "`canonical` or a list of net names": "canonical",
+}
+
 
 def _doc_specs():
     """(key path, SCHEMA group, kind) of every spec in DOC that the table walks."""
@@ -221,10 +256,15 @@ def _doc_specs():
 
 def _mutations():
     """(key path, field, wrong value) for every field the table declares and
-    every literal entry, plus every kind field and one unlisted field per spec."""
+    every literal entry, plus every kind field, and per spec a misspelt field
+    and each field of RULES that its kind does not list, with a valid value."""
     for path, group, kind in _doc_specs():
         yield path, UNLISTED, 1
         fields = SCHEMA[group] if kind is None else SCHEMA[group][kind]
+        listed = {name.lstrip("?") for name in fields.split()}
+        for key in RULES:
+            if key not in listed:
+                yield path, key, VALID[RULES[key][0]]
         for name in fields.split():
             key = name.lstrip("?")
             for value in WRONG[RULES[key][0]]:
@@ -241,6 +281,17 @@ def _mutations():
 def test_every_rule_has_wrong_values():
     assert {says for says, _ in RULES.values()} == set(WRONG)
     assert all(WRONG.values())
+
+
+def test_every_rule_has_a_valid_value():
+    assert {says for says, _ in RULES.values()} == set(VALID)
+    sc = Scenario.load(DOC)
+    ctx = {"space": sc.space, **{group: set(DOC["objects"][group]) for group in OBJECT_GROUPS}}
+    for key, (says, test) in RULES.items():
+        if callable(test):
+            assert test(ctx, VALID[says]) is not False, key
+        else:  # a nested spec of that group
+            _check(ctx, test, VALID[says], key)
 
 
 def test_doc_has_a_spec_of_every_kind():

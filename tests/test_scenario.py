@@ -9,11 +9,10 @@ from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.space import Region, Space
 from hypersel.scenario import (
     CHECKS,
+    DEFAULTS,
     RULES,
     MAX_NESTING,
     SCHEMA,
-    SHARED,
-    SUITE,
     Scenario,
     ScenarioError,
     canonical_net_corpus,
@@ -501,6 +500,24 @@ class TestExitContract:
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _as_documented(group: str, kind, name: str) -> str:
+    """A field as README's table gives it: an optional field with a default
+    as ``?field=default``, the default as JSON or as the params field it
+    falls back to."""
+    key = name.lstrip("?")
+    if key == name or key not in DEFAULTS:
+        return name
+    if (group, key) == ("suites", "name"):
+        default = "<check>-<index>"
+    elif (kind, key) == ("appended", "window"):
+        default = "inner.window"
+    elif group not in ("document", "space", "params") and f"?{key}" in SCHEMA["params"].split():
+        default = f"params.{key}"
+    else:
+        default = json.dumps(DEFAULTS[key])
+    return f"{name}={default}"
+
+
 def _exit_two_list() -> str:
     """README's list of invalid documents, with line breaks folded."""
     text = README.read_text()
@@ -523,12 +540,9 @@ class TestSchema:
         for line in README.read_text().splitlines():
             if line.startswith("| `"):
                 group, kind, fields = (cell.strip(" `") for cell in line.split("|")[1:4])
-                rows[group, kind or None] = re.findall(r"`([?\w]+)`", f"`{fields}`")
-        common = {"suites": SUITE.split(), "bases": SHARED.split(), "nets": ["?window"]}
+                rows[group, kind or None] = re.findall(r"`([^`]+)`", f"`{fields}`")
         for group, kinds in SCHEMA.items():
-            if group in ("document", "space"):
-                continue
             for kind, fields in (kinds.items() if isinstance(kinds, dict) else [(None, kinds)]):
-                want = [f for f in fields.split() if f not in common.get(group, ())]
+                want = [_as_documented(group, kind, name) for name in fields.split()]
                 assert rows.pop((group, kind)) == want, (group, kind)
         assert not rows, f"README lists kinds the table does not: {sorted(rows)}"

@@ -118,15 +118,6 @@ class TestCombinators:
         ):
             assert j.evaluate(s) == m.evaluate(s) == g0.evaluate(s)
 
-    def test_join_requires_ordinal_kind(self, omega_space):
-        d = point_decomposition(omega_space, omega_space.point(0, W))
-        d.kind = "quasi"
-        try:
-            with pytest.raises(ValueError, match="join needs an ordinal decomposition"):
-                level(d, True)
-        finally:
-            d.kind = "ordinal"
-
     def test_restriction_coherence(self, omega_space):
         f = OrderMaxSelection(omega_space)
         y = creg(omega_space, (0, ZERO, O(6)))
