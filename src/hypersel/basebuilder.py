@@ -2,9 +2,9 @@
 roundtrip between graded neighbourhood bases, decompositions and extreme
 selections.
 
-Transfinite runs materialize finitely many successor stages, certify an
-affine recurrence of the stage tails along the approach ladders (including a
-re-run of the stage map at shifted positions), and take limit stages from the
+Transfinite runs materialize finitely many successor stages, certify a
+recurrence of the stage tails along fundamental ladders (including a re-run
+of the stage map at shifted positions), and take limit stages from the
 certified pattern; the limit identity with the derived bracket is then
 verified exactly and independently.  Any guaranteed step that fails raises a
 TheoremViolationError carrying the witness.
@@ -217,43 +217,27 @@ Coord = tuple[int, Ordinal]  # (branch, position) of one coordinate of p
 
 
 @dataclass(frozen=True)
-class _AffineTail:
+class _Tail:
     """Certified tails from stage ``anchor`` on: at k stages past it, each
-    coordinate's tail starts at start + step * k, below a fixed limit."""
+    coordinate's tail starts at fundamental(target, index + step * k) +
+    offset.  A ladder run climbs the ladder of the coordinate itself; an
+    affine run, advancing by a finite step above a fixed limit part, climbs
+    the ladder of that limit part + omega."""
 
     anchor: int
-    start: dict[Coord, Ordinal]
-    step: dict[Coord, int]
-
-    def position(self, coord: Coord, k: int) -> Ordinal:
-        c = self.start[coord]
-        return limit_part(c) + Ordinal.from_int(finite_part(c) + self.step[coord] * k)
-
-    def limit_position(self, coord: Coord) -> Ordinal:
-        c = self.start[coord]
-        return c if self.step[coord] == 0 else limit_part(c) + OMEGA
-
-
-@dataclass(frozen=True)
-class _LadderTail:
-    """Certified tails from stage ``anchor`` on: at k stages past it, each
-    coordinate (b, beta) has its tail start at fundamental(beta, index +
-    step * k) + offset, climbing the ladder of beta."""
-
-    anchor: int
+    target: dict[Coord, Ordinal]
     index: dict[Coord, int]
     step: dict[Coord, int]
     offset: dict[Coord, int]
 
     def position(self, coord: Coord, k: int) -> Ordinal:
         m = self.index[coord] + self.step[coord] * k
-        return ord_fundamental(coord[1], m) + Ordinal.from_int(self.offset[coord])
+        return ord_fundamental(self.target[coord], m) + Ordinal.from_int(self.offset[coord])
 
     def limit_position(self, coord: Coord) -> Ordinal:
-        return coord[1]
-
-
-TailPattern = _AffineTail | _LadderTail
+        """Where the tails at coord end up: the target, or the fixed start
+        of a coordinate that does not move."""
+        return self.target[coord] if self.step[coord] else self.position(coord, 0)
 
 
 def _tail_form(space: Space, p: Point, u: Region) -> Optional[dict]:
@@ -307,7 +291,7 @@ def _ladder_index(beta: Ordinal, c: Ordinal) -> Optional[tuple[int, int]]:
     return m, finite_part(c)
 
 
-def _pattern_region(space: Space, p: Point, pattern: TailPattern, k: int) -> Region:
+def _pattern_region(space: Space, p: Point, pattern: _Tail, k: int) -> Region:
     """The pattern's stage k stages past its anchor."""
     return Region.make(
         space,
@@ -315,12 +299,13 @@ def _pattern_region(space: Space, p: Point, pattern: TailPattern, k: int) -> Reg
     )
 
 
-def _certify_pattern(space: Space, p: Point, stage_fn, stages: list[Region]) -> TailPattern:
+def _certify_pattern(space: Space, p: Point, stage_fn, stages: list[Region]) -> _Tail:
     """Tail recurrence over the last stages, re-verified at shifted spots.
 
-    Two certified forms: positions advancing by a constant finite step below a
-    fixed limit (sup = that limit), or climbing the fundamental ladder of the
-    coordinate with a constant index step (sup = the coordinate itself).
+    Two certified forms, both a `_Tail`: positions advancing by a constant
+    finite step below a fixed limit (sup = that limit), or climbing the
+    fundamental ladder of the coordinate with a constant index step (sup = the
+    coordinate itself).
     """
     forms = [_tail_form(space, p, u) for u in stages]
     usable = [i for i, fm in enumerate(forms) if fm is not None]
@@ -343,7 +328,11 @@ def _certify_pattern(space: Space, p: Point, stage_fn, stages: list[Region]) -> 
             finite_steps = None
             break
     if finite_steps is not None and any(finite_steps.values()):
-        pattern = _AffineTail(i2, c_last, finite_steps)
+        pattern = _Tail(
+            i2, {coord: limit_part(c) + OMEGA for coord, c in c_last.items()},
+            {coord: finite_part(c) for coord, c in c_last.items()}, finite_steps,
+            dict.fromkeys(c_last, 0),
+        )
     elif finite_steps is not None:
         raise PatternError("stages stopped shrinking")
     else:
@@ -359,7 +348,7 @@ def _certify_pattern(space: Space, p: Point, stage_fn, stages: list[Region]) -> 
             if m2 - m1 != m1 - m0 or m2 - m1 < 1:
                 raise PatternError(f"ladder step at {coord} is not affine")
             ms[coord], ss[coord], rs[coord] = m2, m2 - m1, r2
-        pattern = _LadderTail(i2, ms, ss, rs)
+        pattern = _Tail(i2, {coord: coord[1] for coord in c_last}, ms, ss, rs)
     # re-run the stage map at two shifted positions to certify the recurrence
     for shift in (3, 7):
         shifted = _pattern_region(space, p, pattern, shift)
@@ -372,7 +361,7 @@ def _certify_pattern(space: Space, p: Point, stage_fn, stages: list[Region]) -> 
     return pattern
 
 
-def _pattern_limit(space: Space, p: Point, pattern: TailPattern) -> Region:
+def _pattern_limit(space: Space, p: Point, pattern: _Tail) -> Region:
     """Intersection of the pattern tails over all stages."""
     spans = []
     for b, beta in space.point_coords(p):
@@ -384,7 +373,7 @@ def _pattern_limit(space: Space, p: Point, pattern: TailPattern) -> Region:
 
 
 def _stage_rule(space: Space, p: Point, start: Ordinal, explicit: list[Region],
-                pattern: Optional[TailPattern]):
+                pattern: Optional[_Tail]):
     """n -> U(start+n): the materialized stages, then the certified pattern."""
 
     def rule(n: int) -> Region:
@@ -398,7 +387,7 @@ def _stage_rule(space: Space, p: Point, start: Ordinal, explicit: list[Region],
 
 
 def transfinite_base(
-    f: Selection, p: Point, gamma: Ordinal, guided: bool = False
+    f: Selection, p: Point, gamma: Ordinal, guided: bool
 ) -> tuple[DecompositionSpec, dict[Ordinal, Point]]:
     """Graded neighbourhood base at p of length gamma (at most omega*2 + finite),
     as the chain decomposition whose level alpha carries H_alpha minus
@@ -556,7 +545,7 @@ def decomp_to_extreme_selection(
     d: DecompositionSpec,
     p: Point,
     mode: str,
-    family: Optional[FamilyParams] = None,
+    family: FamilyParams,
 ) -> Selection:
     """Join (maximal) or meet (minimal) over the decomposition, limit fibers
     equipped by the canonical countable-chain construction, extremality checked
@@ -576,7 +565,7 @@ def decomp_to_extreme_selection(
         return OrderMaxSelection(space, carrier=fib)
 
     sel = LevelSelection(d, mode == "maximal", fiber_selection)
-    out = extremality_check(sel, p, mode, family or FamilyParams())
+    out = extremality_check(sel, p, mode, family)
     if not out.passed:
         raise TheoremViolationError(
             f"constructed selection fails {mode} extremality: {out.detail}",

@@ -1,10 +1,19 @@
 """Ordinal decomposition specifications with exact validation.
 
-A decomposition is a level map from a carrier onto a compact ordinal index
-space: fibers partition the carrier, every fiber is clopen modulo at most one
-point, and the map is continuous and closed.  Index
+A decomposition is a level map eta from a carrier onto a compact ordinal
+index space [0, gamma]: fibers partition the carrier, every fiber is clopen
+modulo at most one point, and the map is continuous and closed.  Index
 arithmetic is exact; infinite chains are handled through their defining rules
 with explicit scan caps, so every answer is either exact or an error.
+
+Two types carry the map: `ExplicitDecomposition` lists finitely many fibers,
+and `ChainDecomposition` reads them off a decreasing chain of clopen sets.
+Both give the fiber at an index (`fiber`), the highest or lowest level that
+meets a set (`eta_extremes`), the preimages of (idx, gamma] (`upper_strict`)
+and of [0, idx) (`lower_strict`), the limit indices, the indices a validation
+samples, the region the fibers outside the sample are known to cover
+(`cover_residual`), and the indices below a limit that the closedness check
+probes (`absorption_candidates`, needed only where there are limits).
 """
 from __future__ import annotations
 
@@ -59,57 +68,7 @@ class ChainResolutionError(DecompositionError):
     """A chain rule could not resolve a level exactly within its scan cap."""
 
 
-class DecompositionSpec:
-    """Base for level maps eta: carrier -> [0, gamma]."""
-
-    space: Space
-    carrier: Region
-    gamma: Ordinal
-
-    def fiber(self, idx: Ordinal) -> Region:
-        raise NotImplementedError
-
-    def eta_extremes(self, s: Region, top: bool) -> Ordinal:
-        """The highest (top) or the lowest level that meets s."""
-        raise NotImplementedError
-
-    def upper_strict(self, idx: Ordinal) -> Region:
-        """Preimage of (idx, gamma]."""
-        raise NotImplementedError
-
-    def lower_strict(self, idx: Ordinal) -> Region:
-        """Preimage of [0, idx)."""
-        raise NotImplementedError
-
-    def limit_indices(self) -> tuple[Ordinal, ...]:
-        raise NotImplementedError
-
-    def sample_indices(self) -> list[Ordinal]:
-        raise NotImplementedError
-
-    def cover_residual(self, idxs: list[Ordinal]) -> Region:
-        """Region known to be covered by the fibers outside the sampled indices."""
-        return self.space.empty()
-
-    def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
-        """Indices below the limit lam to probe when checking closedness of
-        the level map."""
-        raise NotImplementedError
-
-    def limit_modulo_point(self, lam: Ordinal) -> Point:
-        fib = self.fiber(lam)
-        status = clopen_modulo(fib)
-        if status.kind == "modulo":
-            return status.point
-        if status.kind == "clopen":
-            pick = next_point(fib)
-            if pick is None:
-                raise DecompositionError(f"fiber at {lam} has no point")
-            return pick
-        raise DecompositionError(f"fiber at {lam} is not clopen modulo a point")
-
-
-class ExplicitDecomposition(DecompositionSpec):
+class ExplicitDecomposition:
     """Finitely many fibers listed outright; gamma is finite."""
 
     def __init__(
@@ -153,8 +112,11 @@ class ExplicitDecomposition(DecompositionSpec):
     def sample_indices(self) -> list[Ordinal]:
         return [Ordinal.from_int(i) for i in range(len(self.fibers))]
 
+    def cover_residual(self, idxs: list[Ordinal]) -> Region:
+        return self.space.empty()  # every fiber is sampled
 
-class ChainDecomposition(DecompositionSpec):
+
+class ChainDecomposition:
     """Level map of a decreasing chain U(alpha), alpha <= gamma, from U(0) =
     carrier down to U(gamma) = {p}: level alpha carries U(alpha) minus
     U(alpha+1).
@@ -288,6 +250,20 @@ class ChainDecomposition(DecompositionSpec):
     def absorption_candidates(self, lam: Ordinal) -> list[Ordinal]:
         k = self._closes.index(lam)
         return [self._index(k, n) for n in range(ABSORPTION_CAP)]
+
+    def limit_modulo_point(self, lam: Ordinal) -> Point:
+        """The point the limit fiber at lam is clopen modulo; a clopen fiber
+        gives its `next_point`."""
+        fib = self.fiber(lam)
+        status = clopen_modulo(fib)
+        if status.kind == "modulo":
+            return status.point
+        if status.kind == "clopen":  # nonempty, so next_point finds a point
+            return next_point(fib)
+        raise DecompositionError(f"fiber at {lam} is not clopen modulo a point")
+
+
+DecompositionSpec = ExplicitDecomposition | ChainDecomposition
 
 
 def point_chain_rule(space: Space, p: Point, carrier: Optional[Region] = None):

@@ -116,7 +116,7 @@ def _tight_parts(s: Region, level: int) -> tuple[Region, ...]:
     return tuple(out)
 
 
-def basic_nbhd_family(s: Region, depth: int = 2) -> tuple[VietorisBasic, ...]:
+def basic_nbhd_family(s: Region, depth: int) -> tuple[VietorisBasic, ...]:
     """Deterministic finite family of basics containing s.
 
     Includes the whole-space basic, tight span covers at every refinement
@@ -156,10 +156,9 @@ class ConvergentNet:
     """omega-indexed net of closed sets from a closed family of shapes."""
 
     name: str
-    shape: str  # 'constant' | 'increasing' | 'tail' | 'appended' | 'moving'
     members: Callable[[int], Region]
     declared_limit: Region
-    window: int = 64
+    window: int
 
     def member(self, n: int) -> Region:
         if n < 0 or n > self.window:
@@ -175,8 +174,8 @@ class ConvergentNet:
         return self.member(self.window)
 
 
-def constant_net(s: Region, window: int = 64, name: str = "constant") -> ConvergentNet:
-    return ConvergentNet(name, "constant", lambda n: s, s, window)
+def constant_net(s: Region, window: int, name: str) -> ConvergentNet:
+    return ConvergentNet(name, lambda n: s, s, window)
 
 
 def increasing_union_net(
@@ -185,14 +184,14 @@ def increasing_union_net(
     lo: Ordinal,
     lam: Ordinal,
     base: Optional[Region] = None,
-    window: int = 64,
-    offset: int = 0,
-    name: str = "",
+    *,
+    window: int,
+    name: str,
 ) -> ConvergentNet:
     """Members base | [lo, lam[m0+n]] on one branch; limit closes up to lam."""
     if not lam.is_limit:
         raise ValueError("increasing nets grow toward a limit position")
-    m0 = max(offset, fund_index_at_least(lam, lo))
+    m0 = fund_index_at_least(lam, lo)
     if ord_fundamental(lam, m0) < lo:
         m0 += 1
 
@@ -203,16 +202,17 @@ def increasing_union_net(
     limit = Region.from_intervals(space, [(branch, lo, lam)])
     if base is not None:
         limit = limit.union(base)
-    return ConvergentNet(name or f"incr@{lam}", "increasing", members, limit, window)
+    return ConvergentNet(name, members, limit, window)
 
 
 def shrinking_tail_net(
     space: Space,
     p: Point,
     base: Optional[Region] = None,
-    window: int = 64,
-    offset: int = 0,
-    name: str = "",
+    *,
+    window: int,
+    offset: int,
+    name: str,
 ) -> ConvergentNet:
     """Members base | (closed tails at p shrinking along the ladder); limit base | {p}."""
     coords = space.point_coords(p)
@@ -230,12 +230,10 @@ def shrinking_tail_net(
     limit = space.point_region(p)
     if base is not None:
         limit = limit.union(base)
-    return ConvergentNet(name or f"tail@{p}", "tail", members, limit, window)
+    return ConvergentNet(name, members, limit, window)
 
 
-def appended_point_net(
-    inner: ConvergentNet, x: Point, window: int, name: str = ""
-) -> ConvergentNet:
+def appended_point_net(inner: ConvergentNet, x: Point, window: int, name: str) -> ConvergentNet:
     """Members of the inner increasing net with a fixed appended point."""
     space = inner.declared_limit.space
     pt_reg = space.point_region(x)
@@ -244,16 +242,16 @@ def appended_point_net(
         return inner.members(n).union(pt_reg)
 
     limit = inner.declared_limit.union(pt_reg)
-    return ConvergentNet(name or f"{inner.name}+{x}", "appended", members, limit, window)
+    return ConvergentNet(name, members, limit, window)
 
 
 def moving_point_net(
     space: Space,
     p: Point,
     base: Region,
-    window: int = 64,
-    offset: int = 0,
-    name: str = "",
+    window: int,
+    offset: int,
+    name: str,
 ) -> ConvergentNet:
     """Members base | {x_n} with x_n walking the ladder toward p; limit base | {p}."""
     branch, beta = space.point_coords(p)[0]
@@ -265,10 +263,10 @@ def moving_point_net(
         return base.union(space.point_region(space.point(branch, pos)))
 
     limit = base.union(space.point_region(p))
-    return ConvergentNet(name or f"move@{p}", "moving", members, limit, window)
+    return ConvergentNet(name, members, limit, window)
 
 
-def net_convergence_check(net: ConvergentNet, depth: int = 2) -> CheckOutcome:
+def net_convergence_check(net: ConvergentNet, depth: int) -> CheckOutcome:
     """Eventual membership of the net in every generated basic around the limit;
     a failure's witness is the basic the last member escapes."""
     family = basic_nbhd_family(net.declared_limit, depth)

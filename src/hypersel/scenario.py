@@ -403,15 +403,15 @@ class Scenario:
     name: str
     space: Space
     params: dict
+    suites: list[dict]
+    nets: dict[str, ConvergentNet]
     points: dict[str, Point] = field(default_factory=dict)
     closed_sets: dict[str, Region] = field(default_factory=dict)
     open_sets: dict[str, Region] = field(default_factory=dict)
     selections: dict[str, Selection] = field(default_factory=dict)
     decompositions: dict = field(default_factory=dict)
     pcuts: dict = field(default_factory=dict)
-    nets: dict[str, ConvergentNet] = field(default_factory=dict)
     bases: dict[str, dict] = field(default_factory=dict)
-    suites: list[dict] = field(default_factory=list)
 
     def arg(self, spec: dict, key: str) -> Any:
         """Field ``key`` of an object spec, a base or a suite entry: its own
@@ -445,7 +445,7 @@ class Scenario:
             space = Space(branches, gluings, grid_k=params["grid_k"])
         except ValueError as exc:
             raise ScenarioError(f"bad space: {exc}") from exc
-        sc = Scenario(doc["name"], space, params, suites=doc["suites"])
+        sc = Scenario(doc["name"], space, params, doc["suites"], nets={})
         objects = doc["objects"]
         ctx: dict = {"space": space}
         for group in OBJECT_GROUPS:
@@ -545,9 +545,7 @@ class Scenario:
 # -- canonical net corpus --------------------------------------------------------
 
 
-def canonical_net_corpus(
-    space: Space, window: int = DEFAULTS["window"]
-) -> list[ConvergentNet]:
+def canonical_net_corpus(space: Space, window: int) -> list[ConvergentNet]:
     """Tail, increasing, appended-point and moving-point nets at every limit
     grid point, plus a constant net; deterministic order."""
     nets: list[ConvergentNet] = []
@@ -565,7 +563,7 @@ def canonical_net_corpus(
                                    name=f"tail@{pt}+{off}")
             )
         nets.append(
-            shrinking_tail_net(space, pt, base=origin, window=window,
+            shrinking_tail_net(space, pt, base=origin, window=window, offset=0,
                                name=f"tail-base@{pt}")
         )
         for off in (0, 5):
@@ -596,10 +594,10 @@ class CheckRecord:
     name: str
     check: str
     status: str  # 'pass' | 'fail' | 'error'
-    detail: str = ""
-    witness: Any = None
-    params: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    detail: str
+    witness: Any
+    params: dict
+    elapsed_ms: float
 
     def to_json(self) -> dict:
         return {
@@ -1001,7 +999,7 @@ def make_ordinal_scenario(gamma: str) -> dict:
     }
 
 
-def make_wedge_scenario(prongs: int = 2) -> dict:
+def make_wedge_scenario(prongs: int) -> dict:
     if prongs < 2:
         raise ScenarioError("a wedge needs at least two branches")
     glue = [[b, "w"] for b in range(prongs)]
@@ -1053,7 +1051,7 @@ def make_wedge_scenario(prongs: int = 2) -> dict:
     return doc
 
 
-def make_fan_scenario(prongs: int = 3) -> dict:
+def make_fan_scenario(prongs: int) -> dict:
     doc = make_wedge_scenario(prongs)
     doc["name"] = f"fan-{prongs}"
     return doc

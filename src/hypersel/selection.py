@@ -390,7 +390,7 @@ class FamilyParams:
 
 def enumerate_closed_family(
     space: Space,
-    params: FamilyParams = FamilyParams(),
+    params: FamilyParams,
     carrier: Optional[Region] = None,
 ) -> list[Region]:
     """All nonempty closed sets with grid endpoints and bounded interval count,
@@ -473,7 +473,7 @@ def extremality_check(
     f: Selection,
     p: Point,
     mode: str,
-    family: FamilyParams = FamilyParams(),
+    family: FamilyParams,
 ) -> CheckOutcome:
     """Exhaustive extremality test over the enumerated family.
 
@@ -502,7 +502,7 @@ def extremality_check(
 def continuity_check(
     f: Selection,
     nets: Sequence[hyperspace.ConvergentNet],
-    depth: int = 2,
+    depth: int,
 ) -> CheckOutcome:
     """Eventual entry of selected values into every canonical open around the
     value at the limit, for each net; nets must converge to their declared limits."""

@@ -292,7 +292,7 @@ def test_criterion_7_cut_point_base(wedge_space, wedge_maximal):
 def test_criterion_8_transfinite_roundtrip(omega2_space, omega2_maximal):
     top = omega2_space.point(0, W2)
     # limit identity verified inside; d is the base's chain decomposition
-    d, boundaries = transfinite_base(omega2_maximal, top, W2)
+    d, boundaries = transfinite_base(omega2_maximal, top, W2, guided=False)
     problems = gamma_base_validate(d)
     if list(boundaries) != [W]:
         problems.append("missing limit-stage identity verification")

@@ -1,6 +1,6 @@
 import pytest
 
-from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
+from hypersel.ordinal import OMEGA, ZERO, Ordinal, ord_fundamental, parse_ordinal
 from hypersel.space import Region, Space, clopen_modulo
 from hypersel.decomp import decomp_validate, point_chain_rule, point_decomposition
 from hypersel.selection import (
@@ -10,7 +10,10 @@ from hypersel.selection import (
     extremality_check,
 )
 from hypersel.basebuilder import (
+    PatternError,
     TheoremViolationError,
+    _certify_pattern,
+    _pattern_limit,
     base_at_cut,
     base_members,
     cut_base_absorbs,
@@ -182,7 +185,7 @@ class TestTransfiniteBase:
         f = decomp_to_extreme_selection(
             point_decomposition(omega_space, top), top, "maximal", FamilyParams(grid_k=4)
         )
-        d, boundaries = transfinite_base(f, top, W)
+        d, boundaries = transfinite_base(f, top, W, guided=False)
         assert d.gamma == W and boundaries == {}
         assert d.member(ZERO) == omega_space.whole()
         assert gamma_base_validate(d) == []
@@ -193,7 +196,7 @@ class TestTransfiniteBase:
 
     def test_omega2_line_one_limit_stage(self, omega2_space, omega2_maximal):
         top = omega2_space.point(0, W2)
-        d, boundaries = transfinite_base(omega2_maximal, top, W2)
+        d, boundaries = transfinite_base(omega2_maximal, top, W2, guided=False)
         assert list(boundaries) == [W]
         (lam, q), = boundaries.items()
         assert lam == W
@@ -204,7 +207,7 @@ class TestTransfiniteBase:
     def test_isolated_point_one_base(self, omega2_space):
         p = omega2_space.point(0, O(5))
         f = maximal_at(omega2_space, p)
-        d, boundaries = transfinite_base(f, p, W)
+        d, boundaries = transfinite_base(f, p, W, guided=False)
         assert boundaries == {}
         assert base_members(d) == [(ZERO, omega2_space.point_region(p))]
         # the one-member base {{p}} is a valid base, and its decomposition too
@@ -216,7 +219,7 @@ class TestTransfiniteBase:
 
     def test_wedge_gamma_omega(self, wedge_space, wedge_maximal):
         hub = wedge_space.point(0, W)
-        d, _ = transfinite_base(wedge_maximal, hub, W)
+        d, _ = transfinite_base(wedge_maximal, hub, W, guided=False)
         assert gamma_base_validate(d) == []
         member = d.member(O(20))  # beyond the explicit probe: pattern evaluation
         assert member.is_clopen() and member.contains_point(hub)
@@ -258,7 +261,7 @@ class TestTransfiniteBase:
         f = decomp_to_extreme_selection(
             point_decomposition(space, top), top, "maximal", FamilyParams(grid_k=2)
         )
-        d, _ = transfinite_base(f, top, parse_ordinal(gamma))
+        d, _ = transfinite_base(f, top, parse_ordinal(gamma), guided=False)
         assert gamma_base_validate(d) == [f"no member inside a canonical open around {top}"]
 
     def test_overlong_gamma_reports_violation(self, omega_space):
@@ -269,7 +272,69 @@ class TestTransfiniteBase:
             point_decomposition(omega_space, top), top, "maximal", FamilyParams(grid_k=4)
         )
         with pytest.raises(TheoremViolationError):
-            transfinite_base(f, top, W2)
+            transfinite_base(f, top, W2, guided=False)
+
+
+def _certified(tops, forms):
+    """The pattern _certify_pattern finds for the stages j -> tails [forms[b](j),
+    tops[b]] at the top point (the tops glued, when there are two), with the
+    stage map given by the forms; the anchor is stage 3."""
+    space = Space(tops, [[(b, top) for b, top in enumerate(tops)]][:len(tops) - 1])
+    p = space.point(0, tops[0])
+
+    def stage(j):
+        return Region.make(space, [(b, form(j), top, True)
+                                   for (b, top), form in zip(enumerate(tops), forms)])
+
+    pattern = _certify_pattern(space, p, lambda u, j: stage(j + 1), [stage(j) for j in range(4)])
+    assert pattern.anchor == 3
+    return space, p, pattern
+
+
+class TestTail:
+    """The one certified tail form against the closed forms of the affine
+    and the ladder runs it replaced."""
+
+    @pytest.mark.parametrize("lp", ["0", "w", "w*2", "w^2", "w^2+w"])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_affine_run_climbs_the_ladder_of_limit_part_plus_omega(self, lp, step):
+        # coordinate 0 advances by step from lp + 2; coordinate 1 stays at lp + 5
+        lp = P(lp)
+        tops = [lp + W2, lp + P("w+7")]
+        starts, steps = [2, 5], [step, 0]
+        forms = [lambda j, b=b: lp + O(starts[b] + steps[b] * j) for b in range(2)]
+        space, p, pattern = _certified(tops, forms)
+        for b, top in enumerate(tops):
+            for k in range(10):
+                assert pattern.position((b, top), k) == forms[b](3 + k)
+            c = forms[b](3)
+            assert pattern.limit_position((b, top)) == (c if steps[b] == 0 else lp + W)
+        assert _pattern_limit(space, p, pattern) == Region.make(
+            space, [(0, lp + W, tops[0], True), (1, lp + O(5), tops[1], True)])
+
+    @pytest.mark.parametrize("top", ["w^2", "w^2*2", "w^3", "w^3+w^2"])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_ladder_run_climbs_the_ladder_of_its_coordinate(self, top, step):
+        # coordinate 0 climbs from index 1 with offset 0, coordinate 1 from
+        # index 4 with offset 2, each by step
+        tops = [P(top), P(top) + P("w^2")]
+        index, offset = [1, 4], [0, 2]
+        forms = [lambda j, b=b: ord_fundamental(tops[b], index[b] + step * j) + O(offset[b])
+                 for b in range(2)]
+        space, p, pattern = _certified(tops, forms)
+        for b, coord in enumerate(tops):
+            for k in range(10):
+                assert pattern.position((b, coord), k) == forms[b](3 + k)
+            assert pattern.limit_position((b, coord)) == coord
+        assert _pattern_limit(space, p, pattern) == space.point_region(p)
+
+    @pytest.mark.parametrize("lp", ["0", "w", "w^2+w"])
+    def test_affine_run_below_a_successor_overshoots(self, lp):
+        lp = P(lp)
+        space, p, pattern = _certified([lp + O(40)], [lambda j: lp + O(1 + j)])
+        with pytest.raises(PatternError) as err:
+            _pattern_limit(space, p, pattern)
+        assert str(err.value) == f"pattern overshoots coordinate 0:{lp + O(40)}"
 
 
 class TestRoundtrip:
@@ -278,7 +343,7 @@ class TestRoundtrip:
         f = decomp_to_extreme_selection(
             point_decomposition(omega_space, top), top, "maximal", FamilyParams(grid_k=4)
         )
-        d, _ = transfinite_base(f, top, W)
+        d, _ = transfinite_base(f, top, W, guided=False)
         assert decomp_validate(d).passed
         chain = point_decomposition(omega_space, top)
         # same singleton top fiber; level sets refine the same tails
@@ -289,7 +354,7 @@ class TestRoundtrip:
 
     def test_full_roundtrip_on_omega2(self, omega2_space, omega2_maximal):
         top = omega2_space.point(0, W2)
-        d, _ = transfinite_base(omega2_maximal, top, W2)
+        d, _ = transfinite_base(omega2_maximal, top, W2, guided=False)
         assert decomp_validate(d).passed
         assert d.fiber(d.gamma) == omega2_space.point_region(top)
         limit_fiber = d.fiber(W)
@@ -306,7 +371,7 @@ class TestRoundtrip:
         # U(gamma) = {p} right after the limit, or after the last stage of a
         # finite last block: the upper preimage of the level below is {p}
         top = omega2_space.point(0, W2)
-        d, _ = transfinite_base(omega2_maximal, top, P(gamma))
+        d, _ = transfinite_base(omega2_maximal, top, P(gamma), guided=False)
         failures = decomp_validate(d).failures()
         assert [(e.name, e.detail) for e in failures] == [
             ("eta-continuous", f"upper preimage at {level} not open")
@@ -347,14 +412,14 @@ class TestRoundtrip:
         upper = creg(omega2_space, (0, P("w+1"), W2))
         d = ExplicitDecomposition(omega2_space, [lower, upper])
         with pytest.raises(ValueError):
-            decomp_to_extreme_selection(d, omega2_space.point(0, W2), "maximal")
+            decomp_to_extreme_selection(d, omega2_space.point(0, W2), "maximal", FamilyParams())
 
     def test_mismatched_point_rejected_upfront(self, omega_space):
         top = omega_space.point(0, W)
         d = point_decomposition(omega_space, top)
         zero = omega_space.point(0, ZERO)
         with pytest.raises(ValueError):
-            decomp_to_extreme_selection(d, zero, "maximal")
+            decomp_to_extreme_selection(d, zero, "maximal", FamilyParams())
 
     def test_violation_carries_witness(self, omega_space):
         # a deliberately inconsistent decomposition (overlapping fibers, the

@@ -1,9 +1,10 @@
 import pytest
 
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, format_ordinal, parse_ordinal
-from hypersel.space import Region, Space
+from hypersel.space import Region, Space, next_point
 from hypersel.decomp import (
     ChainDecomposition,
+    DecompositionError,
     ExplicitDecomposition,
     decomp_validate,
     point_decomposition,
@@ -54,6 +55,39 @@ class TestValidation:
     def test_limit_modulo_point_recorded(self, omega2_space):
         d = point_decomposition(omega2_space, omega2_space.point(0, W2))
         assert d.limit_modulo_point(W) == omega2_space.point(0, W2)
+
+
+W3 = P("w*3")
+
+
+def _one_limit(limit, after):
+    """A two-block chain on [0, w*3] up to gamma = w*2 whose member at the
+    limit w is ``limit`` and whose member at w+1 is ``after``; its fiber at w
+    is limit minus after."""
+    space = Space([W3])
+    first = lambda n: space.whole() if n == 0 else creg(space, (0, O(n), W3))
+    return ChainDecomposition(
+        space, space.point(0, W3), W2,
+        [(first, creg(space, *limit)), (lambda n: creg(space, *after), None)],
+    )
+
+
+class TestLimitModuloPoint:
+    def test_fiber_clopen_modulo_a_point_gives_that_point(self):
+        d = _one_limit([(0, W, W3)], [(0, P("w+1"), W3)])
+        assert d.limit_modulo_point(W) == d.space.point(0, W)
+
+    def test_clopen_fiber_gives_its_next_point(self):
+        d = _one_limit([(0, P("w+1"), W3)], [(0, P("w+3"), W3)])
+        fib = d.fiber(W)
+        assert fib == creg(d.space, (0, P("w+1"), P("w+2"))) and fib.is_clopen()
+        assert d.limit_modulo_point(W) == next_point(fib) == d.space.point(0, P("w+1"))
+
+    def test_any_other_fiber_raises(self):
+        d = _one_limit([(0, W, W), (0, W2, W3)], [(0, P("w*2+1"), W3)])
+        assert d.fiber(W) == creg(d.space, (0, W, W), (0, W2, W2))  # two limit points
+        with pytest.raises(DecompositionError, match="fiber at w is not clopen modulo a point"):
+            d.limit_modulo_point(W)
 
 
 def _both_levels(d, s):
@@ -131,7 +165,7 @@ class TestOneSidedLevels:
         self, omega2_space, omega2_maximal
     ):
         top = omega2_space.point(0, W2)
-        d, _ = transfinite_base(omega2_maximal, top, W2)
+        d, _ = transfinite_base(omega2_maximal, top, W2, guided=False)
         assert gamma_base_validate(d) == []
         assert isinstance(d, ChainDecomposition) and decomp_validate(d).passed
         _agrees_with_reference(d, top, FamilyParams(grid_k=3), endpoints=True)

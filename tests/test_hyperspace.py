@@ -2,7 +2,7 @@ import pytest
 
 from oracles import oracle_spaces, ref_net_convergence_check
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
-from hypersel.scenario import Scenario, canonical_net_corpus
+from hypersel.scenario import Scenario, canonical_net_corpus, point_from_json, region_from_json
 from hypersel.selection import OrderMaxSelection, continuity_check
 from hypersel.space import Region, Space, open_set
 from hypersel.hyperspace import (
@@ -147,7 +147,6 @@ def walking_singleton(line):
     """{n} walking up the line, declared to converge to {0}: fails."""
     return ConvergentNet(
         "walk",
-        "moving",
         lambda n: creg(line, (0, O(n), O(n))),
         creg(line, (0, ZERO, ZERO)),
         64,
@@ -156,38 +155,38 @@ def walking_singleton(line):
 
 class TestNets:
     def test_increasing_passes(self, line):
-        net = increasing_union_net(line, 0, ZERO, W)
+        net = increasing_union_net(line, 0, ZERO, W, window=64, name="incr")
         assert net.member(3) == creg(line, (0, ZERO, O(3)))
-        assert net_convergence_check(net).passed
+        assert net_convergence_check(net, 2).passed
 
     def test_constant_passes(self, line):
-        net = constant_net(creg(line, (0, ZERO, ZERO)))
-        assert net_convergence_check(net).passed
+        net = constant_net(creg(line, (0, ZERO, ZERO)), 64, "constant")
+        assert net_convergence_check(net, 2).passed
 
     def test_walking_singleton_fails_wrong_limit(self, line):
-        out = net_convergence_check(walking_singleton(line))
+        out = net_convergence_check(walking_singleton(line), 2)
         assert not out.passed
         assert out.witness is not None
 
     def test_tail_net_limit(self, line):
-        net = shrinking_tail_net(line, line.point(0, W))
+        net = shrinking_tail_net(line, line.point(0, W), window=64, offset=0, name="tail")
         assert net.member(5) == creg(line, (0, O(5), W))
-        assert net_convergence_check(net).passed
+        assert net_convergence_check(net, 2).passed
 
     def test_moving_point_net(self, line):
         base = creg(line, (0, ZERO, ZERO))
-        net = moving_point_net(line, line.point(0, W), base)
-        assert net_convergence_check(net).passed
+        net = moving_point_net(line, line.point(0, W), base, 64, 0, "move")
+        assert net_convergence_check(net, 2).passed
 
     def test_appended_point_net(self, line):
-        inner = increasing_union_net(line, 0, ZERO, W)
-        net = appended_point_net(inner, line.point(0, W), 64)
-        assert net_convergence_check(net).passed
+        inner = increasing_union_net(line, 0, ZERO, W, window=64, name="incr")
+        net = appended_point_net(inner, line.point(0, W), 64, "incr+top")
+        assert net_convergence_check(net, 2).passed
 
     def test_wedge_tail_net(self, wedge_space):
         hub = wedge_space.point(0, W)
-        net = shrinking_tail_net(wedge_space, hub)
-        assert net_convergence_check(net).passed
+        net = shrinking_tail_net(wedge_space, hub, window=64, offset=0, name="tail")
+        assert net_convergence_check(net, 2).passed
 
 
 def corpus_spaces() -> dict[str, Space]:
@@ -203,7 +202,7 @@ def counted(net):
         calls.append(n)
         return net.members(n)
 
-    return ConvergentNet(net.name, net.shape, members, net.declared_limit, net.window), calls
+    return ConvergentNet(net.name, members, net.declared_limit, net.window), calls
 
 
 # Every net kind a document can declare, with and without base and offset, on
@@ -243,6 +242,35 @@ DECLARED_NETS = {
 }
 
 
+def direct_nets(space: Space) -> dict[str, ConvergentNet]:
+    """The nets of DECLARED_NETS, built on its space by their constructors."""
+    objects = DECLARED_NETS["objects"]
+    pt = {name: point_from_json(space, lit) for name, lit in objects["points"].items()}
+    c, z = (region_from_json(space, objects["closed_sets"][name]) for name in "cz")
+
+    def incr(name, branch, lo, limit, base=None, window=64):
+        return increasing_union_net(space, branch, lo, limit, base, window=window, name=name)
+
+    return {
+        "const": constant_net(c, 0, "const"),
+        "incr": incr("incr", 1, ZERO, W),
+        "incr-lo-base": incr("incr-lo-base", 0, W, P("w*2"), c, 5),
+        "tail": shrinking_tail_net(space, pt["hub"], window=64, offset=0, name="tail"),
+        "tail-base-off": shrinking_tail_net(space, pt["top"], z, window=64, offset=3,
+                                            name="tail-base-off"),
+        "move": moving_point_net(space, pt["top"], c, 64, 0, "move"),
+        "move-off": moving_point_net(space, pt["hub"], z, 9, 7, "move-off"),
+        "app": appended_point_net(incr("app.inner", 0, ZERO, W), pt["one"], 64, "app"),
+        "app-base": appended_point_net(incr("app-base.inner", 1, O(1), W, z), pt["top"], 64,
+                                       "app-base"),
+        "app-own-window": appended_point_net(incr("app-own-window.inner", 0, ZERO, W, None, 9),
+                                             pt["one"], 5, "app-own-window"),
+        "app-inner-window": appended_point_net(
+            incr("app-inner-window.inner", 0, ZERO, W, None, 9), pt["one"], 9,
+            "app-inner-window"),
+    }
+
+
 class TestWindowMemberOnly:
     """The net checks build and read member window only.  Skipping the
     members below it loses no guard on the nets hypersel builds: none of them
@@ -256,12 +284,26 @@ class TestWindowMemberOnly:
 
     def test_declared_net_members_are_nonempty(self):
         nets = Scenario.load(DECLARED_NETS).nets
-        assert {net.shape for net in nets.values()} == {
-            "constant", "increasing", "tail", "moving", "appended"}
         for net in nets.values():
             for n in range(net.window + 1):
                 assert not net.members(n).is_empty, (net.name, n)
-            assert net_convergence_check(net) == ref_net_convergence_check(net), net.name
+            assert net_convergence_check(net, 2) == ref_net_convergence_check(net, 2), net.name
+
+    def test_declared_nets_match_their_constructors(self):
+        """Each declared net has the window, declared limit and member at its
+        window of its kind's constructor called with the resolved fields: its
+        own value, else the document's window, else the table's default."""
+        nets = Scenario.load(DECLARED_NETS).nets
+        specs = DECLARED_NETS["objects"]["nets"]
+        assert {spec["kind"] for spec in specs.values()} == {
+            "constant", "increasing", "tail", "moving", "appended"}
+        direct = direct_nets(nets["const"].declared_limit.space)
+        assert set(direct) == set(nets)
+        for name, net in nets.items():
+            want = direct[name]
+            assert (net.name, net.window) == (want.name, want.window), name
+            assert net.declared_limit == want.declared_limit, name
+            assert net.member(net.window) == want.member(want.window), name
 
     def test_appended_net_window(self):
         """An appended net's own window is read; without one it keeps the
@@ -273,14 +315,14 @@ class TestWindowMemberOnly:
 
     def test_empty_member_at_window_still_raises(self, line):
         point = creg(line, (0, ZERO, ZERO))
-        hole = ConvergentNet("hole", "moving",
+        hole = ConvergentNet("hole",
                              lambda n: line.empty() if n == 4 else point, point, 4)
         with pytest.raises(ValueError, match="empty member at 4"):
-            net_convergence_check(hole)
+            net_convergence_check(hole, 2)
         # a member below the window is not built, so an empty one there goes unseen
-        early = ConvergentNet("early", "moving",
+        early = ConvergentNet("early",
                               lambda n: line.empty() if n == 0 else point, point, 4)
-        assert net_convergence_check(early).passed
+        assert net_convergence_check(early, 2).passed
 
     def test_matches_reference_and_builds_one_member(self, line):
         nets = [walking_singleton(line)]
@@ -292,12 +334,12 @@ class TestWindowMemberOnly:
                 assert net_convergence_check(probe, depth) == ref_net_convergence_check(
                     net, depth), net.name
                 assert calls == [net.window], net.name
-        assert not net_convergence_check(nets[0]).passed
+        assert not net_convergence_check(nets[0], 2).passed
 
     def test_continuity_builds_one_member_per_net(self):
         for name, space in corpus_spaces().items():
             probes = [counted(net) for net in canonical_net_corpus(space, 64)]
-            out = continuity_check(OrderMaxSelection(space), [net for net, _ in probes])
+            out = continuity_check(OrderMaxSelection(space), [net for net, _ in probes], 2)
             assert out.passed and out.checked == 2 * len(probes), name
             for net, calls in probes:
                 assert calls == [net.window], (name, net.name)

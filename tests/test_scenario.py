@@ -120,7 +120,7 @@ class TestCorpus:
             Space([W, W], [[(0, W), (1, W)]]),
             Space([W, W, W], [[(0, W), (1, W), (2, W)]]),
         ]:
-            total += len(canonical_net_corpus(sp))
+            total += len(canonical_net_corpus(sp, 64))
         assert total >= 50
 
     def test_all_nets_converge(self):
@@ -128,7 +128,7 @@ class TestCorpus:
 
         sp = Space([parse_ordinal("w*2")])
         for net in canonical_net_corpus(sp, window=64):
-            assert net_convergence_check(net).passed, net.name
+            assert net_convergence_check(net, 2).passed, net.name
 
 
 class TestReports:

@@ -237,22 +237,22 @@ class TestExtremality:
 class TestContinuity:
     def test_increasing_net_follows_values(self, omega_space):
         f = OrderMaxSelection(omega_space)
-        net = increasing_union_net(omega_space, 0, ZERO, W)
-        out = continuity_check(f, [net])
+        net = increasing_union_net(omega_space, 0, ZERO, W, window=64, name="incr")
+        out = continuity_check(f, [net], 2)
         assert out.passed
 
     def test_corpus_passes_for_join_and_meet(self, omega_space):
         top = omega_space.point(0, W)
         d = point_decomposition(omega_space, top)
-        nets = canonical_net_corpus(omega_space)
-        assert continuity_check(level(d, True), nets).passed
-        assert continuity_check(level(d, False), nets).passed
+        nets = canonical_net_corpus(omega_space, 64)
+        assert continuity_check(level(d, True), nets, 2).passed
+        assert continuity_check(level(d, False), nets, 2).passed
 
     def test_patched_selection_detected(self, omega_space):
         f = OrderMaxSelection(omega_space)
         broken = PatchedSelection(f, omega_space.whole(), omega_space.point(0, ZERO))
-        nets = canonical_net_corpus(omega_space)
-        out = continuity_check(broken, nets)
+        nets = canonical_net_corpus(omega_space, 64)
+        out = continuity_check(broken, nets, 2)
         assert not out.passed
 
     def test_patch_must_be_lawful(self, omega_space):
@@ -270,13 +270,12 @@ class TestContinuity:
         f = OrderMaxSelection(omega_space)
         bad = ConvergentNet(
             "bad",
-            "moving",
             lambda n: creg(omega_space, (0, O(n), O(n))),
             creg(omega_space, (0, ZERO, ZERO)),
             32,
         )
         with pytest.raises(ValueError):
-            continuity_check(f, [bad])
+            continuity_check(f, [bad], 2)
 
 
 class TestFamilyEnumeration:
