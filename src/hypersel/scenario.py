@@ -404,13 +404,13 @@ class Scenario:
     space: Space
     params: dict
     suites: list[dict]
-    nets: dict[str, ConvergentNet]
     points: dict[str, Point] = field(default_factory=dict)
     closed_sets: dict[str, Region] = field(default_factory=dict)
     open_sets: dict[str, Region] = field(default_factory=dict)
     selections: dict[str, Selection] = field(default_factory=dict)
     decompositions: dict = field(default_factory=dict)
     pcuts: dict = field(default_factory=dict)
+    nets: dict[str, ConvergentNet] = field(default_factory=dict)
     bases: dict[str, dict] = field(default_factory=dict)
 
     def arg(self, spec: dict, key: str) -> Any:
@@ -445,7 +445,7 @@ class Scenario:
             space = Space(branches, gluings, grid_k=params["grid_k"])
         except ValueError as exc:
             raise ScenarioError(f"bad space: {exc}") from exc
-        sc = Scenario(doc["name"], space, params, doc["suites"], nets={})
+        sc = Scenario(doc["name"], space, params, doc["suites"])
         objects = doc["objects"]
         ctx: dict = {"space": space}
         for group in OBJECT_GROUPS:

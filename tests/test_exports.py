@@ -251,12 +251,14 @@ def _is_dataclass(node) -> bool:
     return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
 
 
-def stated_defaults(sources: dict[str, str], fields, defaulted) -> dict[str, int]:
+def stated_defaults(sources: dict[str, str], fields, defaulted, readers) -> dict[str, int]:
     """``file owner field`` -> line of each default stated outside the table:
     any default of a parameter, or of a dataclass field, named after a field
-    of ``defaulted``; and, for a field of ``fields``, a ``.get(field,
-    literal)`` or a dict that merges others over a literal value of it.  The
-    owner is the function or class that states the default."""
+    of ``defaulted``; in a file of ``readers``, a literal default of a
+    parameter named after a field of ``fields``; and, for a field of
+    ``fields``, a ``.get(field, literal)`` or a dict that merges others over a
+    literal value of it.  The owner is the function or class that states the
+    default."""
     out: dict[str, int] = {}
 
     def walk(node, scope, fname):
@@ -268,7 +270,8 @@ def stated_defaults(sources: dict[str, str], fields, defaulted) -> dict[str, int
                 pairs = [*zip(args[len(args) - len(a.defaults):], a.defaults),
                          *zip(a.kwonlyargs, a.kw_defaults)]
                 found = [(child.lineno, arg.arg, child.name) for arg, default in pairs
-                         if default is not None and arg.arg in defaulted]
+                         if default is not None and (arg.arg in defaulted or (
+                             fname in readers and arg.arg in fields and _is_literal(default)))]
             elif isinstance(child, ast.ClassDef) and _is_dataclass(child):
                 found = [(st.lineno, st.target.id, child.name) for st in child.body
                          if isinstance(st, ast.AnnAssign) and st.value is not None
@@ -283,7 +286,7 @@ def stated_defaults(sources: dict[str, str], fields, defaulted) -> dict[str, int
                          for key, value in zip(child.keys, child.values)
                          if key is not None and _is_literal(value)]
             for line, field, name in found:
-                if field in defaulted or (name is None and field in fields):
+                if field in fields or field in defaulted:
                     where = ".".join(scope if name is None else [*scope, name])
                     out.setdefault(f"{fname} {where} {field}", line)
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
@@ -305,11 +308,15 @@ def test_stated_default_is_found():
         "class Plain:\n    window: int = 64\nCONFIG = {'count': 3, **BASE}\n"
     )
     fields = {"window", "name", "seed", "depth", "count", "grid_k", "params", "lo", "base"}
-    found = stated_defaults({"x.py": src}, fields, fields - {"base"})
+    found = stated_defaults({"x.py": src}, fields, fields - {"base"}, set())
     assert found == {
         "x.py f window": 1, "x.py f name": 1, "x.py f seed": 1, "x.py f depth": 1,
         "x.py f count": 2, "x.py f grid_k": 4, "x.py R params": 8, "x.py R.m window": 10,
         "x.py R.m base": 11,
+    }
+    # in a document reader, a literal default of any table field counts too
+    assert stated_defaults({"x.py": src}, fields, fields - {"base"}, {"x.py"}) == {
+        **found, "x.py f base": 1,
     }
 
 
@@ -320,12 +327,15 @@ STATED_ELSEWHERE = {
     "space.py Space.__init__ gluings": "the empty tuple means no identifications",
     "selection.py FamilyParams grid_k": "family.grid_k bounds one enumeration; it is not"
     " params.grid_k, and DEFAULTS['family'] reads this default",
+    "scenario.py Scenario nets": "the built nets of a document, which start empty like every"
+    " object group; not the continuity suite's nets field",
 }
 
 
 def test_defaults_are_stated_only_in_the_table():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
-    found = stated_defaults(sources, set(RULES), set(DEFAULTS))
+    readers = {path.name for path in DOCUMENT_READERS}
+    found = stated_defaults(sources, set(RULES), set(DEFAULTS), readers)
     outside = {key: line for key, line in found.items() if key not in STATED_ELSEWHERE}
     assert not outside, f"defaults of fields outside scenario.DEFAULTS: {outside}"
     stale = set(STATED_ELSEWHERE) - set(found)
