@@ -12,6 +12,7 @@ TheoremViolationError carrying the witness.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -183,26 +184,16 @@ def base_at_cut(f: Selection, pcut: PCut, steps: int) -> CutBase:
 
 def cut_base_absorbs(base: CutBase, space: Space) -> tuple[bool, Optional[Region]]:
     """Does every canonical grid open around p contain some stage?"""
-    p = base.p
-    coords = space.point_coords(p)
-    per_coord: list[list[tuple[int, Ordinal]]] = []
-    for b, beta in coords:
-        if beta.is_limit:
-            approaches = [g for g in space.grid_positions(b) if g < beta]
-            per_coord.append([(b, g) for g in approaches])
-        else:
-            per_coord.append([(b, beta)])
-    combos: list[list[tuple[int, Ordinal]]] = [[]]
-    for options in per_coord:
-        combos = [acc + [opt] for acc in combos for opt in options]
-    for combo in combos:
-        spans = []
-        for (b, g), (_, beta) in zip(combo, coords):
-            if beta.is_limit:
-                spans.append((b, successor(g), beta, True))
-            else:
-                spans.append((b, beta, beta, True))
-        around = Region.make(space, spans)
+    coords = space.point_coords(base.p)
+    # every choice of a start just above a grid position below each limit
+    # coordinate, in order
+    options = [
+        [successor(g) for g in space.grid_positions(b) if g < beta] if beta.is_limit else [beta]
+        for b, beta in coords
+    ]
+    for starts in itertools.product(*options):
+        start = dict(zip(coords, starts))
+        around = space.tail(base.p, lambda b, beta: start[(b, beta)])
         if not around.is_open():
             continue
         if not any(stage.subset_of(around) for stage in base.stages):
@@ -242,9 +233,8 @@ class _Tail:
 
 def _tail_form(space: Space, p: Point, u: Region) -> Optional[dict]:
     """Coordinates of u as a saturated union of closed tails at p, if it is one."""
-    coords = space.point_coords(p)
     cs = {}
-    for b, beta in coords:
+    for b, beta in space.point_coords(p):
         spans = [s for s in u.traces[b] if s.covers(beta)]
         if len(spans) != 1:
             return None
@@ -252,10 +242,7 @@ def _tail_form(space: Space, p: Point, u: Region) -> Optional[dict]:
         if s.hi != beta or not s.hi_in:
             return None
         cs[(b, beta)] = s.lo
-    rebuilt = Region.make(
-        space, [(b, cs[(b, beta)], beta, True) for b, beta in coords]
-    )
-    return cs if rebuilt == u else None
+    return cs if space.tail(p, lambda b, beta: cs[(b, beta)]) == u else None
 
 
 def _succ_stage(f: Selection, p: Point, u: Region, aux, guide: Optional[Region]) -> Region:
@@ -293,10 +280,7 @@ def _ladder_index(beta: Ordinal, c: Ordinal) -> Optional[tuple[int, int]]:
 
 def _pattern_region(space: Space, p: Point, pattern: _Tail, k: int) -> Region:
     """The pattern's stage k stages past its anchor."""
-    return Region.make(
-        space,
-        [(b, pattern.position((b, beta), k), beta, True) for b, beta in space.point_coords(p)],
-    )
+    return space.tail(p, lambda b, beta: pattern.position((b, beta), k))
 
 
 def _certify_pattern(space: Space, p: Point, stage_fn, stages: list[Region]) -> _Tail:
@@ -363,13 +347,14 @@ def _certify_pattern(space: Space, p: Point, stage_fn, stages: list[Region]) -> 
 
 def _pattern_limit(space: Space, p: Point, pattern: _Tail) -> Region:
     """Intersection of the pattern tails over all stages."""
-    spans = []
-    for b, beta in space.point_coords(p):
+
+    def start(b: int, beta: Ordinal) -> Ordinal:
         mu = pattern.limit_position((b, beta))
         if mu > beta:
             raise PatternError(f"pattern overshoots coordinate {b}:{beta}")
-        spans.append((b, mu, beta, True))
-    return Region.make(space, spans)
+        return mu
+
+    return space.tail(p, start)
 
 
 def _stage_rule(space: Space, p: Point, start: Ordinal, explicit: list[Region],

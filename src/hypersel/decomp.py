@@ -269,29 +269,20 @@ DecompositionSpec = ExplicitDecomposition | ChainDecomposition
 def point_chain_rule(space: Space, p: Point, carrier: Optional[Region] = None):
     """Canonical strictly decreasing clopen tails shrinking to p inside the carrier."""
     base = carrier if carrier is not None else space.whole()
-    coords = space.point_coords(p)
-    offsets = {}
-    for b, beta in coords:
-        if not beta.is_limit:
-            continue
-        m0 = 0
-        for s in base.traces[b]:
-            if s.lo < beta and (s.hi > beta or s.hi == beta):
-                if ord_fundamental(beta, 0) < s.lo:
-                    m0 = max(m0, fund_index_at_least(beta, s.lo))
-        offsets[(b, beta)] = m0
+    # the ladder of a limit coordinate starts inside the carrier's span there
+    offsets = {
+        (b, beta): max((fund_index_at_least(beta, s.lo) for s in base.traces[b]
+                        if s.lo < beta <= s.hi), default=0)
+        for b, beta in space.point_coords(p) if beta.is_limit
+    }
 
     def rule(n: int) -> Region:
-        if n == 0:
-            return base
-        spans = []
-        for b, beta in coords:
-            if beta.is_limit:
-                start = successor(ord_fundamental(beta, offsets[(b, beta)] + n - 1))
-                spans.append((b, start, beta, True))
-            else:
-                spans.append((b, beta, beta, True))
-        return Region.make(space, spans).intersect(base)
+        def start(b: int, beta: Ordinal) -> Ordinal:
+            if not beta.is_limit:
+                return beta
+            return successor(ord_fundamental(beta, offsets[(b, beta)] + n - 1))
+
+        return space.tail(p, start).intersect(base) if n else base
 
     return rule
 
@@ -337,7 +328,7 @@ class ValidationReport:
 def decomp_validate(d: DecompositionSpec) -> ValidationReport:
     """Disjoint cover, fibers clopen modulo a point, continuity, and
     closedness of the level map at the first two refinement levels; failures
-    carry witnesses."""
+    carry a detail."""
     report = ValidationReport([])
     idxs = d.sample_indices()
 

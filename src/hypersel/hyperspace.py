@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
-from hypersel.ordinal import Ordinal, ord_fundamental, fund_index_at_least, successor
+from hypersel.ordinal import Ordinal, ord_fundamental, fund_index_at_least
 from hypersel.space import Point, Region, Space
 
 __all__ = [
@@ -69,14 +69,6 @@ def vietoris_member(s: Region, basic: VietorisBasic) -> bool:
     return all(s.meets(part) for part in basic.parts)
 
 
-def _span_cover(space: Space, branch: int, lo: Ordinal, hi: Ordinal, level: int):
-    if lo.is_limit:
-        start = successor(space.approach(branch, lo, level))
-    else:
-        start = lo
-    return (branch, start, hi, True)
-
-
 def _glue_repaired(reg: Region, level: int, what: str) -> Region:
     """reg with the canonical open tail of every gluing class it contains
     added, until it is open across the gluings."""
@@ -96,7 +88,7 @@ def _glue_repaired(reg: Region, level: int, what: str) -> Region:
 def open_cover_of(s: Region, level: int) -> Region:
     """Smallest canonical open at the given refinement level containing s."""
     space = s.space
-    raw = [_span_cover(space, b, sp.lo, sp.hi, level) for b, sp in s.span_items()]
+    raw = [(b, space.open_start(b, sp.lo, level), sp.hi, True) for b, sp in s.span_items()]
     return _glue_repaired(Region.make(space, raw), level, "cover")
 
 
@@ -104,7 +96,7 @@ def _tight_parts(s: Region, level: int) -> tuple[Region, ...]:
     """One open part per span of s, repaired to be open across gluings."""
     space = s.space
     parts = [
-        _glue_repaired(Region.make(space, [_span_cover(space, b, sp.lo, sp.hi, level)]),
+        _glue_repaired(Region.make(space, [(b, space.open_start(b, sp.lo, level), sp.hi, True)]),
                        level, "part")
         for b, sp in s.span_items()
     ]
@@ -192,8 +184,6 @@ def increasing_union_net(
     if not lam.is_limit:
         raise ValueError("increasing nets grow toward a limit position")
     m0 = fund_index_at_least(lam, lo)
-    if ord_fundamental(lam, m0) < lo:
-        m0 += 1
 
     def members(n: int) -> Region:
         seg = Region.from_intervals(space, [(branch, lo, ord_fundamental(lam, m0 + n))])
@@ -215,16 +205,9 @@ def shrinking_tail_net(
     name: str,
 ) -> ConvergentNet:
     """Members base | (closed tails at p shrinking along the ladder); limit base | {p}."""
-    coords = space.point_coords(p)
-
     def members(n: int) -> Region:
-        spans = []
-        for b, beta in coords:
-            if beta.is_limit:
-                spans.append((b, ord_fundamental(beta, offset + n), beta, True))
-            else:
-                spans.append((b, beta, beta, True))
-        reg = Region.make(space, spans)
+        reg = space.tail(p, lambda b, beta: ord_fundamental(beta, offset + n)
+                         if beta.is_limit else beta)
         return reg if base is None else reg.union(base)
 
     limit = space.point_region(p)

@@ -847,7 +847,7 @@ def _check_transfinite_roundtrip(sc: Scenario, spec: dict) -> tuple[str, str, An
     report = decomp_validate(d)
     if not report.passed:
         failures = "; ".join(e.name + " " + e.detail for e in report.failures())
-        return "fail", "graded-base decomposition failed validation: " + failures, report
+        return "fail", "graded-base decomposition failed validation: " + failures, None
     decomp_to_extreme_selection(d, p, "maximal", family=fam)
     detail = f"gamma={format_ordinal(base_length(d))}"
     if boundaries:

@@ -1,12 +1,12 @@
 """Selections on the closed sets of an amalgam space.
 
-Primitives pick order extrema under a branch-concatenation order with a
-fixed per-branch orientation; combinators evaluate a fiber selection at
-the extreme level met by the argument.  Every evaluation enforces the
-selection law (the value belongs to the argument).  Each selection type also
-gives its bracket {x : f(C | {x}) = x} exactly: key rays for order
-primitives, the extreme-level preimage plus one fiber's bracket for
-combinators, the parent's bracket for restrictions and patches.
+Primitives pick order extrema under a branch-concatenation order that
+ascends branch 0 and descends every later branch; combinators evaluate a
+fiber selection at the extreme level met by the argument.  Every evaluation
+enforces the selection law (the value belongs to the argument).  Each
+selection type also gives its bracket {x : f(C | {x}) = x} exactly: key
+rays for order primitives, the extreme-level preimage plus one fiber's
+bracket for combinators, the parent's bracket for restrictions and patches.
 Extremality and continuity checkers are exhaustive over their declared
 finite families.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from hypersel.ordinal import Ordinal, predecessor, successor
+from hypersel.ordinal import Ordinal, successor
 from hypersel.space import Point, Region, Space, Span
 from hypersel.decomp import DecompositionSpec
 from hypersel import hyperspace
@@ -31,7 +31,6 @@ __all__ = [
     "RestrictSelection",
     "PatchedSelection",
     "order_extremum",
-    "default_orientations",
     "ExtremumNotAttained",
     "SelectionLawError",
     "extremality_check",
@@ -49,38 +48,20 @@ class SelectionLawError(AssertionError):
     """A selection produced a value outside its argument."""
 
 
-def default_orientations(space: Space) -> tuple[bool, ...]:
-    """First branch ascending, later branches descending.
-
-    With gluings at branch tops this concatenation order has attained extrema
-    on every closed set; other orientations may legitimately fail, which
-    evaluation reports as ExtremumNotAttained.
-    """
-    return tuple(b == 0 for b in range(len(space.branches)))
-
-
 def _canonical_here(space: Space, b: int, pos: Ordinal) -> bool:
     pt = space.point(b, pos)
     return pt.branch == b and pt.pos == pos
 
 
-def _attained_top(space: Space, trace, b: int) -> Optional[Point]:
-    """Largest position of the trace whose class is canonical at this branch."""
-    for si in range(len(trace) - 1, -1, -1):
-        span = trace[si]
-        pos = span.hi
-        while True:
-            if _canonical_here(space, b, pos):
-                return space.point(b, pos)
-            if pos == span.lo:
-                break
-            if pos.is_successor:
-                pos = predecessor(pos)
-            else:
-                raise ExtremumNotAttained(
-                    f"positions below {pos} on branch {b} have no largest member"
-                )
-    return None
+def _attained_top(space: Space, trace, b: int) -> Point:
+    """The top of the trace.  order_extremum takes a top only on branch 0
+    (max) or on the first nonempty branch (min), where a saturated set has no
+    class with an earlier coordinate; a class counts at its least coordinate,
+    so the top is canonical here unless its class has a smaller one here."""
+    pos = trace[-1].hi
+    if not _canonical_here(space, b, pos):
+        raise ExtremumNotAttained(f"the top {pos} of branch {b} is glued below it")
+    return Point(b, pos)
 
 
 def _attained_bottom(space: Space, trace, b: int) -> Optional[Point]:
@@ -94,10 +75,9 @@ def _attained_bottom(space: Space, trace, b: int) -> Optional[Point]:
     return None
 
 
-def order_extremum(
-    space: Space, orientations: Sequence[bool], s: Region, want_max: bool
-) -> Point:
-    """Extreme member of a closed set under the oriented concatenation order."""
+def order_extremum(space: Space, s: Region, want_max: bool) -> Point:
+    """Extreme member of a closed set under the concatenation order that
+    ascends branch 0 and descends every later branch."""
     if s.is_empty:
         raise ValueError("extremum of the empty set")
     if not s.is_closed():
@@ -109,10 +89,9 @@ def order_extremum(
         trace = s.traces[b]
         if not trace:
             continue
-        asc = orientations[b]
         # on this branch the wanted key extreme sits at the large-position end
-        # exactly when orientation and direction agree
-        if want_max == asc:
+        # exactly when orientation (ascending on branch 0) and direction agree
+        if want_max == (b == 0):
             cand = _attained_top(space, trace, b)
         else:
             cand = _attained_bottom(space, trace, b)
@@ -124,7 +103,7 @@ def order_extremum(
     raise ExtremumNotAttained("set has no member with an attained key")
 
 
-def _key_ray(space: Space, orientations, m: Point, upper: bool) -> Region:
+def _key_ray(space: Space, m: Point, upper: bool) -> Region:
     """Classes whose concatenation-order key is >= (upper) or <= that of m."""
     b_star, pos_star = m.branch, m.pos
     spans = []
@@ -132,8 +111,7 @@ def _key_ray(space: Space, orientations, m: Point, upper: bool) -> Region:
         if (b > b_star) == upper and b != b_star:
             spans.append((b, Ordinal(), top, True))
         elif b == b_star:
-            asc = orientations[b]
-            if upper == asc:
+            if upper == (b == 0):
                 spans.append((b, pos_star, top, True))
             else:
                 spans.append((b, Ordinal(), pos_star, True))
@@ -143,12 +121,10 @@ def _key_ray(space: Space, orientations, m: Point, upper: bool) -> Region:
         pt = space.point(*coords[0])
         if pt.branch != b_star:
             member = (pt.branch > b_star) == upper
+        elif upper == (b_star == 0):
+            member = pt.pos >= pos_star
         else:
-            asc = orientations[b_star]
-            if upper == asc:
-                member = pt.pos >= pos_star
-            else:
-                member = pt.pos <= pos_star
+            member = pt.pos <= pos_star
         if member:
             reg = reg.add_point(pt)
         else:
@@ -218,18 +194,17 @@ class OrderExtremumSelection(Selection):
     def __init__(self, space: Space, carrier: Optional[Region] = None) -> None:
         self.space = space
         self.carrier = carrier if carrier is not None else space.whole()
-        self.orientations = default_orientations(space)
 
     def _pick(self, s: Region) -> Point:
-        return order_extremum(self.space, self.orientations, s, self.want_max)
+        return order_extremum(self.space, s, self.want_max)
 
     def bracket(self, c: Region) -> Region:
         m = self._pick(c)
-        return _key_ray(self.space, self.orientations, m, self.want_max).intersect(self.carrier)
+        return _key_ray(self.space, m, self.want_max).intersect(self.carrier)
 
     def maximal_point(self) -> Optional[Point]:
         try:
-            return order_extremum(self.space, self.orientations, self.carrier, self.want_max)
+            return order_extremum(self.space, self.carrier, self.want_max)
         except ExtremumNotAttained:
             return None
 

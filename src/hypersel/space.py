@@ -11,7 +11,7 @@ is decidable from span left ends alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from hypersel.ordinal import (
     ZERO,
@@ -139,11 +139,17 @@ class Space:
     def point_coords(self, pt: Point) -> tuple[tuple[int, Ordinal], ...]:
         return self.class_coords(pt.branch, pt.pos)
 
+    def tail(self, pt: Point, start: Callable[[int, Ordinal], Ordinal]) -> "Region":
+        """The closed tails [start(b, beta), beta] at the coordinates (b, beta)
+        of pt, saturated: every tail at a point is built here."""
+        return Region.make(
+            self, [(b, start(b, beta), beta, True) for b, beta in self.point_coords(pt)]
+        )
+
     def point_region(self, pt: Point) -> "Region":
         reg = self._point_regions.get(pt)
         if reg is None:
-            reg = Region.make(self, [(b, p, p, True) for b, p in self.point_coords(pt)])
-            self._point_regions[pt] = reg
+            reg = self._point_regions[pt] = self.tail(pt, lambda b, beta: beta)
         return reg
 
     # -- grids ---------------------------------------------------------------
@@ -227,11 +233,12 @@ class Space:
         gmax = below[-1]
         if level == 0:
             return gmax
-        m0 = fund_index_at_least(beta, successor(gmax))
-        cand = ord_fundamental(beta, m0 + level - 1)
-        if cand <= gmax:
-            cand = ord_fundamental(beta, m0 + level)
-        return cand
+        return ord_fundamental(beta, fund_index_at_least(beta, successor(gmax)) + level - 1)
+
+    def open_start(self, branch: int, pos: Ordinal, level: int) -> Ordinal:
+        """Left end of the canonical open reaching down to pos at the given
+        refinement level: just above the approach rung for a limit, else pos."""
+        return successor(self.approach(branch, pos, level)) if pos.is_limit else pos
 
     def open_tail(self, pt: Point, level: int) -> "Region":
         """Canonical basic open neighbourhood of pt at the given refinement level."""
@@ -239,13 +246,7 @@ class Space:
         cached = self._open_tails.get(key)
         if cached is not None:
             return cached
-        spans = []
-        for b, beta in self.point_coords(pt):
-            if beta.is_limit:
-                spans.append((b, successor(self.approach(b, beta, level)), beta, True))
-            else:
-                spans.append((b, beta, beta, True))
-        reg = Region.make(self, spans)
+        reg = self.tail(pt, lambda b, beta: self.open_start(b, beta, level))
         if not reg.is_open():
             raise ValueError(f"no open canonical tail at {pt} (gluing interferes)")
         self._open_tails[key] = reg

@@ -20,6 +20,7 @@ from hypersel.decomp import (
 )
 from hypersel.hyperspace import CheckOutcome, ConvergentNet, VietorisBasic, basic_nbhd_family
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal, successor
+from hypersel.selection import ExtremumNotAttained
 from hypersel.space import Point, Region, Space, Span
 
 
@@ -288,6 +289,70 @@ def oracle_spaces() -> dict[str, Space]:
         # the glued coordinate (0, w) is interior to its branch
         "interior-glue": Space([w2, w], [[(0, w), (1, w)]]),
     }
+
+
+def glued_off_branch_0_spaces() -> dict[str, Space]:
+    """New instances of two spaces whose gluings avoid branch 0: two later
+    branches glued at a shared limit, and a successor of branch 0 glued to
+    the top of branch 1."""
+    w, w2 = parse_ordinal("w"), parse_ordinal("w*2")
+    return {
+        "glue-1-2": Space([w, w2, w], [[(1, w), (2, w)]]),
+        "glue-successor": Space([w, w], [[(0, Ordinal.from_int(3)), (1, w)]]),
+    }
+
+
+# -- reference order extremum ------------------------------------------------------
+#
+# order_extremum as it was while the branch order was passed in: branch 0
+# ascending, the later branches descending, and the top of a branch found by
+# a downward scan past every position whose class counts at another
+# coordinate.
+
+
+def _ref_canonical_here(space: Space, b: int, pos: Ordinal) -> bool:
+    pt = space.point(b, pos)
+    return pt.branch == b and pt.pos == pos
+
+
+def _ref_attained_top(space: Space, trace, b: int):
+    for si in range(len(trace) - 1, -1, -1):
+        span = trace[si]
+        pos = span.hi
+        while True:
+            if _ref_canonical_here(space, b, pos):
+                return space.point(b, pos)
+            if pos == span.lo:
+                break
+            if not pos.is_successor:
+                raise ExtremumNotAttained(f"no largest member below {pos} on branch {b}")
+            pos = ref_predecessor(pos)
+    return None
+
+
+def _ref_attained_bottom(space: Space, trace, b: int):
+    for span in trace:
+        pos = span.lo
+        while span.covers(pos):
+            if _ref_canonical_here(space, b, pos):
+                return space.point(b, pos)
+            pos = ref_successor(pos)
+    return None
+
+
+def ref_order_extremum(space: Space, s: Region, want_max: bool) -> Point:
+    n = len(space.branches)
+    for b in (range(n - 1, -1, -1) if want_max else range(n)):
+        trace = s.traces[b]
+        if not trace:
+            continue
+        if want_max == (b == 0):
+            cand = _ref_attained_top(space, trace, b)
+        else:
+            cand = _ref_attained_bottom(space, trace, b)
+        if cand is not None:
+            return cand
+    raise ExtremumNotAttained("set has no member with an attained key")
 
 
 # -- reference family builder ------------------------------------------------------

@@ -145,7 +145,7 @@ PLANTED_DIGESTS = {
     "decomp_overlap": "4271d079af97635359597ff3103a0b28b9159311f70cda1000f3a662dfd1be76",
     "decomp_gap": "0a64c3f3f95049b5cf1e74522661fb1ac7b21e41c1c35eeeb797e068c492c98f",
     "roundtrip_successor_gamma":
-        "fc12e25b5faf5a098a121e4315a10149d24247fd391adf32e39006836d858dbb",
+        "9a7001f01a0e6573bd670a64821613d4556a58ad0d482bf9ccc4a19a210fc480",
     "roundtrip_stages_past_gamma":
         "eb45ddd0311505c5e603f3c7b3bd00fbd615d2ceaede6af640333b5bed73f412",
 }

@@ -2,9 +2,9 @@
 name a module imports is used in it or exported, and every function, class,
 method and module-level constant the package defines is used by the package
 or the benchmark, only the sites that prove evaluate's guards call the
-evaluation step behind them, every field that the table lists for a check or
-a base is read on its code path, and no default of a field sits outside
-the table."""
+evaluation step behind them, only Space.tail builds a tail at a point,
+every field that the table lists for a check or a base is read on its code
+path, and no default of a field sits outside the table."""
 import ast
 import importlib
 from pathlib import Path
@@ -166,6 +166,54 @@ def test_private_step_site_is_found():
 def test_private_step_called_only_where_guards_are_proven():
     sources = {path.name: path.read_text(encoding="utf-8") for path in [*SOURCES, *BENCH]}
     assert private_step_sites(sources) == PRIVATE_STEP_SITES
+
+
+# The one function that builds a tail at a point: Region.make of the closed
+# span [start, beta] at each coordinate (b, beta) of the point.  Any other
+# function that reads a point's coordinates and calls Region.make builds a
+# tail by hand.
+TAIL_SITES = {"space.py Space.tail"}
+
+
+def tail_sites(sources: dict[str, str]) -> set[str]:
+    """``file qualname`` of each module function or class method whose body,
+    nested functions included, both calls ``point_coords`` and calls
+    ``Region.make``."""
+    out = set()
+    for fname, text in sources.items():
+        units = []
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef):
+                units.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                units += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                          if isinstance(fn, ast.FunctionDef)]
+        for qualname, fn in units:
+            calls = [c.func for c in ast.walk(fn) if isinstance(c, ast.Call)]
+            if any(getattr(f, "attr", None) == "point_coords" for f in calls) and any(
+                ast.unparse(f) == "Region.make" for f in calls
+            ):
+                out.add(f"{fname} {qualname}")
+    return out
+
+
+def test_tail_site_is_found():
+    src = (
+        "def f(space, p):\n    coords = space.point_coords(p)\n"
+        "    def members(n):\n"
+        "        return Region.make(space, [(b, x, x, True) for b, x in coords])\n"
+        "    return members\n"
+        "def g(space, p):\n    return Region.make(space, [])\n"
+        "class S:\n    def tail(self, p):\n"
+        "        return Region.make(self, list(self.point_coords(p)))\n"
+        "    def h(self, p):\n        return self.tail(p), self.point_coords(p)\n"
+    )
+    assert tail_sites({"x.py": src}) == {"x.py f", "x.py S.tail"}
+
+
+def test_tails_are_built_in_one_place():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert tail_sites(sources) == TAIL_SITES
 
 
 # -- the field table ----------------------------------------------------------------

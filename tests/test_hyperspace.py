@@ -1,7 +1,9 @@
 import pytest
 
 from oracles import oracle_spaces, ref_net_convergence_check
-from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
+from hypersel.ordinal import (
+    OMEGA, ZERO, Ordinal, fund_index_at_least, ord_fundamental, parse_ordinal,
+)
 from hypersel.scenario import Scenario, canonical_net_corpus, point_from_json, region_from_json
 from hypersel.selection import OrderMaxSelection, continuity_check
 from hypersel.space import Region, Space, open_set
@@ -269,6 +271,24 @@ def direct_nets(space: Space) -> dict[str, ConvergentNet]:
             incr("app-inner-window.inner", 0, ZERO, W, None, 9), pt["one"], 9,
             "app-inner-window"),
     }
+
+
+class TestIncreasingStart:
+    @pytest.mark.parametrize("name", sorted(oracle_spaces()))
+    def test_first_rung_reaches_every_corpus_lo(self, name):
+        # the least index whose rung reaches lo needs no second look, so the
+        # first member is [lo, rung] for every net canonical_net_corpus builds
+        space = oracle_spaces()[name]
+        for pt in space.grid_points():
+            for b, lam in space.point_coords(pt):
+                if not lam.is_limit:
+                    continue
+                for lo in (ZERO, O(1)):  # the starts of the corpus's increasing nets
+                    n = fund_index_at_least(lam, lo)
+                    assert ord_fundamental(lam, n) >= lo
+                    assert n == 0 or ord_fundamental(lam, n - 1) < lo
+                    net = increasing_union_net(space, b, lo, lam, window=1, name="incr")
+                    assert net.member(0) == creg(space, (b, lo, ord_fundamental(lam, n)))
 
 
 class TestWindowMemberOnly:

@@ -192,6 +192,15 @@ class TestFundamental:
             if idx:
                 assert ord_fundamental(lam, idx - 1) < beta
 
+    @given(ordinals(), st.integers(min_value=1, max_value=3), ordinals())
+    @settings(max_examples=300)
+    def test_index_at_least_is_the_least(self, head, e, x):
+        lam = head + omega_power(e, 1)
+        if x < lam:
+            n = fund_index_at_least(lam, x)
+            assert ord_fundamental(lam, n) >= x
+            assert n == 0 or ord_fundamental(lam, n - 1) < x
+
 
 class TestLeftDifference:
     @given(ordinals(), ordinals())

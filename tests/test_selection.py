@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
-from hypersel.space import Region
+from hypersel.space import Region, Space
 from hypersel.decomp import ChainDecomposition, ExplicitDecomposition, point_decomposition
 from hypersel.selection import (
     ExtremumNotAttained,
@@ -22,10 +22,17 @@ from hypersel.selection import (
 from hypersel.hyperspace import increasing_union_net
 from hypersel.scenario import Scenario, canonical_net_corpus, region_to_json, run_scenario
 
+from oracles import glued_off_branch_0_spaces, oracle_spaces, ref_order_extremum
+
 O = Ordinal.from_int
 P = parse_ordinal
 W = OMEGA
 W2 = P("w*2")
+
+
+def differential_spaces():
+    """The oracle spaces and two spaces glued off branch 0, new instances."""
+    return {**oracle_spaces(), **glued_off_branch_0_spaces()}
 
 
 def creg(space, *items):
@@ -60,11 +67,26 @@ class TestOrderPrimitives:
         for s in enumerate_closed_family(wedge_space, FamilyParams(grid_k=2)):
             assert s.contains_point(f.evaluate(s))
 
-    def test_ascending_everywhere_fails_on_wedge(self, wedge_space):
-        # branch-1 members climb toward the hub whose key sits on branch 0
-        s = creg(wedge_space, (1, ZERO, W))
+    @pytest.mark.parametrize("name", sorted(differential_spaces()))
+    def test_extremum_matches_the_downward_scan(self, name):
+        # the fixed branch order lets a scan take only a canonical top, so the
+        # old scan down from the top returns the same point, or both raise
+        space = differential_spaces()[name]
+        for s in enumerate_closed_family(space, FamilyParams(grid_k=2)):
+            for want_max in (True, False):
+                try:
+                    expected = ref_order_extremum(space, s, want_max)
+                except ExtremumNotAttained:
+                    with pytest.raises(ExtremumNotAttained):
+                        order_extremum(space, s, want_max)
+                else:
+                    assert order_extremum(space, s, want_max) == expected
+
+    def test_top_glued_below_on_its_branch_is_not_attained(self):
+        # the guard: (0:5) counts at (0:3), so the top of [0, 5] is no key
+        space = Space([W], [[(0, O(3)), (0, O(5))]])
         with pytest.raises(ExtremumNotAttained):
-            order_extremum(wedge_space, (True, True), s, True)
+            order_extremum(space, creg(space, (0, ZERO, O(5))), True)
 
     def test_rejects_outside_domain(self, omega_space):
         f = OrderMaxSelection(omega_space, carrier=creg(omega_space, (0, ZERO, O(3))))

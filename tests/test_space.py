@@ -1,7 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
+from hypersel.decomp import point_chain_rule
+from hypersel.ordinal import (
+    OMEGA,
+    ZERO,
+    Ordinal,
+    fund_index_at_least,
+    ord_fundamental,
+    parse_ordinal,
+    successor,
+)
 from hypersel.space import (
     Point,
     Region,
@@ -16,7 +25,7 @@ from hypersel.space import (
     rel_open,
 )
 from hypersel.scenario import _oracle_is_open, witness_to_json
-from oracles import grid_closure_members
+from oracles import grid_closure_members, is_saturated, oracle_spaces
 
 O = Ordinal.from_int
 P = parse_ordinal
@@ -310,3 +319,86 @@ class TestHelpers:
         pts = omega_sq_space.grid_positions(0, 3)
         for expect in ["0", "3", "w", "w*2", "w*3+3", "w^2"]:
             assert P(expect) in pts
+
+
+# -- tails at a point ---------------------------------------------------------------
+#
+# The tails as their callers built them before Space.tail: open_tail and
+# point_chain_rule each wrote out its spans, with approach's second pick of a
+# rung and the chain's check of the ladder's first rung.
+
+
+def ref_open_start(space, b, beta, level):
+    if not beta.is_limit:
+        return beta
+    gmax = [g for g in space.grid_positions(b) if g < beta][-1]
+    if level == 0:
+        return successor(gmax)
+    m0 = fund_index_at_least(beta, successor(gmax))
+    rung = ord_fundamental(beta, m0 + level - 1)
+    if rung <= gmax:
+        rung = ord_fundamental(beta, m0 + level)
+    return successor(rung)
+
+
+def ref_chain_stage(space, p, base, n):
+    if n == 0:
+        return base
+    spans = []
+    for b, beta in space.point_coords(p):
+        if not beta.is_limit:
+            spans.append((b, beta, beta, True))
+            continue
+        m0 = 0
+        for s in base.traces[b]:
+            if s.lo < beta and (s.hi > beta or s.hi == beta):
+                if ord_fundamental(beta, 0) < s.lo:
+                    m0 = max(m0, fund_index_at_least(beta, s.lo))
+        spans.append((b, successor(ord_fundamental(beta, m0 + n - 1)), beta, True))
+    return Region.make(space, spans).intersect(base)
+
+
+class TestTails:
+    @pytest.mark.parametrize("name", sorted(oracle_spaces()))
+    def test_tails_match_the_spans_written_out(self, name):
+        space = oracle_spaces()[name]
+        glued = [p for p in space.grid_points() if len(space.point_coords(p)) > 1]
+        assert bool(glued) == bool(space.gluings)  # the hubs and (0:w) are on the grid
+        for p in space.grid_points():
+            coords = space.point_coords(p)
+            tails = [space.point_region(p)]
+            assert tails[0] == Region.make(space, [(b, beta, beta, True) for b, beta in coords])
+            for level in range(3):
+                expected = Region.make(
+                    space, [(b, ref_open_start(space, b, beta, level), beta, True)
+                            for b, beta in coords],
+                )
+                if not expected.is_open():
+                    with pytest.raises(ValueError):
+                        space.open_tail(p, level)
+                    continue
+                tails.append(space.open_tail(p, level))
+                assert tails[-1] == expected
+            # the whole space, and a carrier whose spans start past the
+            # first rungs, so the chain's ladders start at a later index
+            inner = Region.make(
+                space, [(b, ref_open_start(space, b, beta, 1), space.branches[b], True)
+                        for b, beta in coords],
+            )
+            for base in (space.whole(), inner):
+                rule = point_chain_rule(space, p, base)
+                for n in range(9):
+                    tails.append(rule(n))
+                    assert tails[-1] == ref_chain_stage(space, p, base, n)
+            assert all(map(is_saturated, tails))
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_deeper_rungs_climb_past_the_grid(self, c, d, k):
+        # the rung at level 1 lies above the level-0 grid position, so
+        # approach needs no second pick, and deeper rungs climb toward beta
+        space = Space([P(f"w^2*{c} + w*{d}")], grid_k=k)
+        for beta in space.grid_positions(0):
+            if beta.is_limit:
+                rungs = [space.approach(0, beta, level) for level in range(5)]
+                assert all(x < y for x, y in zip(rungs, rungs[1:])) and rungs[-1] < beta
