@@ -11,8 +11,9 @@ import copy
 import json
 import random
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Any, Callable, Optional
 
 from hypersel.ordinal import (
@@ -212,11 +213,12 @@ def _set_literals(ctx: dict, literals) -> Any:
 
 
 def _gluing(cls) -> bool:
-    """A gluing class: a list of [branch, position] coordinates."""
+    """A gluing class: a list of [branch, position] coordinates on distinct
+    branches (no line, wedge or fan glues a branch to itself)."""
     return isinstance(cls, list) and all(
         isinstance(c, list) and len(c) == 2 and _is_int(c[0]) and parse_ordinal(c[1]) is not None
         for c in cls
-    )
+    ) and len({c[0] for c in cls}) == len(cls)
 
 
 def _name_of(group: str, says: str) -> tuple[str, Callable]:
@@ -231,7 +233,7 @@ RULES: dict[str, tuple[str, Any]] = {
         lambda ctx, v: isinstance(v, list) and [parse_ordinal(top) for top in v],
     ),
     "gluings": (
-        "a list of lists of [branch, position] pairs",
+        "a list of lists of [branch, position] pairs, each list naming a branch at most once",
         lambda ctx, v: isinstance(v, list) and all(map(_gluing, v)),
     ),
     "params": ("an object", lambda ctx, v: isinstance(v, dict)),
@@ -653,27 +655,30 @@ def _oracle_has_base_interval(h: Region, b: int, x: Ordinal) -> bool:
     predecessor of x or a grid position below x."""
     if x == ZERO:
         return True
-    around = [s for s in h.traces[b] if s.covers(x)]
-    if x.is_successor and around:
+    around = next((s for s in h.traces[b] if s.covers(x)), None)
+    if around is None:
+        return False
+    if x.is_successor:
         return True  # c = x - 1: the interval is {x}
+    # the span around x is convex, so it holds [c + 1, x] exactly when c + 1
+    # is not below its lo: the downward scan of the grid stops at the
+    # nearest position below x, whose c + 1 is the largest
     grid = h.space.grid_positions(b)
-    for i in range(bisect_left(grid, x) - 1, -1, -1):  # grid[i] < x, nearest first
-        lo = successor(grid[i])
-        if any(s.covers(lo) for s in around):
-            return True
-    return False
+    i = bisect_left(grid, x) - 1
+    return i >= 0 and around.covers(successor(grid[i]))
 
 
 def _oracle_is_open(h: Region) -> bool:
+    """Every covered grid position and every attained span end has a base
+    interval in h.  Each span's grid positions are found by bisection, and
+    only limits are tested: a covered zero or successor has one."""
     space = h.space
-    for b in range(len(space.branches)):
-        positions = {g for g in space.grid_positions(b) if h.covers_position(b, g)}
-        for s in h.traces[b]:
-            positions.add(s.lo)
-            if s.hi_in:
-                positions.add(s.hi)
-        for x in sorted(positions):
-            if not _oracle_has_base_interval(h, b, x):
+    for b, trace in enumerate(h.traces):
+        grid = space.grid_positions(b)
+        for s in trace:
+            end = bisect_right(grid, s.hi) if s.hi_in else bisect_left(grid, s.hi)
+            xs = [s.lo, *grid[bisect_left(grid, s.lo):end], *([s.hi] if s.hi_in else [])]
+            if not all(_oracle_has_base_interval(h, b, x) for x in xs if x.is_limit):
                 return False
     return True
 
@@ -754,13 +759,14 @@ def _deterministic_opens(sc: Scenario, count: int, seed: int) -> list[Region]:
     rng = random.Random(seed)
     out: list[Region] = []
     seen = set()
+    grids = [space.grid_positions(b) for b in range(len(space.branches))]
     guard = 0
     while len(out) < count and guard < count * 50:
         guard += 1
         spans = []
         for _ in range(rng.randrange(1, 4)):
             b = rng.randrange(len(space.branches))
-            pts = space.grid_positions(b)
+            pts = grids[b]
             i = rng.randrange(len(pts))
             j = rng.randrange(len(pts))
             if i > j:
@@ -789,24 +795,25 @@ def _check_derived_props(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     if len(opens) < count:
         return "error", f"only generated {len(opens)} distinct opens", None
     oracle_pts = 12
+    whole, grid = f.space.whole(), f.space.grid_points()
     for v in opens:
         try:
             ds = derived_sets(f, v)
         except DerivedSetsInvariantError as exc:
             return "fail", str(exc), v
-        comp = sc.space.whole().difference(v)
+        comp = whole.difference(v)
         if comp.is_empty:
             continue
-        members = ds.bracket.grid_members()[:oracle_pts]
-        outside = [
-            pt for pt in sc.space.grid_points()[:oracle_pts]
-            if not ds.bracket.contains_point(pt)
-        ]
+        # derived_sets took v open over f's space and refused any carrier but
+        # the whole space, so comp | {pt} is a nonempty closed set over f's
+        # space inside f's carrier: evaluate's guards hold for every pt
+        members = islice((pt for pt in grid if ds.bracket.contains_point(pt)), oracle_pts)
+        outside = [pt for pt in grid[:oracle_pts] if not ds.bracket.contains_point(pt)]
         for pt in members:
-            if f.evaluate(comp.add_point(pt)) != pt:
+            if f._value(comp.add_point(pt)) != pt:
                 return "fail", f"bracket contains unrelated point {pt}", v
         for pt in outside:
-            if f.evaluate(comp.add_point(pt)) == pt:
+            if f._value(comp.add_point(pt)) == pt:
                 return "fail", f"bracket misses related point {pt}", v
     return "pass", f"{len(opens)} opens", None
 

@@ -199,8 +199,13 @@ class OrderExtremumSelection(Selection):
         return order_extremum(self.space, s, self.want_max)
 
     def bracket(self, c: Region) -> Region:
-        m = self._pick(c)
-        return _key_ray(self.space, m, self.want_max).intersect(self.carrier)
+        # m comes from the memo when c was just evaluated; a key ray depends
+        # only on the space, m and the orientation, so the space keeps it
+        key = (self.evaluate(c), self.want_max)
+        ray = self.space._key_rays.get(key)
+        if ray is None:
+            ray = self.space._key_rays[key] = _key_ray(self.space, *key)
+        return ray.intersect(self.carrier)
 
     def maximal_point(self) -> Optional[Point]:
         try:

@@ -121,6 +121,9 @@ class Space:
         # (closed set, depth), filled and read by hyperspace.basic_nbhd_family
         self._open_tails: dict[tuple[Point, int], Region] = {}
         self._nbhd_families: dict[tuple, tuple] = {}
+        # key rays of the order primitives by (point, upper), filled and read
+        # by selection.OrderExtremumSelection.bracket
+        self._key_rays: dict[tuple[Point, bool], Region] = {}
         # closed families built over this space, by (FamilyParams, carrier);
         # filled and read by selection.enumerate_closed_family
         self._family_cache: dict[tuple, list] = {}
@@ -564,10 +567,16 @@ class Region:
         self._check_space(other)
         return any(map(_meets_trace, self.traces, other.traces))
 
+    # a point edit that changes nothing returns the region itself, whose
+    # hash is already cached
     def add_point(self, pt: Point) -> "Region":
+        if self.contains_point(pt):
+            return self
         return self.union(self.space.point_region(pt))
 
     def remove_point(self, pt: Point) -> "Region":
+        if not self.contains_point(pt):
+            return self
         return self.difference(self.space.point_region(pt))
 
     # -- topology ----------------------------------------------------------

@@ -256,6 +256,29 @@ def ref_has_base_interval(h: Region, b: int, x: Ordinal) -> bool:
     return False
 
 
+def ref_oracle_is_open(h: Region) -> bool:
+    """scenario._oracle_is_open as it was before its bisection: every grid
+    position of a branch is tested against h, and each base interval is
+    looked for by a scan down the whole grid below it."""
+    space = h.space
+    for b in range(len(space.branches)):
+        positions = {g for g in space.grid_positions(b) if h.covers_position(b, g)}
+        for s in h.traces[b]:
+            positions.add(s.lo)
+            if s.hi_in:
+                positions.add(s.hi)
+        for x in sorted(positions):
+            if x == ZERO:
+                continue
+            around = [s for s in h.traces[b] if s.covers(x)]
+            if x.is_successor and around:
+                continue
+            lows = (successor(g) for g in reversed(space.grid_positions(b)) if g < x)
+            if not any(s.covers(lo) for lo in lows for s in around):
+                return False
+    return True
+
+
 def ref_clopen_modulo(h: Region) -> tuple:
     """(kind, point) of space.clopen_modulo, removing the point with the
     reference difference."""

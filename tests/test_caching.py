@@ -24,6 +24,7 @@ from hypersel.selection import (
     PatchedSelection,
     RestrictSelection,
     SelectionLawError,
+    _key_ray,
     enumerate_closed_family,
     extremality_check,
 )
@@ -400,3 +401,23 @@ class TestPrivateStep:
                 for mode in ("maximal", "minimal"):
                     got = extremality_check(build(), p, mode, params)
                     assert got == ref_extremality_check(build(), p, mode, sets), (p, mode, params)
+
+
+class TestKeyRays:
+    """Each Space keeps the key ray of every (point, orientation) an order
+    bracket asked for: equal to a fresh _key_ray and shared by the
+    selections over that space only."""
+
+    @pytest.mark.parametrize("name", sorted(oracle_spaces()))
+    def test_cached_ray_matches_fresh_and_is_reused(self, name):
+        space = oracle_spaces()[name]
+        for cls in (OrderMaxSelection, OrderMinSelection):
+            first, second = cls(space), cls(space)
+            for s in enumerate_closed_family(space, FamilyParams(grid_k=2)):
+                key = (first.evaluate(s), cls.want_max)
+                assert first.bracket(s) == _key_ray(space, *key).intersect(space.whole())
+                ray = space._key_rays[key]
+                assert ray == _key_ray(space, *key)
+                second.bracket(s)
+                assert space._key_rays[key] is ray
+        assert not oracle_spaces()[name]._key_rays  # an equal space starts empty

@@ -135,6 +135,13 @@ PLANTED = {
         "graded-base decomposition failed validation:"
         " eta-continuous upper preimage at w + 19 not open",
     ),
+    # the maximal selection at (1:0) jumps at the glued point (0:w) = (1:w):
+    # f(C | {(1:n)}) = (1:n) for every n, but f(C | {(0:w)}) = (0:w*2)
+    "derived_props_interior_glue": (
+        "derived_props",
+        "derived sets of Region(0:[3,w + 1] 0:[w + 5,w + 8] 1:[0,w]) under join:"
+        " bracket not closed",
+    ),
     # the 10 stages of a base of length 10 all stay outside the canonical opens
     "roundtrip_stages_past_gamma": (
         "transfinite_roundtrip",
@@ -148,6 +155,8 @@ PLANTED_DIGESTS = {
         "9a7001f01a0e6573bd670a64821613d4556a58ad0d482bf9ccc4a19a210fc480",
     "roundtrip_stages_past_gamma":
         "eb45ddd0311505c5e603f3c7b3bd00fbd615d2ceaede6af640333b5bed73f412",
+    "derived_props_interior_glue":
+        "bef39e41d802c881cbbe5e58cf6fdd832cb6a6a420179196624c6530075b295b",
 }
 
 

@@ -124,13 +124,16 @@ def test_every_definition_is_referenced():
 # and the selection_law check on members of the closed family, proven once
 # when the family is built; LevelSelection._fiber on s & fiber of a level whose
 # fiber is proven closed and inside its selection's carrier; RestrictSelection
-# on its own checked arguments, inside the parent's carrier by construction.
+# on its own checked arguments, inside the parent's carrier by construction;
+# the derived_props oracle on (whole - V) | {x}, once derived_sets has taken
+# V open over f's space and f's carrier to be the whole space.
 PRIVATE_STEP_SITES = {
     "selection.py Selection.evaluate",
     "selection.py extremality_check",
     "selection.py LevelSelection._fiber",
     "selection.py RestrictSelection._pick",
     "scenario.py _check_selection_law",
+    "scenario.py _check_derived_props",
 }
 
 

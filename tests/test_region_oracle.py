@@ -13,7 +13,7 @@ from hypersel.ordinal import (
     predecessor,
     successor,
 )
-from hypersel.scenario import _oracle_has_base_interval
+from hypersel.scenario import _oracle_has_base_interval, _oracle_is_open
 from hypersel.selection import FamilyParams, enumerate_closed_family
 from hypersel.space import Point, Region, Space, clopen_modulo
 from oracles import (
@@ -29,6 +29,7 @@ from oracles import (
     ref_is_closed,
     ref_make,
     ref_normalize,
+    ref_oracle_is_open,
     ref_point_region,
     ref_subset_of,
     ref_union,
@@ -173,6 +174,28 @@ class TestOracleAndSpaceCaches:
                     xs.update(x for s in h.traces[b] for x in (s.lo, s.hi))
                     for x in xs:
                         assert _oracle_has_base_interval(h, b, x) == ref_has_base_interval(h, b, x)
+
+    def test_bisected_oracle_matches_linear_scan(self):
+        # every family set and its one-point removals at the family grid, and
+        # the whole space without each point of the oracle's own grid
+        for space in oracle_spaces().values():
+            for h in enumerate_closed_family(space, FamilyParams(grid_k=2)):
+                for r in (h, *(h.remove_point(q) for q in h.grid_members(2))):
+                    assert _oracle_is_open(r) == ref_oracle_is_open(r), r
+            for q in space.grid_points():
+                r = space.whole().remove_point(q)
+                assert _oracle_is_open(r) == ref_oracle_is_open(r), r
+
+    def test_point_edits_match_union_and_difference(self):
+        for space in oracle_spaces().values():
+            for h in enumerate_closed_family(space, FamilyParams(grid_k=2)):
+                for pt in space.grid_points():
+                    single = space.point_region(pt)
+                    added, removed = h.add_point(pt), h.remove_point(pt)
+                    assert added == h.union(single) and removed == h.difference(single)
+                    # an edit that changes nothing returns the region itself
+                    assert (added is h) == h.contains_point(pt)
+                    assert (removed is h) == (not h.contains_point(pt))
 
     def test_grid_points_and_point_regions_are_cached(self):
         warm = oracle_spaces()

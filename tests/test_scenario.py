@@ -6,6 +6,8 @@ import pytest
 
 from hypersel import cli
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
+from hypersel.selection import OrderMaxSelection, OrderMinSelection
+from hypersel.selrel import derived_sets
 from hypersel.space import Region, Space
 from hypersel.scenario import (
     CHECKS,
@@ -129,6 +131,50 @@ class TestCorpus:
         sp = Space([parse_ordinal("w*2")])
         for net in canonical_net_corpus(sp, window=64):
             assert net_convergence_check(net, 2).passed, net.name
+
+
+class ExtraPointMax(OrderMaxSelection):
+    """The order max whose bracket gains the first successor grid point of V
+    that is not related: the bracket stays closed, open modulo the same
+    point and inside V, so derived_sets accepts it."""
+
+    def bracket(self, c):
+        exact = super().bracket(c)
+        extra = next((pt for pt in self.space.grid_points() if pt.pos.is_successor
+                      and not c.contains_point(pt) and not exact.contains_point(pt)), None)
+        return exact if extra is None else exact.add_point(extra)
+
+
+class MissingPointMin(OrderMinSelection):
+    """The order min whose bracket loses its first related successor grid
+    point of V, which derived_sets accepts for the same reasons."""
+
+    def bracket(self, c):
+        exact = super().bracket(c)
+        gone = next((pt for pt in self.space.grid_points() if pt.pos.is_successor
+                     and not c.contains_point(pt) and exact.contains_point(pt)), None)
+        return exact if gone is None else exact.remove_point(gone)
+
+
+class TestDerivedPropsOracle:
+    """The derived_props oracle compares brackets with f itself, so it
+    catches a wrong bracket that passes every derived-set invariant."""
+
+    @pytest.mark.parametrize("cls, detail", [
+        (OrderMaxSelection, None),
+        (OrderMinSelection, None),
+        (ExtraPointMax, "bracket contains unrelated point (0:"),
+        (MissingPointMin, "bracket misses related point (0:"),
+    ])
+    def test_oracle_catches_what_the_invariants_accept(self, cls, detail):
+        sc = Scenario.load(minimal_doc(objects={"selections": {"f": {"kind": "order_max"}}}))
+        f = sc.selections["f"] = cls(sc.space)
+        status, got, v = CHECKS["derived_props"](sc, {"selection": "f", "count": 20})
+        if detail is None:
+            assert (status, got) == ("pass", "20 opens")
+        else:
+            assert status == "fail" and got.startswith(detail), got
+            derived_sets(f, v)  # raises nothing: only the oracle sees the defect
 
 
 class TestReports:
@@ -408,6 +454,9 @@ def _broken(kind):
         objects["closed_sets"]["c"] = [[NOT_COUNTS[kind[11:]], "0", "w"]]
     elif kind.startswith("point-branch-"):
         objects["points"]["p"] = [NOT_COUNTS[kind[13:]], "w"]
+    elif kind == "gluing-same-branch":
+        # a document that would load but for its one class
+        doc = minimal_doc(space={"branches": ["w"], "gluings": [[[0, "3"], [0, "5"]]]})
     elif kind.startswith("gluing-branch-"):
         doc["space"]["gluings"] = [[[0, "w"], [NOT_COUNTS[kind[14:]], "w"]]]
     return doc
@@ -435,6 +484,8 @@ HOSTILE = [
     "moving-base-empty", "interval-extra-items", "suite-name-list", "base-kind",
     "suite-seed-bool", "point-literal-three-items", "open-set-object", "branches-string",
     "gluings-object", "document-name-list",
+    # two positions of one branch glued used to load and then give error records
+    "gluing-same-branch",
     # an interval that denotes the empty set used to be read as nothing
     "interval-reversed", "interval-open-empty", "fiber-interval-reversed",
     # a patch outside its parent's domain used to load and change nothing
