@@ -37,6 +37,7 @@ from hypersel.space import (
     next_point,
 )
 from hypersel import hyperspace
+from hypersel.hyperspace import Verdict
 from hypersel.decomp import (
     ChainDecomposition,
     DecompositionSpec,
@@ -85,7 +86,7 @@ MEMBER_SCAN_CAP = 64
 class TheoremViolationError(AssertionError):
     """A step the theory guarantees failed; carries the counterexample."""
 
-    def __init__(self, message: str, witness=None):
+    def __init__(self, message: str, witness: Region | Point | tuple[Region, Region] | None = None):
         super().__init__(message)
         self.witness = witness
 
@@ -182,8 +183,9 @@ def base_at_cut(f: Selection, pcut: PCut, steps: int) -> CutBase:
     return CutBase(p, stages, qs)
 
 
-def cut_base_absorbs(base: CutBase, space: Space) -> tuple[bool, Optional[Region]]:
-    """Does every canonical grid open around p contain some stage?"""
+def cut_base_absorbs(base: CutBase, space: Space) -> Verdict:
+    """Does every canonical grid open around p contain some stage?  A
+    failure's witness is an open that contains none."""
     coords = space.point_coords(base.p)
     # every choice of a start just above a grid position below each limit
     # coordinate, in order
@@ -191,14 +193,16 @@ def cut_base_absorbs(base: CutBase, space: Space) -> tuple[bool, Optional[Region
         [successor(g) for g in space.grid_positions(b) if g < beta] if beta.is_limit else [beta]
         for b, beta in coords
     ]
+    checked = 0
     for starts in itertools.product(*options):
         start = dict(zip(coords, starts))
         around = space.tail(base.p, lambda b, beta: start[(b, beta)])
         if not around.is_open():
             continue
+        checked += 1
         if not any(stage.subset_of(around) for stage in base.stages):
-            return False, around
-    return True, None
+            return Verdict("fail", "a canonical grid open absorbs no stage", around, checked)
+    return Verdict("pass", f"{checked} opens", None, checked)
 
 
 # -- transfinite bases ---------------------------------------------------------
@@ -478,31 +482,34 @@ def base_members(d: DecompositionSpec) -> list[tuple[Ordinal, Region]]:
     return [(i, d.member(i)) for i in out if i < d.gamma]
 
 
-def gamma_base_validate(d: DecompositionSpec) -> list[str]:
+def gamma_base_validate(d: DecompositionSpec) -> Verdict:
     """Successor clopen-and-strict, limit neighbourhood-base condition at the
-    first two refinement levels, every member clopen modulo a point; returns
-    failure strings."""
+    first two refinement levels, every member clopen modulo a point, up to
+    the first failure; no failure has a witness."""
     if not isinstance(d, ChainDecomposition):
-        return []  # the one-member base {{p}} at an isolated point
-    problems = []
-    for alpha, h in base_members(d):
+        return Verdict("pass", "1 member", None, 1)  # the base {{p}} at an isolated point
+    members = base_members(d)
+
+    def fail(problem: str) -> Verdict:
+        return Verdict("fail", problem, None, len(members))
+
+    for alpha, h in members:
         if not h.contains_point(d.p):
-            problems.append(f"{alpha}: member lost the point")
+            return fail(f"{alpha}: member lost the point")
         if not clopen_modulo(h).in_delta:
-            problems.append(f"{alpha}: member outside the graded family")
+            return fail(f"{alpha}: member outside the graded family")
         up = successor(alpha)
         nxt = d.member(up)
         if not nxt.subset_of(h) or nxt == h:
-            problems.append(f"{alpha}: successor member not strictly inside")
+            return fail(f"{alpha}: successor member not strictly inside")
         if up != d.gamma and not nxt.is_clopen():
-            problems.append(f"{alpha}: successor member not clopen")
+            return fail(f"{alpha}: successor member not clopen")
     blocks = _blocks(d)
     for k, (start, lam) in enumerate(blocks[:-1]):
         h_lim = d.member(lam)
         for level in (0, 1):
             if not _stage_inside(d, k, start, hyperspace.open_cover_of(h_lim, level)):
-                problems.append(f"{lam}: earlier members never enter a cover")
-                break
+                return fail(f"{lam}: earlier members never enter a cover")
     for level in (0, 1):
         around = d.space.open_tail(d.p, level)
         if not any(
@@ -510,9 +517,8 @@ def gamma_base_validate(d: DecompositionSpec) -> list[str]:
             or _stage_inside(d, k, start, around)
             for k, (start, lam) in enumerate(blocks)
         ):
-            problems.append(f"no member inside a canonical open around {d.p}")
-            break
-    return problems
+            return fail(f"no member inside a canonical open around {d.p}")
+    return Verdict("pass", f"{len(members)} members", None, len(members))
 
 
 def _stage_inside(d: ChainDecomposition, k: int, start: Ordinal, around: Region) -> bool:

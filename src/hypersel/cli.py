@@ -67,7 +67,6 @@ def cmd_validate(args) -> int:
     counts = {
         "points": len(sc.points),
         "closed_sets": len(sc.closed_sets),
-        "open_sets": len(sc.open_sets),
         "selections": len(sc.selections),
         "decompositions": len(sc.decompositions),
         "pcuts": len(sc.pcuts),
@@ -172,7 +171,7 @@ def cmd_demo(args) -> int:
 def _emit_text(report: Report) -> None:
     sys.stdout.write(f"scenario {report.scenario}\n")
     for rec in report.records:
-        sys.stdout.write(f"  [{rec.status:>5}] {rec.name}: {rec.detail}\n")
+        sys.stdout.write(f"  [{rec.verdict.status:>5}] {rec.name}: {rec.verdict.detail}\n")
     summary = report.to_json()["summary"]
     sys.stdout.write(
         f"  {summary['passed']}/{summary['total']} passed"

@@ -17,7 +17,6 @@ probes (`absorption_candidates`, needed only where there are limits).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from hypersel.ordinal import (
@@ -40,6 +39,7 @@ from hypersel.space import (
     rel_open,
 )
 from hypersel import hyperspace
+from hypersel.hyperspace import Verdict
 
 __all__ = [
     "DecompositionSpec",
@@ -50,7 +50,6 @@ __all__ = [
     "point_chain_rule",
     "point_decomposition",
     "decomp_validate",
-    "ValidationReport",
 ]
 
 # Levels a chain scan steps through before giving up, indices below a limit
@@ -303,95 +302,54 @@ def point_decomposition(
     return ChainDecomposition(space, p, OMEGA, [(point_chain_rule(space, p, base), None)], base)
 
 
-@dataclass
-class ValidationEntry:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class ValidationReport:
-    entries: list[ValidationEntry]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def failures(self) -> list[ValidationEntry]:
-        return [e for e in self.entries if not e.passed]
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.entries.append(ValidationEntry(name, passed, detail))
-
-
-def decomp_validate(d: DecompositionSpec) -> ValidationReport:
-    """Disjoint cover, fibers clopen modulo a point, continuity, and
-    closedness of the level map at the first two refinement levels; failures
-    carry a detail."""
-    report = ValidationReport([])
+def decomp_validate(d: DecompositionSpec) -> Verdict:
+    """Six validations, up to the first that fails: nonempty, disjoint and
+    covering fibers, fibers clopen modulo a point, continuity, and closedness
+    of the level map at the first two refinement levels.  A failure's detail
+    starts with the name of its validation; its witness is the overlap of two
+    fibers or the region no fiber covers, and the other four have none."""
     idxs = d.sample_indices()
-
-    fibs = {}
-    ok = True
-    detail = ""
+    seq = []
     for idx in idxs:
         fib = d.fiber(idx)
-        fibs[idx] = fib
         if fib.is_empty:
-            ok, detail = False, f"empty fiber at {idx}"
-            break
-    report.add("fibers-nonempty", ok, detail)
+            return Verdict("fail", f"fibers-nonempty: empty fiber at {idx}", None, 1)
+        seq.append((idx, fib))
 
-    ok, detail = True, ""
-    seq = list(fibs.items())
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i][1].meets(seq[j][1]):
-                ok, detail = False, f"fibers {seq[i][0]} and {seq[j][0]} overlap"
-    report.add("fibers-disjoint", ok, detail)
+    for i, (idx, fib) in enumerate(seq):
+        for jdx, later in seq[i + 1:]:
+            if fib.meets(later):
+                return Verdict("fail", f"fibers-disjoint: fibers {idx} and {jdx} overlap",
+                               fib.intersect(later), 2)
 
     covered = d.space.empty()
     for _, fib in seq:
         covered = covered.union(fib)
     rest = d.carrier.difference(covered)
-    ok = rest.is_empty or rest.subset_of(d.cover_residual(idxs))
-    report.add("fibers-cover", ok, "" if ok else f"uncovered region {rest!r}")
+    if not (rest.is_empty or rest.subset_of(d.cover_residual(idxs))):
+        return Verdict("fail", "fibers-cover: uncovered region", rest, 3)
 
-    ok, detail = True, ""
     for idx, fib in seq:
-        status = clopen_modulo(fib)
-        if not status.in_delta:
-            ok, detail = False, f"fiber at {idx} not clopen modulo a point"
-            break
-    report.add("fibers-in-delta", ok, detail)
+        if not clopen_modulo(fib).in_delta:
+            return Verdict("fail", f"fibers-in-delta: fiber at {idx} not clopen modulo a point",
+                           None, 4)
 
-    ok, detail = True, ""
     for idx in idxs:
         up = d.upper_strict(idx)
         if not up.is_empty and not rel_open(up, d.carrier):
-            ok, detail = False, f"upper preimage at {idx} not open"
-            break
+            return Verdict("fail", f"eta-continuous: upper preimage at {idx} not open", None, 5)
         low = d.lower_strict(idx)
         if not low.is_empty and not rel_open(low, d.carrier):
-            ok, detail = False, f"lower preimage at {idx} not open"
-            break
-    report.add("eta-continuous", ok, detail)
+            return Verdict("fail", f"eta-continuous: lower preimage at {idx} not open", None, 5)
 
-    ok, detail = True, ""
     for lam in d.limit_indices():
         fib = d.fiber(lam)
         for level in (0, 1):
-            around = hyperspace.open_cover_of(fib, level)
-            if not _absorbs_below(d, lam, around, idxs):
-                ok = False
-                detail = f"no upper tail below {lam} inside a cover of its fiber"
-                break
-        if not ok:
-            break
-    report.add("eta-closed", ok, detail)
+            if not _absorbs_below(d, lam, hyperspace.open_cover_of(fib, level), idxs):
+                return Verdict("fail", f"eta-closed: no upper tail below {lam} inside a cover"
+                               " of its fiber", None, 6)
 
-    return report
+    return Verdict("pass", "6 validations", None, 6)
 
 
 def _absorbs_below(

@@ -25,20 +25,29 @@ __all__ = [
     "appended_point_net",
     "moving_point_net",
     "net_convergence_check",
-    "CheckOutcome",
+    "Verdict",
     "open_cover_of",
 ]
 
 
 @dataclass(frozen=True)
-class CheckOutcome:
-    """Verdict of an exhaustive check, with its first witness and how many
-    cases it looked at."""
+class Verdict:
+    """Result of a check: its status (``pass``, ``fail`` or ``error``), a
+    detail, the witness of a failure, and how many cases it looked at.
 
-    passed: bool
-    witness: Optional[object] = None
-    detail: str = ""
-    checked: int = 0
+    A witness is a closed set or region, a point, the Vietoris basic a net
+    escapes, a net name with the canonical open its values stay outside, or
+    the bracket and the stage intersection of a failed limit identity; a
+    failure that has none, and every pass, carries None."""
+
+    status: str
+    detail: str
+    witness: Region | Point | VietorisBasic | tuple[str, Region] | tuple[Region, Region] | None
+    checked: int
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
 
 @dataclass(frozen=True)
@@ -249,12 +258,12 @@ def moving_point_net(
     return ConvergentNet(name, members, limit, window)
 
 
-def net_convergence_check(net: ConvergentNet, depth: int) -> CheckOutcome:
+def net_convergence_check(net: ConvergentNet, depth: int) -> Verdict:
     """Eventual membership of the net in every generated basic around the limit;
     a failure's witness is the basic the last member escapes."""
     family = basic_nbhd_family(net.declared_limit, depth)
     last = net.last_member
     for basic in family:
         if not vietoris_member(last, basic):
-            return CheckOutcome(False, basic, f"escapes a basic at {net.window}", len(family))
-    return CheckOutcome(True, None, "", len(family))
+            return Verdict("fail", f"escapes a basic at {net.window}", basic, len(family))
+    return Verdict("pass", f"{len(family)} basics", None, len(family))

@@ -12,7 +12,7 @@ import json
 import random
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from typing import Any, Callable, Optional
 
@@ -37,6 +37,7 @@ from hypersel.space import (
 from hypersel import hyperspace
 from hypersel.hyperspace import (
     ConvergentNet,
+    Verdict,
     appended_point_net,
     constant_net,
     increasing_union_net,
@@ -93,8 +94,7 @@ class ScenarioError(ValueError):
 
 # in the order they are checked and built: a spec names only earlier groups
 OBJECT_GROUPS = (
-    "points", "closed_sets", "open_sets", "decompositions", "selections", "pcuts", "nets",
-    "bases",
+    "points", "closed_sets", "decompositions", "selections", "pcuts", "nets", "bases",
 )
 
 
@@ -180,24 +180,18 @@ def witness_to_json(w) -> Any:
 # appears, in params, an object spec or a suite entry.  SCHEMA lists the fields
 # of the document, of params, of each object kind and of each check, which
 # are the fields its builder or check reads; "?" marks an optional one, and
-# DEFAULTS gives the value it takes when left out.  The entries of points,
-# closed_sets and open_sets are literals, each parsed by the rule named after
-# its group.  A rule's test gets ``ctx``, which holds the space and, by group,
-# the names declared so far (so a parent is declared before its child), and
-# the value.  It returns False for an invalid value or raises ValueError or
-# TypeError saying why; any other result, such as the parsed literal, means the
-# value is valid.  A rule that names a group instead holds a nested spec of
-# that group.
+# DEFAULTS gives the value it takes when left out.  The entries of points and
+# closed_sets are literals, each parsed by the rule named after its group.  A
+# rule's test gets ``ctx``, which holds the space and, by group, the names
+# declared so far (so a parent is declared before its child), and the value.
+# It returns False for an invalid value or raises ValueError or TypeError
+# saying why; any other result, such as the parsed literal, means the value is
+# valid.  A rule that names a group instead holds a nested spec of that group.
 
 
 def _closed_literal(ctx: dict, literal) -> Any:
     reg = region_from_json(ctx["space"], literal)
     return reg if not reg.is_empty and reg.is_closed() else False
-
-
-def _open_literal(ctx: dict, literal) -> Any:
-    reg = region_from_json(ctx["space"], literal)
-    return reg if reg.is_open() else False
 
 
 def _closed_ref(ctx: dict, ref) -> Any:
@@ -258,7 +252,6 @@ RULES: dict[str, tuple[str, Any]] = {
     ),
     "points": ("a point literal", lambda ctx, v: point_from_json(ctx["space"], v)),
     "closed_sets": ("a nonempty closed set literal", _closed_literal),
-    "open_sets": ("an open set literal", _open_literal),
     **dict.fromkeys(("point", "value"), ("a point name or a point literal", _point_ref)),
     **dict.fromkeys(
         ("at", "carrier", "set", "base"),
@@ -408,7 +401,6 @@ class Scenario:
     suites: list[dict]
     points: dict[str, Point] = field(default_factory=dict)
     closed_sets: dict[str, Region] = field(default_factory=dict)
-    open_sets: dict[str, Region] = field(default_factory=dict)
     selections: dict[str, Selection] = field(default_factory=dict)
     decompositions: dict = field(default_factory=dict)
     pcuts: dict = field(default_factory=dict)
@@ -595,9 +587,7 @@ def canonical_net_corpus(space: Space, window: int) -> list[ConvergentNet]:
 class CheckRecord:
     name: str
     check: str
-    status: str  # 'pass' | 'fail' | 'error'
-    detail: str
-    witness: Any
+    verdict: Verdict
     params: dict
     elapsed_ms: float
 
@@ -605,15 +595,15 @@ class CheckRecord:
         return {
             "name": self.name,
             "check": self.check,
-            "status": self.status,
-            "detail": self.detail,
-            "witness": self.witness,
+            "status": self.verdict.status,
+            "detail": self.verdict.detail,
+            "witness": witness_to_json(self.verdict.witness),
             "params": self.params,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
 
 
-def _check_ordinal_laws(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
+def _check_ordinal_laws(sc: Scenario, spec: dict) -> Verdict:
     count = sc.arg(spec, "triples")
     rng = random.Random(sc.arg(spec, "seed"))
 
@@ -626,28 +616,33 @@ def _check_ordinal_laws(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     for i in range(count):
         a, b, c = rand_ord(), rand_ord(), rand_ord()
         if ord_add(ord_add(a, b), c) != ord_add(a, ord_add(b, c)):
-            return "fail", f"associativity broke at triple {i}", [str(a), str(b), str(c)]
+            detail = f"associativity broke at triple {i}: a = {a}, b = {b}, c = {c}"
+            return Verdict("fail", detail, None, i + 1)
         if b < c and not (ord_add(a, b) < ord_add(a, c)):
-            return "fail", f"right monotonicity broke at triple {i}", [str(a), str(b)]
+            detail = f"right monotonicity broke at triple {i}: a = {a}, b = {b} < c = {c}"
+            return Verdict("fail", detail, None, i + 1)
         e = rng.randrange(1, 4)
         coef = rng.randrange(1, 10)
         if a < omega_power(e) and ord_add(a, omega_power(e, coef)) != omega_power(e, coef):
-            return "fail", f"left absorption broke at triple {i}", [str(a), e, coef]
+            detail = f"left absorption broke at triple {i}: a = {a}, b = {omega_power(e, coef)}"
+            return Verdict("fail", detail, None, i + 1)
     lam_samples = [OMEGA, parse_ordinal("w*2"), parse_ordinal("w^2"), parse_ordinal("w^2+w")]
     for lam in lam_samples:
         prev = None
         for n in range(64):
             cur = ord_fundamental(lam, n)
             if cur >= lam or (prev is not None and cur <= prev):
-                return "fail", f"fundamental sequence of {lam} broke at {n}", str(cur)
+                return Verdict("fail", f"fundamental sequence of {lam} broke at {n}: {cur}",
+                               None, count)
             prev = cur
         probes = [ZERO, Ordinal.from_int(7), ord_fundamental(lam, 9)]
         for beta in probes:
             if beta < lam:
                 idx = fund_index_at_least(lam, beta)
                 if ord_fundamental(lam, idx) < beta:
-                    return "fail", f"grid cofinality of {lam} broke at {beta}", None
-    return "pass", f"{count} triples", None
+                    return Verdict("fail", f"grid cofinality of {lam} broke at {beta}", None,
+                                   count)
+    return Verdict("pass", f"{count} triples", None, count)
 
 
 def _oracle_has_base_interval(h: Region, b: int, x: Ordinal) -> bool:
@@ -683,75 +678,63 @@ def _oracle_is_open(h: Region) -> bool:
     return True
 
 
-def _check_clopen_oracle(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
+def _check_clopen_oracle(sc: Scenario, spec: dict) -> Verdict:
     fam = sc.family_params(spec)
     sets = enumerate_closed_family(sc.space, fam)
     modulo = 0
-    for h in sets:
+    for checked, h in enumerate(sets, 1):
         exact = h.is_open()
         oracle = _oracle_is_open(h)
         if exact != oracle:
-            return "fail", f"is_open disagrees with the oracle (exact={exact})", h
+            return Verdict("fail", f"is_open disagrees with the oracle (exact={exact})", h,
+                           checked)
         status = clopen_modulo(h)
         if status.kind == "clopen" and not exact:
-            return "fail", "clopen verdict on a non-open set", h
+            return Verdict("fail", "clopen verdict on a non-open set", h, checked)
         if status.kind == "modulo":
             modulo += 1
             if not h.remove_point(status.point).is_open():
-                return "fail", "modulo point does not open the set", h
+                return Verdict("fail", "modulo point does not open the set", h, checked)
             for q in h.grid_members():
                 if q != status.point and h.remove_point(q).is_open():
-                    return "fail", f"second modulo point {q}", h
+                    return Verdict("fail", f"second modulo point {q}", h, checked)
         if status.kind == "not_in_delta":
             for q in h.grid_members():
                 if h.remove_point(q).is_open():
-                    return "fail", f"missed modulo point {q}", h
-    return "pass", f"{len(sets)} sets, {modulo} modulo", None
+                    return Verdict("fail", f"missed modulo point {q}", h, checked)
+    return Verdict("pass", f"{len(sets)} sets, {modulo} modulo", None, len(sets))
 
 
-def _check_selection_law(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
+def _check_selection_law(sc: Scenario, spec: dict) -> Verdict:
     f = sc.selections[spec["selection"]]
     fam = sc.family_params(spec)
     sets = enumerate_closed_family(sc.space, fam, carrier=f.carrier)
-    for s in sets:
+    for checked, s in enumerate(sets, 1):
         try:
             f._value(s)  # each family member is proven to fit f
         except SelectionLawError as exc:
-            return "fail", str(exc), s
-    return "pass", f"{len(sets)} sets", None
+            return Verdict("fail", str(exc), s, checked)
+    return Verdict("pass", f"{len(sets)} sets", None, len(sets))
 
 
-def _check_extremality(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
+def _check_extremality(sc: Scenario, spec: dict) -> Verdict:
     f = sc.selections[spec["selection"]]
     p = sc._point(spec["point"])
-    mode = sc.arg(spec, "mode")
-    fam = sc.family_params(spec)
-    out = extremality_check(f, p, mode, fam)
-    if out.passed:
-        return "pass", f"{out.checked} sets", None
-    return "fail", out.detail, out.witness
+    return extremality_check(f, p, sc.arg(spec, "mode"), sc.family_params(spec))
 
 
-def _check_continuity(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
+def _check_continuity(sc: Scenario, spec: dict) -> Verdict:
     f = sc.selections[spec["selection"]]
     nets_ref = sc.arg(spec, "nets")
     if nets_ref == "canonical":
         nets = canonical_net_corpus(sc.space, sc.params["window"])
     else:
         nets = [sc.nets[n] for n in nets_ref]
-    out = continuity_check(f, nets, sc.arg(spec, "depth"))
-    if out.passed:
-        return "pass", f"{len(nets)} nets", None
-    name, around = out.witness
-    return "fail", out.detail, (name, around)
+    return continuity_check(f, nets, sc.arg(spec, "depth"))
 
 
-def _check_net_convergence(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
-    net = sc.nets[spec["net"]]
-    out = net_convergence_check(net, sc.arg(spec, "depth"))
-    if out.passed:
-        return "pass", f"{out.checked} basics", None
-    return "fail", out.detail, out.witness
+def _check_net_convergence(sc: Scenario, spec: dict) -> Verdict:
+    return net_convergence_check(sc.nets[spec["net"]], sc.arg(spec, "depth"))
 
 
 def _deterministic_opens(sc: Scenario, count: int, seed: int) -> list[Region]:
@@ -788,19 +771,19 @@ def _deterministic_opens(sc: Scenario, count: int, seed: int) -> list[Region]:
     return out
 
 
-def _check_derived_props(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
+def _check_derived_props(sc: Scenario, spec: dict) -> Verdict:
     f = sc.selections[spec["selection"]]
     count = sc.arg(spec, "count")
     opens = _deterministic_opens(sc, count, sc.arg(spec, "seed"))
     if len(opens) < count:
-        return "error", f"only generated {len(opens)} distinct opens", None
+        return Verdict("error", f"only generated {len(opens)} distinct opens", None, 0)
     oracle_pts = 12
     whole, grid = f.space.whole(), f.space.grid_points()
-    for v in opens:
+    for checked, v in enumerate(opens, 1):
         try:
             ds = derived_sets(f, v)
         except DerivedSetsInvariantError as exc:
-            return "fail", str(exc), v
+            return Verdict("fail", str(exc), v, checked)
         comp = whole.difference(v)
         if comp.is_empty:
             continue
@@ -811,23 +794,18 @@ def _check_derived_props(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
         outside = [pt for pt in grid[:oracle_pts] if not ds.bracket.contains_point(pt)]
         for pt in members:
             if f._value(comp.add_point(pt)) != pt:
-                return "fail", f"bracket contains unrelated point {pt}", v
+                return Verdict("fail", f"bracket contains unrelated point {pt}", v, checked)
         for pt in outside:
             if f._value(comp.add_point(pt)) == pt:
-                return "fail", f"bracket misses related point {pt}", v
-    return "pass", f"{len(opens)} opens", None
+                return Verdict("fail", f"bracket misses related point {pt}", v, checked)
+    return Verdict("pass", f"{len(opens)} opens", None, len(opens))
 
 
-def _check_decomp_validate(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
-    d = sc.decompositions[spec["decomp"]]
-    report = decomp_validate(d)
-    if report.passed:
-        return "pass", f"{len(report.entries)} validations", None
-    failing = report.failures()[0]
-    return "fail", f"{failing.name}: {failing.detail}", None
+def _check_decomp_validate(sc: Scenario, spec: dict) -> Verdict:
+    return decomp_validate(sc.decompositions[spec["decomp"]])
 
 
-def _check_base_at_cut(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
+def _check_base_at_cut(sc: Scenario, spec: dict) -> Verdict:
     f = sc.selections[spec["selection"]]
     cut = sc.pcuts[spec["pcut"]]
     steps = sc.arg(spec, "steps")
@@ -835,41 +813,41 @@ def _check_base_at_cut(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
     base = base_at_cut(f, cut, steps)
     extended = base_at_cut(f, cut, max(steps, absorb_steps))
     if extended.stages[:steps] != base.stages:
-        return "fail", "construction is not deterministic across lengths", None
-    ok, missed = cut_base_absorbs(extended, sc.space)
-    if not ok:
-        return "fail", "a canonical grid open absorbs no stage", missed
-    return "pass", f"{steps} verified stages; absorption over {absorb_steps}", None
+        return Verdict("fail", "construction is not deterministic across lengths", None, steps)
+    absorbed = cut_base_absorbs(extended, sc.space)
+    if not absorbed.passed:
+        return absorbed
+    detail = f"{steps} verified stages; absorption over {absorb_steps}"
+    return Verdict("pass", detail, None, absorbed.checked)
 
 
-def _check_transfinite_roundtrip(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
+def _check_transfinite_roundtrip(sc: Scenario, spec: dict) -> Verdict:
     f = sc.selections[spec["selection"]]
     p = sc._point(spec["point"])
     gamma = parse_ordinal(sc.arg(spec, "gamma"))
     fam = sc.family_params(spec)
     d, boundaries = transfinite_base(f, p, gamma, guided=sc.arg(spec, "guided"))
-    problems = gamma_base_validate(d)
-    if problems:
-        return "fail", "; ".join(problems), None
-    report = decomp_validate(d)
-    if not report.passed:
-        failures = "; ".join(e.name + " " + e.detail for e in report.failures())
-        return "fail", "graded-base decomposition failed validation: " + failures, None
+    base = gamma_base_validate(d)
+    if not base.passed:
+        return base
+    levels = decomp_validate(d)
+    if not levels.passed:
+        detail = "graded-base decomposition failed validation: " + levels.detail
+        return replace(levels, detail=detail)
     decomp_to_extreme_selection(d, p, "maximal", family=fam)
     detail = f"gamma={format_ordinal(base_length(d))}"
     if boundaries:
         detail += ", identities at " + ", ".join(map(format_ordinal, boundaries))
-    return "pass", detail, None
+    return Verdict("pass", detail, None, base.checked)
 
 
-def _check_pointwise_minimal(sc: Scenario, spec: dict) -> tuple[str, str, Any]:
+def _check_pointwise_minimal(sc: Scenario, spec: dict) -> Verdict:
     fam = sc.family_params(spec)
-    done = 0
-    for p in sc.space.grid_points():
+    points = sc.space.grid_points()
+    for p in points:
         d = point_decomposition(sc.space, p)
         decomp_to_extreme_selection(d, p, "minimal", family=fam)
-        done += 1
-    return "pass", f"{done} points", None
+    return Verdict("pass", f"{len(points)} points", None, len(points))
 
 
 CHECKS: dict[str, Callable] = {
@@ -895,7 +873,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(r.status == "pass" for r in self.records)
+        return all(r.verdict.passed for r in self.records)
 
     def exit_code(self) -> int:
         return 0 if self.passed else 1
@@ -908,9 +886,9 @@ class Report:
             "results": [r.to_json() for r in self.records],
             "summary": {
                 "total": len(self.records),
-                "passed": sum(r.status == "pass" for r in self.records),
-                "failed": sum(r.status == "fail" for r in self.records),
-                "errors": sum(r.status == "error" for r in self.records),
+                "passed": sum(r.verdict.status == "pass" for r in self.records),
+                "failed": sum(r.verdict.status == "fail" for r in self.records),
+                "errors": sum(r.verdict.status == "error" for r in self.records),
             },
         }
 
@@ -923,26 +901,22 @@ def run_scenario(sc: Scenario) -> Report:
         fn = CHECKS[check]
         start = time.perf_counter()
         try:
-            status, detail, witness = fn(sc, spec)
+            verdict = fn(sc, spec)
         except (
             TheoremViolationError,
             DerivedSetsInvariantError,
             SelectionLawError,
         ) as exc:
-            status = "fail"
-            detail = str(exc)
-            witness = getattr(exc, "witness", None)
+            verdict = Verdict("fail", str(exc), getattr(exc, "witness", None), 0)
         except Exception as exc:
             # any other failure of a check is reported, never raised
-            status, detail, witness = "error", f"{type(exc).__name__}: {exc}", None
+            verdict = Verdict("error", f"{type(exc).__name__}: {exc}", None, 0)
         elapsed = (time.perf_counter() - start) * 1000.0
         records.append(
             CheckRecord(
                 name,
                 check,
-                status,
-                detail,
-                witness_to_json(witness),
+                verdict,
                 {k: v for k, v in spec.items() if k not in ("check", "name")},
                 elapsed,
             )

@@ -20,7 +20,7 @@ from hypersel.ordinal import Ordinal, successor
 from hypersel.space import Point, Region, Space, Span
 from hypersel.decomp import DecompositionSpec
 from hypersel import hyperspace
-from hypersel.hyperspace import CheckOutcome
+from hypersel.hyperspace import Verdict
 
 __all__ = [
     "Selection",
@@ -454,7 +454,7 @@ def extremality_check(
     p: Point,
     mode: str,
     family: FamilyParams,
-) -> CheckOutcome:
+) -> Verdict:
     """Exhaustive extremality test over the enumerated family.
 
     maximal: f(S) = p whenever p is in S; minimal: f(S) != p whenever S != {p}.
@@ -472,20 +472,21 @@ def extremality_check(
         checked += 1
         if mode == "maximal":
             if s.contains_point(p) and f._value(s) != p:
-                return CheckOutcome(False, s, f"f(S) != {p} though {p} in S", checked)
+                return Verdict("fail", f"f(S) != {p} though {p} in S", s, checked)
         else:
             if s.contains_point(p) and s != p_region and f._value(s) == p:
-                return CheckOutcome(False, s, f"f(S) = {p} though S != {{{p}}}", checked)
-    return CheckOutcome(True, None, "", checked)
+                return Verdict("fail", f"f(S) = {p} though S != {{{p}}}", s, checked)
+    return Verdict("pass", f"{checked} sets", None, checked)
 
 
 def continuity_check(
     f: Selection,
     nets: Sequence[hyperspace.ConvergentNet],
     depth: int,
-) -> CheckOutcome:
+) -> Verdict:
     """Eventual entry of selected values into every canonical open around the
-    value at the limit, for each net; nets must converge to their declared limits."""
+    value at the limit, for each net; nets must converge to their declared limits.
+    A failure's witness is the net's name and the open its values stay outside."""
     space = f.space
     checked = 0
     for net in nets:
@@ -498,10 +499,10 @@ def continuity_check(
             around = space.open_tail(y, level)
             checked += 1
             if not around.contains_point(end_value):
-                return CheckOutcome(
-                    False,
-                    (net.name, around),
+                return Verdict(
+                    "fail",
                     f"values of {net.name} stay outside a canonical open around {y}",
+                    (net.name, around),
                     checked,
                 )
-    return CheckOutcome(True, None, "", checked)
+    return Verdict("pass", f"{len(nets)} nets", None, checked)

@@ -18,7 +18,7 @@ from hypersel.decomp import (
     DecompositionError,
     ExplicitDecomposition,
 )
-from hypersel.hyperspace import CheckOutcome, ConvergentNet, VietorisBasic, basic_nbhd_family
+from hypersel.hyperspace import ConvergentNet, Verdict, VietorisBasic, basic_nbhd_family
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal, successor
 from hypersel.selection import ExtremumNotAttained
 from hypersel.space import Point, Region, Space, Span
@@ -438,16 +438,16 @@ def ref_enumerate_closed_family(space: Space, params, carrier=None) -> list[Regi
 # every set of the reference family goes through the public, guarded evaluate.
 
 
-def ref_extremality_check(f, p: Point, mode: str, sets: list[Region]) -> CheckOutcome:
+def ref_extremality_check(f, p: Point, mode: str, sets: list[Region]) -> Verdict:
     """Over sets, the reference family over f's carrier."""
     p_region = f.space.point_region(p)
     for checked, s in enumerate(sets, 1):
         if mode == "maximal":
             if s.contains_point(p) and f.evaluate(s) != p:
-                return CheckOutcome(False, s, f"f(S) != {p} though {p} in S", checked)
+                return Verdict("fail", f"f(S) != {p} though {p} in S", s, checked)
         elif s.contains_point(p) and s != p_region and f.evaluate(s) == p:
-            return CheckOutcome(False, s, f"f(S) = {p} though S != {{{p}}}", checked)
-    return CheckOutcome(True, None, "", len(sets))
+            return Verdict("fail", f"f(S) = {p} though S != {{{p}}}", s, checked)
+    return Verdict("pass", f"{len(sets)} sets", None, len(sets))
 
 
 # -- reference net convergence check -------------------------------------------------
@@ -466,13 +466,13 @@ def ref_vietoris_member(s: Region, basic: VietorisBasic) -> bool:
     return all(s.meets(part) for part in basic.parts)
 
 
-def ref_net_convergence_check(net: ConvergentNet, depth: int = 2) -> CheckOutcome:
+def ref_net_convergence_check(net: ConvergentNet, depth: int = 2) -> Verdict:
     family = basic_nbhd_family(net.declared_limit, depth)
     members = [net.member(n) for n in range(net.window + 1)]
     for basic in family:
         if not ref_vietoris_member(members[net.window], basic):
-            return CheckOutcome(False, basic, f"escapes a basic at {net.window}", len(family))
-    return CheckOutcome(True, None, "", len(family))
+            return Verdict("fail", f"escapes a basic at {net.window}", basic, len(family))
+    return Verdict("pass", f"{len(family)} basics", None, len(family))
 
 
 # -- reference level scans --------------------------------------------------------------

@@ -279,9 +279,9 @@ def test_criterion_7_cut_point_base(wedge_space, wedge_maximal):
     extended = base_at_cut(wedge_maximal, cut, 30)
     if extended.stages[:8] != base.stages:
         problems.append("construction not deterministic")
-    ok, witness = cut_base_absorbs(extended, wedge_space)
-    if not ok:
-        problems.append(f"open not absorbed: {witness!r}")
+    absorbed = cut_base_absorbs(extended, wedge_space)
+    if not absorbed.passed:
+        problems.append(f"open not absorbed: {absorbed.witness!r}")
     report(7, not problems, "8 verified stages; family absorbs every canonical grid open"
            + ("" if not problems else f"; {problems[0]}"))
 
@@ -293,12 +293,13 @@ def test_criterion_8_transfinite_roundtrip(omega2_space, omega2_maximal):
     top = omega2_space.point(0, W2)
     # limit identity verified inside; d is the base's chain decomposition
     d, boundaries = transfinite_base(omega2_maximal, top, W2, guided=False)
-    problems = gamma_base_validate(d)
+    base = gamma_base_validate(d)
+    problems = [] if base.passed else [base.detail]
     if list(boundaries) != [W]:
         problems.append("missing limit-stage identity verification")
     vrep = decomp_validate(d)  # fibers clopen modulo a point among the rest
     if not vrep.passed:
-        problems.extend(e.name for e in vrep.failures())
+        problems.append(vrep.detail)
     f2 = decomp_to_extreme_selection(d, top, "maximal", FamilyParams(grid_k=4))
     out = extremality_check(f2, top, "maximal", FamilyParams(grid_k=5))
     if not out.passed:

@@ -135,8 +135,8 @@ class TestBaseAtCut:
 
     def test_absorption_with_enough_stages(self, wedge_space, wedge_maximal, wedge_cut):
         base = base_at_cut(wedge_maximal, wedge_cut, 30)
-        ok, witness = cut_base_absorbs(base, wedge_space)
-        assert ok, witness
+        absorbed = cut_base_absorbs(base, wedge_space)
+        assert absorbed.passed, absorbed.witness
 
     def test_deterministic_prefix(self, wedge_maximal, wedge_cut):
         a = base_at_cut(wedge_maximal, wedge_cut, 6)
@@ -188,7 +188,7 @@ class TestTransfiniteBase:
         d, boundaries = transfinite_base(f, top, W, guided=False)
         assert d.gamma == W and boundaries == {}
         assert d.member(ZERO) == omega_space.whole()
-        assert gamma_base_validate(d) == []
+        assert gamma_base_validate(d).passed
         # members are eventually inside every canonical tail
         for level in range(2):
             around = omega_space.open_tail(top, level)
@@ -202,7 +202,7 @@ class TestTransfiniteBase:
         assert lam == W
         assert d.member(lam) == creg(omega2_space, (0, W, W2))
         assert q == omega2_space.point(0, W)
-        assert gamma_base_validate(d) == []
+        assert gamma_base_validate(d).passed
 
     def test_isolated_point_one_base(self, omega2_space):
         p = omega2_space.point(0, O(5))
@@ -211,7 +211,7 @@ class TestTransfiniteBase:
         assert boundaries == {}
         assert base_members(d) == [(ZERO, omega2_space.point_region(p))]
         # the one-member base {{p}} is a valid base, and its decomposition too
-        assert gamma_base_validate(d) == []
+        assert gamma_base_validate(d).passed
         assert decomp_validate(d).passed
         assert d.gamma == O(1)
         assert d.fiber(O(1)) == omega2_space.point_region(p)
@@ -220,7 +220,7 @@ class TestTransfiniteBase:
     def test_wedge_gamma_omega(self, wedge_space, wedge_maximal):
         hub = wedge_space.point(0, W)
         d, _ = transfinite_base(wedge_maximal, hub, W, guided=False)
-        assert gamma_base_validate(d) == []
+        assert gamma_base_validate(d).passed
         member = d.member(O(20))  # beyond the explicit probe: pattern evaluation
         assert member.is_clopen() and member.contains_point(hub)
         # level sets pair off tail differences across both prongs
@@ -231,7 +231,7 @@ class TestTransfiniteBase:
     def test_guided_run_crosses_interior_limits(self, omega_sq_space, omega_sq_maximal):
         top = omega_sq_space.point(0, parse_ordinal("w^2"))
         d, _ = transfinite_base(omega_sq_maximal, top, W, guided=True)
-        assert gamma_base_validate(d) == []
+        assert gamma_base_validate(d).passed
         # the guide: stage j + 1 lies in member j + 2 of the canonical tail chain
         tails = point_chain_rule(omega_sq_space, top)
         assert all(d.member(O(j + 1)).subset_of(tails(j + 2)) for j in range(6))
@@ -249,7 +249,7 @@ class TestTransfiniteBase:
         # interior limit and never reach the top; the validator must say so
         top = omega_sq_space.point(0, parse_ordinal("w^2"))
         d, _ = transfinite_base(omega_sq_maximal, top, W, guided=False)
-        assert gamma_base_validate(d) != []
+        assert not gamma_base_validate(d).passed
 
     @pytest.mark.parametrize("line, gamma", [("w", "10"), ("w*2", "w+10")])
     def test_stages_past_a_successor_gamma_are_no_members(self, line, gamma):
@@ -262,7 +262,9 @@ class TestTransfiniteBase:
             point_decomposition(space, top), top, "maximal", FamilyParams(grid_k=2)
         )
         d, _ = transfinite_base(f, top, parse_ordinal(gamma), guided=False)
-        assert gamma_base_validate(d) == [f"no member inside a canonical open around {top}"]
+        verdict = gamma_base_validate(d)
+        assert (verdict.status, verdict.detail, verdict.witness) == (
+            "fail", f"no member inside a canonical open around {top}", None)
 
     def test_overlong_gamma_reports_violation(self, omega_space):
         # psi at the top of [0, w] is omega; asking for an interior limit stage
@@ -372,10 +374,9 @@ class TestRoundtrip:
         # finite last block: the upper preimage of the level below is {p}
         top = omega2_space.point(0, W2)
         d, _ = transfinite_base(omega2_maximal, top, P(gamma), guided=False)
-        failures = decomp_validate(d).failures()
-        assert [(e.name, e.detail) for e in failures] == [
-            ("eta-continuous", f"upper preimage at {level} not open")
-        ]
+        verdict = decomp_validate(d)
+        assert (verdict.status, verdict.detail) == (
+            "fail", f"eta-continuous: upper preimage at {level} not open")
 
     def test_chain_decomp_to_maximal_equals_order_max(self, omega_space):
         top = omega_space.point(0, W)

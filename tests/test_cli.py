@@ -126,14 +126,16 @@ class TestExitCodes:
 # Planted documents: each fails its one check, named here, with this detail, and
 # its report has this digest.
 PLANTED = {
+    # the witness of an overlap is the set the two fibers share, {5} here
     "decomp_overlap": ("decomp_validate", "fibers-disjoint: fibers 0 and 1 overlap"),
-    "decomp_gap": ("decomp_validate", "fibers-cover: uncovered region Region(0:{4})"),
+    # the witness of a gap is the region no fiber covers, {4} here
+    "decomp_gap": ("decomp_validate", "fibers-cover: uncovered region"),
     # a base of successor length w+20 ends in {p}: its level map is not
     # continuous at the last stage
     "roundtrip_successor_gamma": (
         "transfinite_roundtrip",
         "graded-base decomposition failed validation:"
-        " eta-continuous upper preimage at w + 19 not open",
+        " eta-continuous: upper preimage at w + 19 not open",
     ),
     # the maximal selection at (1:0) jumps at the glued point (0:w) = (1:w):
     # f(C | {(1:n)}) = (1:n) for every n, but f(C | {(0:w)}) = (0:w*2)
@@ -149,10 +151,10 @@ PLANTED = {
     ),
 }
 PLANTED_DIGESTS = {
-    "decomp_overlap": "4271d079af97635359597ff3103a0b28b9159311f70cda1000f3a662dfd1be76",
-    "decomp_gap": "0a64c3f3f95049b5cf1e74522661fb1ac7b21e41c1c35eeeb797e068c492c98f",
+    "decomp_overlap": "cc911cd696719ebc37138be3fa048ceb2798b8f9965dd4230417f5aeb56c2e5d",
+    "decomp_gap": "a5de30340e426273313e193d7a44c0aae317ed359113b1ea84405bd8d340b1e3",
     "roundtrip_successor_gamma":
-        "9a7001f01a0e6573bd670a64821613d4556a58ad0d482bf9ccc4a19a210fc480",
+        "b0d48830d2c70e0a91df41a4550ed4684120ba16f9700c9816197c2ab514e2ae",
     "roundtrip_stages_past_gamma":
         "eb45ddd0311505c5e603f3c7b3bd00fbd615d2ceaede6af640333b5bed73f412",
     "derived_props_interior_glue":
@@ -170,6 +172,14 @@ class TestPlantedDefects:
         assert (record["check"], record["status"]) == (check, "fail")
         assert record["detail"] == detail
         assert report_digest(report) == PLANTED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name, witness", [
+        ("decomp_overlap", [[0, "5", "5"]]), ("decomp_gap", [[0, "4", "4"]]),
+    ])
+    def test_decomposition_failure_carries_its_set(self, name, witness, capsys):
+        assert cli.main(["check", str(SCENARIOS / "defects" / f"{name}.json")]) == 1
+        (record,) = json.loads(capsys.readouterr().out)["results"]
+        assert record["witness"] == {"set": witness}
 
 
 def transfinite_doc(line, point, gamma):

@@ -32,11 +32,8 @@ def creg(space, *items):
 class TestValidation:
     def test_point_chain_validates(self, omega_space):
         d = point_decomposition(omega_space, omega_space.point(0, W))
-        report = decomp_validate(d)
-        assert report.passed
-        names = {e.name for e in report.entries}
-        assert {"fibers-disjoint", "fibers-cover", "fibers-in-delta",
-                "eta-continuous", "eta-closed"} <= names
+        verdict = decomp_validate(d)
+        assert (verdict.status, verdict.detail, verdict.checked) == ("pass", "6 validations", 6)
 
     def test_explicit_validates(self, omega2_space):
         lower = creg(omega2_space, (0, ZERO, W))
@@ -48,9 +45,9 @@ class TestValidation:
         bad = creg(omega2_space, (0, W, W), (0, W2, W2))  # two limit points
         rest = omega2_space.whole().difference(bad)
         d = ExplicitDecomposition(omega2_space, [rest, bad])
-        report = decomp_validate(d)
-        assert not report.passed
-        assert any(e.name == "fibers-in-delta" for e in report.failures())
+        verdict = decomp_validate(d)
+        assert verdict.status == "fail"
+        assert verdict.detail.startswith("fibers-in-delta: ")
 
     def test_limit_modulo_point_recorded(self, omega2_space):
         d = point_decomposition(omega2_space, omega2_space.point(0, W2))
@@ -166,7 +163,7 @@ class TestOneSidedLevels:
     ):
         top = omega2_space.point(0, W2)
         d, _ = transfinite_base(omega2_maximal, top, W2, guided=False)
-        assert gamma_base_validate(d) == []
+        assert gamma_base_validate(d).passed
         assert isinstance(d, ChainDecomposition) and decomp_validate(d).passed
         _agrees_with_reference(d, top, FamilyParams(grid_k=3), endpoints=True)
 
@@ -178,7 +175,7 @@ class TestOneSidedLevels:
         family = FamilyParams(grid_k=3)
         f = decomp_to_extreme_selection(point_decomposition(space, top), top, "maximal", family)
         d, _ = transfinite_base(f, top, W, guided=True)
-        assert gamma_base_validate(d) == []
+        assert gamma_base_validate(d).passed
         assert isinstance(d, ChainDecomposition) and d.gamma == W
         assert decomp_validate(d).passed
         _agrees_with_reference(d, top, family, endpoints=True)
@@ -262,7 +259,7 @@ class TestChainTailsIsAtPoint:
         idxs = at.sample_indices()
         assert tails.sample_indices() == idxs
         assert [tails.fiber(i) for i in idxs] == [at.fiber(i) for i in idxs]
-        assert decomp_validate(tails).entries == decomp_validate(at).entries
+        assert decomp_validate(tails) == decomp_validate(at)
 
     def test_isolated_point_loads_the_two_fiber_split(self):
         # like at_point, chain_tails at an isolated point is the two-fiber split

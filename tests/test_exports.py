@@ -3,8 +3,9 @@ name a module imports is used in it or exported, and every function, class,
 method and module-level constant the package defines is used by the package
 or the benchmark, only the sites that prove evaluate's guards call the
 evaluation step behind them, only Space.tail builds a tail at a point,
-every field that the table lists for a check or a base is read on its code
-path, and no default of a field sits outside the table."""
+every check returns a Verdict, every field that the table lists for a check
+or a base is read on its code path, and no default of a field sits outside
+the table."""
 import ast
 import importlib
 from pathlib import Path
@@ -217,6 +218,68 @@ def test_tail_site_is_found():
 def test_tails_are_built_in_one_place():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert tail_sites(sources) == TAIL_SITES
+
+
+# One type carries the result of every check, hyperspace.Verdict: no function
+# returns a tuple led by a status, and no other class declares a field named
+# after a verdict's pass flag or witness.  The library checks below and every
+# check of the CHECKS table return a Verdict.
+STATUSES = {"pass", "fail", "error"}
+VERDICT_FIELDS = {"passed", "witness"}
+LIBRARY_CHECKS = [
+    "hyperspace.net_convergence_check", "selection.extremality_check",
+    "selection.continuity_check", "decomp.decomp_validate",
+    "basebuilder.gamma_base_validate", "basebuilder.cut_base_absorbs",
+]
+
+
+def verdict_shapes(sources: dict[str, str]) -> set[str]:
+    """``file function`` of each function (nested ones under their outer
+    function too) that returns a tuple whose first element is a status
+    string, and ``file class.field`` of each field named ``passed`` or
+    ``witness`` that a class other than Verdict declares."""
+    out = set()
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef):
+                out.update(
+                    f"{fname} {node.name}" for ret in ast.walk(node)
+                    if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)
+                    and ret.value.elts and _constant(ret.value.elts[0]) in STATUSES
+                )
+            elif isinstance(node, ast.ClassDef) and node.name != "Verdict":
+                out.update(
+                    f"{fname} {node.name}.{st.target.id}" for st in node.body
+                    if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+                    and st.target.id in VERDICT_FIELDS
+                )
+    return out
+
+
+def test_verdict_shape_is_found():
+    src = (
+        "def f(x):\n    if x:\n        return 'fail', 'detail', None\n"
+        "    return Verdict('pass', '', None, 0)\n"
+        "def g():\n    return 'ok', 1\n"
+        "@dataclass\nclass Outcome:\n    passed: bool\n    witness: object = None\n"
+        "    detail: str = ''\n"
+        "class Verdict:\n    witness: object\n"
+        "class Report:\n    @property\n    def passed(self):\n        return True\n"
+    )
+    assert verdict_shapes({"x.py": src}) == {
+        "x.py f", "x.py Outcome.passed", "x.py Outcome.witness",
+    }
+
+
+def test_every_check_returns_a_verdict():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert verdict_shapes(sources) == set()
+    library = [
+        getattr(importlib.import_module(f"hypersel.{module}"), name)
+        for module, name in (check.split(".") for check in LIBRARY_CHECKS)
+    ]
+    for fn in [*library, *CHECKS.values()]:
+        assert fn.__annotations__["return"] == "Verdict", fn.__name__
 
 
 # -- the field table ----------------------------------------------------------------

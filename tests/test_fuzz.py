@@ -28,7 +28,6 @@ DOC = {
     "objects": {
         "points": {"p": [0, "w"], "q": [1, "1"]},
         "closed_sets": {"c": [[0, "0", "w"]]},
-        "open_sets": {"v": [[0, "1", "w", "open"]]},
         "decompositions": {
             "d": {"kind": "at_point", "point": "p"},
             "t": {"kind": "chain_tails", "point": "p"},
@@ -160,6 +159,7 @@ WRONG = {
     "an object": ([1], "x", None),
     "an object of known groups, each an object": (
         [1], {"points": []}, {"nets": "x"}, None, {"selectoins": {}},
+        {"open_sets": {"v": [[0, "1", "w", "open"]]}},
     ),
     "a list": ({}, "x", None),
     "a string": ([1], 1, {}, None),
@@ -173,10 +173,6 @@ WRONG = {
     "a nonempty closed set literal": (
         [], [[0, "1", "w", "open"]], [[0, "0", "w", "x", 5]], [[0, "0"]], {}, "c", None,
         [[0, "0", "w"], [1, "5", "2"]], [[0, "0", "w"], [1, "3", "3", "open"]],
-    ),
-    "an open set literal": (
-        [[0, "w", "w"]], [[0, "0", "w", "x"]], {}, "v", None, [[0, "5", "2", "open"]],
-        [[0, "3", "3", "open"]],
     ),
     "a point name or a point literal": ("nope", [1], [0, "w", "x"], [2, "w"], {}, None),
     "a closed-set name or a nonempty closed set literal": (
@@ -226,7 +222,6 @@ VALID = {
     "an ordinal literal": "w",
     "a point literal": [1, "2"],
     "a nonempty closed set literal": [[0, "0", "w"]],
-    "an open set literal": [[0, "1", "w", "open"]],
     "a point name or a point literal": "p",
     "a closed-set name or a nonempty closed set literal": "c",
     "a list of set literals": [[[0, "0", "w"]]],
@@ -247,7 +242,7 @@ def _doc_specs():
     yield (), "document", None
     yield ("space",), "space", None
     yield ("params",), "params", None
-    for group in OBJECT_GROUPS[3:]:
+    for group in [group for group in OBJECT_GROUPS if group in SCHEMA]:
         for name, spec in DOC["objects"][group].items():
             yield ("objects", group, name), group, spec.get("kind")
     yield ("objects", "nets", "n4", "inner"), "nets", "increasing"
@@ -273,7 +268,7 @@ def _mutations():
         if kind is not None:
             for value in WRONG_KINDS:
                 yield path, "check" if group == "suites" else "kind", value
-    for group in OBJECT_GROUPS[:3]:
+    for group in [group for group in OBJECT_GROUPS if group not in SCHEMA]:
         for name in DOC["objects"][group]:
             for value in WRONG[RULES[group][0]]:
                 yield ("objects", group), name, value
@@ -305,7 +300,30 @@ def test_doc_has_a_spec_of_every_kind():
     assert covered == declared
 
 
+def names_field(err: str, key: str) -> bool:
+    """Does the message name the field ``key`` as the one it rejects?  A rule
+    says ``<what>: <key> must be``, a literal group ``<group> '<key>' must
+    be``, a nested spec ``<what>: <key>: <why>``, and the table ``unknown
+    field '<key>'`` or ``unknown <key> <value>`` for a kind or a check."""
+    return any(says in err for says in (
+        f": {key} must be ", f" {key!r} must be ", f": {key}: ", f"unknown field {key!r}",
+        f"unknown {key} ",
+    ))
+
+
+def test_field_naming_is_found():
+    err = "invalid scenario: suite entry 3: point must be a point literal, not 1"
+    assert names_field(err, "point") and not names_field(err, "selection")
+    assert names_field("scenario document: space: unknown field 'x'", "space")
+    assert names_field("point 'p' must be a point literal", "p")
+    assert names_field("net 'n1': unknown kind None", "kind")
+    assert not names_field("bad space: a gluing class names branch 0 twice", "gluings")
+
+
 def test_every_wrong_field_exits_two(tmp_path):
+    """Each case exits 2, and the message names the mutated field: a case
+    rejected for another reason, such as a build that fails after its rule
+    let a wrong value through, is a miss."""
     path = tmp_path / "case.json"
     text = json.dumps(DOC)
     misses, cases = [], 0
@@ -318,6 +336,6 @@ def test_every_wrong_field_exits_two(tmp_path):
         path.write_text(json.dumps(doc))
         cases += 1
         code, err = _run(["check", str(path)])
-        if code != 2 or "Traceback" in err:
-            misses.append(f"{keys} {key} = {value!r}: exit {code}")
-    assert not misses, f"{len(misses)} of {cases} cases did not exit 2:\n" + "\n".join(misses[:20])
+        if code != 2 or "Traceback" in err or not names_field(err, key):
+            misses.append(f"{keys} {key} = {value!r}: exit {code}, stderr {err.strip()!r}")
+    assert not misses, f"{len(misses)} of {cases} cases missed:\n" + "\n".join(misses[:20])

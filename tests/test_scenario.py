@@ -95,8 +95,10 @@ class TestLoading:
             Scenario.load(doc)
 
     def test_open_set_validation(self):
+        # no check reads declared open sets, so the group is gone and even an
+        # open set literal is refused
         doc = minimal_doc()
-        doc["objects"] = {"open_sets": {"v": [[0, "w", "w"]]}}
+        doc["objects"] = {"open_sets": {"v": [[0, "1", "w", "open"]]}}
         with pytest.raises(ScenarioError):
             Scenario.load(doc)
 
@@ -169,12 +171,12 @@ class TestDerivedPropsOracle:
     def test_oracle_catches_what_the_invariants_accept(self, cls, detail):
         sc = Scenario.load(minimal_doc(objects={"selections": {"f": {"kind": "order_max"}}}))
         f = sc.selections["f"] = cls(sc.space)
-        status, got, v = CHECKS["derived_props"](sc, {"selection": "f", "count": 20})
+        verdict = CHECKS["derived_props"](sc, {"selection": "f", "count": 20})
         if detail is None:
-            assert (status, got) == ("pass", "20 opens")
+            assert (verdict.status, verdict.detail) == ("pass", "20 opens")
         else:
-            assert status == "fail" and got.startswith(detail), got
-            derived_sets(f, v)  # raises nothing: only the oracle sees the defect
+            assert verdict.status == "fail" and verdict.detail.startswith(detail), verdict.detail
+            derived_sets(f, verdict.witness)  # raises nothing: only the oracle sees the defect
 
 
 class TestReports:
@@ -206,8 +208,8 @@ class TestReports:
         )
         report = run_scenario(Scenario.load(doc))
         assert report.exit_code() == 1
-        assert report.records[0].status == "fail"
-        assert report.records[0].witness is not None
+        assert report.records[0].verdict.status == "fail"
+        assert report.records[0].verdict.witness is not None
 
     def test_unexpected_exception_becomes_error_record(self, monkeypatch):
         from hypersel import scenario
@@ -219,8 +221,21 @@ class TestReports:
         doc = minimal_doc(suites=[{"check": "ordinal_laws"}])
         report = run_scenario(Scenario.load(doc))
         assert report.exit_code() == 1
-        assert report.records[0].status == "error"
-        assert report.records[0].detail == "KeyError: 'planted'"
+        assert report.records[0].verdict.status == "error"
+        assert report.records[0].verdict.detail == "KeyError: 'planted'"
+
+    def test_broken_ordinal_law_fails_without_witness(self, monkeypatch):
+        # addition with its operands swapped is associative but not monotone
+        # on the right: 11 < w^2*6 + 8, yet 11 + w^3*8 = (w^2*6 + 8) + w^3*8
+        from hypersel import scenario
+
+        add = scenario.ord_add
+        monkeypatch.setattr(scenario, "ord_add", lambda a, b: add(b, a))
+        doc = minimal_doc(suites=[{"check": "ordinal_laws", "triples": 200}])
+        (record,) = run_scenario(Scenario.load(doc)).to_json()["results"]
+        assert (record["status"], record["witness"]) == ("fail", None)
+        assert record["detail"] == (
+            "right monotonicity broke at triple 2: a = w^3*8, b = 11 < c = w^2*6 + 8")
 
     def test_precondition_failure_is_an_error_record(self):
         # no theorem's hypothesis holds for a selection that is not maximal
@@ -240,7 +255,8 @@ class TestReports:
         )
         report = run_scenario(Scenario.load(doc))
         assert report.exit_code() == 1
-        assert [(r.status, r.detail, r.witness) for r in report.records] == [
+        verdicts = [r.verdict for r in report.records]
+        assert [(v.status, v.detail, v.witness) for v in verdicts] == [
             ("error", f"ValueError: selection is not maximal at {p} (precondition)", None)
             for p in ("(0:0)", "(0:w)")
         ]
@@ -261,8 +277,9 @@ class TestReports:
                      "gamma": gamma}],
         )
         [record] = run_scenario(Scenario.load(doc)).records
-        assert record.status == "fail"
-        assert record.detail.endswith(f"eta-continuous upper preimage at {level} not open")
+        assert record.verdict.status == "fail"
+        assert record.verdict.detail.endswith(
+            f"eta-continuous: upper preimage at {level} not open")
 
     def test_generator_documents_validate(self):
         for doc in [make_ordinal_scenario("w*2"), make_wedge_scenario(2),
@@ -420,6 +437,8 @@ def _broken(kind):
         objects["points"]["p"] = [0, "w", "x"]
     elif kind == "open-set-object":
         objects["open_sets"] = {"v": {}}
+    elif kind == "open-sets-group":
+        objects["open_sets"] = {"v": [[0, "1", "w", "open"]]}
     elif kind == "branches-string":
         doc["space"]["branches"] = "ww"
     elif kind == "gluings-object":
@@ -427,7 +446,7 @@ def _broken(kind):
     elif kind == "document-name-list":
         doc["name"] = ["t"]
     elif kind == "interval-reversed":
-        objects["open_sets"] = {"v": [[0, "5", "2"]]}
+        objects["closed_sets"]["c"] = [[0, "5", "2"]]
     elif kind == "interval-open-empty":
         objects["closed_sets"]["c"] = [[0, "0", "w"], [1, "3", "3", "open"]]
     elif kind == "fiber-interval-reversed":
@@ -484,6 +503,8 @@ HOSTILE = [
     "moving-base-empty", "interval-extra-items", "suite-name-list", "base-kind",
     "suite-seed-bool", "point-literal-three-items", "open-set-object", "branches-string",
     "gluings-object", "document-name-list",
+    # a group no check reads used to be parsed, checked and counted
+    "open-sets-group",
     # two positions of one branch glued used to load and then give error records
     "gluing-same-branch",
     # an interval that denotes the empty set used to be read as nothing

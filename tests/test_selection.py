@@ -252,8 +252,8 @@ class TestExtremality:
         assert meet._values and all(s.contains_point(p) for s in meet._values)
         sc.selections["f"] = meet
         record = run_scenario(sc).records[0]
-        assert record.status == "fail" and "outside" in record.detail
-        assert record.witness == {"set": region_to_json(bad)}
+        assert record.verdict.status == "fail" and "outside" in record.verdict.detail
+        assert record.to_json()["witness"] == {"set": region_to_json(bad)}
 
 
 class TestContinuity:
