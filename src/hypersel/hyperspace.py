@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from hypersel.ordinal import Ordinal, ord_fundamental, fund_index_at_least
 from hypersel.space import Point, Region, Space
 
 __all__ = [
     "VietorisBasic",
-    "vietoris_member",
+    "first_escape",
     "basic_nbhd_family",
     "ConvergentNet",
     "constant_net",
@@ -72,10 +72,28 @@ class VietorisBasic:
         object.__setattr__(self, "union", union)
 
 
-def vietoris_member(s: Region, basic: VietorisBasic) -> bool:
-    if not s.subset_of(basic.union):
-        return False
-    return all(s.meets(part) for part in basic.parts)
+def first_escape(s: Region, family: Sequence[VietorisBasic]) -> Optional[VietorisBasic]:
+    """The first basic of family that s is not a member of, else None.
+
+    s lies in <U1, ..., Un> exactly when s is inside the union and meets
+    every Ui, so each distinct union and each distinct part is tested
+    against s once, however many basics of the family share it.
+    """
+    inside: dict[Region, bool] = {}
+    meets: dict[Region, bool] = {}
+    for basic in family:
+        ok = inside.get(basic.union)
+        if ok is None:
+            ok = inside[basic.union] = s.subset_of(basic.union)
+        if not ok:
+            return basic
+        for part in basic.parts:
+            ok = meets.get(part)
+            if ok is None:
+                ok = meets[part] = s.meets(part)
+            if not ok:
+                return basic
+    return None
 
 
 def _glue_repaired(reg: Region, level: int, what: str) -> Region:
@@ -121,8 +139,9 @@ def basic_nbhd_family(s: Region, depth: int) -> tuple[VietorisBasic, ...]:
     """Deterministic finite family of basics containing s.
 
     Includes the whole-space basic, tight span covers at every refinement
-    level below depth, and one separating part per grid member of s.  Each
-    space builds the family of a (set, depth) once.
+    level below depth, and one separating part per grid member of s, each
+    parts tuple once, in that order.  Each space builds the family of a
+    (set, depth) once.
     """
     if s.is_empty:
         raise ValueError("neighbourhood family needs a nonempty closed set")
@@ -131,24 +150,16 @@ def basic_nbhd_family(s: Region, depth: int) -> tuple[VietorisBasic, ...]:
     cached = space._nbhd_families.get(key)
     if cached is not None:
         return cached
-    family: list[VietorisBasic] = [VietorisBasic((space.whole(),))]
-    tight0: tuple[Region, ...] = ()
-    for level in range(depth):
-        parts = _tight_parts(s, level)
-        if level == 0:
-            tight0 = parts
-        basic = VietorisBasic(parts)
-        if basic not in family:
-            family.append(basic)
-    for pt in s.grid_members():
-        tail = space.open_tail(pt, 0)
-        basic = VietorisBasic(tight0 + (tail,))
-        if basic not in family:
-            family.append(basic)
-    for basic in family:
-        if not vietoris_member(s, basic):
-            raise AssertionError(f"generated basic does not contain the set: {basic}")
-    out = space._nbhd_families[key] = tuple(family)
+    tight = [_tight_parts(s, level) for level in range(depth)]
+    tight0 = tight[0] if tight else ()
+    candidates = [(space.whole(),), *tight,
+                  *(tight0 + (space.open_tail(pt, 0),) for pt in s.grid_members())]
+    # basics are equal when their parts are, so each parts tuple is built once
+    out = tuple(VietorisBasic(parts) for parts in dict.fromkeys(candidates))
+    escaped = first_escape(s, out)
+    if escaped is not None:
+        raise AssertionError(f"generated basic does not contain the set: {escaped}")
+    space._nbhd_families[key] = out
     return out
 
 
@@ -260,10 +271,18 @@ def moving_point_net(
 
 def net_convergence_check(net: ConvergentNet, depth: int) -> Verdict:
     """Eventual membership of the net in every generated basic around the limit;
-    a failure's witness is the basic the last member escapes."""
-    family = basic_nbhd_family(net.declared_limit, depth)
-    last = net.last_member
-    for basic in family:
-        if not vietoris_member(last, basic):
-            return Verdict("fail", f"escapes a basic at {net.window}", basic, len(family))
-    return Verdict("pass", f"{len(family)} basics", None, len(family))
+    a failure's witness is the basic the last member escapes.  The limit's
+    space keeps the verdict of each (net, depth), so the continuity guard
+    reads the verdict of the check and a failing net fails again."""
+    verdicts = net.declared_limit.space._net_verdicts
+    key = (net, depth)
+    out = verdicts.get(key)
+    if out is None:
+        family = basic_nbhd_family(net.declared_limit, depth)
+        escaped = first_escape(net.last_member, family)
+        if escaped is None:
+            out = Verdict("pass", f"{len(family)} basics", None, len(family))
+        else:
+            out = Verdict("fail", f"escapes a basic at {net.window}", escaped, len(family))
+        verdicts[key] = out
+    return out

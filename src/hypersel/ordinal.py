@@ -111,8 +111,10 @@ class Ordinal(_Terms):
 def _cnf(terms: tuple[tuple[int, int], ...]) -> Ordinal:
     """Ordinal from terms that are in Cantor normal form by construction.
 
-    Skips the validation of ``Ordinal(...)``; only the arithmetic below calls
-    it, on terms built from canonical operands.
+    Skips the validation of ``Ordinal(...)``.  The arithmetic below calls it
+    on terms built from canonical operands.  The grids of ``space.Space``
+    call it on terms (e >= 1, c >= 1) with falling exponents, a grid base
+    (zero or a limit), and on a base followed by (0, j >= 1), which keeps CNF.
     """
     return tuple.__new__(Ordinal, (terms,))
 

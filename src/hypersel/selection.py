@@ -328,7 +328,8 @@ class PatchedSelection(Selection):
     def _pick(self, s: Region) -> Point:
         if s == self.at:
             return self.value
-        return self.parent._pick(s)
+        # the carrier is the parent's, so s passed the parent's guards too
+        return self.parent._value(s)
 
     def bracket(self, c: Region) -> Region:
         base = self.parent.bracket(c)

@@ -51,9 +51,12 @@ def bracket_of(f: Selection, c: Region) -> Region:
 
 @dataclass(frozen=True)
 class DerivedSets:
+    """f-interior, bracket and boundary point f(X - V) of an open V, and X - V."""
+
     interior: Region
     bracket: Region
     boundary_point: Optional[Point]
+    complement: Region
 
 
 class DerivedSetsInvariantError(AssertionError):
@@ -71,13 +74,13 @@ def derived_sets(f: Selection, v: Region) -> DerivedSets:
         raise ValueError("derived sets are taken of open sets")
     whole = space.whole()
     if v == whole:
-        return DerivedSets(whole, whole, None)
+        return DerivedSets(whole, whole, None, space.empty())
     comp = whole.difference(v)
     q = f.evaluate(comp)
     bracket = bracket_of(f, comp)
     interior = bracket.remove_point(q)
     _verify(f, v, comp, q, bracket, interior)
-    return DerivedSets(interior, bracket, q)
+    return DerivedSets(interior, bracket, q, comp)
 
 
 def _verify(f, v, comp, q, bracket, interior) -> None:

@@ -10,15 +10,16 @@ is decidable from span left ends alone.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from hypersel.ordinal import (
     ZERO,
     Ordinal,
+    _cnf,
     fund_index_at_least,
     limit_part,
-    omega_power,
     ord_fundamental,
     predecessor,
     successor,
@@ -118,9 +119,11 @@ class Space:
         self._empty = Region(self, ((),) * len(self.branches))
         self._point_regions: dict[Point, Region] = {}
         # canonical open tails by (point, level); neighbourhood families by
-        # (closed set, depth), filled and read by hyperspace.basic_nbhd_family
+        # (closed set, depth), filled and read by hyperspace.basic_nbhd_family;
+        # net verdicts by (net, depth), by hyperspace.net_convergence_check
         self._open_tails: dict[tuple[Point, int], Region] = {}
         self._nbhd_families: dict[tuple, tuple] = {}
+        self._net_verdicts: dict[tuple, object] = {}
         # key rays of the order primitives by (point, upper), filled and read
         # by selection.OrderExtremumSelection.bracket
         self._key_rays: dict[tuple[Point, bool], Region] = {}
@@ -159,13 +162,13 @@ class Space:
 
     def _prefixes(self, o: Ordinal) -> set[Ordinal]:
         out = {ZERO}
-        head: list[tuple[int, int]] = []
+        head: tuple[tuple[int, int], ...] = ()
         for e, c in o.terms:
             if e == 0:
                 break
             for cc in range(1, c + 1):
-                out.add(Ordinal(tuple(head) + ((e, cc),)))
-            head.append((e, c))
+                out.add(_cnf(head + ((e, cc),)))
+            head += ((e, c),)
         out.add(limit_part(o))
         return out
 
@@ -180,14 +183,11 @@ class Space:
                     bases |= self._prefixes(p)
         maxe = top.degree
         if maxe >= 1:
-            combos = [ZERO]
+            combos: list[tuple[tuple[int, int], ...]] = [()]
             for e in range(maxe, 0, -1):
-                combos = [
-                    base + omega_power(e, c) if c else base
-                    for base in combos
-                    for c in range(0, k + 1)
-                ]
-            bases |= {b for b in combos if b <= top}
+                combos = [terms + ((e, c),) if c else terms
+                          for terms in combos for c in range(k + 1)]
+            bases |= {b for b in map(_cnf, combos) if b <= top}
         return sorted(b for b in bases if b <= top)
 
     def grid_positions(self, branch: int, k: Optional[int] = None) -> tuple[Ordinal, ...]:
@@ -200,7 +200,7 @@ class Space:
         pts: set[Ordinal] = set()
         for base in self.grid_bases(branch, k):
             for j in range(k + 1):
-                cand = base + Ordinal.from_int(j)
+                cand = _cnf(base.terms + ((0, j),)) if j else base
                 if cand <= top:
                     pts.add(cand)
         for coords in self.gluings:
@@ -232,8 +232,9 @@ class Space:
         """
         if not beta.is_limit:
             raise ValueError(f"{beta} is not a limit position")
-        below = [g for g in self.grid_positions(branch) if g < beta]
-        gmax = below[-1]
+        # 0 is a grid position, so a limit beta > 0 has one below it
+        grid = self.grid_positions(branch)
+        gmax = grid[bisect_left(grid, beta) - 1]
         if level == 0:
             return gmax
         return ord_fundamental(beta, fund_index_at_least(beta, successor(gmax)) + level - 1)

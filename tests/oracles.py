@@ -18,8 +18,13 @@ from hypersel.decomp import (
     DecompositionError,
     ExplicitDecomposition,
 )
-from hypersel.hyperspace import ConvergentNet, Verdict, VietorisBasic, basic_nbhd_family
-from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal, successor
+from hypersel.hyperspace import (
+    ConvergentNet, Verdict, VietorisBasic, _tight_parts,
+)
+from hypersel.ordinal import (
+    OMEGA, ZERO, Ordinal, fund_index_at_least, limit_part, omega_power, ord_fundamental,
+    parse_ordinal, successor,
+)
 from hypersel.selection import ExtremumNotAttained
 from hypersel.space import Point, Region, Space, Span
 
@@ -325,6 +330,71 @@ def glued_off_branch_0_spaces() -> dict[str, Space]:
     }
 
 
+# -- reference grids ----------------------------------------------------------------
+#
+# Space.grid_bases, grid_positions and approach as they were while the grid
+# was built by validated ordinal additions and approach filtered the whole
+# grid for the positions below its limit.
+
+
+def _ref_prefixes(o: Ordinal) -> set[Ordinal]:
+    out = {ZERO}
+    head: list[tuple[int, int]] = []
+    for e, c in o.terms:
+        if e == 0:
+            break
+        for cc in range(1, c + 1):
+            out.add(Ordinal(tuple(head) + ((e, cc),)))
+        head.append((e, c))
+    out.add(limit_part(o))
+    return out
+
+
+def ref_grid_bases(space: Space, branch: int, k: int) -> list[Ordinal]:
+    top = space.branches[branch]
+    bases = _ref_prefixes(top)
+    for coords in space.gluings:
+        for b, p in coords:
+            if b == branch:
+                bases |= _ref_prefixes(p)
+    maxe = top.degree
+    if maxe >= 1:
+        combos = [ZERO]
+        for e in range(maxe, 0, -1):
+            combos = [
+                base + omega_power(e, c) if c else base
+                for base in combos
+                for c in range(0, k + 1)
+            ]
+        bases |= {b for b in combos if b <= top}
+    return sorted(b for b in bases if b <= top)
+
+
+def ref_grid_positions(space: Space, branch: int, k: int) -> tuple[Ordinal, ...]:
+    top = space.branches[branch]
+    pts: set[Ordinal] = set()
+    for base in ref_grid_bases(space, branch, k):
+        for j in range(k + 1):
+            cand = base + Ordinal.from_int(j)
+            if cand <= top:
+                pts.add(cand)
+    for coords in space.gluings:
+        for b, p in coords:
+            if b == branch:
+                pts.add(p)
+    pts.add(top)
+    return tuple(sorted(pts))
+
+
+def ref_approach(grid: tuple[Ordinal, ...], beta: Ordinal, level: int) -> Ordinal:
+    """Over the branch grid at the space's grid_k."""
+    below = [g for g in grid if g < beta]
+    gmax = below[-1]
+    if level == 0:
+        return gmax
+    return ord_fundamental(beta, fund_index_at_least(beta, successor(gmax)) + level - 1)
+
+
 # -- reference order extremum ------------------------------------------------------
 #
 # order_extremum as it was while the branch order was passed in: branch 0
@@ -454,7 +524,28 @@ def ref_extremality_check(f, p: Point, mode: str, sets: list[Region]) -> Verdict
 #
 # net_convergence_check as it was before it built only the member it reads:
 # every member 0 .. window is built through the non-empty guard, and each
-# basic's union is formed afresh for every membership test.
+# basic's union is formed afresh for every membership test, every union and
+# part tested again for each basic that shares it.  The reference family is
+# basic_nbhd_family as it was before it kept each parts tuple by hash: built
+# afresh, a basic for every candidate, duplicates dropped by a list scan.
+
+
+def ref_basic_nbhd_family(s: Region, depth: int) -> list[VietorisBasic]:
+    space = s.space
+    family = [VietorisBasic((space.whole(),))]
+    tight0: tuple[Region, ...] = ()
+    for level in range(depth):
+        parts = _tight_parts(s, level)
+        if level == 0:
+            tight0 = parts
+        basic = VietorisBasic(parts)
+        if basic not in family:
+            family.append(basic)
+    for pt in s.grid_members():
+        basic = VietorisBasic(tight0 + (space.open_tail(pt, 0),))
+        if basic not in family:
+            family.append(basic)
+    return family
 
 
 def ref_vietoris_member(s: Region, basic: VietorisBasic) -> bool:
@@ -467,7 +558,7 @@ def ref_vietoris_member(s: Region, basic: VietorisBasic) -> bool:
 
 
 def ref_net_convergence_check(net: ConvergentNet, depth: int = 2) -> Verdict:
-    family = basic_nbhd_family(net.declared_limit, depth)
+    family = ref_basic_nbhd_family(net.declared_limit, depth)
     members = [net.member(n) for n in range(net.window + 1)]
     for basic in family:
         if not ref_vietoris_member(members[net.window], basic):

@@ -3,18 +3,23 @@ private evaluation step behind the guarded one.
 
 The family builder is compared with the reference builder in oracles.py
 (one Region.make per member); memoized selections are compared with fresh
-instances, and every guard must fail again on a repeated call.  Values from
+instances, and every guard must fail again on a repeated call.  A net's
+convergence verdict, kept per (net, depth), is served again with no
+region work, and a failing one still fails the continuity guard.  Values from
 the private step, which skips the guards its callers proved, are compared
 with the public evaluate, and extremality verdicts with the reference check
 that evaluates every set through it.
 """
+import inspect
 import runpy
 from pathlib import Path
 
 import pytest
 
+from hypersel import hyperspace
 from hypersel.basebuilder import decomp_to_extreme_selection, maximal_at, minimal_at
 from hypersel.decomp import ExplicitDecomposition, point_decomposition
+from hypersel.hyperspace import ConvergentNet, net_convergence_check
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.selection import (
     FamilyParams,
@@ -25,9 +30,11 @@ from hypersel.selection import (
     RestrictSelection,
     SelectionLawError,
     _key_ray,
+    continuity_check,
     enumerate_closed_family,
     extremality_check,
 )
+from hypersel.scenario import canonical_net_corpus
 from hypersel.space import Region, Space
 from oracles import oracle_spaces, ref_enumerate_closed_family, ref_extremality_check
 
@@ -206,6 +213,22 @@ class TestEvaluationMemo:
 
         f._pick = refuse
         assert [f.evaluate(s) for s in sets] == values
+
+    def test_patched_reads_the_parent_memo(self):
+        space = oracle_spaces()["wedge"]
+        parent = OrderMinSelection(space)
+        at = Region.from_intervals(space, [(0, O(1), O(2))])
+        f = PatchedSelection(parent, at, space.point(0, O(2)))
+        sets = enumerate_closed_family(space, FamilyParams(grid_k=2))
+        assert at in sets
+        values = [parent.evaluate(s) for s in sets]
+
+        def refuse(s):
+            raise AssertionError("picked a value the parent already knows")
+
+        parent._pick = refuse
+        assert [f.evaluate(s) for s in sets] == [
+            space.point(0, O(2)) if s == at else v for s, v in zip(sets, values)]
 
     def test_non_closed_argument_fails_every_time(self):
         space = Space([parse_ordinal("w*2")])
@@ -421,3 +444,81 @@ class TestKeyRays:
                 second.bracket(s)
                 assert space._key_rays[key] is ray
         assert not oracle_spaces()[name]._key_rays  # an equal space starts empty
+
+
+def walking_singleton(space: Space) -> ConvergentNet:
+    """{n} walking up branch 0, declared to converge to {0}: fails."""
+    return ConvergentNet("walk", lambda n: Region.from_intervals(space, [(0, O(n), O(n))]),
+                         Region.from_intervals(space, [(0, ZERO, ZERO)]), 64)
+
+
+def count_region_work(monkeypatch) -> dict[str, int]:
+    """Count every call of basic_nbhd_family and of each Region method,
+    property and static method from here on."""
+    calls: dict[str, int] = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hyperspace, "basic_nbhd_family",
+                        counting("basic_nbhd_family", hyperspace.basic_nbhd_family))
+    for attr, member in list(vars(Region).items()):
+        if isinstance(member, staticmethod):
+            monkeypatch.setattr(Region, attr, staticmethod(counting(attr, member.__func__)))
+        elif isinstance(member, property):
+            monkeypatch.setattr(Region, attr, property(counting(attr, member.fget)))
+        elif inspect.isfunction(member) and attr != "__init__":
+            monkeypatch.setattr(Region, attr, counting(attr, member))
+    return calls
+
+
+class TestNetVerdictCache:
+    @pytest.mark.parametrize("name", sorted(oracle_spaces()))
+    def test_second_check_does_no_region_work(self, name, monkeypatch):
+        space = oracle_spaces()[name]
+        nets = [*canonical_net_corpus(space, 64), walking_singleton(space)]
+        first = {(net, depth): net_convergence_check(net, depth)
+                 for net in nets for depth in (1, 2)}
+        calls = count_region_work(monkeypatch)
+        for (net, depth), verdict in first.items():
+            assert net_convergence_check(net, depth) is verdict
+        assert calls == {}
+        # the counters see the work of a net the space has not checked
+        net_convergence_check(walking_singleton(space), 2)
+        assert calls["basic_nbhd_family"] == 1 and calls["subset_of"] >= 1
+
+    def test_depths_keep_their_own_verdicts(self):
+        space = oracle_spaces()["line-w^2"]
+        nets = canonical_net_corpus(space, 64)
+        pairs = [(net_convergence_check(net, 1), net_convergence_check(net, 2)) for net in nets]
+        assert any(one != two for one, two in pairs)
+        for net, (one, two) in zip(nets, pairs):
+            assert net_convergence_check(net, 2) is two
+            assert net_convergence_check(net, 1) is one
+
+    def test_equal_spaces_share_nothing(self):
+        a, b = oracle_spaces()["wedge"], oracle_spaces()["wedge"]
+        nets_a, nets_b = canonical_net_corpus(a, 64), canonical_net_corpus(b, 64)
+        verdicts = [net_convergence_check(net, 2) for net in nets_a]
+        assert len(a._net_verdicts) == len(nets_a) and not b._net_verdicts
+        for net, verdict in zip(nets_b, verdicts):
+            again = net_convergence_check(net, 2)
+            assert again is not verdict
+            assert (again.status, again.detail, again.checked) == (
+                verdict.status, verdict.detail, verdict.checked)
+        assert all(net.declared_limit.space is b for net, _ in b._net_verdicts)
+
+    def test_failing_verdict_fails_the_guard_every_time(self, monkeypatch):
+        space = oracle_spaces()["line-w*2"]
+        net = walking_singleton(space)
+        verdict = net_convergence_check(net, 2)
+        assert not verdict.passed
+        calls = count_region_work(monkeypatch)
+        assert net_convergence_check(net, 2) is verdict
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^net walk fails its own convergence check$"):
+                continuity_check(OrderMaxSelection(space), [net], 2)
+        assert "basic_nbhd_family" not in calls

@@ -126,6 +126,8 @@ def test_every_definition_is_referenced():
 # when the family is built; LevelSelection._fiber on s & fiber of a level whose
 # fiber is proven closed and inside its selection's carrier; RestrictSelection
 # on its own checked arguments, inside the parent's carrier by construction;
+# PatchedSelection on its own checked arguments, whose carrier is the parent's
+# (taken from the parent when the patch is built);
 # the derived_props oracle on (whole - V) | {x}, once derived_sets has taken
 # V open over f's space and f's carrier to be the whole space.
 PRIVATE_STEP_SITES = {
@@ -133,6 +135,7 @@ PRIVATE_STEP_SITES = {
     "selection.py extremality_check",
     "selection.py LevelSelection._fiber",
     "selection.py RestrictSelection._pick",
+    "selection.py PatchedSelection._pick",
     "scenario.py _check_selection_law",
     "scenario.py _check_derived_props",
 }

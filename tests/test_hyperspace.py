@@ -1,6 +1,15 @@
 import pytest
 
-from oracles import oracle_spaces, ref_net_convergence_check
+from oracles import (
+    glued_off_branch_0_spaces,
+    oracle_spaces,
+    ref_approach,
+    ref_basic_nbhd_family,
+    ref_grid_bases,
+    ref_grid_positions,
+    ref_net_convergence_check,
+    ref_vietoris_member,
+)
 from hypersel.ordinal import (
     OMEGA, ZERO, Ordinal, fund_index_at_least, ord_fundamental, parse_ordinal,
 )
@@ -13,11 +22,11 @@ from hypersel.hyperspace import (
     appended_point_net,
     basic_nbhd_family,
     constant_net,
+    first_escape,
     increasing_union_net,
     moving_point_net,
     net_convergence_check,
     shrinking_tail_net,
-    vietoris_member,
 )
 
 O = Ordinal.from_int
@@ -32,6 +41,10 @@ def line():
 
 def creg(space, *items):
     return Region.from_intervals(space, list(items))
+
+
+def member(s: Region, basic: VietorisBasic) -> bool:
+    return first_escape(s, (basic,)) is None
 
 
 def brute_force_member(s: Region, basic: VietorisBasic, k: int = 10) -> bool:
@@ -57,26 +70,26 @@ class TestMembership:
     def test_contained_and_meeting(self, line):
         s = creg(line, (0, ZERO, O(3)))
         basic = VietorisBasic((open_set(line, [(0, ZERO, O(5))]),))
-        assert vietoris_member(s, basic)
+        assert member(s, basic)
 
     def test_missing_a_part(self, line):
         s = creg(line, (0, ZERO, O(3)))
         basic = VietorisBasic(
             (open_set(line, [(0, ZERO, O(5))]), open_set(line, [(0, O(5), O(9))]))
         )
-        assert not vietoris_member(s, basic)
+        assert not member(s, basic)
 
     def test_split_set(self, line):
         s = creg(line, (0, O(2), O(2)), (0, O(5), W))
         basic = VietorisBasic(
             (open_set(line, [(0, ZERO, O(3))]), open_set(line, [(0, O(5), W)]))
         )
-        assert vietoris_member(s, basic)
+        assert member(s, basic)
 
     def test_escaping_union(self, line):
         s = creg(line, (0, ZERO, O(6)))
         basic = VietorisBasic((open_set(line, [(0, ZERO, O(5))]),))
-        assert not vietoris_member(s, basic)
+        assert not member(s, basic)
 
     def test_matches_brute_force(self, line):
         from hypersel.selection import FamilyParams, enumerate_closed_family
@@ -91,7 +104,7 @@ class TestMembership:
         ]
         for s in sets:
             for basic in basics:
-                assert vietoris_member(s, basic) == brute_force_member(s, basic)
+                assert member(s, basic) == brute_force_member(s, basic)
 
     def test_refinement_monotone(self, line):
         coarse = VietorisBasic(
@@ -103,8 +116,8 @@ class TestMembership:
         from hypersel.selection import FamilyParams, enumerate_closed_family
 
         for s in enumerate_closed_family(line, FamilyParams(grid_k=4)):
-            if vietoris_member(s, fine):
-                assert vietoris_member(s, coarse)
+            if member(s, fine):
+                assert member(s, coarse)
 
     def test_rejects_non_open_parts(self, line):
         with pytest.raises(ValueError):
@@ -135,7 +148,7 @@ class TestNeighbourhoodFamily:
             line.whole(),
         ]:
             for basic in basic_nbhd_family(s, 2):
-                assert vietoris_member(s, basic)
+                assert member(s, basic)
 
     def test_wedge_parts_are_open(self, wedge_space):
         hub = wedge_space.point(0, W)
@@ -403,3 +416,66 @@ class TestNeighbourhoodCaches:
                     again = fresh[level].open_tail(pt, level)
                     assert tail.traces == again.traces, (name, pt, level)
                     assert tail.is_open() and tail.contains_point(pt)
+
+
+def wrong_limit_nets(nets: list[ConvergentNet]) -> list[ConvergentNet]:
+    """Each net's members declared to converge to the limit of the next net."""
+    return [ConvergentNet(f"{a.name}->{b.name}", a.members, b.declared_limit, a.window)
+            for a, b in zip(nets, nets[1:] + nets[:1])]
+
+
+class TestOnePassMembership:
+    """The one pass over a family, which tests each distinct union and part
+    once, against the reference that tests every basic afresh, on passing and
+    failing nets."""
+
+    @pytest.mark.parametrize("name", sorted(oracle_spaces()))
+    def test_matches_reference(self, name):
+        space = oracle_spaces()[name]
+        corpus = canonical_net_corpus(space, 64)
+        nets = [*corpus, walking_singleton(space), *wrong_limit_nets(corpus)]
+        failed = 0
+        for net in nets:
+            last = net.last_member
+            for depth in (1, 2):
+                out = net_convergence_check(net, depth)
+                assert out == ref_net_convergence_check(net, depth), (net.name, depth)
+                failed += not out.passed
+                family = basic_nbhd_family(net.declared_limit, depth)
+                assert [b.parts for b in family] == [
+                    b.parts for b in ref_basic_nbhd_family(net.declared_limit, depth)]
+                escaping = [b for b in family if not ref_vietoris_member(last, b)]
+                assert first_escape(last, family) is (escaping[0] if escaping else None)
+                for basic in family:
+                    assert member(last, basic) == ref_vietoris_member(last, basic)
+        assert failed >= 2, name  # the walking singleton at both depths, at least
+
+
+class TestGrid:
+    """Grids built from term tuples against the grid of validated ordinal
+    additions, and approach's bisection against the filter of the grid."""
+
+    @staticmethod
+    def spaces() -> dict[str, Space]:
+        return {**oracle_spaces(), **glued_off_branch_0_spaces(),
+                "w^3+w^2*2+w*3+4": Space([P("w^3 + w^2*2 + w*3 + 4"), P("w^2*2")],
+                                         [[(0, P("w^2 + w*2")), (1, P("w^2"))]])}
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_matches_reference(self, k):
+        for name, space in self.spaces().items():
+            for b in range(len(space.branches)):
+                assert space.grid_bases(b, k) == ref_grid_bases(space, b, k), (name, b)
+                grid = space.grid_positions(b, k)
+                assert grid == ref_grid_positions(space, b, k), (name, b)
+                for g in grid:
+                    assert Ordinal(g.terms) == g  # every term tuple is in CNF
+
+    def test_approach_matches_filter(self):
+        for name, space in {**oracle_spaces(), **glued_off_branch_0_spaces()}.items():
+            for b in range(len(space.branches)):
+                grid = ref_grid_positions(space, b, space.grid_k)
+                for beta in [g for g in grid if g.is_limit]:
+                    for level in range(4):
+                        assert space.approach(b, beta, level) == ref_approach(
+                            grid, beta, level), (name, b, beta, level)

@@ -74,6 +74,7 @@ class TestDerivedSets:
         assert ds.boundary_point == line.point(0, O(5))
         assert ds.bracket == creg(line, (0, O(5), W))
         assert ds.interior == creg(line, (0, O(6), W))
+        assert ds.complement == creg(line, (0, ZERO, O(5)))
 
     def test_initial_open(self, line, fmax):
         v = creg(line, (0, ZERO, O(5)))
@@ -85,7 +86,7 @@ class TestDerivedSets:
     def test_whole_space(self, line, fmax):
         ds = derived_sets(fmax, line.whole())
         assert ds.interior == line.whole() and ds.bracket == line.whole()
-        assert ds.boundary_point is None
+        assert ds.boundary_point is None and ds.complement.is_empty
 
     def test_agrees_with_pointwise_oracle(self, line, jmax):
         for v in [
