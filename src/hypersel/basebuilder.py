@@ -485,31 +485,32 @@ def base_members(d: DecompositionSpec) -> list[tuple[Ordinal, Region]]:
 def gamma_base_validate(d: DecompositionSpec) -> Verdict:
     """Successor clopen-and-strict, limit neighbourhood-base condition at the
     first two refinement levels, every member clopen modulo a point, up to
-    the first failure; no failure has a witness."""
+    the first failure, which carries the member or the open it names."""
     if not isinstance(d, ChainDecomposition):
         return Verdict("pass", "1 member", None, 1)  # the base {{p}} at an isolated point
     members = base_members(d)
 
-    def fail(problem: str) -> Verdict:
-        return Verdict("fail", problem, None, len(members))
+    def fail(problem: str, witness: Region) -> Verdict:
+        return Verdict("fail", problem, witness, len(members))
 
     for alpha, h in members:
         if not h.contains_point(d.p):
-            return fail(f"{alpha}: member lost the point")
+            return fail(f"{alpha}: member lost the point", h)
         if not clopen_modulo(h).in_delta:
-            return fail(f"{alpha}: member outside the graded family")
+            return fail(f"{alpha}: member outside the graded family", h)
         up = successor(alpha)
         nxt = d.member(up)
         if not nxt.subset_of(h) or nxt == h:
-            return fail(f"{alpha}: successor member not strictly inside")
+            return fail(f"{alpha}: successor member not strictly inside", nxt)
         if up != d.gamma and not nxt.is_clopen():
-            return fail(f"{alpha}: successor member not clopen")
+            return fail(f"{alpha}: successor member not clopen", nxt)
     blocks = _blocks(d)
     for k, (start, lam) in enumerate(blocks[:-1]):
         h_lim = d.member(lam)
         for level in (0, 1):
-            if not _stage_inside(d, k, start, hyperspace.open_cover_of(h_lim, level)):
-                return fail(f"{lam}: earlier members never enter a cover")
+            cover = hyperspace.open_cover_of(h_lim, level)
+            if not _stage_inside(d, k, start, cover):
+                return fail(f"{lam}: earlier members never enter a cover", cover)
     for level in (0, 1):
         around = d.space.open_tail(d.p, level)
         if not any(
@@ -517,7 +518,7 @@ def gamma_base_validate(d: DecompositionSpec) -> Verdict:
             or _stage_inside(d, k, start, around)
             for k, (start, lam) in enumerate(blocks)
         ):
-            return fail(f"no member inside a canonical open around {d.p}")
+            return fail(f"no member inside a canonical open around {d.p}", around)
     return Verdict("pass", f"{len(members)} members", None, len(members))
 
 

@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Optional
 
-from hypersel.ordinal import format_ordinal, parse_ordinal
+from hypersel.ordinal import format_ordinal
 from hypersel.scenario import (
     Report,
     Scenario,
@@ -64,15 +64,8 @@ def cmd_validate(args) -> int:
     sc = _load(args)
     if sc is None:
         return EXIT_INVALID
-    counts = {
-        "points": len(sc.points),
-        "closed_sets": len(sc.closed_sets),
-        "selections": len(sc.selections),
-        "decompositions": len(sc.decompositions),
-        "pcuts": len(sc.pcuts),
-        "nets": len(sc.nets),
-        "suites": len(sc.suites),
-    }
+    groups = ("points", "closed_sets", "selections", "decompositions", "pcuts", "nets", "suites")
+    counts = {group: len(getattr(sc, group)) for group in groups}
     _emit({"scenario": sc.name, "valid": True, "objects": counts}, args.out)
     return EXIT_PASS
 
@@ -105,9 +98,8 @@ def cmd_build_base(args) -> int:
 
 def _transfinite_payload(sc: Scenario, spec: dict) -> dict:
     f = sc.selections[spec["selection"]]
-    p = sc._point(spec["point"])
-    gamma = parse_ordinal(sc.arg(spec, "gamma"))
-    d, boundaries = transfinite_base(f, p, gamma, guided=sc.arg(spec, "guided"))
+    p = spec["point"]
+    d, boundaries = transfinite_base(f, p, sc.arg(spec, "gamma"), guided=sc.arg(spec, "guided"))
     return {
         "kind": "transfinite",
         "gamma": format_ordinal(base_length(d)),

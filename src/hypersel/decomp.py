@@ -210,7 +210,7 @@ class ChainDecomposition:
             if n > SCAN_CAP:
                 side = "maximum" if top else "minimum"
                 raise ChainResolutionError(f"{side} level beyond scan cap")
-        return self._starts[k] + Ordinal.from_int(n) if k else Ordinal.from_int(n)
+        return self._index(k, n)
 
     def upper_strict(self, idx: Ordinal) -> Region:
         if idx == self.gamma:

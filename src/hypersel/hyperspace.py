@@ -122,17 +122,14 @@ def open_cover_of(s: Region, level: int) -> Region:
 def _tight_parts(s: Region, level: int) -> tuple[Region, ...]:
     """One open part per span of s, repaired to be open across gluings."""
     space = s.space
-    parts = [
+    parts = (
         _glue_repaired(Region.make(space, [(b, space.open_start(b, sp.lo, level), sp.hi, True)]),
                        level, "part")
         for b, sp in s.span_items()
-    ]
-    # drop duplicates (glue repair can make two spans yield one part)
-    out: list[Region] = []
-    for part in parts:
-        if part not in out:
-            out.append(part)
-    return tuple(out)
+    )
+    # drop duplicates, first occurrences in order (glue repair can make two
+    # spans yield one part)
+    return tuple(dict.fromkeys(parts))
 
 
 def basic_nbhd_family(s: Region, depth: int) -> tuple[VietorisBasic, ...]:

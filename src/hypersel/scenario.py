@@ -165,8 +165,6 @@ def witness_to_json(w) -> Any:
         return {"point": point_to_json(w)}
     if isinstance(w, hyperspace.VietorisBasic):
         return {"basic": [region_to_json(part) for part in w.parts]}
-    if isinstance(w, Ordinal):
-        return format_ordinal(w)
     if isinstance(w, tuple):
         return [witness_to_json(x) for x in w]
     return str(w)
@@ -182,11 +180,13 @@ def witness_to_json(w) -> Any:
 # are the fields its builder or check reads; "?" marks an optional one, and
 # DEFAULTS gives the value it takes when left out.  The entries of points and
 # closed_sets are literals, each parsed by the rule named after its group.  A
-# rule's test gets ``ctx``, which holds the space and, by group, the names
-# declared so far (so a parent is declared before its child), and the value.
-# It returns False for an invalid value or raises ValueError or TypeError
-# saying why; any other result, such as the parsed literal, means the value is
-# valid.  A rule that names a group instead holds a nested spec of that group.
+# rule's test gets ``ctx``, which holds the space and, by group, the entries
+# declared so far by name (so a parent is declared before its child), and the
+# value.  It returns False for an invalid value or raises ValueError or
+# TypeError saying why; else the field's value, which the builders and checks
+# read: True for the value as written, or the parsed literal, or the declared
+# point or closed set a name refers to.  A rule that names a group instead
+# holds a nested spec of that group.
 
 
 def _closed_literal(ctx: dict, literal) -> Any:
@@ -195,24 +195,40 @@ def _closed_literal(ctx: dict, literal) -> Any:
 
 
 def _closed_ref(ctx: dict, ref) -> Any:
-    return ref in ctx["closed_sets"] if isinstance(ref, str) else _closed_literal(ctx, ref)
+    return ctx["closed_sets"].get(ref, False) if isinstance(ref, str) else _closed_literal(ctx, ref)
+
+
+def _point_literal(ctx: dict, literal) -> Point:
+    return point_from_json(ctx["space"], literal)
 
 
 def _point_ref(ctx: dict, ref) -> Any:
-    return ref in ctx["points"] if isinstance(ref, str) else point_from_json(ctx["space"], ref)
+    return ctx["points"].get(ref, False) if isinstance(ref, str) else _point_literal(ctx, ref)
 
 
 def _set_literals(ctx: dict, literals) -> Any:
     return isinstance(literals, list) and [region_from_json(ctx["space"], lit) for lit in literals]
 
 
-def _gluing(cls) -> bool:
-    """A gluing class: a list of [branch, position] coordinates on distinct
-    branches (no line, wedge or fan glues a branch to itself)."""
-    return isinstance(cls, list) and all(
-        isinstance(c, list) and len(c) == 2 and _is_int(c[0]) and parse_ordinal(c[1]) is not None
-        for c in cls
-    ) and len({c[0] for c in cls}) == len(cls)
+def _gluings(ctx: dict, classes) -> Any:
+    """Gluing classes, each a list of (branch, position) coordinates on
+    distinct branches (no line, wedge or fan glues a branch to itself); False
+    at the first coordinate or class that is not."""
+    if not isinstance(classes, list):
+        return False
+    out = []
+    for cls in classes:
+        if not isinstance(cls, list):
+            return False
+        coords = []
+        for c in cls:
+            if not (isinstance(c, list) and len(c) == 2 and _is_int(c[0])):
+                return False
+            coords.append((c[0], parse_ordinal(c[1])))
+        if len({b for b, _ in coords}) != len(coords):
+            return False
+        out.append(coords)
+    return out
 
 
 def _name_of(group: str, says: str) -> tuple[str, Callable]:
@@ -228,7 +244,7 @@ RULES: dict[str, tuple[str, Any]] = {
     ),
     "gluings": (
         "a list of lists of [branch, position] pairs, each list naming a branch at most once",
-        lambda ctx, v: isinstance(v, list) and all(map(_gluing, v)),
+        _gluings,
     ),
     "params": ("an object", lambda ctx, v: isinstance(v, dict)),
     "objects": (
@@ -250,7 +266,7 @@ RULES: dict[str, tuple[str, Any]] = {
     **dict.fromkeys(
         ("gamma", "lo", "limit"), ("an ordinal literal", lambda ctx, v: parse_ordinal(v))
     ),
-    "points": ("a point literal", lambda ctx, v: point_from_json(ctx["space"], v)),
+    "points": ("a point literal", _point_literal),
     "closed_sets": ("a nonempty closed set literal", _closed_literal),
     **dict.fromkeys(("point", "value"), ("a point name or a point literal", _point_ref)),
     **dict.fromkeys(
@@ -259,9 +275,9 @@ RULES: dict[str, tuple[str, Any]] = {
     ),
     "fibers": ("a list of set literals", _set_literals),
     "sides": ("a list of two set literals", lambda ctx, v: len(v) == 2 and _set_literals(ctx, v)),
-    "family": (
+    "family": (  # the bounds as written, which a spec's bounds merge over
         "an object of a non-negative `grid_k` and a `max_intervals` of 1 or 2",
-        lambda ctx, v: isinstance(v, dict) and FamilyParams(**v),
+        lambda ctx, v: isinstance(v, dict) and FamilyParams(**v) and v,
     ),
     "inner": ("a net spec", "nets"),
     "selection": _name_of("selections", "the name of a selection"),
@@ -341,7 +357,7 @@ def _defaults(group: str) -> dict:
 
 
 def _field(ctx: dict, key: str, value, what: str) -> Any:
-    """The result of the rule for ``key`` on ``value``, such as a parsed literal."""
+    """The value of field ``key`` written as ``value``, by its rule."""
     says, test = RULES[key]
     try:
         out, why = test(ctx, value), ""
@@ -349,7 +365,7 @@ def _field(ctx: dict, key: str, value, what: str) -> Any:
         out, why = False, f" ({exc})"
     if out is False:
         raise ScenarioError(f"{what} must be {says}, not {value!r}{why}")
-    return out
+    return value if out is True else out
 
 
 # Specs a document may nest inside one another (net specs through ``inner``);
@@ -357,14 +373,16 @@ def _field(ctx: dict, key: str, value, what: str) -> Any:
 MAX_NESTING = 64
 
 
-def _check(ctx: dict, group: str, spec, what: str) -> None:
-    """Raise ScenarioError unless ``spec`` is an object that holds every field
-    its kind requires and no field its kind does not list, and every field
-    its kind reads passes its rule.  A nested spec is walked from a work
-    list, at most MAX_NESTING deep."""
-    todo = [(group, spec, what, 0)]
+def _check(ctx: dict, group: str, spec, what: str) -> dict:
+    """The spec with each field's value in place of its literal.  Raise
+    ScenarioError unless ``spec`` is an object that holds every field its
+    kind requires and no field its kind does not list, and every field its
+    kind reads passes its rule.  A nested spec is walked from a work list, at
+    most MAX_NESTING deep."""
+    parsed: dict = {}
+    todo = [(group, spec, what, 0, parsed)]
     while todo:
-        group, spec, what, depth = todo.pop()
+        group, spec, what, depth, out = todo.pop()
         if not isinstance(spec, dict):
             raise ScenarioError(f"{what} must be an object")
         fields, kind = SCHEMA[group], None
@@ -373,6 +391,7 @@ def _check(ctx: dict, group: str, spec, what: str) -> None:
             if not (isinstance(spec.get(kind), str) and spec[kind] in fields):
                 raise ScenarioError(f"{what}: unknown {kind} {spec.get(kind)!r}")
             fields = fields[spec[kind]]
+            out[kind] = spec[kind]
         listed = {name.lstrip("?") for name in fields.split()}
         unknown = [key for key in spec if key not in listed and key != kind]
         if unknown:
@@ -385,9 +404,11 @@ def _check(ctx: dict, group: str, spec, what: str) -> None:
             elif isinstance(RULES[key][1], str):  # a nested spec of that group
                 if depth == MAX_NESTING:
                     raise ScenarioError(f"{what}: specs nest more than {MAX_NESTING} deep")
-                todo.append((RULES[key][1], spec[key], f"{what}: {key}", depth + 1))
+                out[key] = {}
+                todo.append((RULES[key][1], spec[key], f"{what}: {key}", depth + 1, out[key]))
             else:
-                _field(ctx, key, spec[key], f"{what}: {key}")
+                out[key] = _field(ctx, key, spec[key], f"{what}: {key}")
+    return parsed
 
 
 # -- scenario -------------------------------------------------------------------
@@ -398,9 +419,9 @@ class Scenario:
     name: str
     space: Space
     params: dict
-    suites: list[dict]
-    points: dict[str, Point] = field(default_factory=dict)
-    closed_sets: dict[str, Region] = field(default_factory=dict)
+    suites: list[tuple[dict, dict]]  # each entry parsed, and as written for its report
+    points: dict[str, Point]
+    closed_sets: dict[str, Region]
     selections: dict[str, Selection] = field(default_factory=dict)
     decompositions: dict = field(default_factory=dict)
     pcuts: dict = field(default_factory=dict)
@@ -408,12 +429,14 @@ class Scenario:
     bases: dict[str, dict] = field(default_factory=dict)
 
     def arg(self, spec: dict, key: str) -> Any:
-        """Field ``key`` of an object spec, a base or a suite entry: its own
-        value, else the document's params value, else its default.  A default
-        never goes into the spec, which a report echoes."""
+        """The value of field ``key`` of a parsed object spec, base or suite
+        entry: its own, else the document's params value, else its default
+        read by the field's rule.  A default never goes into the spec."""
         if key in spec:
             return spec[key]
-        return self.params[key] if key in self.params else DEFAULTS[key]
+        if key in self.params:
+            return self.params[key]
+        return _field({"space": self.space}, key, DEFAULTS[key], f"the default {key}")
 
     def family_params(self, spec: dict) -> FamilyParams:
         """The family bounds of a spec: each bound its ``family`` sets, else
@@ -428,38 +451,34 @@ class Scenario:
                     doc = json.load(fh)
             except (OSError, ValueError, RecursionError) as exc:
                 raise ScenarioError(f"cannot read scenario: {exc}") from exc
-        _check({}, "document", doc, "scenario document")
-        doc = {**_defaults("document"), **doc}
+        doc = {**_defaults("document"), **_check({}, "document", doc, "scenario document")}
         space_spec = {**_defaults("space"), **doc["space"]}
-        branches = [parse_ordinal(top) for top in space_spec["branches"]]
-        gluings = [[(b, parse_ordinal(pos)) for b, pos in cls] for cls in space_spec["gluings"]]
         params = {**_defaults("params"), **doc["params"], **(overrides or {})}
-        _check({}, "params", params, "params")
+        _check({}, "params", params, "params")  # every params value is as written
         try:
-            space = Space(branches, gluings, grid_k=params["grid_k"])
+            space = Space(space_spec["branches"], space_spec["gluings"], grid_k=params["grid_k"])
         except ValueError as exc:
             raise ScenarioError(f"bad space: {exc}") from exc
-        sc = Scenario(doc["name"], space, params, doc["suites"])
-        objects = doc["objects"]
+        # ctx holds each group's entries by name: the literal's value for
+        # points and closed sets, the parsed spec for the others
         ctx: dict = {"space": space}
         for group in OBJECT_GROUPS:
-            ctx[group] = set()
-            for name, entry in objects.get(group, {}).items():
-                what = f"{group[:-1]} {name!r}"
-                if group in SCHEMA:
-                    _check(ctx, group, entry, what)
-                else:  # a literal: its parsed value is the object
-                    getattr(sc, group)[name] = _field(ctx, group, entry, what)
-                ctx[group].add(name)
-        for i, entry in enumerate(sc.suites):
-            _check(ctx, "suites", entry, f"suite entry {i}")
-        sc._build_objects(objects)
+            ctx[group] = {}
+            walk = _check if group in SCHEMA else _field
+            for name, entry in doc["objects"].get(group, {}).items():
+                ctx[group][name] = walk(ctx, group, entry, f"{group[:-1]} {name!r}")
+        suites = [
+            (_check(ctx, "suites", entry, f"suite entry {i}"), entry)
+            for i, entry in enumerate(doc["suites"])
+        ]
+        sc = Scenario(doc["name"], space, params, suites, ctx["points"], ctx["closed_sets"])
+        sc._build_objects(ctx)
         return sc
 
     # object construction ------------------------------------------------------
 
-    def _build_objects(self, objects: dict) -> None:
-        """Build every object spec; each has passed its rules."""
+    def _build_objects(self, ctx: dict) -> None:
+        """Build every parsed object spec of ``ctx``."""
         builders = {
             "decompositions": self._build_decomposition,
             "selections": self._build_selection,
@@ -467,25 +486,18 @@ class Scenario:
             "nets": self._build_net,
         }
         for group, build in builders.items():
-            for name, spec in objects.get(group, {}).items():
+            for name, spec in ctx[group].items():
                 try:
                     getattr(self, group)[name] = build(name, spec)
                 except (ValueError, TheoremViolationError) as exc:
                     raise ScenarioError(f"{group[:-1]} {name!r}: {exc}") from exc
-        self.bases = dict(objects.get("bases", {}))
-
-    def _point(self, ref) -> Point:
-        return self.points[ref] if isinstance(ref, str) else point_from_json(self.space, ref)
-
-    def _closed(self, ref) -> Region:
-        return self.closed_sets[ref] if isinstance(ref, str) else region_from_json(self.space, ref)
+        self.bases = ctx["bases"]
 
     def _build_decomposition(self, name: str, spec: dict):
         if spec["kind"] == "explicit":
-            fibers = [region_from_json(self.space, lit) for lit in spec["fibers"]]
-            return ExplicitDecomposition(self.space, fibers)
+            return ExplicitDecomposition(self.space, spec["fibers"])
         # chain_tails is another name for at_point
-        return point_decomposition(self.space, self._point(spec["point"]))
+        return point_decomposition(self.space, spec["point"])
 
     def _build_selection(self, name: str, spec: dict) -> Selection:
         kind = spec["kind"]
@@ -495,11 +507,11 @@ class Scenario:
             return OrderMinSelection(self.space)
         if kind == "patched":
             parent = self.selections[spec["parent"]]
-            return PatchedSelection(parent, self._closed(spec["at"]), self._point(spec["value"]))
+            return PatchedSelection(parent, spec["at"], spec["value"])
         if kind == "restrict":
             parent = self.selections[spec["parent"]]
-            return RestrictSelection(parent, self._closed(spec["carrier"]))
-        p = self._point(spec["point"])
+            return RestrictSelection(parent, spec["carrier"])
+        p = spec["point"]
         if "decomp" in spec:
             d = self.decompositions[spec["decomp"]]
         else:
@@ -508,26 +520,18 @@ class Scenario:
         return decomp_to_extreme_selection(d, p, self.arg(spec, "mode"), family=family)
 
     def _build_pcut(self, name: str, spec: dict):
-        s0, s1 = (region_from_json(self.space, side) for side in spec["sides"])
-        return pcut_validate(self.space, self._point(spec["point"]), s0, s1)
+        return pcut_validate(self.space, spec["point"], *spec["sides"])
 
     def _build_net(self, name: str, spec: dict) -> ConvergentNet:
         kind = spec["kind"]
         window = self.arg(spec, "window")
-        base = self._closed(spec["base"]) if "base" in spec else None
+        base = spec.get("base")
         if kind == "constant":
-            return constant_net(self._closed(spec["set"]), window, name)
+            return constant_net(spec["set"], window, name)
         if kind == "increasing":
-            return increasing_union_net(
-                self.space,
-                self.arg(spec, "branch"),
-                parse_ordinal(self.arg(spec, "lo")),
-                parse_ordinal(spec["limit"]),
-                base=base,
-                window=window,
-                name=name,
-            )
-        p = self._point(spec["point"])
+            return increasing_union_net(self.space, self.arg(spec, "branch"), self.arg(spec, "lo"),
+                                        spec["limit"], base=base, window=window, name=name)
+        p = spec["point"]
         if kind == "appended":
             inner = self._build_net(name + ".inner", spec["inner"])
             return appended_point_net(inner, p, spec.get("window", inner.window), name)
@@ -603,6 +607,10 @@ class CheckRecord:
         }
 
 
+# The limits whose fundamental sequences ordinal_laws checks: w, w*2, w^2, w^2+w.
+LIMIT_SAMPLES = (OMEGA, omega_power(1, 2), omega_power(2), ord_add(omega_power(2), OMEGA))
+
+
 def _check_ordinal_laws(sc: Scenario, spec: dict) -> Verdict:
     count = sc.arg(spec, "triples")
     rng = random.Random(sc.arg(spec, "seed"))
@@ -626,8 +634,7 @@ def _check_ordinal_laws(sc: Scenario, spec: dict) -> Verdict:
         if a < omega_power(e) and ord_add(a, omega_power(e, coef)) != omega_power(e, coef):
             detail = f"left absorption broke at triple {i}: a = {a}, b = {omega_power(e, coef)}"
             return Verdict("fail", detail, None, i + 1)
-    lam_samples = [OMEGA, parse_ordinal("w*2"), parse_ordinal("w^2"), parse_ordinal("w^2+w")]
-    for lam in lam_samples:
+    for lam in LIMIT_SAMPLES:
         prev = None
         for n in range(64):
             cur = ord_fundamental(lam, n)
@@ -719,8 +726,7 @@ def _check_selection_law(sc: Scenario, spec: dict) -> Verdict:
 
 def _check_extremality(sc: Scenario, spec: dict) -> Verdict:
     f = sc.selections[spec["selection"]]
-    p = sc._point(spec["point"])
-    return extremality_check(f, p, sc.arg(spec, "mode"), sc.family_params(spec))
+    return extremality_check(f, spec["point"], sc.arg(spec, "mode"), sc.family_params(spec))
 
 
 def _check_continuity(sc: Scenario, spec: dict) -> Verdict:
@@ -823,8 +829,7 @@ def _check_base_at_cut(sc: Scenario, spec: dict) -> Verdict:
 
 def _check_transfinite_roundtrip(sc: Scenario, spec: dict) -> Verdict:
     f = sc.selections[spec["selection"]]
-    p = sc._point(spec["point"])
-    gamma = parse_ordinal(sc.arg(spec, "gamma"))
+    p, gamma = spec["point"], sc.arg(spec, "gamma")
     fam = sc.family_params(spec)
     d, boundaries = transfinite_base(f, p, gamma, guided=sc.arg(spec, "guided"))
     base = gamma_base_validate(d)
@@ -895,32 +900,21 @@ class Report:
 
 def run_scenario(sc: Scenario) -> Report:
     records = []
-    for i, spec in enumerate(sc.suites):
+    for i, (spec, entry) in enumerate(sc.suites):
         check = spec["check"]
         name = spec.get("name", f"{check}-{i}")
         fn = CHECKS[check]
         start = time.perf_counter()
         try:
             verdict = fn(sc, spec)
-        except (
-            TheoremViolationError,
-            DerivedSetsInvariantError,
-            SelectionLawError,
-        ) as exc:
+        except (TheoremViolationError, DerivedSetsInvariantError, SelectionLawError) as exc:
             verdict = Verdict("fail", str(exc), getattr(exc, "witness", None), 0)
         except Exception as exc:
             # any other failure of a check is reported, never raised
             verdict = Verdict("error", f"{type(exc).__name__}: {exc}", None, 0)
         elapsed = (time.perf_counter() - start) * 1000.0
-        records.append(
-            CheckRecord(
-                name,
-                check,
-                verdict,
-                {k: v for k, v in spec.items() if k not in ("check", "name")},
-                elapsed,
-            )
-        )
+        params = {k: v for k, v in entry.items() if k not in ("check", "name")}
+        records.append(CheckRecord(name, check, verdict, params, elapsed))
     return Report(sc.name, dict(sc.params), records)
 
 
@@ -936,7 +930,7 @@ def make_ordinal_scenario(gamma: str) -> dict:
         raise ScenarioError("the demo ordinal space needs a limit top")
     # graded-base runs are capped at w*2 stages; tops past w*2 get a guided
     # w-run (pseudocharacter tails steer the stages across interior limits)
-    guided = top > parse_ordinal("w*2")
+    guided = top > omega_power(1, 2)
     run_gamma = gamma if not guided else "w"
     family_k = 5 if top.degree <= 1 else 3
     return {

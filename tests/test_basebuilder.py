@@ -2,7 +2,13 @@ import pytest
 
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, ord_fundamental, parse_ordinal
 from hypersel.space import Region, Space, clopen_modulo
-from hypersel.decomp import decomp_validate, point_chain_rule, point_decomposition
+from hypersel.decomp import (
+    ChainDecomposition,
+    decomp_validate,
+    point_chain_rule,
+    point_decomposition,
+)
+from hypersel.hyperspace import open_cover_of
 from hypersel.selection import (
     FamilyParams,
     OrderMaxSelection,
@@ -264,7 +270,7 @@ class TestTransfiniteBase:
         d, _ = transfinite_base(f, top, parse_ordinal(gamma), guided=False)
         verdict = gamma_base_validate(d)
         assert (verdict.status, verdict.detail, verdict.witness) == (
-            "fail", f"no member inside a canonical open around {top}", None)
+            "fail", f"no member inside a canonical open around {top}", space.open_tail(top, 0))
 
     def test_overlong_gamma_reports_violation(self, omega_space):
         # psi at the top of [0, w] is omega; asking for an interior limit stage
@@ -275,6 +281,61 @@ class TestTransfiniteBase:
         )
         with pytest.raises(TheoremViolationError):
             transfinite_base(f, top, W2, guided=False)
+
+
+def _line_chain(line, gamma, blocks, carrier=None):
+    """The chain at the top of [0, line] whose block k gives stage n as the
+    closed interval blocks[k][0](n) and has the interval blocks[k][1] as its
+    limit member (None for the last block); a carrier, if given, is a list of
+    closed intervals."""
+    space = Space([P(line)])
+
+    def closed(*spans):
+        return Region.make(space, [(0, P(lo), P(hi), True) for lo, hi in spans])
+
+    rules = [(lambda n, rule=rule: closed(rule(n)), limit and closed(limit))
+             for rule, limit in blocks]
+    top = space.point(0, P(line))
+    return ChainDecomposition(space, top, P(gamma), rules, carrier and closed(*carrier))
+
+
+class TestGammaBaseWitness:
+    """Every failure of gamma_base_validate carries the member or the open it
+    names."""
+
+    def test_member_that_lost_the_point(self):
+        d = _line_chain("w", "w", [(lambda n: ("0", "5") if n == 1 else (str(n), "w"), None)])
+        verdict = gamma_base_validate(d)
+        assert verdict.detail == "1: member lost the point"
+        assert verdict.witness == d.member(O(1)) == creg(d.space, (0, ZERO, O(5)))
+
+    def test_member_outside_the_graded_family(self):
+        tail = (lambda n: (str(n), "w*2"), ("w", "w*2"))
+        d = _line_chain("w*2", "w*2", [tail, (lambda n: (f"w+{n + 1}", "w*2"), None)],
+                        carrier=[("w", "w"), ("w*2", "w*2")])
+        verdict = gamma_base_validate(d)
+        assert verdict.detail == "0: member outside the graded family"
+        assert verdict.witness == d.carrier
+
+    def test_successor_member_not_strictly_inside(self):
+        d = _line_chain("w", "w", [(lambda n: ("0", "w") if n == 1 else (str(n), "w"), None)])
+        verdict = gamma_base_validate(d)
+        assert verdict.detail == "0: successor member not strictly inside"
+        assert verdict.witness == d.member(O(1)) == d.space.whole()
+
+    def test_successor_member_not_clopen(self):
+        d = _line_chain("w*2", "w", [(lambda n: ("w", "w*2") if n == 1 else (str(n), "w*2"),
+                                      None)])
+        verdict = gamma_base_validate(d)
+        assert verdict.detail == "0: successor member not clopen"
+        assert verdict.witness == d.member(O(1)) == creg(d.space, (0, W, W2))
+
+    def test_limit_whose_block_never_enters_its_cover(self):
+        d = _line_chain("w*2", "w*2", [(lambda n: (str(n), "w*2"), ("w+5", "w*2")),
+                                       (lambda n: (f"w+{n + 6}", "w*2"), None)])
+        verdict = gamma_base_validate(d)
+        assert verdict.detail == "w: earlier members never enter a cover"
+        assert verdict.witness == open_cover_of(d.member(W), 0)
 
 
 def _certified(tops, forms):

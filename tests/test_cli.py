@@ -144,11 +144,15 @@ PLANTED = {
         "derived sets of Region(0:[3,w + 1] 0:[w + 5,w + 8] 1:[0,w]) under join:"
         " bracket not closed",
     ),
-    # the 10 stages of a base of length 10 all stay outside the canonical opens
+    # the 10 stages of a base of length 10 all stay outside the canonical opens;
+    # the witness is the first of them, [11, w]
     "roundtrip_stages_past_gamma": (
         "transfinite_roundtrip",
         "no member inside a canonical open around (0:w)",
     ),
+    # a patch that picks (0:0) on the whole line [0, w] breaks maximality at
+    # the top; the witness is the whole line
+    "extremality_patched_top": ("extremality", "f(S) != (0:w) though (0:w) in S"),
 }
 PLANTED_DIGESTS = {
     "decomp_overlap": "cc911cd696719ebc37138be3fa048ceb2798b8f9965dd4230417f5aeb56c2e5d",
@@ -156,9 +160,11 @@ PLANTED_DIGESTS = {
     "roundtrip_successor_gamma":
         "b0d48830d2c70e0a91df41a4550ed4684120ba16f9700c9816197c2ab514e2ae",
     "roundtrip_stages_past_gamma":
-        "eb45ddd0311505c5e603f3c7b3bd00fbd615d2ceaede6af640333b5bed73f412",
+        "87df8fe26535ef23d370dc3854dbf0497fce7191aa2a2b331d3374e1c5b0c82d",
     "derived_props_interior_glue":
         "bef39e41d802c881cbbe5e58cf6fdd832cb6a6a420179196624c6530075b295b",
+    "extremality_patched_top":
+        "61bc0616f448d89f47ed7c6a905c3fe227fa36576eb07e1626a1a2293e3fce6a",
 }
 
 
@@ -177,6 +183,17 @@ class TestPlantedDefects:
         ("decomp_overlap", [[0, "5", "5"]]), ("decomp_gap", [[0, "4", "4"]]),
     ])
     def test_decomposition_failure_carries_its_set(self, name, witness, capsys):
+        assert cli.main(["check", str(SCENARIOS / "defects" / f"{name}.json")]) == 1
+        (record,) = json.loads(capsys.readouterr().out)["results"]
+        assert record["witness"] == {"set": witness}
+
+    # the first canonical open around the top that no member of the base enters,
+    # and the set on which the patch breaks maximality
+    @pytest.mark.parametrize("name, witness", [
+        ("roundtrip_stages_past_gamma", [[0, "11", "w"]]),
+        ("extremality_patched_top", [[0, "0", "w"]]),
+    ])
+    def test_base_and_extremality_failures_carry_their_set(self, name, witness, capsys):
         assert cli.main(["check", str(SCENARIOS / "defects" / f"{name}.json")]) == 1
         (record,) = json.loads(capsys.readouterr().out)["results"]
         assert record["witness"] == {"set": witness}

@@ -182,20 +182,28 @@ def test_private_step_called_only_where_guards_are_proven():
 TAIL_SITES = {"space.py Space.tail"}
 
 
+def code_units(text: str) -> list:
+    """(qualname, node) of each module function, class method and module-level
+    assignment (named by its first target) of a source text."""
+    units = []
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.FunctionDef):
+            units.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            units += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                      if isinstance(fn, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            units.append((ast.unparse(target), node))
+    return units
+
+
 def tail_sites(sources: dict[str, str]) -> set[str]:
-    """``file qualname`` of each module function or class method whose body,
-    nested functions included, both calls ``point_coords`` and calls
-    ``Region.make``."""
+    """``file qualname`` of each code unit whose body, nested functions
+    included, both calls ``point_coords`` and calls ``Region.make``."""
     out = set()
     for fname, text in sources.items():
-        units = []
-        for node in ast.parse(text).body:
-            if isinstance(node, ast.FunctionDef):
-                units.append((node.name, node))
-            elif isinstance(node, ast.ClassDef):
-                units += [(f"{node.name}.{fn.name}", fn) for fn in node.body
-                          if isinstance(fn, ast.FunctionDef)]
-        for qualname, fn in units:
+        for qualname, fn in code_units(text):
             calls = [c.func for c in ast.walk(fn) if isinstance(c, ast.Call)]
             if any(getattr(f, "attr", None) == "point_coords" for f in calls) and any(
                 ast.unparse(f) == "Region.make" for f in calls
@@ -221,6 +229,65 @@ def test_tail_site_is_found():
 def test_tails_are_built_in_one_place():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert tail_sites(sources) == TAIL_SITES
+
+
+# The literal parsers, and the functions allowed to call them in the document
+# readers: the parsers themselves, the rules of the field table (its lambdas
+# count as the site RULES), and make_ordinal_scenario, which reads the demo's
+# --gamma.  Builders, checks and base payloads read the values the rules
+# returned.
+LITERAL_PARSERS = {"parse_ordinal", "region_from_json", "point_from_json"}
+PARSE_SITES = {"scenario.py region_from_json", "scenario.py point_from_json",
+               "scenario.py RULES", "scenario.py make_ordinal_scenario"}
+
+
+def parse_sites(sources: dict[str, str]) -> set[str]:
+    """``file qualname`` of each code unit that calls a literal parser, nested
+    functions and lambdas included."""
+    out = set()
+    for fname, text in sources.items():
+        for qualname, unit in code_units(text):
+            if any(isinstance(c, ast.Call) and getattr(c.func, "id", None) in LITERAL_PARSERS
+                   for c in ast.walk(unit)):
+                out.add(f"{fname} {qualname}")
+    return out
+
+
+def test_parse_site_is_found():
+    src = (
+        "def region_from_json(space, lit):\n    return parse_ordinal(lit[1])\n"
+        "def _rule(ctx, v):\n    return point_from_json(ctx['space'], v)\n"
+        "RULES = {'gamma': ('an ordinal', lambda ctx, v: parse_ordinal(v)), 'r': ('x', _rule)}\n"
+        "class Scenario:\n    def _point(self, ref):\n"
+        "        return point_from_json(self.space, ref)\n"
+        "    def arg(self, spec, key):\n        return spec[key]\n"
+        "def _check_roundtrip(sc, spec):\n"
+        "    def gamma():\n        return parse_ordinal(sc.arg(spec, 'gamma'))\n"
+        "    return gamma()\n"
+        "SAMPLES = [parse_ordinal('w*2')]\n"
+    )
+    assert parse_sites({"x.py": src}) == {
+        "x.py region_from_json", "x.py _rule", "x.py RULES", "x.py Scenario._point",
+        "x.py _check_roundtrip", "x.py SAMPLES",
+    }
+
+
+def stray_parse_sites(sources: dict[str, str]) -> set[str]:
+    """The parse sites of the document readers other than those allowed:
+    PARSE_SITES and the named rule functions of the field table."""
+    rules = {f"scenario.py {test.__name__}" for _, test in RULES.values()
+             if callable(test) and test.__name__ != "<lambda>"}
+    return parse_sites(sources) - PARSE_SITES - rules
+
+
+def test_literals_are_parsed_in_one_place():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in DOCUMENT_READERS}
+    stray = stray_parse_sites(sources)
+    assert not stray, f"literals parsed outside the rules of the field table: {sorted(stray)}"
+    # a builder that parses a point literal again is found
+    planted = sources["scenario.py"] + (
+        "\n\ndef _point(sc, ref):\n    return point_from_json(sc.space, ref)\n")
+    assert stray_parse_sites({**sources, "scenario.py": planted}) == {"scenario.py _point"}
 
 
 # One type carries the result of every check, hyperspace.Verdict: no function

@@ -282,7 +282,8 @@ def test_every_rule_has_wrong_values():
 def test_every_rule_has_a_valid_value():
     assert {says for says, _ in RULES.values()} == set(VALID)
     sc = Scenario.load(DOC)
-    ctx = {"space": sc.space, **{group: set(DOC["objects"][group]) for group in OBJECT_GROUPS}}
+    # the entries of each group by name, as the rules see them at load
+    ctx = {"space": sc.space, **{group: getattr(sc, group) for group in OBJECT_GROUPS}}
     for key, (says, test) in RULES.items():
         if callable(test):
             assert test(ctx, VALID[says]) is not False, key

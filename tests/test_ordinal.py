@@ -17,6 +17,7 @@ from hypersel.ordinal import (
     successor,
 )
 from hypersel.scenario import witness_to_json
+from hypersel.space import Point, Region, Space
 from oracles import sym_add_equals, sym_compare
 
 P = parse_ordinal
@@ -101,8 +102,11 @@ class TestValueType:
         assert repr(P("w*2+1")) == "Ordinal('w*2 + 1')" and repr(ZERO) == "Ordinal('0')"
 
     def test_witness_json(self):
-        assert witness_to_json(OMEGA) == "w"
-        assert witness_to_json((OMEGA, ZERO)) == ["w", "0"]
+        # an ordinal reaches a report as a position of a point or set witness
+        space = Space([P("w^2")])
+        tail = Region.make(space, [(0, OMEGA, P("w*2"), True)])
+        assert witness_to_json(Point(0, ZERO)) == {"point": [0, "0"]}
+        assert witness_to_json(("n", tail)) == ["n", {"set": [[0, "w", "w*2"]]}]
 
 
 class TestAdd:

@@ -71,7 +71,8 @@ class TestPointValue:
         pt = Point(1, W2)
         assert str(pt) == "(1:w*2)" and repr(pt) == "Point(branch=1, pos=Ordinal('w*2'))"
         assert witness_to_json(pt) == {"point": [1, "w*2"]}
-        assert witness_to_json((pt, W)) == [{"point": [1, "w*2"]}, "w"]
+        assert witness_to_json(("n", Region.make(Space([W, W2]), [(1, W, W2, False)]))) == [
+            "n", {"set": [[1, "w", "w*2", "open"]]}]
 
 
 class TestAlgebra:
