@@ -211,9 +211,9 @@ def _set_literals(ctx: dict, literals) -> Any:
 
 
 def _gluings(ctx: dict, classes) -> Any:
-    """Gluing classes, each a list of (branch, position) coordinates on
-    distinct branches (no line, wedge or fan glues a branch to itself); False
-    at the first coordinate or class that is not."""
+    """Gluing classes, each a list of at least two (branch, position)
+    coordinates on distinct branches (no line, wedge or fan glues a branch to
+    itself); False at the first coordinate or class that is not."""
     if not isinstance(classes, list):
         return False
     out = []
@@ -225,7 +225,7 @@ def _gluings(ctx: dict, classes) -> Any:
             if not (isinstance(c, list) and len(c) == 2 and _is_int(c[0])):
                 return False
             coords.append((c[0], parse_ordinal(c[1])))
-        if len({b for b, _ in coords}) != len(coords):
+        if len(coords) < 2 or len({b for b, _ in coords}) != len(coords):
             return False
         out.append(coords)
     return out
@@ -243,7 +243,8 @@ RULES: dict[str, tuple[str, Any]] = {
         lambda ctx, v: isinstance(v, list) and [parse_ordinal(top) for top in v],
     ),
     "gluings": (
-        "a list of lists of [branch, position] pairs, each list naming a branch at most once",
+        "a list of lists of at least two [branch, position] pairs, each list naming a branch"
+        " at most once",
         _gluings,
     ),
     "params": ("an object", lambda ctx, v: isinstance(v, dict)),

@@ -462,9 +462,17 @@ def extremality_check(
     Both modes evaluate f only on the sets that contain p: f(S) = p needs p
     in S by the selection law, which the selection_law check tests on the
     other sets.  checked counts every set of the family.
+
+    f keeps the verdict of each (p, mode, family), whether it passes or
+    fails, so the check of an extreme selection built at load is read again.
     """
     if mode not in ("maximal", "minimal"):
         raise ValueError(f"unknown extremality mode {mode!r}")
+    verdicts = f.__dict__.setdefault("_extremality", {})
+    key = (p, mode, family)
+    out = verdicts.get(key)
+    if out is not None:
+        return out
     space = f.space
     sets = enumerate_closed_family(space, family, carrier=f.carrier)
     p_region = space.point_region(p)
@@ -473,11 +481,16 @@ def extremality_check(
         checked += 1
         if mode == "maximal":
             if s.contains_point(p) and f._value(s) != p:
-                return Verdict("fail", f"f(S) != {p} though {p} in S", s, checked)
+                out = Verdict("fail", f"f(S) != {p} though {p} in S", s, checked)
+                break
         else:
             if s.contains_point(p) and s != p_region and f._value(s) == p:
-                return Verdict("fail", f"f(S) = {p} though S != {{{p}}}", s, checked)
-    return Verdict("pass", f"{checked} sets", None, checked)
+                out = Verdict("fail", f"f(S) = {p} though S != {{{p}}}", s, checked)
+                break
+    else:
+        out = Verdict("pass", f"{checked} sets", None, checked)
+    verdicts[key] = out
+    return out
 
 
 def continuity_check(

@@ -64,7 +64,17 @@ class DerivedSetsInvariantError(AssertionError):
 
 
 def derived_sets(f: Selection, v: Region) -> DerivedSets:
-    """f-interior and f-closure of an open set, exactly, with invariants verified."""
+    """f-interior and f-closure of an open set, exactly, with invariants verified.
+
+    A selection is a fixed map, so its derived sets of V are kept on it, but
+    only after V passed every guard below and the sets their invariants: a
+    failing call stores nothing and fails again when repeated.  Region
+    equality includes the space instance, so a stored V is one over f.space.
+    """
+    derived = f.__dict__.setdefault("_derived", {})
+    out = derived.get(v)
+    if out is not None:
+        return out
     space = f.space
     if f.carrier != space.whole():
         raise ValueError("derived sets are defined for whole-space selections")
@@ -74,13 +84,16 @@ def derived_sets(f: Selection, v: Region) -> DerivedSets:
         raise ValueError("derived sets are taken of open sets")
     whole = space.whole()
     if v == whole:
-        return DerivedSets(whole, whole, None, space.empty())
-    comp = whole.difference(v)
-    q = f.evaluate(comp)
-    bracket = bracket_of(f, comp)
-    interior = bracket.remove_point(q)
-    _verify(f, v, comp, q, bracket, interior)
-    return DerivedSets(interior, bracket, q, comp)
+        out = DerivedSets(whole, whole, None, space.empty())
+    else:
+        comp = whole.difference(v)
+        q = f.evaluate(comp)
+        bracket = bracket_of(f, comp)
+        interior = bracket.remove_point(q)
+        _verify(f, v, comp, q, bracket, interior)
+        out = DerivedSets(interior, bracket, q, comp)
+    derived[v] = out
+    return out
 
 
 def _verify(f, v, comp, q, bracket, interior) -> None:

@@ -1,23 +1,33 @@
-"""The per-Space family cache, the per-selection evaluation memo and the
-private evaluation step behind the guarded one.
+"""The per-Space family cache, the per-selection memos and the private
+evaluation step behind the guarded one.
 
 The family builder is compared with the reference builder in oracles.py
 (one Region.make per member); memoized selections are compared with fresh
 instances, and every guard must fail again on a repeated call.  A net's
 convergence verdict, kept per (net, depth), is served again with no
-region work, and a failing one still fails the continuity guard.  Values from
-the private step, which skips the guards its callers proved, are compared
-with the public evaluate, and extremality verdicts with the reference check
-that evaluates every set through it.
+region work, and a failing one still fails the continuity guard.  The
+derived sets a selection keeps per open set, and the extremality verdict it
+keeps per (point, mode, family), are compared with those of a fresh
+selection and served again with no work; a failing open set raises every
+time.  Values from the private step, which skips the guards its callers
+proved, are compared with the public evaluate, and extremality verdicts
+with the reference check that evaluates every set through it.
 """
 import inspect
 import runpy
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from hypersel import hyperspace
-from hypersel.basebuilder import decomp_to_extreme_selection, maximal_at, minimal_at
+from hypersel.basebuilder import (
+    base_at_cut,
+    decomp_to_extreme_selection,
+    maximal_at,
+    minimal_at,
+    pcut_validate,
+)
 from hypersel.decomp import ExplicitDecomposition, point_decomposition
 from hypersel.hyperspace import ConvergentNet, net_convergence_check
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
@@ -34,7 +44,13 @@ from hypersel.selection import (
     enumerate_closed_family,
     extremality_check,
 )
-from hypersel.scenario import canonical_net_corpus
+from hypersel.scenario import (
+    Scenario,
+    _deterministic_opens,
+    canonical_net_corpus,
+    run_scenario,
+)
+from hypersel.selrel import DerivedSets, DerivedSetsInvariantError, derived_sets
 from hypersel.space import Region, Space
 from oracles import oracle_spaces, ref_enumerate_closed_family, ref_extremality_check
 
@@ -372,9 +388,10 @@ def _fresh_selections(space: Space, p) -> dict:
 
     def extreme(mode):
         f = decomp_to_extreme_selection(point_decomposition(space, p), p, mode, FamilyParams(1))
-        # forget what the load-time check evaluated: the fiber selections
-        # are rebuilt on first use
+        # forget what the load-time check evaluated and its verdict: the
+        # fiber selections are rebuilt on first use
         f.__dict__.pop("_values", None)
+        f.__dict__.pop("_extremality", None)
         f._fibers.clear()
         return f
 
@@ -522,3 +539,173 @@ class TestNetVerdictCache:
             with pytest.raises(ValueError, match="^net walk fails its own convergence check$"):
                 continuity_check(OrderMaxSelection(space), [net], 2)
         assert "basic_nbhd_family" not in calls
+
+
+# the selections of _fresh_selections whose carrier is the whole space
+WHOLE_SPACE_KINDS = ["order-max", "order-min", "maximal-at", "minimal-at", "patched"]
+
+
+def _derived_or_error(f, v):
+    try:
+        return derived_sets(f, v)
+    except DerivedSetsInvariantError as exc:
+        return str(exc)
+
+
+class TestDerivedSetsMemo:
+    """Each selection keeps the derived sets of every open set that passed
+    the guards and the invariants; a failing open set stores nothing."""
+
+    @pytest.mark.parametrize("name", sorted(oracle_spaces()))
+    def test_warm_instance_agrees_with_fresh(self, name, monkeypatch):
+        space = oracle_spaces()[name]
+        opens = _deterministic_opens(SimpleNamespace(space=space), 12, 0)
+        assert len(opens) == 12
+        builders = _fresh_selections(space, space.point(0, W))
+        for kind in WHOLE_SPACE_KINDS:
+            build = builders[kind]
+            warm = build()
+            first = {v: _derived_or_error(warm, v) for v in opens}
+            for v, out in first.items():
+                assert _derived_or_error(build(), v) == out, (kind, v)
+                # only the sets that passed their invariants are kept
+                assert (v in warm._derived) == isinstance(out, DerivedSets), (kind, v)
+            calls = count_region_work(monkeypatch)
+            for v, out in first.items():
+                if isinstance(out, DerivedSets):
+                    assert derived_sets(warm, v) is out
+            # the memo lookup hashes and compares V, and nothing else is done
+            assert set(calls) <= {"__hash__", "__eq__"}, (kind, calls)
+            monkeypatch.undo()
+
+    def test_failing_open_set_raises_every_time(self, monkeypatch):
+        path = ROOT / "scenarios" / "defects" / "derived_props_interior_glue.json"
+        witness = run_scenario(Scenario.load(str(path))).records[0].verdict.witness
+        f = Scenario.load(str(path)).selections["f"]
+        v = Region(f.space, witness.traces)  # the same open set over the new load's space
+        calls = count_region_work(monkeypatch)
+        for n in range(1, 4):
+            with pytest.raises(DerivedSetsInvariantError, match="bracket not closed"):
+                derived_sets(f, v)
+            assert calls["is_closed"] >= n  # the invariants are checked again
+        assert f._derived == {}
+
+    def test_whole_space_is_its_own_interior(self):
+        space = oracle_spaces()["wedge"]
+        f = OrderMaxSelection(space)
+        out = derived_sets(f, space.whole())
+        assert (out.interior, out.bracket, out.boundary_point) == (
+            space.whole(), space.whole(), None)
+        assert derived_sets(f, space.whole()) is out
+
+    def test_guard_failures_are_never_stored(self):
+        space = oracle_spaces()["line-w*2"]
+        f = OrderMaxSelection(space)
+        closed = Region.from_intervals(space, [(0, ZERO, W)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^derived sets are taken of open sets$"):
+                derived_sets(f, Region.from_intervals(space, [(0, W, W)]))
+            with pytest.raises(ValueError, match="^derived sets need a nonempty open set$"):
+                derived_sets(f, space.empty())
+        restricted = RestrictSelection(f, closed)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^derived sets are defined for whole-space"):
+                derived_sets(restricted, space.whole())
+        assert not f._derived and not restricted._derived
+
+    def test_equal_selections_share_nothing(self):
+        a, b = oracle_spaces()["wedge"], oracle_spaces()["wedge"]
+        opens = _deterministic_opens(SimpleNamespace(space=a), 8, 0)
+        fa, fa2, fb = OrderMaxSelection(a), OrderMaxSelection(a), OrderMaxSelection(b)
+        kept = [derived_sets(fa, v) for v in opens]
+        assert len(fa._derived) == len(opens)
+        assert "_derived" not in vars(fa2) and "_derived" not in vars(fb)
+        for v, out in zip(opens, kept):
+            again = derived_sets(fa2, v)
+            assert again == out and again is not out
+        # a region over an equal space is another key: fb derives its own sets
+        opens_b = _deterministic_opens(SimpleNamespace(space=b), 8, 0)
+        for v in opens_b:
+            derived_sets(fb, v)
+        assert not set(fb._derived) & set(fa._derived)
+        assert all(v.space is b for v in fb._derived)
+
+
+def _wedge_cuts(space: Space) -> list:
+    """The two point cuts of the wedge hub: branch 0 on either side."""
+    hub = space.point(0, W)
+    legs = [Region.make(space, [(b, ZERO, W, False)]) for b in (0, 1)]
+    return [pcut_validate(space, hub, *legs), pcut_validate(space, hub, *reversed(legs))]
+
+
+class TestBaseAtCutOnWarmMemo:
+    """The stages built on a selection that already knows their derived sets
+    are those of a fresh selection: base_at_cut's determinism comparison
+    across lengths still compares two constructions."""
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_warm_stages_equal_fresh(self, side):
+        space = oracle_spaces()["wedge"]
+        hub = space.point(0, W)
+        cut = _wedge_cuts(space)[side]
+        warm = maximal_at(space, hub)
+        base_at_cut(warm, cut, 10)
+        for steps in (6, 8, 10):
+            assert warm._derived  # the construction reads the memo
+            got = base_at_cut(warm, cut, steps)
+            fresh = base_at_cut(maximal_at(space, hub), cut, steps)
+            assert (got.stages, got.boundary_points) == (fresh.stages, fresh.boundary_points)
+            assert len(got.stages) == steps
+
+
+class TestExtremalityMemo:
+    """Each selection keeps the extremality verdict of every (point, mode,
+    family), passing or failing; the load-time check of an extreme
+    selection is the verdict its extremality suites read."""
+
+    @staticmethod
+    def refuse_values(monkeypatch, f):
+        def refuse(s):
+            raise AssertionError("evaluated a set of a verdict already known")
+
+        monkeypatch.setattr(f, "_value", refuse)
+
+    @pytest.mark.parametrize("kind", ["maximal-at", "minimal-at"])
+    def test_second_check_evaluates_nothing(self, kind, monkeypatch):
+        space = oracle_spaces()["wedge"]
+        f = _fresh_selections(space, space.point(0, W))[kind]()
+        keys = [(p, mode, params) for p in (space.point(0, W), space.point(0, O(1)))
+                for mode in ("maximal", "minimal") for params in DIFF_BOUNDS]
+        first = {key: extremality_check(f, *key) for key in keys}
+        assert {v.status for v in first.values()} == {"pass", "fail"}
+        # every point, mode and family keeps a verdict of its own
+        assert len({id(v) for v in first.values()}) == len(keys)
+        self.refuse_values(monkeypatch, f)
+        for key, verdict in first.items():
+            assert extremality_check(f, *key) is verdict
+
+    def test_load_time_verdict_is_read_again(self, monkeypatch):
+        space = oracle_spaces()["wedge"]
+        hub = space.point(0, W)
+        family = FamilyParams(grid_k=2)
+        f = decomp_to_extreme_selection(point_decomposition(space, hub), hub, "maximal", family)
+        verdict = f._extremality[(hub, "maximal", family)]
+        assert verdict.passed
+        self.refuse_values(monkeypatch, f)
+        assert extremality_check(f, hub, "maximal", family) is verdict
+
+    def test_unknown_mode_is_never_stored(self):
+        f = OrderMaxSelection(oracle_spaces()["wedge"])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown extremality mode"):
+                extremality_check(f, f.space.point(0, W), "maximum", FamilyParams(1))
+        assert "_extremality" not in vars(f)
+
+    def test_equal_selections_share_nothing(self):
+        space = oracle_spaces()["wedge"]
+        hub = space.point(0, W)
+        a, b = OrderMinSelection(space), OrderMinSelection(space)
+        verdict = extremality_check(a, hub, "maximal", FamilyParams(2))
+        assert "_extremality" not in vars(b)
+        again = extremality_check(b, hub, "maximal", FamilyParams(2))
+        assert again == verdict and again is not verdict

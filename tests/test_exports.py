@@ -175,6 +175,37 @@ def test_private_step_called_only_where_guards_are_proven():
     assert private_step_sites(sources) == PRIVATE_STEP_SITES
 
 
+# Each memo a selection keeps beside its values has one site, the function
+# that fills and reads it: derived_sets stores a DerivedSets per open set
+# only after its invariants passed, and extremality_check a Verdict per
+# (point, mode, family).  Any other reader could serve a result the guards
+# never saw, or store one.
+MEMO_SITES = {
+    "_derived": {"selrel.py derived_sets"},
+    "_extremality": {"selection.py extremality_check"},
+}
+
+
+def memo_sites(sources: dict[str, str]) -> dict[str, set[str]]:
+    """``file qualname`` of each function that reads each memo of MEMO_SITES."""
+    return {memo: private_step_sites(sources, memo) for memo in MEMO_SITES}
+
+
+def test_memo_site_is_found():
+    src = (
+        "def derived_sets(f, v):\n    return f.__dict__.setdefault('_derived', {})\n"
+        "def peek(f, key):\n    return f._extremality.get(key)\n"
+        "class B:\n    def base(self, f, v):\n        return f.__dict__['_derived'][v]\n"
+    )
+    assert memo_sites({"x.py": src}) == {
+        "_derived": {"x.py derived_sets", "x.py B.base"}, "_extremality": {"x.py peek"}}
+
+
+def test_memos_have_one_site():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in [*SOURCES, *BENCH]}
+    assert memo_sites(sources) == MEMO_SITES
+
+
 # The one function that builds a tail at a point: Region.make of the closed
 # span [start, beta] at each coordinate (b, beta) of the point.  Any other
 # function that reads a point's coordinates and calls Region.make builds a

@@ -152,9 +152,10 @@ WRONG = {
     "`hypersel-scenario/1`": ("hypersel-scenario/0", None, 1),
     "a space": ([1], "x", None, {}, {"branches": ["w"], "gluings": "x"}),
     "a list of ordinal literals": ("ww", ["w*oops"], [1], {}, None),
-    "a list of lists of [branch, position] pairs, each list naming a branch at most once": (
+    "a list of lists of at least two [branch, position] pairs, each list naming a branch"
+    " at most once": (
         "x", {}, [[[0.0, "w"]]], [[[True, "w"]]], [[[0, "w", 1]]], [[[0, 5]]], None,
-        [[[0, "3"], [0, "5"]]], [[[0, "w"], [1, "w"], [0, "3"]]],
+        [[[0, "3"], [0, "5"]]], [[[0, "w"], [1, "w"], [0, "3"]]], [[[0, "w"]]], [[]],
     ),
     "an object": ([1], "x", None),
     "an object of known groups, each an object": (
@@ -209,7 +210,8 @@ VALID = {
     "`hypersel-scenario/1`": "hypersel-scenario/1",
     "a space": {"branches": ["w"]},
     "a list of ordinal literals": ["w"],
-    "a list of lists of [branch, position] pairs, each list naming a branch at most once": [],
+    "a list of lists of at least two [branch, position] pairs, each list naming a branch"
+    " at most once": [],
     "an object": {},
     "an object of known groups, each an object": {},
     "a list": [],

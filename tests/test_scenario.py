@@ -476,6 +476,9 @@ def _broken(kind):
     elif kind == "gluing-same-branch":
         # a document that would load but for its one class
         doc = minimal_doc(space={"branches": ["w"], "gluings": [[[0, "3"], [0, "5"]]]})
+    elif kind == "gluing-single":
+        # a document that would load but for its one class
+        doc = minimal_doc(space={"branches": ["w", "w"], "gluings": [[[0, "w"]]]})
     elif kind.startswith("gluing-branch-"):
         doc["space"]["gluings"] = [[[0, "w"], [NOT_COUNTS[kind[14:]], "w"]]]
     return doc
@@ -507,6 +510,8 @@ HOSTILE = [
     "open-sets-group",
     # two positions of one branch glued used to load and then give error records
     "gluing-same-branch",
+    # a class of one coordinate used to pass the rule and be refused by the space
+    "gluing-single",
     # an interval that denotes the empty set used to be read as nothing
     "interval-reversed", "interval-open-empty", "fiber-interval-reversed",
     # a patch outside its parent's domain used to load and change nothing
