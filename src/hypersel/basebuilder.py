@@ -37,7 +37,7 @@ from hypersel.space import (
     next_point,
 )
 from hypersel import hyperspace
-from hypersel.hyperspace import Verdict
+from hypersel.hyperspace import TheoremViolationError, Verdict
 from hypersel.decomp import (
     ChainDecomposition,
     DecompositionSpec,
@@ -71,7 +71,6 @@ __all__ = [
     "base_length",
     "gamma_base_validate",
     "decomp_to_extreme_selection",
-    "TheoremViolationError",
     "PatternError",
 ]
 
@@ -81,14 +80,6 @@ __all__ = [
 PROBE_STAGES = 6
 SAMPLE_STAGES = 6
 MEMBER_SCAN_CAP = 64
-
-
-class TheoremViolationError(AssertionError):
-    """A step the theory guarantees failed; carries the counterexample."""
-
-    def __init__(self, message: str, witness: Region | Point | tuple[Region, Region] | None = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class PatternError(RuntimeError):

@@ -4,6 +4,9 @@ Convergence checking is a falsifiable necessary-condition test over a finite
 window: a Pass certifies that member ``window`` lies in every generated basic
 neighbourhood of the declared limit, nothing beyond it.  The check builds and
 reads that member only; members below the window are never built.
+
+Every check ends in one of two outcome types defined here: the Verdict it
+returns, or the TheoremViolationError of a broken guarantee.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ __all__ = [
     "moving_point_net",
     "net_convergence_check",
     "Verdict",
+    "TheoremViolationError",
     "open_cover_of",
 ]
 
@@ -48,6 +52,16 @@ class Verdict:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
+
+
+class TheoremViolationError(AssertionError):
+    """A step the theory guarantees failed; carries the counterexample.  The
+    one exception of a broken guarantee: a selection's value outside its
+    argument, a derived-set invariant, a stage of a base."""
+
+    def __init__(self, message: str, witness: Region | Point | tuple[Region, Region] | None = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 @dataclass(frozen=True)

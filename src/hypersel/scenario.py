@@ -12,7 +12,7 @@ import json
 import random
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import islice
 from typing import Any, Callable, Optional
 
@@ -37,6 +37,7 @@ from hypersel.space import (
 from hypersel import hyperspace
 from hypersel.hyperspace import (
     ConvergentNet,
+    TheoremViolationError,
     Verdict,
     appended_point_net,
     constant_net,
@@ -53,14 +54,12 @@ from hypersel.selection import (
     PatchedSelection,
     RestrictSelection,
     Selection,
-    SelectionLawError,
     continuity_check,
     enumerate_closed_family,
     extremality_check,
 )
-from hypersel.selrel import DerivedSetsInvariantError, derived_sets
+from hypersel.selrel import derived_sets
 from hypersel.basebuilder import (
-    TheoremViolationError,
     base_at_cut,
     base_length,
     cut_base_absorbs,
@@ -423,11 +422,11 @@ class Scenario:
     suites: list[tuple[dict, dict]]  # each entry parsed, and as written for its report
     points: dict[str, Point]
     closed_sets: dict[str, Region]
-    selections: dict[str, Selection] = field(default_factory=dict)
-    decompositions: dict = field(default_factory=dict)
-    pcuts: dict = field(default_factory=dict)
-    nets: dict[str, ConvergentNet] = field(default_factory=dict)
-    bases: dict[str, dict] = field(default_factory=dict)
+    selections: dict[str, Selection]
+    decompositions: dict
+    pcuts: dict
+    nets: dict[str, ConvergentNet]
+    bases: dict[str, dict]
 
     def arg(self, spec: dict, key: str) -> Any:
         """The value of field ``key`` of a parsed object spec, base or suite
@@ -472,7 +471,8 @@ class Scenario:
             (_check(ctx, "suites", entry, f"suite entry {i}"), entry)
             for i, entry in enumerate(doc["suites"])
         ]
-        sc = Scenario(doc["name"], space, params, suites, ctx["points"], ctx["closed_sets"])
+        sc = Scenario(doc["name"], space, params, suites, ctx["points"], ctx["closed_sets"],
+                      {}, {}, {}, {}, ctx["bases"])
         sc._build_objects(ctx)
         return sc
 
@@ -492,7 +492,6 @@ class Scenario:
                     getattr(self, group)[name] = build(name, spec)
                 except (ValueError, TheoremViolationError) as exc:
                     raise ScenarioError(f"{group[:-1]} {name!r}: {exc}") from exc
-        self.bases = ctx["bases"]
 
     def _build_decomposition(self, name: str, spec: dict):
         if spec["kind"] == "explicit":
@@ -720,7 +719,7 @@ def _check_selection_law(sc: Scenario, spec: dict) -> Verdict:
     for checked, s in enumerate(sets, 1):
         try:
             f._value(s)  # each family member is proven to fit f
-        except SelectionLawError as exc:
+        except TheoremViolationError as exc:
             return Verdict("fail", str(exc), s, checked)
     return Verdict("pass", f"{len(sets)} sets", None, len(sets))
 
@@ -787,10 +786,7 @@ def _check_derived_props(sc: Scenario, spec: dict) -> Verdict:
     oracle_pts = 12
     grid = f.space.grid_points()
     for checked, v in enumerate(opens, 1):
-        try:
-            ds = derived_sets(f, v)
-        except DerivedSetsInvariantError as exc:
-            return Verdict("fail", str(exc), v, checked)
+        ds = derived_sets(f, v)
         comp = ds.complement
         if comp.is_empty:
             continue
@@ -908,8 +904,8 @@ def run_scenario(sc: Scenario) -> Report:
         start = time.perf_counter()
         try:
             verdict = fn(sc, spec)
-        except (TheoremViolationError, DerivedSetsInvariantError, SelectionLawError) as exc:
-            verdict = Verdict("fail", str(exc), getattr(exc, "witness", None), 0)
+        except TheoremViolationError as exc:
+            verdict = Verdict("fail", str(exc), exc.witness, 0)
         except Exception as exc:
             # any other failure of a check is reported, never raised
             verdict = Verdict("error", f"{type(exc).__name__}: {exc}", None, 0)
@@ -922,6 +918,38 @@ def run_scenario(sc: Scenario) -> Report:
 # -- built-in generators ----------------------------------------------------------
 
 
+def _demo_document(name: str, space: dict, family_k: int, point: str, coords: list,
+                   objects: dict, head: list, clopen_k: int, tail: list) -> dict:
+    """A demo document at one point: the ``fmax``/``fmin`` extreme selections
+    there and its ``levels`` decomposition, then the document's own objects;
+    the suite entries every demo runs on them, between its own head and tail."""
+    extremes = (("fmax", "maximal"), ("fmin", "minimal"))
+    return {
+        "schema": SCENARIO_SCHEMA,
+        "name": name,
+        "space": space,
+        "params": {"family": {"grid_k": family_k, "max_intervals": 2}},
+        "objects": {
+            "points": {point: coords},
+            "selections": {
+                f: {"kind": "extreme", "mode": mode, "point": point} for f, mode in extremes
+            },
+            "decompositions": {"levels": {"kind": "at_point", "point": point}},
+            **objects,
+        },
+        "suites": [
+            *head,
+            {"check": "clopen_oracle", "family": {"grid_k": clopen_k}},
+            {"check": "decomp_validate", "decomp": "levels"},
+            {"check": "selection_law", "selection": "fmax"},
+            *({"check": "extremality", "selection": f, "point": point, "mode": mode}
+              for f, mode in extremes),
+            *({"check": "continuity", "selection": f, "nets": "canonical"} for f, _ in extremes),
+            *tail,
+        ],
+    }
+
+
 def make_ordinal_scenario(gamma: str) -> dict:
     try:
         top = parse_ordinal(gamma)
@@ -932,47 +960,19 @@ def make_ordinal_scenario(gamma: str) -> dict:
     # graded-base runs are capped at w*2 stages; tops past w*2 get a guided
     # w-run (pseudocharacter tails steer the stages across interior limits)
     guided = top > omega_power(1, 2)
-    run_gamma = gamma if not guided else "w"
+    run = {"selection": "fmax", "point": "top", "gamma": gamma if not guided else "w",
+           "guided": guided}
     family_k = 5 if top.degree <= 1 else 3
-    return {
-        "schema": SCENARIO_SCHEMA,
-        "name": f"ordinal-{gamma.replace(' ', '')}",
-        "space": {"branches": [gamma], "gluings": []},
-        "params": {"family": {"grid_k": family_k, "max_intervals": 2}},
-        "objects": {
-            "points": {"top": [0, gamma]},
-            "selections": {
-                "fmax": {"kind": "extreme", "mode": "maximal", "point": "top"},
-                "fmin": {"kind": "extreme", "mode": "minimal", "point": "top"},
-            },
-            "decompositions": {"levels": {"kind": "at_point", "point": "top"}},
-            "bases": {
-                "graded": {
-                    "kind": "transfinite",
-                    "selection": "fmax",
-                    "point": "top",
-                    "gamma": run_gamma,
-                    "guided": guided,
-                }
-            },
-        },
-        "suites": [
-            {"check": "ordinal_laws", "triples": 2000},
-            {"check": "clopen_oracle", "family": {"grid_k": family_k}},
-            {"check": "decomp_validate", "decomp": "levels"},
-            {"check": "selection_law", "selection": "fmax"},
-            {"check": "extremality", "selection": "fmax", "point": "top",
-             "mode": "maximal"},
-            {"check": "extremality", "selection": "fmin", "point": "top",
-             "mode": "minimal"},
-            {"check": "continuity", "selection": "fmax", "nets": "canonical"},
-            {"check": "continuity", "selection": "fmin", "nets": "canonical"},
+    return _demo_document(
+        f"ordinal-{gamma.replace(' ', '')}", {"branches": [gamma], "gluings": []}, family_k,
+        "top", [0, gamma], {"bases": {"graded": {"kind": "transfinite", **run}}},
+        [{"check": "ordinal_laws", "triples": 2000}], family_k,
+        [
             {"check": "derived_props", "selection": "fmax", "count": 60},
-            {"check": "transfinite_roundtrip", "selection": "fmax",
-             "point": "top", "gamma": run_gamma, "guided": guided},
+            {"check": "transfinite_roundtrip", **run},
             {"check": "pointwise_minimal", "family": {"grid_k": 3}},
         ],
-    }
+    )
 
 
 def make_wedge_scenario(prongs: int) -> dict:
@@ -980,51 +980,20 @@ def make_wedge_scenario(prongs: int) -> dict:
         raise ScenarioError("a wedge needs at least two branches")
     glue = [[b, "w"] for b in range(prongs)]
     family_k = {2: 4, 3: 2}.get(prongs, 1)
-    doc = {
-        "schema": SCENARIO_SCHEMA,
-        "name": f"wedge-{prongs}",
-        "space": {"branches": ["w"] * prongs, "gluings": [glue]},
-        "params": {"family": {"grid_k": family_k, "max_intervals": 2}},
-        "objects": {
-            "points": {"hub": [0, "w"]},
-            "selections": {
-                "fmax": {"kind": "extreme", "mode": "maximal", "point": "hub"},
-                "fmin": {"kind": "extreme", "mode": "minimal", "point": "hub"},
-            },
-            "decompositions": {"levels": {"kind": "at_point", "point": "hub"}},
-            "pcuts": {
-                "cut": {
-                    "point": "hub",
-                    "sides": [
-                        [[0, "0", "w", "open"]],
-                        [[b, "0", "w", "open"] for b in range(1, prongs)],
-                    ],
-                }
-            },
-            "bases": {
-                "cutbase": {
-                    "kind": "cut",
-                    "selection": "fmax",
-                    "pcut": "cut",
-                    "steps": 8,
-                }
-            },
+    sides = [[[0, "0", "w", "open"]], [[b, "0", "w", "open"] for b in range(1, prongs)]]
+    return _demo_document(
+        f"wedge-{prongs}", {"branches": ["w"] * prongs, "gluings": [glue]}, family_k,
+        "hub", [0, "w"],
+        {
+            "pcuts": {"cut": {"point": "hub", "sides": sides}},
+            "bases": {"cutbase": {"kind": "cut", "selection": "fmax", "pcut": "cut", "steps": 8}},
         },
-        "suites": [
-            {"check": "clopen_oracle", "family": {"grid_k": min(2, family_k)}},
-            {"check": "decomp_validate", "decomp": "levels"},
-            {"check": "selection_law", "selection": "fmax"},
-            {"check": "extremality", "selection": "fmax", "point": "hub",
-             "mode": "maximal"},
-            {"check": "extremality", "selection": "fmin", "point": "hub",
-             "mode": "minimal"},
-            {"check": "continuity", "selection": "fmax", "nets": "canonical"},
-            {"check": "continuity", "selection": "fmin", "nets": "canonical"},
+        [], min(2, family_k),
+        [
             {"check": "base_at_cut", "selection": "fmax", "pcut": "cut", "steps": 8},
             {"check": "pointwise_minimal", "family": {"grid_k": 1}},
         ],
-    }
-    return doc
+    )
 
 
 def make_fan_scenario(prongs: int) -> dict:

@@ -20,7 +20,7 @@ from hypersel.ordinal import Ordinal, successor
 from hypersel.space import Point, Region, Space, Span
 from hypersel.decomp import DecompositionSpec
 from hypersel import hyperspace
-from hypersel.hyperspace import Verdict
+from hypersel.hyperspace import TheoremViolationError, Verdict
 
 __all__ = [
     "Selection",
@@ -32,7 +32,6 @@ __all__ = [
     "PatchedSelection",
     "order_extremum",
     "ExtremumNotAttained",
-    "SelectionLawError",
     "extremality_check",
     "continuity_check",
     "FamilyParams",
@@ -42,10 +41,6 @@ __all__ = [
 
 class ExtremumNotAttained(ValueError):
     """The declared order has no extreme member on the given closed set."""
-
-
-class SelectionLawError(AssertionError):
-    """A selection produced a value outside its argument."""
 
 
 def _canonical_here(space: Space, b: int, pos: Ordinal) -> bool:
@@ -137,7 +132,7 @@ class Selection:
 
     space: Space
     carrier: Region
-    kind: str = "abstract"
+    kind: str
 
     def evaluate(self, s: Region) -> Point:
         # A selection is a fixed map, so its value on a set is kept, but only
@@ -168,7 +163,7 @@ class Selection:
         if value is None:
             value = self._pick(s)
             if not s.contains_point(value):
-                raise SelectionLawError(f"{self.kind} chose {value} outside {s!r}")
+                raise TheoremViolationError(f"{self.kind} chose {value} outside {s!r}", s)
             values[s] = value
         return value
 

@@ -4,8 +4,8 @@ For a selection f, a point is related to a closed set when adjoining it does
 not change f's choice away from it.  The induced bracket of an open set V is
 materialized exactly by the selection types themselves (``Selection.bracket``).
 Every derived-set result is verified against its defining invariants before
-being returned; a violation signals a defective (non-continuous) selection or
-a model bug.
+being returned; a violation, a TheoremViolationError with the open set as its
+witness, signals a defective (non-continuous) selection or a model bug.
 """
 from __future__ import annotations
 
@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from hypersel.space import Point, Region, clopen_modulo, next_point
+from hypersel.hyperspace import TheoremViolationError
 from hypersel.selection import Selection
 
 __all__ = [
     "SelRel",
     "sel_rel",
     "DerivedSets",
-    "DerivedSetsInvariantError",
     "derived_sets",
     "bracket_of",
     "refine_modulo",
@@ -57,10 +57,6 @@ class DerivedSets:
     bracket: Region
     boundary_point: Optional[Point]
     complement: Region
-
-
-class DerivedSetsInvariantError(AssertionError):
-    """A derived-set invariant failed: defective selection or model bug."""
 
 
 def derived_sets(f: Selection, v: Region) -> DerivedSets:
@@ -114,8 +110,8 @@ def _verify(f, v, comp, q, bracket, interior) -> None:
         if status.kind != "modulo" or status.point != q:
             problems.append("bracket not clopen modulo the boundary point")
     if problems:
-        raise DerivedSetsInvariantError(
-            f"derived sets of {v!r} under {f.kind}: " + "; ".join(problems)
+        raise TheoremViolationError(
+            f"derived sets of {v!r} under {f.kind}: " + "; ".join(problems), v
         )
 
 
@@ -140,12 +136,12 @@ def refine_modulo(f: Selection, v: Region, p: Point, q: Point) -> Region:
     if not dsw.bracket.subset_of(v):
         problems.append("refined bracket escapes the open set")
     if problems:
-        raise DerivedSetsInvariantError("; ".join(problems))
+        raise TheoremViolationError("; ".join(problems), v)
     return dsw.bracket
 
 
 class SeparationStuckError(RuntimeError):
-    def __init__(self, stage: str, detail: str = "") -> None:
+    def __init__(self, stage: str, detail: str) -> None:
         super().__init__(f"clopen separation stuck at {stage}: {detail}")
         self.stage = stage
 
@@ -165,7 +161,7 @@ def clopen_separation(
         return p_reg
     u = _two_step_separation(f, p, v, aux)
     if not (u.is_clopen() and u.contains_point(p) and u.subset_of(v)):
-        raise DerivedSetsInvariantError(f"separation output invalid: {u!r}")
+        raise TheoremViolationError(f"separation output invalid: {u!r}", v)
     return u
 
 

@@ -172,9 +172,8 @@ class Space:
         out.add(limit_part(o))
         return out
 
-    def grid_bases(self, branch: int, k: Optional[int] = None) -> list[Ordinal]:
+    def grid_bases(self, branch: int, k: int) -> list[Ordinal]:
         """Limit-or-zero base points whose +j offsets make up the branch grid."""
-        k = self.grid_k if k is None else k
         top = self.branches[branch]
         bases = self._prefixes(top)
         for coords in self.gluings:

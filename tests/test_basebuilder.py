@@ -8,7 +8,7 @@ from hypersel.decomp import (
     point_chain_rule,
     point_decomposition,
 )
-from hypersel.hyperspace import open_cover_of
+from hypersel.hyperspace import TheoremViolationError, open_cover_of
 from hypersel.selection import (
     FamilyParams,
     OrderMaxSelection,
@@ -17,7 +17,6 @@ from hypersel.selection import (
 )
 from hypersel.basebuilder import (
     PatternError,
-    TheoremViolationError,
     _certify_pattern,
     _pattern_limit,
     base_at_cut,

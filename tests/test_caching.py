@@ -29,7 +29,7 @@ from hypersel.basebuilder import (
     pcut_validate,
 )
 from hypersel.decomp import ExplicitDecomposition, point_decomposition
-from hypersel.hyperspace import ConvergentNet, net_convergence_check
+from hypersel.hyperspace import ConvergentNet, TheoremViolationError, net_convergence_check
 from hypersel.ordinal import OMEGA, ZERO, Ordinal, parse_ordinal
 from hypersel.selection import (
     FamilyParams,
@@ -38,7 +38,6 @@ from hypersel.selection import (
     OrderMinSelection,
     PatchedSelection,
     RestrictSelection,
-    SelectionLawError,
     _key_ray,
     continuity_check,
     enumerate_closed_family,
@@ -50,7 +49,7 @@ from hypersel.scenario import (
     canonical_net_corpus,
     run_scenario,
 )
-from hypersel.selrel import DerivedSets, DerivedSetsInvariantError, derived_sets
+from hypersel.selrel import DerivedSets, derived_sets
 from hypersel.space import Region, Space
 from oracles import oracle_spaces, ref_enumerate_closed_family, ref_extremality_check
 
@@ -292,8 +291,9 @@ class TestEvaluationMemo:
         f = Stray(space)
         s = Region.from_intervals(space, [(0, O(1), O(4))])
         for _ in range(2):
-            with pytest.raises(SelectionLawError):
+            with pytest.raises(TheoremViolationError) as err:
                 f.evaluate(s)
+            assert err.value.witness == s
         assert f.evaluate(Region.from_intervals(space, [(0, O(1), O(9))])) == stray
 
 
@@ -376,7 +376,7 @@ class TestGuards:
             ).evaluate(s),
         }
         for call in callers.values():
-            with pytest.raises(SelectionLawError):
+            with pytest.raises(TheoremViolationError):
                 call()
 
 
@@ -548,7 +548,7 @@ WHOLE_SPACE_KINDS = ["order-max", "order-min", "maximal-at", "minimal-at", "patc
 def _derived_or_error(f, v):
     try:
         return derived_sets(f, v)
-    except DerivedSetsInvariantError as exc:
+    except TheoremViolationError as exc:
         return str(exc)
 
 
@@ -585,7 +585,7 @@ class TestDerivedSetsMemo:
         v = Region(f.space, witness.traces)  # the same open set over the new load's space
         calls = count_region_work(monkeypatch)
         for n in range(1, 4):
-            with pytest.raises(DerivedSetsInvariantError, match="bracket not closed"):
+            with pytest.raises(TheoremViolationError, match="bracket not closed"):
                 derived_sets(f, v)
             assert calls["is_closed"] >= n  # the invariants are checked again
         assert f._derived == {}

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from hypersel import cli
+from hypersel.ordinal import ZERO
+from hypersel.selection import OrderExtremumSelection
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -106,6 +108,21 @@ class TestExitCodes:
         out = run_cli("check", "scenarios/that_does_not_exist.json")
         assert out.returncode == 2
 
+    def test_broken_guarantee_at_load_exits_two(self, tmp_path, monkeypatch, capsys):
+        # an order primitive that always picks (0:0) breaks the selection law
+        # while the extremality of an extreme selection is proven at load
+        monkeypatch.setattr(OrderExtremumSelection, "_pick",
+                            lambda self, s: self.space.point(0, ZERO))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({
+            "schema": "hypersel-scenario/1", "space": {"branches": ["w"]},
+            "objects": {"points": {"top": [0, "w"]}, "selections": {
+                "f": {"kind": "extreme", "mode": "maximal", "point": "top"}}},
+        }))
+        assert cli.main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario: selection 'f': order-max chose (0:0) outside")
+
     @pytest.mark.parametrize("argv", [
         ["demo", "ordinal", "--gamma", "foo"],
         ["demo", "ordinal", "--gamma", "w^"],
@@ -153,6 +170,9 @@ PLANTED = {
     # a patch that picks (0:0) on the whole line [0, w] breaks maximality at
     # the top; the witness is the whole line
     "extremality_patched_top": ("extremality", "f(S) != (0:w) though (0:w) in S"),
+    # a tail net at the top read at window 0: its member there is the whole
+    # line, outside the basic <[11, w]> around {(0:w)}
+    "net_convergence_cut_window": ("net_convergence", "escapes a basic at 0"),
 }
 PLANTED_DIGESTS = {
     "decomp_overlap": "cc911cd696719ebc37138be3fa048ceb2798b8f9965dd4230417f5aeb56c2e5d",
@@ -165,6 +185,8 @@ PLANTED_DIGESTS = {
         "bef39e41d802c881cbbe5e58cf6fdd832cb6a6a420179196624c6530075b295b",
     "extremality_patched_top":
         "61bc0616f448d89f47ed7c6a905c3fe227fa36576eb07e1626a1a2293e3fce6a",
+    "net_convergence_cut_window":
+        "2f93a8b923e47cd4b4d75978b9229910b06f45c808c6d3f942ef69547bfe79f3",
 }
 
 
@@ -197,6 +219,12 @@ class TestPlantedDefects:
         assert cli.main(["check", str(SCENARIOS / "defects" / f"{name}.json")]) == 1
         (record,) = json.loads(capsys.readouterr().out)["results"]
         assert record["witness"] == {"set": witness}
+
+    def test_net_convergence_failure_carries_its_basic(self, capsys):
+        path = SCENARIOS / "defects" / "net_convergence_cut_window.json"
+        assert cli.main(["check", str(path)]) == 1
+        (record,) = json.loads(capsys.readouterr().out)["results"]
+        assert record["witness"] == {"basic": [[[0, "11", "w"]]]}
 
 
 def transfinite_doc(line, point, gamma):

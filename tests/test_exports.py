@@ -3,9 +3,10 @@ name a module imports is used in it or exported, and every function, class,
 method and module-level constant the package defines is used by the package
 or the benchmark, only the sites that prove evaluate's guards call the
 evaluation step behind them, only Space.tail builds a tail at a point,
-every check returns a Verdict, every field that the table lists for a check
-or a base is read on its code path, and no default of a field sits outside
-the table."""
+every check returns a Verdict, one exception type reports a broken guarantee,
+every field that the table lists for a check or a base is read on its code
+path, no default of a field sits outside the table, and the number of
+settable values stays pinned."""
 import ast
 import importlib
 from pathlib import Path
@@ -383,6 +384,91 @@ def test_every_check_returns_a_verdict():
         assert fn.__annotations__["return"] == "Verdict", fn.__name__
 
 
+# One exception reports a broken guarantee, hyperspace.TheoremViolationError:
+# a run turns it into a fail record with its witness, and any other exception
+# into an error record.  No other class derives from AssertionError, directly
+# or through another class of the package.
+FAIL_TYPES = {"hyperspace.py TheoremViolationError"}
+
+
+def assertion_classes(sources: dict[str, str]) -> set[str]:
+    """``file class`` of each class of ``sources`` whose bases reach
+    AssertionError, directly or through other classes of ``sources``."""
+    bases, where = {}, {}
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {ast.unparse(b).split(".")[-1] for b in node.bases}
+                where[node.name] = fname
+    derived = {"AssertionError"}
+    while True:
+        more = {name for name, named in bases.items() if named & derived} - derived
+        if not more:
+            return {f"{where[name]} {name}" for name in derived - {"AssertionError"}}
+        derived |= more
+
+
+def test_assertion_class_is_found():
+    src = (
+        "class TheoremViolationError(AssertionError):\n    pass\n"
+        "class LawError(TheoremViolationError):\n    pass\n"
+        "class Stuck(builtins.AssertionError):\n    pass\n"
+        "class Invalid(ValueError):\n    pass\n"
+    )
+    assert assertion_classes({"x.py": src}) == {
+        "x.py TheoremViolationError", "x.py LawError", "x.py Stuck"}
+
+
+def test_one_exception_reports_a_broken_guarantee():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert assertion_classes(sources) == FAIL_TYPES
+
+
+# The settable values of the package: defaulted parameters (lambdas
+# included) and class fields declared with a value.  Each is a second
+# statement of a value unless something reads or varies it, so the count is
+# pinned; a change that adds or removes one updates the pin and says why.
+SETTABLE_VALUES = 25
+
+
+def settable_values(sources: dict[str, str]) -> list[str]:
+    """``file owner name`` of each defaulted parameter and each class field
+    declared with a value in ``sources``."""
+    out = []
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                args = [*a.posonlyargs, *a.args]
+                owner = getattr(node, "name", "<lambda>")
+                out += [f"{fname} {owner} {arg.arg}" for arg in args[len(args) - len(a.defaults):]]
+                out += [f"{fname} {owner} {arg.arg}"
+                        for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+            elif isinstance(node, ast.ClassDef):
+                out += [f"{fname} {node.name} {ast.unparse(st.target)}" for st in node.body
+                        if isinstance(st, ast.AnnAssign) and st.value is not None]
+    return sorted(out)
+
+
+def test_settable_value_is_found():
+    src = (
+        "def f(a, b=1, *, c, d=None):\n    return lambda x=0: x\n"
+        "@dataclass\nclass R:\n    name: str\n    kind: str = 'r'\n"
+        "    items: dict = field(default_factory=dict)\n    plain = 3\n"
+        "    def m(self, k, window=64):\n        return k\n"
+    )
+    assert settable_values({"x.py": src}) == [
+        "x.py <lambda> x", "x.py R items", "x.py R kind", "x.py f b", "x.py f d",
+        "x.py m window",
+    ]
+
+
+def test_settable_values_are_pinned():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    found = settable_values(sources)
+    assert len(found) == SETTABLE_VALUES, found
+
+
 # -- the field table ----------------------------------------------------------------
 #
 # scenario.SCHEMA lists the fields each kind reads, and scenario.DEFAULTS gives
@@ -542,8 +628,6 @@ STATED_ELSEWHERE = {
     "space.py Space.__init__ gluings": "the empty tuple means no identifications",
     "selection.py FamilyParams grid_k": "family.grid_k bounds one enumeration; it is not"
     " params.grid_k, and DEFAULTS['family'] reads this default",
-    "scenario.py Scenario nets": "the built nets of a document, which start empty like every"
-    " object group; not the continuity suite's nets field",
 }
 
 

@@ -282,10 +282,15 @@ class TestReports:
             f"eta-continuous: upper preimage at {level} not open")
 
     def test_generator_documents_validate(self):
-        for doc in [make_ordinal_scenario("w*2"), make_wedge_scenario(2),
-                    make_fan_scenario(3)]:
+        # each demo document is the committed fixture, key order included
+        scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+        for doc, fixture in [(make_ordinal_scenario("w*2"), "ordinal_omega2.json"),
+                             (make_wedge_scenario(2), "wedge.json"),
+                             (make_fan_scenario(3), "fan3.json")]:
             sc = Scenario.load(doc)
             assert sc.suites
+            written = json.loads((scenarios / fixture).read_text(encoding="utf-8"))
+            assert json.dumps(doc) == json.dumps(written), fixture
 
 
 def _wedge_doc():

@@ -19,7 +19,7 @@ from hypersel.selection import (
     extremality_check,
     order_extremum,
 )
-from hypersel.hyperspace import increasing_union_net
+from hypersel.hyperspace import TheoremViolationError, increasing_union_net
 from hypersel.scenario import Scenario, canonical_net_corpus, region_to_json, run_scenario
 
 from oracles import glued_off_branch_0_spaces, oracle_spaces, ref_order_extremum
@@ -254,6 +254,39 @@ class TestExtremality:
         record = run_scenario(sc).records[0]
         assert record.verdict.status == "fail" and "outside" in record.verdict.detail
         assert record.to_json()["witness"] == {"set": region_to_json(bad)}
+
+    def test_fiber_law_break_is_witnessed_by_the_family_member(self):
+        # A join over [[0, 2], [3, w]] whose upper fiber selection answers
+        # (0:0) on [3, w], a set off the family's grid.  The violation carries
+        # the set the fiber selection was evaluated on; the selection_law
+        # record carries the family member the join was evaluated on.
+        sc = Scenario.load({
+            "schema": "hypersel-scenario/1", "name": "planted-fiber-law-break",
+            "space": {"branches": ["w"], "gluings": []},
+            "params": {"family": {"grid_k": 2, "max_intervals": 2}},
+            "objects": {"selections": {"f": {"kind": "order_max"}}},
+            "suites": [{"check": "selection_law", "selection": "f"}],
+        })
+        space, fam = sc.space, FamilyParams(grid_k=2, max_intervals=2)
+        origin = space.point(0, ZERO)
+        upper = creg(space, (0, O(3), W))
+
+        class LawBreaker(OrderMaxSelection):
+            def _pick(self, s):
+                return origin if s == upper else super()._pick(s)
+
+        d = ExplicitDecomposition(space, [creg(space, (0, ZERO, O(2))), upper])
+        join = LevelSelection(d, True, lambda idx, fib: LawBreaker(space, fib))
+        family = enumerate_closed_family(space, fam)
+        assert upper not in family
+        member = next(s for s in family if upper.subset_of(s))
+        with pytest.raises(TheoremViolationError) as err:
+            join.evaluate(member)
+        assert err.value.witness == upper
+        sc.selections["f"] = join
+        record = run_scenario(sc).records[0]
+        assert record.verdict.status == "fail" and "outside" in record.verdict.detail
+        assert record.verdict.witness == member
 
 
 class TestContinuity:

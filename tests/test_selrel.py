@@ -13,8 +13,8 @@ from hypersel.selection import (
     enumerate_closed_family,
 )
 from hypersel.basebuilder import decomp_to_extreme_selection, maximal_at, minimal_at
+from hypersel.hyperspace import TheoremViolationError
 from hypersel.selrel import (
-    DerivedSetsInvariantError,
     SelRel,
     SeparationStuckError,
     bracket_of,
@@ -119,8 +119,9 @@ class TestDerivedSets:
         at = creg(line, (0, ZERO, O(5)), (0, W, W))
         broken = PatchedSelection(jmax, at, line.point(0, O(5)))
         v = line.whole().difference(creg(line, (0, ZERO, O(5))))
-        with pytest.raises(DerivedSetsInvariantError):
+        with pytest.raises(TheoremViolationError) as err:
             derived_sets(broken, v)
+        assert err.value.witness == v
 
 
 class TestBracketRecursion:
@@ -238,6 +239,20 @@ class TestClopenSeparation:
         with pytest.raises(SeparationStuckError) as err:
             clopen_separation(f, top, omega2_space.whole(), lambda q: maximal_at(omega2_space, q))
         assert err.value.stage == "choose-q2"
+
+    def test_invalid_separation_carries_the_open_set(self, omega2_space, monkeypatch):
+        import hypersel.selrel as selrel_mod
+
+        top = omega2_space.point(0, W2)
+        f = decomp_to_extreme_selection(
+            point_decomposition(omega2_space, top), top, "maximal", FamilyParams(grid_k=3)
+        )
+        v = omega2_space.whole()
+        monkeypatch.setattr(selrel_mod, "_two_step_separation",
+                            lambda f, p, v, aux: v.remove_point(p))
+        with pytest.raises(TheoremViolationError, match="separation output invalid") as err:
+            clopen_separation(f, top, v, lambda q: maximal_at(omega2_space, q))
+        assert err.value.witness == v
 
 
 def _bracket_cases():
