@@ -23,8 +23,10 @@ from hypersel.ordinal import (
     OMEGA,
     ZERO,
     Ordinal,
+    _cnf,
     fund_index_at_least,
     left_difference,
+    ord_add,
     ord_fundamental,
     predecessor,
     successor,
@@ -81,7 +83,8 @@ class ExplicitDecomposition:
         self.space = space
         self.carrier = carrier if carrier is not None else space.whole()
         self.fibers = tuple(fibers)
-        self.gamma = Ordinal.from_int(len(self.fibers) - 1)
+        self._levels = tuple(map(Ordinal.from_int, range(len(self.fibers))))
+        self.gamma = self._levels[-1]
 
     def fiber(self, idx: Ordinal) -> Region:
         return self.fibers[idx.as_int()]
@@ -90,7 +93,7 @@ class ExplicitDecomposition:
         order = range(len(self.fibers) - 1, -1, -1) if top else range(len(self.fibers))
         for i in order:
             if s.meets(self.fibers[i]):
-                return Ordinal.from_int(i)
+                return self._levels[i]
         raise DecompositionError("set misses every fiber")
 
     def upper_strict(self, idx: Ordinal) -> Region:
@@ -109,7 +112,7 @@ class ExplicitDecomposition:
         return ()
 
     def sample_indices(self) -> list[Ordinal]:
-        return [Ordinal.from_int(i) for i in range(len(self.fibers))]
+        return list(self._levels)
 
     def cover_residual(self, idxs: list[Ordinal]) -> Region:
         return self.space.empty()  # every fiber is sampled
@@ -173,7 +176,9 @@ class ChainDecomposition:
         return k, None if off.is_limit else off.as_int()
 
     def _index(self, k: int, n: int) -> Ordinal:
-        return self._starts[k] + Ordinal.from_int(n) if k else Ordinal.from_int(n)
+        # one term (0, n >= 1) is CNF; a block start lambda+1 adds it by ord_add
+        fin = _cnf(((0, n),)) if n else ZERO
+        return ord_add(self._starts[k], fin) if k else fin
 
     def member(self, idx: Ordinal) -> Region:
         """U(idx)."""

@@ -115,6 +115,8 @@ def _cnf(terms: tuple[tuple[int, int], ...]) -> Ordinal:
     on terms built from canonical operands.  The grids of ``space.Space``
     call it on terms (e >= 1, c >= 1) with falling exponents, a grid base
     (zero or a limit), and on a base followed by (0, j >= 1), which keeps CNF.
+    ``decomp.ChainDecomposition._index`` calls it on the one term (0, n) with
+    n >= 1, a finite level, which is CNF.
     """
     return tuple.__new__(Ordinal, (terms,))
 

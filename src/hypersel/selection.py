@@ -13,7 +13,7 @@ finite families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Optional, Sequence
 
 from hypersel.ordinal import Ordinal, successor
@@ -44,8 +44,8 @@ class ExtremumNotAttained(ValueError):
 
 
 def _canonical_here(space: Space, b: int, pos: Ordinal) -> bool:
-    pt = space.point(b, pos)
-    return pt.branch == b and pt.pos == pos
+    # a class counts at its least coordinate; a coordinate in no class is its own
+    return space.class_coords(b, pos)[0] == (b, pos)
 
 
 def _attained_top(space: Space, trace, b: int) -> Point:
@@ -236,25 +236,27 @@ class LevelSelection(Selection):
         self.top = top
         self.kind = "join" if top else "meet"
         self._fiber_selection = fiber_selection
-        self._fibers: dict[Ordinal, tuple[Selection, Region, Callable[[Region], Point]]] = {}
+        self._fibers: dict[Ordinal, tuple[Selection, Region, Callable[[Region], Point], bool]] = {}
 
-    def _fiber(self, idx: Ordinal) -> tuple[Selection, Region, Callable[[Region], Point]]:
-        """The selection of level idx, its fiber and the step that evaluates
-        the selection on s & fiber, all built once.  The level is met, so
-        s & fiber is nonempty; when the fiber is proven closed and inside the
-        selection's carrier, so is s & fiber for every closed s, and the step
-        skips evaluate's guards.  A level that fails the proof keeps them."""
+    def _fiber(self, idx: Ordinal) -> tuple[Selection, Region, Callable[[Region], Point], bool]:
+        """The selection of level idx, its fiber, the step that evaluates the
+        selection on s & fiber and whether the fiber is one point, all built
+        once.  The level is met, so s & fiber is nonempty, and it is the fiber
+        when that is one point (s is saturated).  When the fiber is proven
+        closed and inside the selection's carrier, so is s & fiber for every
+        closed s, and the step skips evaluate's guards; other levels keep them."""
         entry = self._fibers.get(idx)
         if entry is None:
             fib = self.decomp.fiber(idx)
             sel = self._fiber_selection(idx, fib)
             proven = sel.space is fib.space and fib.is_closed() and fib.subset_of(sel.carrier)
-            entry = self._fibers[idx] = (sel, fib, sel._value if proven else sel.evaluate)
+            step = sel._value if proven else sel.evaluate
+            entry = self._fibers[idx] = (sel, fib, step, fib.single_point() is not None)
         return entry
 
     def _pick(self, s: Region) -> Point:
-        _, fib, step = self._fiber(self.decomp.eta_extremes(s, self.top))
-        return step(s.intersect(fib))
+        _, fib, step, one_point = self._fiber(self.decomp.eta_extremes(s, self.top))
+        return step(fib if one_point else s.intersect(fib))
 
     def bracket(self, c: Region) -> Region:
         # points beyond the extreme level select themselves; at that level
@@ -262,20 +264,14 @@ class LevelSelection(Selection):
         d = self.decomp
         idx = d.eta_extremes(c, self.top)
         beyond = d.upper_strict(idx) if self.top else d.lower_strict(idx)
-        sel, fib, _ = self._fiber(idx)
+        sel, fib, *_ = self._fiber(idx)
         return beyond.union(sel.bracket(c.intersect(fib)))
 
     def maximal_point(self) -> Optional[Point]:
         """The point of a join's top fiber when that fiber is a singleton."""
         if not self.top:
             return None
-        top = self.decomp.fiber(self.decomp.gamma)
-        pts = {self.space.point(b, sp.lo) for b, sp in top.span_items()}
-        if len(pts) == 1:
-            p = pts.pop()
-            if top == self.space.point_region(p):
-                return p
-        return None
+        return self.decomp.fiber(self.decomp.gamma).single_point()
 
 
 class RestrictSelection(Selection):
@@ -334,16 +330,10 @@ class PatchedSelection(Selection):
             inside = space.point_region(self.value).intersect(c)
             outside = base.difference(c)
             return outside.union(inside)
-        extra = self.at.difference(c)
-        if c.subset_of(self.at) and not extra.is_empty:
-            pts = {space.point(b, sp.lo) for b, sp in extra.span_items()}
-            if len(pts) == 1:
-                x0 = pts.pop()
-                if extra == space.point_region(x0):
-                    if self.value == x0:
-                        return base.add_point(x0)
-                    return base.remove_point(x0)
-        return base
+        x0 = self.at.difference(c).single_point() if c.subset_of(self.at) else None
+        if x0 is None:
+            return base
+        return base.add_point(x0) if self.value == x0 else base.remove_point(x0)
 
 
 # -- exhaustive checking -----------------------------------------------------
@@ -393,7 +383,12 @@ def _build_closed_family(space: Space, params: FamilyParams, base: Region) -> li
     # here, so members need no guard when a selection is evaluated on them.
     # On a branch no gluing touches, an option's closed spans are already its
     # normalized saturated trace (two segments neither overlap nor touch).
+    # Every segment lies in the whole space, so that carrier tests none.
+    # Without gluings an option is one branch's trace and options of a branch
+    # are distinct traces, so distinct choices give distinct members, in the
+    # walk's order: no set of those seen, and one branch's are its options.
     glued = {b for coords in space.gluings for b, _ in coords}
+    whole = base == space.whole()
     empty = space.empty().traces
     per_branch: list[list[Optional[Region]]] = []
     for b in range(len(space.branches)):
@@ -414,7 +409,7 @@ def _build_closed_family(space: Space, params: FamilyParams, base: Region) -> li
                     Region(space, empty[:b] + ((span,),) + empty[b + 1:]) if direct
                     else Region.from_intervals(space, [(b, lo, pts[j])])
                 )
-                if seg.subset_of(base):
+                if whole or seg.subset_of(base):
                     intervals.append((lo, after[j], span, seg))
         options: list[Optional[Region]] = [None]
         options.extend(seg for *_, seg in intervals)
@@ -426,6 +421,11 @@ def _build_closed_family(space: Space, params: FamilyParams, base: Region) -> li
                         else seg1.union(seg2)
                     )
         per_branch.append(options)
+    if not space.gluings:
+        if len(per_branch) == 1:
+            return per_branch[0][1:]
+        traces = [[()] + [opt.traces[b] for opt in opts[1:]] for b, opts in enumerate(per_branch)]
+        return [Region(space, t) for t in product(*traces)][1:]  # the first takes no option
     out: list[Region] = []
     seen: set = set()
 

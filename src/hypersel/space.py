@@ -524,6 +524,14 @@ class Region:
             for s in tr:
                 yield b, s
 
+    def single_point(self) -> Optional[Point]:
+        """The point of a one-point set, None for any other set.  A one-point
+        set is the class of its first span's start."""
+        for b, s in self.span_items():
+            pt = self.space.point(b, s.lo)
+            return pt if self == self.space.point_region(pt) else None
+        return None
+
     def _check_space(self, other: "Region") -> None:
         if other.space is not self.space:
             raise SpaceMismatchError("set values over different spaces")

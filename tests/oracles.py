@@ -10,6 +10,7 @@ from __future__ import annotations
 from sympy.sets.ordinals import Ordinal as SymOrdinal, ord0, omega
 
 from itertools import combinations
+from typing import Optional
 
 from hypersel.decomp import (
     SCAN_CAP,
@@ -499,6 +500,76 @@ def ref_enumerate_closed_family(space: Space, params, carrier=None) -> list[Regi
             acc.pop()
 
     rec(0, [])
+    return out
+
+
+# -- frozen family builder ----------------------------------------------------------
+#
+# selection._build_closed_family as it was before families without gluings
+# skipped the set of members seen and the whole carrier its subset tests:
+# every member comes out of the walk over branch options, kept when it was
+# not seen before, and every segment is tested against the carrier.
+
+
+def frozen_build_closed_family(space: Space, params, base: Region) -> list[Region]:
+    # Each branch option (no interval, one, or two) is one saturated region;
+    # a member is the union of one option per branch.  Region.make of all the
+    # spans together gives the same set: saturation adds the gluing classes
+    # any span touches, and the classes are disjoint.  The merge keeps the
+    # union normalized and saturated (see the comment above _meet_trace).
+    # Every option is closed and nonempty, and is tested against the carrier
+    # here, so members need no guard when a selection is evaluated on them.
+    # On a branch no gluing touches, an option's closed spans are already its
+    # normalized saturated trace (two segments neither overlap nor touch).
+    glued = {b for coords in space.gluings for b, _ in coords}
+    empty = space.empty().traces
+    per_branch: list[list[Optional[Region]]] = []
+    for b in range(len(space.branches)):
+        direct = b not in glued
+        cands = set(space.grid_positions(b, params.grid_k))
+        for sp in base.traces[b]:
+            cands.add(sp.lo)
+            cands.add(sp.hi)
+        pts = sorted(g for g in cands if base.covers_position(b, g))
+        # (lo, successor of hi, span, segment): two segments are disjoint and
+        # not adjacent when the second starts above the first one's successor
+        after = [successor(g) for g in pts]
+        intervals = []
+        for i, lo in enumerate(pts):
+            for j in range(i, len(pts)):
+                span = Span(lo, pts[j], True)
+                seg = (
+                    Region(space, empty[:b] + ((span,),) + empty[b + 1:]) if direct
+                    else Region.from_intervals(space, [(b, lo, pts[j])])
+                )
+                if seg.subset_of(base):
+                    intervals.append((lo, after[j], span, seg))
+        options: list[Optional[Region]] = [None]
+        options.extend(seg for *_, seg in intervals)
+        if params.max_intervals >= 2:
+            for (_, after1, span1, seg1), (a2, _, span2, seg2) in combinations(intervals, 2):
+                if a2 > after1:
+                    options.append(
+                        Region(space, empty[:b] + ((span1, span2),) + empty[b + 1:]) if direct
+                        else seg1.union(seg2)
+                    )
+        per_branch.append(options)
+    out: list[Region] = []
+    seen: set = set()
+
+    def rec(b: int, acc: Optional[Region]):
+        if b == len(per_branch):
+            if acc is not None and acc not in seen:
+                seen.add(acc)
+                out.append(acc)
+            return
+        for choice in per_branch[b]:
+            if choice is None:
+                rec(b + 1, acc)
+            else:
+                rec(b + 1, choice if acc is None else acc.union(choice))
+
+    rec(0, None)
     return out
 
 

@@ -11,7 +11,10 @@ keeps per (point, mode, family), are compared with those of a fresh
 selection and served again with no work; a failing open set raises every
 time.  Values from the private step, which skips the guards its callers
 proved, are compared with the public evaluate, and extremality verdicts
-with the reference check that evaluates every set through it.
+with the reference check that evaluates every set through it.  Families are
+also compared, members and order, with a frozen copy of the builder that
+walked every family with a set of the members seen, and joins and meets that
+hand a one-point level its fiber with ones that always build s & fiber.
 """
 import inspect
 import runpy
@@ -51,7 +54,13 @@ from hypersel.scenario import (
 )
 from hypersel.selrel import DerivedSets, derived_sets
 from hypersel.space import Region, Space
-from oracles import oracle_spaces, ref_enumerate_closed_family, ref_extremality_check
+from oracles import (
+    frozen_build_closed_family,
+    glued_off_branch_0_spaces,
+    oracle_spaces,
+    ref_enumerate_closed_family,
+    ref_extremality_check,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 O = Ordinal.from_int
@@ -69,6 +78,17 @@ def fiber_carriers(space: Space) -> list[Region]:
     top = space.point(len(space.branches) - 1, space.branches[-1])
     d = point_decomposition(space, top)
     return [d.fiber(idx) for idx in d.sample_indices() if idx < O(4) or idx == d.gamma]
+
+
+def frozen_builder_spaces() -> dict[str, Space]:
+    """New instances of the lines w*3 and w^2+w, two unglued branches and
+    every oracle space (the lines w*2 and w^2 among them)."""
+    return {
+        "line-w*3": Space([parse_ordinal("w*3")]),
+        "line-w^2+w": Space([parse_ordinal("w^2+w")]),
+        "two-free": Space([parse_ordinal("w*2"), W]),
+        **oracle_spaces(),
+    }
 
 
 class TestFamilyBuilder:
@@ -131,6 +151,18 @@ class TestFamilyBuilder:
                 assert enumerate_closed_family(space, params, carrier=carrier) == (
                     ref_enumerate_closed_family(space, params, carrier=carrier)
                 ), (carrier, params)
+
+    @pytest.mark.parametrize("name", sorted(frozen_builder_spaces()))
+    def test_matches_frozen_builder(self, name):
+        # members and their order as the builder gave them while every family
+        # went through the walk with its set of members seen
+        space = frozen_builder_spaces()[name]
+        # a carrier with a hole: a segment between grid points may escape it
+        proper = space.whole().difference(space.point_region(space.point(0, O(5))))
+        for carrier in (space.whole(), proper):
+            for params in (FamilyParams(k, m) for k in range(4) for m in (1, 2)):
+                got = enumerate_closed_family(space, params, carrier=carrier)
+                assert got == frozen_build_closed_family(space, params, carrier), (carrier, params)
 
     def test_whole_space_carrier_is_no_carrier(self):
         space = oracle_spaces()["wedge"]
@@ -709,3 +741,84 @@ class TestExtremalityMemo:
         assert "_extremality" not in vars(b)
         again = extremality_check(b, hub, "maximal", FamilyParams(2))
         assert again == verdict and again is not verdict
+
+
+def _pick_on_s_and_fiber(self, s):
+    """LevelSelection._pick as it was before a one-point level was read from
+    its fiber: the level's step always gets s & fiber."""
+    _, fib, step, _ = self._fiber(self.decomp.eta_extremes(s, self.top))
+    return step(s.intersect(fib))
+
+
+def _cut_spaces() -> dict[str, Space]:
+    return {**oracle_spaces(), **glued_off_branch_0_spaces()}
+
+
+class TestOnePointLevels:
+    """A join or meet hands a one-point level its fiber, which is s & fiber
+    for every s that meets the level; its fiber selection still evaluates
+    {q} through the step that checks the selection law."""
+
+    @pytest.mark.parametrize("name", sorted(_cut_spaces()))
+    def test_values_match_evaluation_on_s_and_fiber(self, name, monkeypatch):
+        space = _cut_spaces()[name]
+        # glue-1-2 has 26,827 members at two intervals per branch, 3,156 at one
+        family = FamilyParams(2, 1 if name == "glue-1-2" else 2)
+        sets = enumerate_closed_family(space, family)
+        builders = [
+            lambda p: maximal_at(space, p),
+            lambda p: minimal_at(space, p),
+            *(lambda p, mode=mode: decomp_to_extreme_selection(
+                point_decomposition(space, p), p, mode, family) for mode in ("maximal", "minimal")),
+        ]
+
+        def outcomes() -> tuple[list, int]:
+            out, one_point = [], 0
+            for p in space.grid_points(2):
+                for build in builders:
+                    try:
+                        f = build(p)
+                    except (ValueError, TheoremViolationError) as exc:
+                        out.append(repr(exc))
+                        continue
+                    for s in sets:  # members of f's family, proven to fit it
+                        try:
+                            out.append(f._value(s))
+                        except (ValueError, TheoremViolationError) as exc:
+                            out.append(repr(exc))
+                    one_point += sum(entry[3] for entry in f._fibers.values())
+            return out, one_point
+
+        got, one_point = outcomes()
+        monkeypatch.setattr(LevelSelection, "_pick", _pick_on_s_and_fiber)
+        assert got == outcomes()[0]
+        assert one_point > 0
+
+    def test_fiber_selection_breaking_the_law_on_its_point_raises_every_time(self):
+        space = Space([W])
+        p = space.point(0, W)
+        d = point_decomposition(space, p)
+        stray = space.point(0, ZERO)
+
+        class Stray(OrderMaxSelection):
+            def _pick(self, s):
+                return stray
+
+        join = LevelSelection(d, True, lambda idx, fib: (
+            Stray(space, carrier=fib) if idx == d.gamma else OrderMaxSelection(space, carrier=fib)))
+        top = space.point_region(p)
+        s = Region.from_intervals(space, [(0, O(3), W)])
+        calls = [lambda: join.evaluate(s),
+                 lambda: extremality_check(join, p, "maximal", FamilyParams(1))]
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(TheoremViolationError) as err:
+                    call()
+                assert err.value.witness == top
+        sel, fib, _, one_point = join._fibers[d.gamma]
+        assert one_point and fib == top
+        assert top not in vars(sel).get("_values", {})
+        assert s not in vars(join).get("_values", {}) and not vars(join).get("_extremality")
+        # a member below the top level still evaluates
+        below = Region.from_intervals(space, [(0, O(1), O(4))])
+        assert join.evaluate(below) == space.point(0, O(4))

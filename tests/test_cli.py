@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -282,6 +283,30 @@ class TestWitnessReingestion:
             region_from_json(sc.space, lit)
 
 
+# Runs `check` on every document under scenarios/ in one process through
+# cli.main and prints, per document, the exit code, the report as emitted
+# (key order kept) without its timings, and stderr.
+CHECK_ALL = """
+import contextlib, io, json
+from pathlib import Path
+from hypersel import cli
+
+out = {}
+for path in sorted(Path("scenarios").rglob("*.json")):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["check", str(path)])
+    report = stdout.getvalue()
+    if report:
+        parsed = json.loads(report)
+        for rec in parsed["results"]:
+            del rec["elapsed_ms"]
+        report = json.dumps(parsed, indent=2)
+    out[str(path)] = [code, report, stderr.getvalue()]
+print(json.dumps(out))
+"""
+
+
 class TestDeterminism:
     def test_reports_byte_identical_modulo_timing(self):
         a = run_cli("check", str(SCENARIOS / "broken_selection.json"))
@@ -289,6 +314,23 @@ class TestDeterminism:
         ra = strip_timing(json.loads(a.stdout))
         rb = strip_timing(json.loads(b.stdout))
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+    def test_check_reports_do_not_depend_on_the_hash_seed(self):
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", CHECK_ALL], cwd=REPO, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            )
+            for seed in ("0", "12345")
+        ]
+        outs = [proc.communicate(timeout=120) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outs]
+        a, b = (json.loads(out) for out, _ in outs)
+        assert len(a) == len(list(SCENARIOS.rglob("*.json")))
+        assert sorted({code for code, *_ in a.values()}) == [0, 1, 2]
+        assert a == b
 
 
 class TestBuildBase:

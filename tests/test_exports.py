@@ -2,7 +2,9 @@
 name a module imports is used in it or exported, and every function, class,
 method and module-level constant the package defines is used by the package
 or the benchmark, only the sites that prove evaluate's guards call the
-evaluation step behind them, only Space.tail builds a tail at a point,
+evaluation step behind them, only the code that proves its terms are in
+Cantor normal form builds an ordinal without validation, only Space.tail
+builds a tail at a point,
 every check returns a Verdict, one exception type reports a broken guarantee,
 every field that the table lists for a check or a base is read on its code
 path, no default of a field sits outside the table, and the number of
@@ -261,6 +263,51 @@ def test_tail_site_is_found():
 def test_tails_are_built_in_one_place():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert tail_sites(sources) == TAIL_SITES
+
+
+# The code units that build an Ordinal from terms without validating them
+# (ordinal._cnf), each proving its terms are in Cantor normal form: the
+# arithmetic of ordinal.py on canonical operands, the grids of Space on
+# falling exponents and a grid base plus (0, j >= 1), and
+# ChainDecomposition._index on the one term (0, n >= 1).  The _cnf docstring
+# states each proof.
+CNF_SITES = {
+    "ordinal.py ord_add", "ordinal.py successor", "ordinal.py predecessor",
+    "ordinal.py limit_part", "ordinal.py ord_fundamental", "ordinal.py left_difference",
+    "space.py Space._prefixes", "space.py Space.grid_bases", "space.py Space.grid_positions",
+    "decomp.py ChainDecomposition._index",
+}
+
+
+def cnf_sites(sources: dict[str, str]) -> set[str]:
+    """``file qualname`` of each code unit that names ``_cnf``, as a name or
+    an attribute, nested functions included; its own definition does not."""
+    out = set()
+    for fname, text in sources.items():
+        for qualname, unit in code_units(text):
+            if any(getattr(node, "id", None) == "_cnf" or getattr(node, "attr", None) == "_cnf"
+                   for node in ast.walk(unit)):
+                out.add(f"{fname} {qualname}")
+    return out
+
+
+def test_cnf_site_is_found():
+    src = (
+        "from hypersel.ordinal import _cnf\n"
+        "def _cnf(terms):\n    return terms\n"
+        "def f(t):\n    return _cnf(t)\n"
+        "def g(xs):\n    return list(map(_cnf, xs))\n"
+        "class C:\n    def m(self):\n"
+        "        def inner():\n            return ordinal._cnf(())\n        return inner\n"
+        "    def n(self):\n        return Ordinal(())\n"
+        "K = _cnf(((1, 1),))\n"
+    )
+    assert cnf_sites({"x.py": src}) == {"x.py f", "x.py g", "x.py C.m", "x.py K"}
+
+
+def test_unvalidated_ordinals_are_built_where_cnf_is_proven():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert cnf_sites(sources) == CNF_SITES
 
 
 # The literal parsers, and the functions allowed to call them in the document
