@@ -75,9 +75,10 @@ __all__ = [
 ]
 
 # Successor stages a transfinite run materializes before certifying their
-# tail pattern; stages per block that validation and payloads sample; stage
-# tails scanned for one inside a given open set.
+# tail pattern; the longest run; stages per block that validation and
+# payloads sample; stage tails scanned for one inside a given open set.
 PROBE_STAGES = 6
+GAMMA_CAP = OMEGA + OMEGA
 SAMPLE_STAGES = 6
 MEMBER_SCAN_CAP = 64
 
@@ -204,13 +205,12 @@ Coord = tuple[int, Ordinal]  # (branch, position) of one coordinate of p
 
 @dataclass(frozen=True)
 class _Tail:
-    """Certified tails from stage ``anchor`` on: at k stages past it, each
-    coordinate's tail starts at fundamental(target, index + step * k) +
-    offset.  A ladder run climbs the ladder of the coordinate itself; an
+    """Certified tails from the last materialized stage on: at k stages past
+    it, each coordinate's tail starts at fundamental(target, index + step * k)
+    + offset.  A ladder run climbs the ladder of the coordinate itself; an
     affine run, advancing by a finite step above a fixed limit part, climbs
     the ladder of that limit part + omega."""
 
-    anchor: int
     target: dict[Coord, Ordinal]
     index: dict[Coord, int]
     step: dict[Coord, int]
@@ -274,65 +274,46 @@ def _ladder_index(beta: Ordinal, c: Ordinal) -> Optional[tuple[int, int]]:
 
 
 def _pattern_region(space: Space, p: Point, pattern: _Tail, k: int) -> Region:
-    """The pattern's stage k stages past its anchor."""
+    """The pattern's stage k stages past the last materialized stage."""
     return space.tail(p, lambda b, beta: pattern.position((b, beta), k))
 
 
 def _certify_pattern(space: Space, p: Point, stage_fn, stages: list[Region]) -> _Tail:
-    """Tail recurrence over the last stages, re-verified at shifted spots.
+    """Tail recurrence over the last three stages, re-verified at shifted spots.
 
-    Two certified forms, both a `_Tail`: positions advancing by a constant
-    finite step below a fixed limit (sup = that limit), or climbing the
-    fundamental ladder of the coordinate with a constant index step (sup = the
-    coordinate itself).
+    Each coordinate's tail start is read as (index, offset) on a ladder: when
+    every coordinate keeps its limit part, the run is affine, its finite part
+    on the ladder of limit part + omega (sup = that limit); otherwise each
+    start is on the fundamental ladder of its coordinate (sup = the coordinate
+    itself).  The index advances by a constant step, the offset stays.
     """
-    forms = [_tail_form(space, p, u) for u in stages]
-    usable = [i for i, fm in enumerate(forms) if fm is not None]
-    if len(usable) < 3 or usable[-1] != len(stages) - 1:
+    forms = [_tail_form(space, p, u) for u in stages[-3:]]
+    if len(forms) < 3 or None in forms:
         raise PatternError("stages are not tail-shaped")
-    i2, i1, i0 = usable[-1], usable[-2], usable[-3]
-    if i2 - i1 != 1 or i1 - i0 != 1:
-        raise PatternError("tail-shaped stages are not consecutive")
-    c_last, c_mid, c_old = forms[i2], forms[i1], forms[i0]
-    finite_steps = {}
-    for coord, c in c_last.items():
-        lp = limit_part(c)
-        if limit_part(c_mid[coord]) == lp and limit_part(c_old[coord]) == lp:
-            d1 = finite_part(c) - finite_part(c_mid[coord])
-            d0 = finite_part(c_mid[coord]) - finite_part(c_old[coord])
-            if d1 != d0 or d1 < 0:
-                raise PatternError(f"tail step at {coord} is not affine ({d0}, {d1})")
-            finite_steps[coord] = d1
-        else:
-            finite_steps = None
-            break
-    if finite_steps is not None and any(finite_steps.values()):
-        pattern = _Tail(
-            i2, {coord: limit_part(c) + OMEGA for coord, c in c_last.items()},
-            {coord: finite_part(c) for coord, c in c_last.items()}, finite_steps,
-            dict.fromkeys(c_last, 0),
-        )
-    elif finite_steps is not None:
+    last = forms[-1]
+    affine = all(limit_part(fm[coord]) == limit_part(c) for coord, c in last.items()
+                 for fm in forms)
+    target, index, step, offset = {}, {}, {}, {}
+    for coord, c in last.items():
+        target[coord] = limit_part(c) + OMEGA if affine else coord[1]
+        decs = [(finite_part(fm[coord]), 0) if affine else _ladder_index(coord[1], fm[coord])
+                for fm in forms]
+        if None in decs:
+            raise PatternError(f"tail at {coord} is not on the ladder of {coord[1]}")
+        (m0, r0), (m1, r1), (m2, r2) = decs
+        if not r0 == r1 == r2:
+            raise PatternError(f"ladder offsets vary at {coord}")
+        if m2 - m1 != m1 - m0 or m2 - m1 < (0 if affine else 1):
+            raise PatternError(f"tail step at {coord} is not affine ({m1 - m0}, {m2 - m1})")
+        index[coord], step[coord], offset[coord] = m2, m2 - m1, r2
+    if not any(step.values()):
         raise PatternError("stages stopped shrinking")
-    else:
-        ms, ss, rs = {}, {}, {}
-        for coord, c in c_last.items():
-            beta = coord[1]
-            decs = [_ladder_index(beta, forms[i][coord]) for i in (i0, i1, i2)]
-            if any(d is None for d in decs):
-                raise PatternError(f"tail at {coord} is not on the ladder of {beta}")
-            (m0, r0), (m1, r1), (m2, r2) = decs
-            if not (r0 == r1 == r2):
-                raise PatternError(f"ladder offsets vary at {coord}")
-            if m2 - m1 != m1 - m0 or m2 - m1 < 1:
-                raise PatternError(f"ladder step at {coord} is not affine")
-            ms[coord], ss[coord], rs[coord] = m2, m2 - m1, r2
-        pattern = _Tail(i2, {coord: coord[1] for coord in c_last}, ms, ss, rs)
+    pattern = _Tail(target, index, step, offset)
     # re-run the stage map at two shifted positions to certify the recurrence
     for shift in (3, 7):
         shifted = _pattern_region(space, p, pattern, shift)
         expected = _pattern_region(space, p, pattern, shift + 1)
-        got = stage_fn(shifted, i2 + shift)
+        got = stage_fn(shifted, len(stages) - 1 + shift)
         if got != expected:
             raise PatternError(
                 f"stage map at shift {shift} gave {got!r}, pattern predicts {expected!r}"
@@ -361,7 +342,7 @@ def _stage_rule(space: Space, p: Point, start: Ordinal, explicit: list[Region],
             return explicit[n]
         if pattern is None:
             raise PatternError(f"stage {start}+{n} beyond explicit stages")
-        return _pattern_region(space, p, pattern, n - pattern.anchor)
+        return _pattern_region(space, p, pattern, n - (len(explicit) - 1))
 
     return rule
 
@@ -369,7 +350,7 @@ def _stage_rule(space: Space, p: Point, start: Ordinal, explicit: list[Region],
 def transfinite_base(
     f: Selection, p: Point, gamma: Ordinal, guided: bool
 ) -> tuple[DecompositionSpec, dict[Ordinal, Point]]:
-    """Graded neighbourhood base at p of length gamma (at most omega*2 + finite),
+    """Graded neighbourhood base at p of length gamma (at most omega*2),
     as the chain decomposition whose level alpha carries H_alpha minus
     H_alpha+1, with the boundary point of each limit stage below gamma.
 
@@ -386,7 +367,7 @@ def transfinite_base(
         raise ValueError(f"selection is not maximal at {p} (precondition)")
     if space.point_region(p).is_open():
         return point_decomposition(space, p), {}
-    if gamma > OMEGA + OMEGA:
+    if gamma > GAMMA_CAP:
         raise ValueError("transfinite runs are capped at omega*2")
     aux = functools.cache(functools.partial(maximal_at, space))
     # guided stages stay inside the canonical tails at p (the pseudocharacter

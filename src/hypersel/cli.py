@@ -24,6 +24,7 @@ from hypersel.scenario import (
     run_scenario,
 )
 from hypersel.basebuilder import base_at_cut, base_length, base_members, transfinite_base
+from hypersel.hyperspace import TheoremViolationError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -89,7 +90,7 @@ def cmd_build_base(args) -> int:
         return EXIT_INVALID
     try:
         payload = BASE_PAYLOADS[spec["kind"]](sc, spec)
-    except (ValueError, AssertionError, RuntimeError) as exc:
+    except (ValueError, TheoremViolationError, RuntimeError) as exc:
         sys.stderr.write(f"base construction failed: {exc}\n")
         return EXIT_FAIL
     _emit({"target": args.target, **payload}, args.out)

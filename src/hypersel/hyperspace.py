@@ -57,9 +57,11 @@ class Verdict:
 class TheoremViolationError(AssertionError):
     """A step the theory guarantees failed; carries the counterexample.  The
     one exception of a broken guarantee: a selection's value outside its
-    argument, a derived-set invariant, a stage of a base."""
+    argument, a derived-set invariant, a stage of a base, a neighbourhood
+    family that misses its set."""
 
-    def __init__(self, message: str, witness: Region | Point | tuple[Region, Region] | None = None):
+    def __init__(self, message: str,
+                 witness: Region | Point | VietorisBasic | tuple[Region, Region]):
         super().__init__(message)
         self.witness = witness
 
@@ -169,7 +171,8 @@ def basic_nbhd_family(s: Region, depth: int) -> tuple[VietorisBasic, ...]:
     out = tuple(VietorisBasic(parts) for parts in dict.fromkeys(candidates))
     escaped = first_escape(s, out)
     if escaped is not None:
-        raise AssertionError(f"generated basic does not contain the set: {escaped}")
+        raise TheoremViolationError(f"generated basic does not contain the set: {escaped}",
+                                    escaped)
     space._nbhd_families[key] = out
     return out
 

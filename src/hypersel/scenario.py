@@ -60,6 +60,7 @@ from hypersel.selection import (
 )
 from hypersel.selrel import derived_sets
 from hypersel.basebuilder import (
+    GAMMA_CAP,
     base_at_cut,
     base_length,
     cut_base_absorbs,
@@ -957,9 +958,9 @@ def make_ordinal_scenario(gamma: str) -> dict:
         raise ScenarioError(str(exc)) from exc
     if not top.is_limit:
         raise ScenarioError("the demo ordinal space needs a limit top")
-    # graded-base runs are capped at w*2 stages; tops past w*2 get a guided
-    # w-run (pseudocharacter tails steer the stages across interior limits)
-    guided = top > omega_power(1, 2)
+    # tops past the cap on graded-base runs get a guided w-run
+    # (pseudocharacter tails steer the stages across interior limits)
+    guided = top > GAMMA_CAP
     run = {"selection": "fmax", "point": "top", "gamma": gamma if not guided else "w",
            "guided": guided}
     family_k = 5 if top.degree <= 1 else 3

@@ -13,7 +13,7 @@ finite families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from hypersel.ordinal import Ordinal, successor
@@ -48,28 +48,6 @@ def _canonical_here(space: Space, b: int, pos: Ordinal) -> bool:
     return space.class_coords(b, pos)[0] == (b, pos)
 
 
-def _attained_top(space: Space, trace, b: int) -> Point:
-    """The top of the trace.  order_extremum takes a top only on branch 0
-    (max) or on the first nonempty branch (min), where a saturated set has no
-    class with an earlier coordinate; a class counts at its least coordinate,
-    so the top is canonical here unless its class has a smaller one here."""
-    pos = trace[-1].hi
-    if not _canonical_here(space, b, pos):
-        raise ExtremumNotAttained(f"the top {pos} of branch {b} is glued below it")
-    return Point(b, pos)
-
-
-def _attained_bottom(space: Space, trace, b: int) -> Optional[Point]:
-    """Smallest position of the trace whose class is canonical at this branch."""
-    for span in trace:
-        pos = span.lo
-        while span.covers(pos):
-            if _canonical_here(space, b, pos):
-                return space.point(b, pos)
-            pos = successor(pos)
-    return None
-
-
 def order_extremum(space: Space, s: Region, want_max: bool) -> Point:
     """Extreme member of a closed set under the concatenation order that
     ascends branch 0 and descends every later branch."""
@@ -77,24 +55,27 @@ def order_extremum(space: Space, s: Region, want_max: bool) -> Point:
         raise ValueError("extremum of the empty set")
     if not s.is_closed():
         raise ValueError("order extrema are taken over closed sets")
-    branch_order = range(len(space.branches) - 1, -1, -1) if want_max else range(
-        len(space.branches)
-    )
-    for b in branch_order:
+    n = len(space.branches)
+    for b in range(n - 1, -1, -1) if want_max else range(n):
         trace = s.traces[b]
-        if not trace:
-            continue
         # on this branch the wanted key extreme sits at the large-position end
-        # exactly when orientation (ascending on branch 0) and direction agree
-        if want_max == (b == 0):
-            cand = _attained_top(space, trace, b)
-        else:
-            cand = _attained_bottom(space, trace, b)
-        if cand is None:
-            # every position here belongs to a class canonical on an earlier
-            # branch; those classes carry earlier keys, keep scanning
-            continue
-        return cand
+        # exactly when orientation (ascending on branch 0) and direction agree.
+        # That happens only on branch 0 (max) or on the first nonempty branch
+        # (min), where a saturated set has no class with an earlier coordinate,
+        # so the top is canonical here unless its class has a smaller one here.
+        if trace and want_max == (b == 0):
+            pos = trace[-1].hi
+            if not _canonical_here(space, b, pos):
+                raise ExtremumNotAttained(f"the top {pos} of branch {b} is glued below it")
+            return Point(b, pos)
+        # otherwise the least position whose class is canonical here; the
+        # classes canonical on an earlier branch carry earlier keys
+        for span in trace:
+            pos = span.lo
+            while span.covers(pos):
+                if _canonical_here(space, b, pos):
+                    return Point(b, pos)
+                pos = successor(pos)
     raise ExtremumNotAttained("set has no member with an attained key")
 
 
@@ -384,9 +365,8 @@ def _build_closed_family(space: Space, params: FamilyParams, base: Region) -> li
     # On a branch no gluing touches, an option's closed spans are already its
     # normalized saturated trace (two segments neither overlap nor touch).
     # Every segment lies in the whole space, so that carrier tests none.
-    # Without gluings an option is one branch's trace and options of a branch
-    # are distinct traces, so distinct choices give distinct members, in the
-    # walk's order: no set of those seen, and one branch's are its options.
+    # On one branch without gluings the options are distinct traces, so they
+    # are the members, in the walk's order.
     glued = {b for coords in space.gluings for b, _ in coords}
     whole = base == space.whole()
     empty = space.empty().traces
@@ -421,11 +401,8 @@ def _build_closed_family(space: Space, params: FamilyParams, base: Region) -> li
                         else seg1.union(seg2)
                     )
         per_branch.append(options)
-    if not space.gluings:
-        if len(per_branch) == 1:
-            return per_branch[0][1:]
-        traces = [[()] + [opt.traces[b] for opt in opts[1:]] for b, opts in enumerate(per_branch)]
-        return [Region(space, t) for t in product(*traces)][1:]  # the first takes no option
+    if not space.gluings and len(per_branch) == 1:
+        return per_branch[0][1:]
     out: list[Region] = []
     seen: set = set()
 

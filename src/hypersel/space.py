@@ -526,8 +526,11 @@ class Region:
 
     def single_point(self) -> Optional[Point]:
         """The point of a one-point set, None for any other set.  A one-point
-        set is the class of its first span's start."""
+        set is the class of its first span's start, and every span of it is
+        one position."""
         for b, s in self.span_items():
+            if s.lo != s.hi:
+                return None
             pt = self.space.point(b, s.lo)
             return pt if self == self.space.point_region(pt) else None
         return None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from sympy.sets.ordinals import Ordinal as SymOrdinal, ord0, omega
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -19,12 +20,13 @@ from hypersel.decomp import (
     DecompositionError,
     ExplicitDecomposition,
 )
+from hypersel.basebuilder import PatternError, _ladder_index, _tail_form
 from hypersel.hyperspace import (
     ConvergentNet, Verdict, VietorisBasic, _tight_parts,
 )
 from hypersel.ordinal import (
-    OMEGA, ZERO, Ordinal, fund_index_at_least, limit_part, omega_power, ord_fundamental,
-    parse_ordinal, successor,
+    OMEGA, ZERO, Ordinal, finite_part, fund_index_at_least, limit_part, omega_power,
+    ord_fundamental, parse_ordinal, successor,
 )
 from hypersel.selection import ExtremumNotAttained
 from hypersel.space import Point, Region, Space, Span
@@ -708,3 +710,88 @@ def ref_eta_point(d: ChainDecomposition, pt: Point) -> Ordinal:
                 raise DecompositionError("level scan beyond cap")
         return starts[k] + Ordinal.from_int(j)
     raise DecompositionError(f"{pt} outside the carrier")
+
+
+# -- frozen tail certification ------------------------------------------------------
+#
+# basebuilder._certify_pattern as it was while affine and ladder runs were
+# certified in two loops, each with its own messages, and the pattern kept
+# the stage it was anchored at.
+
+
+@dataclass(frozen=True)
+class FrozenTail:
+    anchor: int
+    target: dict
+    index: dict
+    step: dict
+    offset: dict
+
+    def position(self, coord, k: int) -> Ordinal:
+        m = self.index[coord] + self.step[coord] * k
+        return ord_fundamental(self.target[coord], m) + Ordinal.from_int(self.offset[coord])
+
+
+def frozen_certify_pattern(space: Space, p: Point, stage_fn, stages: list[Region]) -> FrozenTail:
+    forms = [_tail_form(space, p, u) for u in stages]
+    usable = [i for i, fm in enumerate(forms) if fm is not None]
+    if len(usable) < 3 or usable[-1] != len(stages) - 1:
+        raise PatternError("stages are not tail-shaped")
+    i2, i1, i0 = usable[-1], usable[-2], usable[-3]
+    if i2 - i1 != 1 or i1 - i0 != 1:
+        raise PatternError("tail-shaped stages are not consecutive")
+    c_last, c_mid, c_old = forms[i2], forms[i1], forms[i0]
+    finite_steps = {}
+    for coord, c in c_last.items():
+        lp = limit_part(c)
+        if limit_part(c_mid[coord]) == lp and limit_part(c_old[coord]) == lp:
+            d1 = finite_part(c) - finite_part(c_mid[coord])
+            d0 = finite_part(c_mid[coord]) - finite_part(c_old[coord])
+            if d1 != d0 or d1 < 0:
+                raise PatternError(f"tail step at {coord} is not affine ({d0}, {d1})")
+            finite_steps[coord] = d1
+        else:
+            finite_steps = None
+            break
+    if finite_steps is not None and any(finite_steps.values()):
+        pattern = FrozenTail(
+            i2, {coord: limit_part(c) + OMEGA for coord, c in c_last.items()},
+            {coord: finite_part(c) for coord, c in c_last.items()}, finite_steps,
+            dict.fromkeys(c_last, 0),
+        )
+    elif finite_steps is not None:
+        raise PatternError("stages stopped shrinking")
+    else:
+        ms, ss, rs = {}, {}, {}
+        for coord, c in c_last.items():
+            beta = coord[1]
+            decs = [_ladder_index(beta, forms[i][coord]) for i in (i0, i1, i2)]
+            if any(d is None for d in decs):
+                raise PatternError(f"tail at {coord} is not on the ladder of {beta}")
+            (m0, r0), (m1, r1), (m2, r2) = decs
+            if not (r0 == r1 == r2):
+                raise PatternError(f"ladder offsets vary at {coord}")
+            if m2 - m1 != m1 - m0 or m2 - m1 < 1:
+                raise PatternError(f"ladder step at {coord} is not affine")
+            ms[coord], ss[coord], rs[coord] = m2, m2 - m1, r2
+        pattern = FrozenTail(i2, {coord: coord[1] for coord in c_last}, ms, ss, rs)
+    for shift in (3, 7):
+        shifted = space.tail(p, lambda b, beta: pattern.position((b, beta), shift))
+        expected = space.tail(p, lambda b, beta: pattern.position((b, beta), shift + 1))
+        got = stage_fn(shifted, i2 + shift)
+        if got != expected:
+            raise PatternError(
+                f"stage map at shift {shift} gave {got!r}, pattern predicts {expected!r}"
+            )
+    return pattern
+
+
+def frozen_pattern_limit(space: Space, p: Point, pattern: FrozenTail) -> Region:
+    def start(b: int, beta: Ordinal) -> Ordinal:
+        coord = (b, beta)
+        mu = pattern.target[coord] if pattern.step[coord] else pattern.position(coord, 0)
+        if mu > beta:
+            raise PatternError(f"pattern overshoots coordinate {b}:{beta}")
+        return mu
+
+    return space.tail(p, start)

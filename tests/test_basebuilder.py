@@ -29,6 +29,7 @@ from hypersel.basebuilder import (
     pcut_validate,
     transfinite_base,
 )
+from oracles import frozen_certify_pattern, frozen_pattern_limit
 
 O = Ordinal.from_int
 P = parse_ordinal
@@ -340,7 +341,7 @@ class TestGammaBaseWitness:
 def _certified(tops, forms):
     """The pattern _certify_pattern finds for the stages j -> tails [forms[b](j),
     tops[b]] at the top point (the tops glued, when there are two), with the
-    stage map given by the forms; the anchor is stage 3."""
+    stage map given by the forms; the last materialized stage is stage 3."""
     space = Space(tops, [[(b, top) for b, top in enumerate(tops)]][:len(tops) - 1])
     p = space.point(0, tops[0])
 
@@ -349,7 +350,6 @@ def _certified(tops, forms):
                                    for (b, top), form in zip(enumerate(tops), forms)])
 
     pattern = _certify_pattern(space, p, lambda u, j: stage(j + 1), [stage(j) for j in range(4)])
-    assert pattern.anchor == 3
     return space, p, pattern
 
 
@@ -397,6 +397,132 @@ class TestTail:
         with pytest.raises(PatternError) as err:
             _pattern_limit(space, p, pattern)
         assert str(err.value) == f"pattern overshoots coordinate 0:{lp + O(40)}"
+
+
+def _affine(lp, start, step):
+    return lambda j: P(lp) + O(start + step * j)
+
+
+def _ladder(top, index, step, offset):
+    return lambda j: ord_fundamental(P(top), index + step * j) + O(offset)
+
+
+def _tail_cases():
+    """(tops, forms) of generated three-stage tail runs: affine runs over
+    three limit parts, ladder runs on three coordinates, and mixed runs with
+    the affine coordinate first or last."""
+    cases = {}
+    for lp in ["0", "w", "w^2+w"]:
+        for s0 in range(4):
+            cases[f"affine-{lp}-{s0}"] = ([P(lp) + W2], [_affine(lp, 2, s0)])
+            cases[f"affine-{lp}-below-successor-{s0}"] = ([P(lp) + O(40)], [_affine(lp, 1, s0)])
+            for s1 in range(4):
+                cases[f"affine-{lp}-{s0}-{s1}"] = (
+                    [P(lp) + W2, P(lp) + P("w+7")], [_affine(lp, 2, s0), _affine(lp, 5, s1)])
+                cases[f"mixed-{lp}-{s0}-{s1}"] = (
+                    [P(lp) + W2, P("w^3")], [_affine(lp, 2, s0), _ladder("w^3", 1, s1, 0)])
+                cases[f"mixed-ladder-first-{lp}-{s0}-{s1}"] = (
+                    [P("w^3"), P(lp) + W2], [_ladder("w^3", 1, s1, 0), _affine(lp, 2, s0)])
+                cases[f"mixed-successor-{lp}-{s0}-{s1}"] = (
+                    [P(lp) + P("w+7"), P("w^3")], [_affine(lp, 2, s0), _ladder("w^3", 1, s1, 0)])
+    for top in ["w^2", "w^3", "w^2*2"]:
+        for s0 in range(4):
+            for s1 in range(4):
+                second = P(top) + P("w^2")
+                cases[f"ladder-{top}-{s0}-{s1}"] = (
+                    [P(top), second], [_ladder(top, 1, s0, 0), _ladder(str(second), 4, s1, 2)])
+    return cases
+
+
+TAIL_CASES = _tail_cases()
+
+
+def _tail_run(tops, forms):
+    """The space of tops (glued, when there are two), its top point and the
+    stage map of the tails [forms[b](j), tops[b]] at it."""
+    space = Space(tops, [[(b, top) for b, top in enumerate(tops)]][:len(tops) - 1])
+
+    def stage(j):
+        return Region.make(space, [(b, form(j), top, True)
+                                   for (b, top), form in zip(enumerate(tops), forms)])
+
+    return space, space.point(0, tops[0]), stage
+
+
+def _outcome(certify, limit, space, p, stage_fn, stages):
+    """What a certification makes of the stages: the name of the exception
+    that rejects them (a ladder read of a successor coordinate raises
+    ValueError), or the certified maps and the limit of their tails."""
+    try:
+        pattern = certify(space, p, stage_fn, stages)
+    except (PatternError, ValueError) as exc:
+        return type(exc).__name__
+    try:
+        lim = limit(space, p, pattern)
+    except PatternError as exc:
+        lim = str(exc)
+    return pattern.target, pattern.index, pattern.step, pattern.offset, lim
+
+
+class TestCertificationAgainstFrozen:
+    """The one certification loop against the two loops it replaced
+    (`oracles.frozen_certify_pattern`): the same accept or reject and, on
+    accept, the same maps and the same limit of the tails."""
+
+    def _agree(self, space, p, stage_fn, stages):
+        frozen = _outcome(frozen_certify_pattern, frozen_pattern_limit, space, p, stage_fn,
+                          stages)
+        assert _outcome(_certify_pattern, _pattern_limit, space, p, stage_fn, stages) == frozen
+        if not isinstance(frozen, str):
+            assert frozen_certify_pattern(space, p, stage_fn, stages).anchor == len(stages) - 1
+        return frozen
+
+    @pytest.mark.parametrize("name", sorted(TAIL_CASES))
+    def test_generated_runs(self, name):
+        space, p, stage = _tail_run(*TAIL_CASES[name])
+        self._agree(space, p, lambda u, j: stage(j + 1), [stage(j) for j in range(4)])
+
+    def test_generated_runs_accept_and_reject(self):
+        outcomes = []
+        for tops, forms in TAIL_CASES.values():
+            space, p, stage = _tail_run(tops, forms)
+            outcomes.append(_outcome(frozen_certify_pattern, frozen_pattern_limit, space, p,
+                                     lambda u, j: stage(j + 1), [stage(j) for j in range(4)]))
+        accepted = sum(not isinstance(out, str) for out in outcomes)
+        assert 0 < accepted < len(outcomes)
+
+    @pytest.mark.parametrize("planted, message", [
+        ("last-stage-not-a-tail", "stages are not tail-shaped"),
+        ("gap-before-last", "tail-shaped stages are not consecutive"),
+        ("uneven-finite-step", "tail step at (0, Ordinal('w*2')) is not affine (1, 2)"),
+        ("constant", "stages stopped shrinking"),
+        ("off-the-ladder", "tail at (0, Ordinal('w^2*2')) is not on the ladder of w^2*2"),
+        ("varying-offset", "ladder offsets vary at (0, Ordinal('w^2'))"),
+        ("uneven-ladder-step", "ladder step at (0, Ordinal('w^2')) is not affine"),
+        ("lying-stage-map", "stage map at shift 3 gave"),
+    ])
+    def test_every_frozen_reject_branch(self, planted, message):
+        # one coordinate; w*k is rung k of the ladder of w^2, and no rung of w^2*2
+        forms = {
+            "uneven-finite-step": ("w*2", lambda j: W + O([0, 1, 2, 4][j])),
+            "constant": ("w*2", lambda j: W + O(3)),
+            "off-the-ladder": ("w^2*2", lambda j: P(f"w*{j + 1}")),
+            "varying-offset": ("w^2", lambda j: P(f"w*{j + 1}") + O(j % 2)),
+            "uneven-ladder-step": ("w^2", lambda j: P(f"w*{[1, 2, 3, 5][j]}")),
+        }
+        top, form = forms.get(planted, ("w^2", lambda j: P(f"w*{j + 1}")))
+        space, p, stage = _tail_run([P(top)], [form])
+        stages = [stage(j) for j in range(4)]
+        stage_fn = lambda u, j: stage(j + (2 if planted == "lying-stage-map" else 1))
+        off_p = Region.make(space, [(0, ZERO, O(3), True)])
+        if planted == "last-stage-not-a-tail":
+            stages[-1] = off_p
+        if planted == "gap-before-last":
+            stages[-2] = off_p
+        with pytest.raises(PatternError) as err:
+            frozen_certify_pattern(space, p, stage_fn, stages)
+        assert str(err.value).startswith(message)
+        assert self._agree(space, p, stage_fn, stages) == "PatternError"
 
 
 class TestRoundtrip:

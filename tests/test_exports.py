@@ -434,7 +434,9 @@ def test_every_check_returns_a_verdict():
 # One exception reports a broken guarantee, hyperspace.TheoremViolationError:
 # a run turns it into a fail record with its witness, and any other exception
 # into an error record.  No other class derives from AssertionError, directly
-# or through another class of the package.
+# or through another class of the package, and the package neither raises a
+# bare AssertionError nor has an assert statement, whose failure would carry
+# no witness.
 FAIL_TYPES = {"hyperspace.py TheoremViolationError"}
 
 
@@ -455,6 +457,33 @@ def assertion_classes(sources: dict[str, str]) -> set[str]:
         derived |= more
 
 
+def bare_assertions(sources: dict[str, str]) -> list[str]:
+    """``file:line`` of each assert statement and each raise of AssertionError
+    itself in ``sources``."""
+    out = []
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc).split(".")[-1] == "AssertionError":
+                    out.append(f"{fname}:{node.lineno}")
+            elif isinstance(node, ast.Assert):
+                out.append(f"{fname}:{node.lineno}")
+    return sorted(out)
+
+
+def test_bare_assertion_is_found():
+    src = (
+        "def f(x):\n    assert x, 'planted'\n"
+        "    if x:\n        raise AssertionError(f'escaped {x}')\n"
+        "    if not x:\n        raise builtins.AssertionError\n"
+        "    raise TheoremViolationError('broken', x)\n"
+        "def g():\n    raise ValueError('invalid')\n"
+        "def h():\n    try:\n        g()\n    except ValueError:\n        raise\n"
+    )
+    assert bare_assertions({"x.py": src}) == ["x.py:2", "x.py:4", "x.py:6"]
+
+
 def test_assertion_class_is_found():
     src = (
         "class TheoremViolationError(AssertionError):\n    pass\n"
@@ -469,13 +498,14 @@ def test_assertion_class_is_found():
 def test_one_exception_reports_a_broken_guarantee():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert assertion_classes(sources) == FAIL_TYPES
+    assert bare_assertions(sources) == []
 
 
 # The settable values of the package: defaulted parameters (lambdas
 # included) and class fields declared with a value.  Each is a second
 # statement of a value unless something reads or varies it, so the count is
 # pinned; a change that adds or removes one updates the pin and says why.
-SETTABLE_VALUES = 25
+SETTABLE_VALUES = 24
 
 
 def settable_values(sources: dict[str, str]) -> list[str]:

@@ -224,6 +224,24 @@ class TestReports:
         assert report.records[0].verdict.status == "error"
         assert report.records[0].verdict.detail == "KeyError: 'planted'"
 
+    def test_escaping_neighbourhood_family_fails_with_its_basic(self, monkeypatch):
+        # a tight part that misses the limit breaks the family's guarantee
+        from hypersel import hyperspace
+
+        space = Space([W])
+        missing = Region.make(space, [(0, ZERO, ZERO, True)])
+        monkeypatch.setattr(hyperspace, "_tight_parts",
+                            lambda s, level: (Region(s.space, missing.traces),))
+        doc = minimal_doc(
+            objects={"points": {"top": [0, "w"]},
+                     "nets": {"n": {"kind": "tail", "point": "top"}}},
+            suites=[{"check": "net_convergence", "net": "n"}],
+        )
+        (record,) = run_scenario(Scenario.load(doc)).to_json()["results"]
+        assert record["status"] == "fail"
+        assert record["witness"] == {"basic": [region_to_json(missing)]}
+        assert record["detail"].startswith("generated basic does not contain the set")
+
     def test_broken_ordinal_law_fails_without_witness(self, monkeypatch):
         # addition with its operands swapped is associative but not monotone
         # on the right: 11 < w^2*6 + 8, yet 11 + w^3*8 = (w^2*6 + 8) + w^3*8

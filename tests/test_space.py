@@ -316,6 +316,15 @@ class TestHelpers:
         h = reg(line, (0, ZERO, ZERO))
         assert next_point(h) == Point(0, ZERO)
 
+    def test_single_point_builds_no_singleton_for_a_wider_span(self):
+        space = Space([W2])
+        for r in [reg(space, (0, O(3), W)), reg(space, (0, ZERO, O(1)), (0, W, W))]:
+            assert r.single_point() is None
+        assert space._point_regions == {}
+        glued = Space([W, W], [[(0, W), (1, W)]])
+        assert glued.point_region(Point(0, W)).single_point() == Point(0, W)
+        assert reg(space, (0, O(3), O(3))).single_point() == Point(0, O(3))
+
     def test_grid_contains_scaffolding(self, omega_sq_space):
         pts = omega_sq_space.grid_positions(0, 3)
         for expect in ["0", "3", "w", "w*2", "w*3+3", "w^2"]:
